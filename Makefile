@@ -59,12 +59,12 @@ race:
 #     baseline (internal/bench/testdata/e4_baseline.json). Regenerate after an
 #     intentional performance-model change with
 #       go test ./internal/bench -run TestE4CyclesRegression -update-e4-baseline
-#   - Hot-path allocs/op must stay within 25% of BENCH_PR10.json (allocations
-#     are near-deterministic where wall-clock on shared runners is not); the
+#   - Hot-path allocs/op must stay within 25% (+64) of
+#     internal/bench/testdata/alloc_gate.json (allocations are
+#     near-deterministic where wall-clock on shared runners is not); the
 #     probes cover sequential, ParallelSMs>1, and end-to-end BFS paths.
-#     BENCH_PR7.json remains committed as the PR 7 historical record.
 #     Regenerate after an intentional change with
-#       go test ./internal/bench -run TestHotPathAllocGate -update-bench-pr10
+#       go test ./internal/bench -run TestHotPathAllocGate -update-alloc-gate
 benchgate:
 	$(GO) test ./internal/bench -run 'TestE4CyclesRegression|TestHotPathAllocGate' -count=1
 

@@ -3,55 +3,79 @@ package main
 import (
 	"flag"
 	"fmt"
+	"strings"
 
 	"maxwarp/internal/gengraph"
 	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/graph"
 	"maxwarp/internal/simt"
-	"maxwarp/internal/xrand"
 )
 
-// algoNames lists every kernel runAlgoOnce can dispatch, in display order.
-var algoNames = []string{
-	"bfs", "bfsfrontier", "bfsdir", "sssp", "deltastep", "pagerank",
-	"cc", "scc", "nbrsum", "spmv", "triangles", "kcore", "mis",
-	"coloring", "bc", "closeness", "msbfs",
-}
+// Defaults of the kernel inputs that the algo flags set and profile fixes.
+const (
+	defaultCoreK   = 2
+	defaultSamples = 4
+)
 
-// algoRun summarizes one kernel run for the CLI printers.
-type algoRun struct {
-	stats  simt.LaunchStats
-	rounds int
-	note   string
-}
-
-// algoParams carries the per-kernel tuning knobs that only some kernels
-// read (seed for priorities/weights, k for kcore, iteration and sample
-// counts) so runAlgoOnce keeps one signature across all dispatch cases.
+// algoParams carries the kernel inputs the algo, sanitize and profile
+// subcommands take from their flags.
 type algoParams struct {
 	seed    uint64
 	coreK   int
 	iters   int
 	samples int
-	// edgeWeights lazily supplies weights for the SSSP variants.
-	edgeWeights func() []int32
+	// fileWeights are the graph file's edge weights; generated graphs get
+	// seeded weights in [1,16].
+	fileWeights []int32
+}
+
+// algoInput is the input the CLI hands table entry a on graph g: the
+// single-source kernels start at src, BC from {src} and MS-BFS from
+// {src, 0}.
+func algoInput(a *gpualgo.Algorithm, g *graph.CSR, src graph.VertexID, p algoParams) (gpualgo.Input, error) {
+	view, err := a.Graph(g)
+	if err != nil {
+		return gpualgo.Input{}, err
+	}
+	in := gpualgo.Input{
+		G: view, Src: src,
+		BCSources:    []graph.VertexID{src},
+		MSBFSSources: []graph.VertexID{src, 0},
+		Iterations:   p.iters, CoreK: int32(p.coreK), Seed: p.seed, Samples: p.samples,
+	}
+	if a.Form == gpualgo.Weighted {
+		in.Weights = p.fileWeights
+		if in.Weights == nil {
+			in.Weights = gengraph.EdgeWeights(g, 16, p.seed)
+		}
+	}
+	return in, nil
+}
+
+// lookupKernel returns the table entry called name.
+func lookupKernel(name string) (*gpualgo.Algorithm, error) {
+	a := gpualgo.Lookup(name)
+	if a == nil {
+		return nil, fmt.Errorf("unknown kernel %q", name)
+	}
+	return a, nil
 }
 
 // cmdAlgo runs any of the library's kernels once and prints its stats — the
 // generic sibling of the bfs subcommand.
 func cmdAlgo(args []string) error {
 	fs := flag.NewFlagSet("algo", flag.ContinueOnError)
-	name := fs.String("name", "bfs", "bfs | bfsfrontier | bfsdir | sssp | deltastep | pagerank | cc | scc | nbrsum | spmv | triangles | kcore | mis | coloring | bc | closeness | msbfs")
+	name := fs.String("name", "bfs", strings.Join(gpualgo.Names(false), " | "))
 	preset := fs.String("preset", "", "workload preset name (see 'maxwarp list')")
 	file := fs.String("graph", "", "graph file (.bin or edge list)")
 	scale := fs.Int("scale", 12, "log2 vertices for presets")
 	seed := fs.Uint64("seed", 42, "generator seed")
 	k := fs.Int("k", 32, "virtual warp width (1 = thread-per-vertex baseline)")
 	dynamic := fs.Bool("dynamic", false, "dynamic workload distribution")
-	coreK := fs.Int("corek", 2, "k for the kcore kernel")
+	coreK := fs.Int("corek", defaultCoreK, "k for the kcore kernel")
 	iters := fs.Int("iters", 10, "iterations for pagerank")
-	samples := fs.Int("samples", 4, "landmark samples for closeness")
-	inject := fs.String("inject", "", "fault-injection spec (bfs, sssp, pagerank only): abort=N,bitflip=N,buffers=a|b,loss=N,seed=N,maxfaults=N")
+	samples := fs.Int("samples", defaultSamples, "landmark samples for closeness")
+	inject := fs.String("inject", "", "fault-injection spec ("+strings.Join(gpualgo.Names(true), ", ")+" only): abort=N,bitflip=N,buffers=a|b,loss=N,seed=N,maxfaults=N")
 	retries := fs.Int("retries", 3, "per-iteration retry budget under -inject (min 1)")
 	parallel := fs.Int("parallel", 0, "host goroutines driving SMs (0 = one per CPU, 1 = sequential event loop)")
 	sanitized := fs.Bool("sanitize", false, "run under the kernel sanitizer and report hazards after the stats")
@@ -59,15 +83,13 @@ func cmdAlgo(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, gname, fileWeights, err := loadWorkloadWeighted(*preset, *file, *scale, *seed)
+	a, err := lookupKernel(*name)
 	if err != nil {
 		return err
 	}
-	edgeWeights := func() []int32 {
-		if fileWeights != nil {
-			return fileWeights
-		}
-		return gengraph.EdgeWeights(g, 16, *seed)
+	g, gname, fileWeights, err := loadWorkloadWeighted(*preset, *file, *scale, *seed)
+	if err != nil {
+		return err
 	}
 	dcfg := simt.DefaultConfig()
 	dcfg.ParallelSMs = *parallel
@@ -81,208 +103,30 @@ func cmdAlgo(args []string) error {
 	opts := gpualgo.Options{K: *k, Dynamic: *dynamic, Metrics: sinks.metrics}
 	src := graph.LargestOutComponentSeed(g)
 
-	if *inject != "" {
-		return runInjected(dev, g, *name, src, opts, *inject, *retries, *iters, edgeWeights, gname, *k, *dynamic)
+	in, err := algoInput(a, g, src, algoParams{seed: *seed, coreK: *coreK, iters: *iters, samples: *samples, fileWeights: fileWeights})
+	if err != nil {
+		return err
 	}
-
-	params := algoParams{seed: *seed, coreK: *coreK, iters: *iters, samples: *samples, edgeWeights: edgeWeights}
-	run, err := runAlgoOnce(dev, g, *name, src, opts, params)
+	header := fmt.Sprintf("graph    %s (%s)", gname, graph.Stats(g))
+	if *inject != "" {
+		return runInjected(dev, a, in, opts, *inject, *retries, header, *k, *dynamic)
+	}
+	run, err := a.Run(dev, in, opts)
 	if err != nil {
 		return err
 	}
 
 	cfg := dev.Config()
-	fmt.Printf("graph    %s (%s)\n", gname, graph.Stats(g))
-	fmt.Printf("kernel   %s  K=%d dynamic=%v  rounds=%d", *name, *k, *dynamic, run.rounds)
-	if run.note != "" {
-		fmt.Printf("  [%s]", run.note)
+	fmt.Println(header)
+	fmt.Printf("kernel   %s  K=%d dynamic=%v  rounds=%d", a.Name, *k, *dynamic, run.Rounds)
+	if run.Note != "" {
+		fmt.Printf("  [%s]", run.Note)
 	}
 	fmt.Println()
-	fmt.Printf("cycles   %d (%.3f ms at %.1f GHz)\n", run.stats.Cycles, run.stats.TimeMS(cfg.ClockGHz), cfg.ClockGHz)
-	fmt.Printf("stats    %s\n", run.stats.String())
-	if err := sinks.flush(&run.stats); err != nil {
+	fmt.Printf("cycles   %d (%.3f ms at %.1f GHz)\n", run.Stats.Cycles, run.Stats.TimeMS(cfg.ClockGHz), cfg.ClockGHz)
+	fmt.Printf("stats    %s\n", run.Stats.String())
+	if err := sinks.flush(&run.Stats); err != nil {
 		return err
 	}
 	return reportSanitizer(san, false)
-}
-
-// runAlgoOnce dispatches one named kernel over g and returns its stats —
-// shared by the algo and sanitize subcommands. Kernels whose preconditions
-// demand an undirected simple graph (cc, triangles, kcore, mis, coloring)
-// get the symmetrized closure, exactly as their doc comments require.
-func runAlgoOnce(dev *simt.Device, g *graph.CSR, name string, src graph.VertexID, opts gpualgo.Options, p algoParams) (algoRun, error) {
-	var out algoRun
-	switch name {
-	case "bfs", "bfsfrontier":
-		dg := gpualgo.Upload(dev, g)
-		var res *gpualgo.BFSResult
-		var err error
-		if name == "bfs" {
-			res, err = gpualgo.BFS(dev, dg, src, opts)
-		} else {
-			res, err = gpualgo.BFSFrontier(dev, dg, src, opts)
-		}
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = fmt.Sprintf("depth %d", res.Depth)
-	case "bfsdir":
-		res, err := gpualgo.BFSDirectionOpt(dev, g, src, gpualgo.DirOptions{Options: opts})
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = fmt.Sprintf("depth %d", res.Depth)
-	case "sssp":
-		dg, err := gpualgo.UploadWeighted(dev, g, p.edgeWeights())
-		if err != nil {
-			return out, err
-		}
-		res, err := gpualgo.SSSP(dev, dg, src, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-	case "deltastep":
-		dg, err := gpualgo.UploadWeighted(dev, g, p.edgeWeights())
-		if err != nil {
-			return out, err
-		}
-		res, err := gpualgo.DeltaStepping(dev, dg, src, gpualgo.DeltaSteppingOptions{Options: opts})
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-	case "pagerank":
-		res, err := gpualgo.PageRank(dev, g, gpualgo.PageRankOptions{Options: opts, Iterations: p.iters})
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-	case "cc":
-		sym, err := g.Symmetrize()
-		if err != nil {
-			return out, err
-		}
-		dg := gpualgo.Upload(dev, sym)
-		res, err := gpualgo.ConnectedComponents(dev, dg, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-	case "nbrsum":
-		dg := gpualgo.Upload(dev, g)
-		values := make([]int32, g.NumVertices())
-		for i := range values {
-			values[i] = int32(i)
-		}
-		res, err := gpualgo.NeighborSum(dev, dg, values, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-	case "spmv":
-		r := xrand.New(p.seed)
-		vals := make([]float32, g.NumEdges())
-		for i := range vals {
-			vals[i] = float32(r.Float64())
-		}
-		x := make([]float32, g.NumVertices())
-		for i := range x {
-			x[i] = float32(r.Float64())
-		}
-		dg := gpualgo.Upload(dev, g)
-		res, err := gpualgo.SpMV(dev, dg, vals, x, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-	case "triangles":
-		sym, err := g.Symmetrize()
-		if err != nil {
-			return out, err
-		}
-		res, err := gpualgo.TriangleCount(dev, sym, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = fmt.Sprintf("%d triangles", res.Total)
-	case "kcore":
-		sym, err := g.Symmetrize()
-		if err != nil {
-			return out, err
-		}
-		dg := gpualgo.Upload(dev, sym)
-		res, err := gpualgo.KCore(dev, dg, int32(p.coreK), opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = fmt.Sprintf("|%d-core| = %d", p.coreK, res.Remaining)
-	case "mis":
-		sym, err := g.Symmetrize()
-		if err != nil {
-			return out, err
-		}
-		dg := gpualgo.Upload(dev, sym)
-		res, err := gpualgo.MIS(dev, dg, p.seed, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = fmt.Sprintf("|MIS| = %d", res.Size)
-	case "coloring":
-		sym, err := g.Symmetrize()
-		if err != nil {
-			return out, err
-		}
-		dg := gpualgo.Upload(dev, sym)
-		res, err := gpualgo.GraphColoring(dev, dg, p.seed, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = fmt.Sprintf("%d colors", res.NumColors)
-	case "scc":
-		res, err := gpualgo.SCC(dev, g, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = fmt.Sprintf("%d components, %d trimmed", res.Components, res.Trimmed)
-	case "bc":
-		srcs := []graph.VertexID{src}
-		res, err := gpualgo.BetweennessCentrality(dev, g, srcs, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		var top float32
-		for _, s := range res.Scores {
-			if s > top {
-				top = s
-			}
-		}
-		out.note = fmt.Sprintf("max score %.1f (1 source)", top)
-	case "closeness":
-		res, err := gpualgo.ClosenessCentrality(dev, g, p.samples, p.seed, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = fmt.Sprintf("%d landmark samples", len(res.Sources))
-	case "msbfs":
-		dg := gpualgo.Upload(dev, g)
-		res, err := gpualgo.MSBFS(dev, dg, []graph.VertexID{src, 0}, opts)
-		if err != nil {
-			return out, err
-		}
-		out.stats, out.rounds = res.Stats, res.Iterations
-		out.note = "2 sources, bit-parallel"
-	default:
-		return out, fmt.Errorf("unknown kernel %q", name)
-	}
-	return out, nil
 }

@@ -7,9 +7,7 @@ import (
 	"strconv"
 	"strings"
 
-	"maxwarp/internal/cpualgo"
 	"maxwarp/internal/gpualgo"
-	"maxwarp/internal/graph"
 	"maxwarp/internal/resilient"
 	"maxwarp/internal/simt"
 )
@@ -90,11 +88,10 @@ func printOutcome(w io.Writer, out resilient.Outcome) {
 	}
 }
 
-// runInjected is the algo subcommand's resilient path: the iterative
-// kernels with resilient wrappers run under the parsed fault plan.
-func runInjected(dev *simt.Device, g *graph.CSR, name string, src graph.VertexID,
-	opts gpualgo.Options, spec string, retries, iters int,
-	edgeWeights func() []int32, gname string, k int, dynamic bool) error {
+// runInjected is the algo subcommand's resilient path: a resumable table
+// entry runs under the parsed fault plan and degrades to its oracle.
+func runInjected(dev *simt.Device, a *gpualgo.Algorithm, in gpualgo.Input, opts gpualgo.Options,
+	spec string, retries int, header string, k int, dynamic bool) error {
 	plan, err := parseFaultPlan(spec)
 	if err != nil {
 		return err
@@ -104,67 +101,22 @@ func runInjected(dev *simt.Device, g *graph.CSR, name string, src graph.VertexID
 		// explicit 0 here would silently retry anyway; reject it instead.
 		return fmt.Errorf("-retries must be >= 1 (got %d)", retries)
 	}
+	if !a.Resumable() {
+		return fmt.Errorf("-inject supports %s (got %q)", strings.Join(gpualgo.Names(true), ", "), a.Name)
+	}
 	dev.SetFaultPlan(plan)
-	pol := resilient.Policy{MaxRetries: retries}
-
-	var (
-		out    resilient.Outcome
-		stats  *simt.LaunchStats
-		rounds int
-		note   string
-	)
-	switch name {
-	case "bfs":
-		res, err := resilient.BFS(dev, g, src, opts, pol)
-		if err != nil {
-			return err
-		}
-		out = res.Outcome
-		note = fmt.Sprintf("depth %d", res.Depth)
-		if res.GPU != nil {
-			stats, rounds = &res.GPU.Stats, res.GPU.Iterations
-		}
-	case "sssp":
-		res, err := resilient.SSSP(dev, g, edgeWeights(), src, opts, pol)
-		if err != nil {
-			return err
-		}
-		out = res.Outcome
-		reached := 0
-		for _, d := range res.Dist {
-			if d < cpualgo.InfDist {
-				reached++
-			}
-		}
-		note = fmt.Sprintf("%d reachable", reached)
-		if res.GPU != nil {
-			stats, rounds = &res.GPU.Stats, res.GPU.Iterations
-		}
-	case "pagerank":
-		res, err := resilient.PageRank(dev, g, gpualgo.PageRankOptions{Options: opts, Iterations: iters}, pol)
-		if err != nil {
-			return err
-		}
-		out = res.Outcome
-		var sum float64
-		for _, r := range res.Ranks {
-			sum += float64(r)
-		}
-		note = fmt.Sprintf("rank sum %.4f", sum)
-		if res.GPU != nil {
-			stats, rounds = &res.GPU.Stats, res.GPU.Iterations
-		}
-	default:
-		return fmt.Errorf("-inject supports bfs, sssp, pagerank (got %q)", name)
+	res, out, err := resilient.Execute(dev, a, in, opts, resilient.Policy{MaxRetries: retries})
+	if err != nil {
+		return err
 	}
 
 	cfg := dev.Config()
-	fmt.Printf("graph    %s (%s)\n", gname, graph.Stats(g))
-	fmt.Printf("kernel   %s  K=%d dynamic=%v  inject=%s  [%s]\n", name, k, dynamic, spec, note)
-	printOutcome(os.Stdout, out)
-	if stats != nil {
-		fmt.Printf("rounds   %d\n", rounds)
-		fmt.Printf("cycles   %d (%.3f ms at %.1f GHz)\n", stats.Cycles, stats.TimeMS(cfg.ClockGHz), cfg.ClockGHz)
+	fmt.Println(header)
+	fmt.Printf("kernel   %s  K=%d dynamic=%v  inject=%s  [%s]\n", a.Name, k, dynamic, spec, a.Summarize(res.Value).Note)
+	printOutcome(os.Stdout, *out)
+	if !out.Degraded {
+		fmt.Printf("rounds   %d\n", res.Rounds)
+		fmt.Printf("cycles   %d (%.3f ms at %.1f GHz)\n", res.Stats.Cycles, res.Stats.TimeMS(cfg.ClockGHz), cfg.ClockGHz)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/simt"
 )
 
@@ -59,7 +60,7 @@ func TestBFSInjectFlagEndToEnd(t *testing.T) {
 }
 
 func TestAlgoInjectFlagEndToEnd(t *testing.T) {
-	for _, name := range []string{"sssp", "pagerank"} {
+	for _, name := range gpualgo.Names(true) {
 		if err := run([]string{"algo", "-name", name, "-scale", "7", "-inject", "abort=4,seed=3"}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

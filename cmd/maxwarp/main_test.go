@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"maxwarp/internal/gengraph"
+	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/graph"
 )
 
@@ -95,7 +96,7 @@ func TestBFSSubcommandOnPresetAndFile(t *testing.T) {
 }
 
 func TestAlgoSubcommandAllKernels(t *testing.T) {
-	for _, name := range []string{"bfs", "bfsfrontier", "sssp", "deltastep", "pagerank", "cc", "scc", "nbrsum", "spmv", "triangles", "kcore", "mis", "coloring", "bc"} {
+	for _, name := range gpualgo.Names(false) {
 		args := []string{"algo", "-name", name, "-preset", "Patents-like", "-scale", "7", "-k", "8", "-iters", "2"}
 		if err := run(args); err != nil {
 			t.Fatalf("%s: %v", name, err)

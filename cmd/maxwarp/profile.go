@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"maxwarp/internal/gengraph"
 	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/graph"
 	"maxwarp/internal/obs"
@@ -128,7 +127,7 @@ func (s *obsSinks) flush(stats *simt.LaunchStats) error {
 // trace subcommand, this keeps the ParallelSMs fast path.
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	name := fs.String("name", "bfs", "kernel: bfs | sssp | pagerank")
+	name := fs.String("name", "bfs", "kernel (see 'algo -name')")
 	preset := fs.String("preset", "", "workload preset name (see 'maxwarp list')")
 	file := fs.String("graph", "", "graph file (.bin or edge list)")
 	scale := fs.Int("scale", 12, "log2 vertices for presets")
@@ -147,6 +146,10 @@ func cmdProfile(args []string) error {
 	}
 	if sinks.metricsOut == "" {
 		sinks.metricsOut = "-"
+	}
+	a, err := lookupKernel(*name)
+	if err != nil {
+		return fmt.Errorf("profile: %w", err)
 	}
 	stopProfiles, err := startHostProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -172,40 +175,15 @@ func cmdProfile(args []string) error {
 	opts := gpualgo.Options{K: *k, Dynamic: *dynamic, Metrics: sinks.metrics}
 	src := graph.LargestOutComponentSeed(g)
 
-	var (
-		stats  simt.LaunchStats
-		rounds int
-	)
-	switch *name {
-	case "bfs":
-		res, err := gpualgo.BFS(dev, gpualgo.Upload(dev, g), src, opts)
-		if err != nil {
-			return err
-		}
-		stats, rounds = res.Stats, res.Iterations
-	case "sssp":
-		weights := fileWeights
-		if weights == nil {
-			weights = gengraph.EdgeWeights(g, 16, *seed)
-		}
-		dg, err := gpualgo.UploadWeighted(dev, g, weights)
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.SSSP(dev, dg, src, opts)
-		if err != nil {
-			return err
-		}
-		stats, rounds = res.Stats, res.Iterations
-	case "pagerank":
-		res, err := gpualgo.PageRank(dev, g, gpualgo.PageRankOptions{Options: opts, Iterations: *iters})
-		if err != nil {
-			return err
-		}
-		stats, rounds = res.Stats, res.Iterations
-	default:
-		return fmt.Errorf("profile: unknown kernel %q (want bfs, sssp, or pagerank)", *name)
+	in, err := algoInput(a, g, src, algoParams{seed: *seed, coreK: defaultCoreK, iters: *iters, samples: defaultSamples, fileWeights: fileWeights})
+	if err != nil {
+		return err
 	}
+	run, err := a.Run(dev, in, opts)
+	if err != nil {
+		return err
+	}
+	stats := run.Stats
 
 	// Stop host profiling before sink serialization so the CPU profile
 	// covers the simulated run only.
@@ -217,7 +195,7 @@ func cmdProfile(args []string) error {
 
 	cfg := dev.Config()
 	fmt.Fprintf(os.Stderr, "profiled %s on %s (K=%d, ParallelSMs=%d): %d cycles over %d rounds",
-		*name, gname, *k, stats.ParallelSMs, stats.Cycles, rounds)
+		a.Name, gname, *k, stats.ParallelSMs, stats.Cycles, run.Rounds)
 	if stats.SequentialFallback != "" {
 		fmt.Fprintf(os.Stderr, "  [sequential fallback: %s]", stats.SequentialFallback)
 	}

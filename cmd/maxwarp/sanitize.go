@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"maxwarp/internal/gengraph"
 	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/graph"
 	"maxwarp/internal/report"
@@ -64,7 +63,7 @@ func cmdSanitize(args []string) error {
 	seed := fs.Uint64("seed", 42, "generator seed")
 	k := fs.Int("k", 4, "virtual warp width (1 = thread-per-vertex baseline)")
 	dynamic := fs.Bool("dynamic", false, "dynamic workload distribution")
-	coreK := fs.Int("corek", 2, "k for the kcore kernel")
+	coreK := fs.Int("corek", defaultCoreK, "k for the kcore kernel")
 	iters := fs.Int("iters", 5, "iterations for pagerank")
 	samples := fs.Int("samples", 2, "landmark samples for closeness")
 	info := fs.Bool("info", false, "list informational findings (benign races, stale reads), not just errors")
@@ -75,18 +74,16 @@ func cmdSanitize(args []string) error {
 	if err != nil {
 		return err
 	}
-	edgeWeights := func() []int32 {
-		if fileWeights != nil {
-			return fileWeights
-		}
-		return gengraph.EdgeWeights(g, 16, *seed)
-	}
-	names := algoNames
+	algos := gpualgo.Algorithms()
 	if *name != "all" {
-		names = []string{*name}
+		a, err := lookupKernel(*name)
+		if err != nil {
+			return err
+		}
+		algos = []gpualgo.Algorithm{*a}
 	}
 	opts := gpualgo.Options{K: *k, Dynamic: *dynamic}
-	params := algoParams{seed: *seed, coreK: *coreK, iters: *iters, samples: *samples, edgeWeights: edgeWeights}
+	params := algoParams{seed: *seed, coreK: *coreK, iters: *iters, samples: *samples, fileWeights: fileWeights}
 	src := graph.LargestOutComponentSeed(g)
 
 	summary := &report.Table{
@@ -95,7 +92,7 @@ func cmdSanitize(args []string) error {
 		Columns: []string{"kernel", "rounds", "errors", "info", "verdict"},
 	}
 	totalErrs := 0
-	for _, nm := range names {
+	for _, a := range algos {
 		// Fresh device and sanitizer per kernel: sanitizer state is keyed by
 		// buffer identity and persists across launches, so isolation keeps
 		// each kernel's report self-contained.
@@ -106,9 +103,13 @@ func cmdSanitize(args []string) error {
 			return err
 		}
 		san := armSanitizer(dev, true)
-		run, err := runAlgoOnce(dev, g, nm, src, opts, params)
+		in, err := algoInput(&a, g, src, params)
 		if err != nil {
-			return fmt.Errorf("sanitize %s: %w", nm, err)
+			return err
+		}
+		run, err := a.Run(dev, in, opts)
+		if err != nil {
+			return fmt.Errorf("sanitize %s: %w", a.Name, err)
 		}
 		errs := san.Errors()
 		ninfo := len(san.Diagnostics()) - len(errs)
@@ -117,16 +118,16 @@ func cmdSanitize(args []string) error {
 			verdict = "FAIL"
 			totalErrs += len(errs)
 		}
-		summary.AddRow(nm, strconv.Itoa(run.rounds), strconv.Itoa(len(errs)), strconv.Itoa(ninfo), verdict)
+		summary.AddRow(a.Name, strconv.Itoa(run.Rounds), strconv.Itoa(len(errs)), strconv.Itoa(ninfo), verdict)
 		if len(errs) > 0 || (*info && ninfo > 0) {
-			fmt.Printf("── %s ──\n", nm)
+			fmt.Printf("── %s ──\n", a.Name)
 			fmt.Print(san.Table().Text())
 			fmt.Println()
 		}
 	}
 	fmt.Print(summary.Text())
 	if totalErrs > 0 {
-		return fmt.Errorf("sanitizer: %d error-severity finding(s) across %d kernel(s)", totalErrs, len(names))
+		return fmt.Errorf("sanitizer: %d error-severity finding(s) across %d kernel(s)", totalErrs, len(algos))
 	}
 	return nil
 }

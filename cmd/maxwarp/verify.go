@@ -3,10 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
-	"reflect"
 
-	"maxwarp/internal/cpualgo"
 	"maxwarp/internal/gengraph"
 	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/graph"
@@ -32,268 +29,48 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	sym, err := g.Symmetrize()
-	if err != nil {
-		return err
-	}
 	src := graph.LargestOutComponentSeed(g)
 	weights := gengraph.EdgeWeights(g, 12, *seed)
 	opts := gpualgo.Options{K: *k}
-	newDev := func() (*simt.Device, error) { return simt.NewDevice(simt.DefaultConfig()) }
 
 	fmt.Printf("verifying all kernels on %s (scale %d, K=%d) against CPU oracles\n\n", p.Name, *scale, *k)
 	failures := 0
-	check := func(name string, run func() error) {
-		if err := run(); err != nil {
+	for _, a := range gpualgo.Algorithms() {
+		if err := verifyOne(&a, g, weights, src, *seed, opts); err != nil {
 			failures++
-			fmt.Printf("  FAIL %-14s %v\n", name, err)
-			return
+			fmt.Printf("  FAIL %-14s %v\n", a.Name, err)
+			continue
 		}
-		fmt.Printf("  ok   %s\n", name)
+		fmt.Printf("  ok   %s\n", a.Name)
 	}
-
-	check("bfs", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.BFS(d, gpualgo.Upload(d, g), src, opts)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(res.Levels, cpualgo.BFSSequential(g, src)) {
-			return fmt.Errorf("levels differ from CPU BFS")
-		}
-		return nil
-	})
-	check("bfsfrontier", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.BFSFrontier(d, gpualgo.Upload(d, g), src, opts)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(res.Levels, cpualgo.BFSSequential(g, src)) {
-			return fmt.Errorf("levels differ from CPU BFS")
-		}
-		return nil
-	})
-	check("bfsdirection", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.BFSDirectionOpt(d, g, src, gpualgo.DirOptions{Options: opts})
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(res.Levels, cpualgo.BFSSequential(g, src)) {
-			return fmt.Errorf("levels differ from CPU BFS")
-		}
-		return nil
-	})
-	check("sssp", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		dg, err := gpualgo.UploadWeighted(d, g, weights)
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.SSSP(d, dg, src, opts)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(res.Dist, cpualgo.SSSPDijkstra(g, weights, src)) {
-			return fmt.Errorf("distances differ from Dijkstra")
-		}
-		return nil
-	})
-	check("deltastep", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		dg, err := gpualgo.UploadWeighted(d, g, weights)
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.DeltaStepping(d, dg, src, gpualgo.DeltaSteppingOptions{Options: opts})
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(res.Dist, cpualgo.SSSPDijkstra(g, weights, src)) {
-			return fmt.Errorf("distances differ from Dijkstra")
-		}
-		return nil
-	})
-	check("pagerank", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		const iters = 10
-		res, err := gpualgo.PageRank(d, g, gpualgo.PageRankOptions{Options: opts, Iterations: iters})
-		if err != nil {
-			return err
-		}
-		want, _ := cpualgo.PageRank(g, cpualgo.PageRankOptions{MaxIters: iters, Tolerance: 1e-30})
-		for v := range want {
-			if math.Abs(float64(res.Ranks[v])-want[v]) > 1e-3*(want[v]+1e-9)+1e-5 {
-				return fmt.Errorf("rank[%d] = %g, oracle %g", v, res.Ranks[v], want[v])
-			}
-		}
-		return nil
-	})
-	check("cc", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.ConnectedComponents(d, gpualgo.Upload(d, sym), opts)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(res.Labels, cpualgo.ConnectedComponents(sym)) {
-			return fmt.Errorf("labels differ from union-find")
-		}
-		return nil
-	})
-	check("triangles", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.TriangleCount(d, sym, opts)
-		if err != nil {
-			return err
-		}
-		if _, want := gpualgo.TriangleCountCPU(sym); res.Total != want {
-			return fmt.Errorf("count %d, oracle %d", res.Total, want)
-		}
-		return nil
-	})
-	check("kcore", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.KCore(d, gpualgo.Upload(d, sym), 3, opts)
-		if err != nil {
-			return err
-		}
-		if _, want := gpualgo.KCoreCPU(sym, 3); res.Remaining != want {
-			return fmt.Errorf("|3-core| %d, oracle %d", res.Remaining, want)
-		}
-		return nil
-	})
-	check("mis", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.MIS(d, gpualgo.Upload(d, sym), *seed, opts)
-		if err != nil {
-			return err
-		}
-		if _, want := gpualgo.MISCPU(sym, *seed); res.Size != want {
-			return fmt.Errorf("|MIS| %d, oracle %d", res.Size, want)
-		}
-		return nil
-	})
-	check("coloring", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.GraphColoring(d, gpualgo.Upload(d, sym), *seed, opts)
-		if err != nil {
-			return err
-		}
-		return gpualgo.ValidColoring(sym, res.Colors)
-	})
-	check("bc", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		srcs := []graph.VertexID{src}
-		res, err := gpualgo.BetweennessCentrality(d, g, srcs, opts)
-		if err != nil {
-			return err
-		}
-		want := gpualgo.BetweennessCentralityCPU(g, srcs)
-		for v := range want {
-			if math.Abs(float64(res.Scores[v])-want[v]) > 1e-2*math.Abs(want[v])+1e-2 {
-				return fmt.Errorf("bc[%d] = %g, oracle %g", v, res.Scores[v], want[v])
-			}
-		}
-		return nil
-	})
-	check("scc", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		res, err := gpualgo.SCC(d, g, opts)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(res.Labels, cpualgo.SCC(g)) {
-			return fmt.Errorf("labels differ from Tarjan")
-		}
-		return nil
-	})
-	check("msbfs", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		srcs := []graph.VertexID{src, 0, graph.VertexID(g.NumVertices() / 2)}
-		res, err := gpualgo.MSBFS(d, gpualgo.Upload(d, g), srcs, opts)
-		if err != nil {
-			return err
-		}
-		want := gpualgo.MSBFSCPU(g, srcs)
-		for s := range srcs {
-			if !reflect.DeepEqual(res.Levels[s], want[s]) {
-				return fmt.Errorf("source %d levels differ", s)
-			}
-		}
-		return nil
-	})
-	check("spmv", func() error {
-		d, err := newDev()
-		if err != nil {
-			return err
-		}
-		vals := make([]float32, g.NumEdges())
-		x := make([]float32, g.NumVertices())
-		for i := range vals {
-			vals[i] = float32(i%7) * 0.25
-		}
-		for i := range x {
-			x[i] = float32(i%5) * 0.5
-		}
-		res, err := gpualgo.SpMV(d, gpualgo.Upload(d, g), vals, x, opts)
-		if err != nil {
-			return err
-		}
-		want := gpualgo.SpMVCPU(g, vals, x)
-		for v := range want {
-			if math.Abs(float64(res.Y[v]-want[v])) > 1e-3*(math.Abs(float64(want[v]))+1) {
-				return fmt.Errorf("y[%d] = %g, oracle %g", v, res.Y[v], want[v])
-			}
-		}
-		return nil
-	})
-
 	if failures > 0 {
 		return fmt.Errorf("%d kernel(s) failed verification", failures)
 	}
 	fmt.Println("\nall kernels verified ✓")
 	return nil
+}
+
+// verifyOne runs entry a on a fresh device and compares its answer with the
+// entry's oracle. PageRank runs 10 iterations, k-core peels the 3-core, BC
+// starts from src and MS-BFS from {src, 0, n/2}.
+func verifyOne(a *gpualgo.Algorithm, g *graph.CSR, weights []int32, src graph.VertexID, seed uint64, opts gpualgo.Options) error {
+	view, err := a.Graph(g)
+	if err != nil {
+		return err
+	}
+	in := gpualgo.Input{
+		G: view, Weights: weights, Src: src,
+		BCSources:    []graph.VertexID{src},
+		MSBFSSources: []graph.VertexID{src, 0, graph.VertexID(g.NumVertices() / 2)},
+		Iterations:   10, CoreK: 3, Seed: seed, Samples: defaultSamples,
+	}
+	d, err := simt.NewDevice(simt.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	got, err := a.Run(d, in, opts)
+	if err != nil {
+		return err
+	}
+	return a.Compare(in, got.Value, a.Oracle(in).Value)
 }

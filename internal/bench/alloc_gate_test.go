@@ -12,33 +12,11 @@ import (
 	"maxwarp/internal/simt"
 )
 
-var updateBenchPR10 = flag.Bool("update-bench-pr10", false,
-	"rewrite ../../BENCH_PR10.json gate numbers from the current build instead of comparing")
+var updateAllocGate = flag.Bool("update-alloc-gate", false,
+	"rewrite testdata/alloc_gate.json from the current build instead of comparing")
 
-// benchPR10Path is the active gate baseline. BENCH_PR7.json stays committed
-// as the PR 7 historical record but is no longer enforced.
-const benchPR10Path = "../../BENCH_PR10.json"
-
-// benchPR10 mirrors the committed BENCH_PR10.json. The headline section
-// records the full-size wall-clock measurements for the record; only the
-// gate section is enforced in CI (allocations are near-deterministic where
-// wall-clock on shared runners is not).
-type benchPR10 struct {
-	Note     string                `json:"note"`
-	Headline map[string]benchPoint `json:"headline"`
-	Gate     map[string]gatePoint  `json:"gate"`
-}
-
-type benchPoint struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Metric      string  `json:"metric,omitempty"`
-}
-
-type gatePoint struct {
-	AllocsPerOp int64 `json:"allocs_per_op"`
-}
+// allocGatePath holds the committed allocs/op of each hot-path probe.
+const allocGatePath = "testdata/alloc_gate.json"
 
 // allocGateKernel is the shared hot-loop probe body: a fully-uniform
 // vectorized add, the cheapest instruction the interpret loop executes.
@@ -114,10 +92,10 @@ func gateBFSSmall() (int64, error) {
 
 // TestHotPathAllocGate is the allocation-regression gate: allocs/op of the
 // three hot-path probes must stay within 25% (plus a small absolute slack
-// for map-growth jitter) of the committed BENCH_PR10.json numbers.
+// for map-growth jitter) of the committed testdata/alloc_gate.json numbers.
 // Regenerate after an intentional change with:
 //
-//	go test ./internal/bench -run TestHotPathAllocGate -update-bench-pr10
+//	go test ./internal/bench -run TestHotPathAllocGate -update-alloc-gate
 func TestHotPathAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short mode")
@@ -139,49 +117,37 @@ func TestHotPathAllocGate(t *testing.T) {
 		measured["bfs_small"] = got
 	}
 
-	raw, err := os.ReadFile(benchPR10Path)
-	if *updateBenchPR10 {
-		var doc benchPR10
-		if err == nil {
-			if uerr := json.Unmarshal(raw, &doc); uerr != nil {
-				t.Fatal(uerr)
-			}
+	if *updateAllocGate {
+		data, err := json.MarshalIndent(measured, "", "  ")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if doc.Gate == nil {
-			doc.Gate = map[string]gatePoint{}
+		if err := os.WriteFile(allocGatePath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for name, allocs := range measured {
-			doc.Gate[name] = gatePoint{AllocsPerOp: allocs}
-		}
-		data, merr := json.MarshalIndent(doc, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if werr := os.WriteFile(benchPR10Path, append(data, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote gate numbers to %s: %v", benchPR10Path, measured)
+		t.Logf("wrote gate numbers to %s: %v", allocGatePath, measured)
 		return
 	}
+	raw, err := os.ReadFile(allocGatePath)
 	if err != nil {
-		t.Fatalf("missing %s (run with -update-bench-pr10 to create): %v", benchPR10Path, err)
+		t.Fatalf("missing %s (run with -update-alloc-gate to create): %v", allocGatePath, err)
 	}
-	var doc benchPR10
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	var baseline map[string]int64
+	if err := json.Unmarshal(raw, &baseline); err != nil {
 		t.Fatal(err)
 	}
 	for name, got := range measured {
-		base, ok := doc.Gate[name]
+		base, ok := baseline[name]
 		if !ok {
-			t.Errorf("%s: no gate baseline in %s (run with -update-bench-pr10)", name, benchPR10Path)
+			t.Errorf("%s: no gate baseline in %s (run with -update-alloc-gate)", name, allocGatePath)
 			continue
 		}
-		limit := base.AllocsPerOp + base.AllocsPerOp/4 + 64
+		limit := base + base/4 + 64
 		if got > limit {
 			t.Errorf("%s: allocs/op regressed: %d > limit %d (baseline %d)",
-				name, got, limit, base.AllocsPerOp)
+				name, got, limit, base)
 		} else {
-			t.Logf("%s: allocs/op %d (baseline %d, limit %d)", name, got, base.AllocsPerOp, limit)
+			t.Logf("%s: allocs/op %d (baseline %d, limit %d)", name, got, base, limit)
 		}
 	}
 }

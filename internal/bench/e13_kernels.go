@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/graph"
@@ -29,86 +30,56 @@ func E13IrregularKernels(cfg Config) ([]*report.Table, error) {
 		Notes:   []string{"result: triangles = count, kcore = |2-core|, mis = set size, coloring = palette, bc = max score (2 sources)"},
 	}
 	t.ChartSpec = &report.ChartSpec{GroupCol: 0, BarCol: 1, ValueCol: 4, Unit: "speedup x"}
-	type outcome struct {
-		cycles int64
-		result string
-	}
-	runKernel := func(sym *graph.CSR, kernel string, k int) (outcome, error) {
-		d, err := newDevice(cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		opts := gpualgo.Options{K: k, BlockSize: cfg.BlockSize}
-		switch kernel {
-		case "triangles":
-			r, err := gpualgo.TriangleCount(d, sym, opts)
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{r.Stats.Cycles, report.I(r.Total)}, nil
-		case "kcore":
-			dg := gpualgo.Upload(d, sym)
-			r, err := gpualgo.KCore(d, dg, 2, opts)
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{r.Stats.Cycles, report.I(int64(r.Remaining))}, nil
-		case "mis":
-			dg := gpualgo.Upload(d, sym)
-			r, err := gpualgo.MIS(d, dg, cfg.Seed, opts)
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{r.Stats.Cycles, report.I(int64(r.Size))}, nil
-		case "coloring":
-			dg := gpualgo.Upload(d, sym)
-			r, err := gpualgo.GraphColoring(d, dg, cfg.Seed, opts)
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{r.Stats.Cycles, report.I(int64(r.NumColors))}, nil
-		case "bc":
-			srcs := []graph.VertexID{0, graph.VertexID(sym.NumVertices() / 2)}
-			r, err := gpualgo.BetweennessCentrality(d, sym, srcs, opts)
-			if err != nil {
-				return outcome{}, err
-			}
-			var top float64
-			for _, s := range r.Scores {
-				if float64(s) > top {
-					top = float64(s)
-				}
-			}
-			return outcome{r.Stats.Cycles, report.F(top, 0)}, nil
-		}
-		return outcome{}, fmt.Errorf("bench: unknown kernel %q", kernel)
-	}
 	for _, w := range picks {
 		sym, err := w.g.Symmetrize()
 		if err != nil {
 			return nil, err
 		}
+		in := gpualgo.Input{G: sym, BCSources: []graph.VertexID{0, graph.VertexID(sym.NumVertices() / 2)}, CoreK: 2, Seed: cfg.Seed}
 		for _, kernel := range []string{"triangles", "kcore", "mis", "coloring", "bc"} {
-			base, err := runKernel(sym, kernel, 1)
+			a := gpualgo.Lookup(kernel)
+			run := func(k int) (gpualgo.Output, error) {
+				d, err := newDevice(cfg)
+				if err != nil {
+					return gpualgo.Output{}, err
+				}
+				return a.Run(d, in, gpualgo.Options{K: k, BlockSize: cfg.BlockSize})
+			}
+			base, err := run(1)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s baseline: %w", w.name, kernel, err)
 			}
-			warp, err := runKernel(sym, kernel, fullK)
+			warp, err := run(fullK)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s warp-centric: %w", w.name, kernel, err)
 			}
-			// BC's float reductions may differ in the last ulps between
-			// mappings; integer results must agree exactly.
-			if kernel != "bc" && kernel != "coloring" && base.result != warp.result {
-				return nil, fmt.Errorf("bench: %s/%s results diverge between mappings (%s vs %s)",
-					w.name, kernel, base.result, warp.result)
+			// The two mappings must agree as the entry's comparator defines
+			// it: counts exactly, BC scores within tolerance, colorings valid.
+			if err := a.Compare(in, warp.Value, base.Value); err != nil {
+				return nil, fmt.Errorf("bench: %s/%s results diverge between mappings: %w", w.name, kernel, err)
 			}
 			t.AddRow(w.name, kernel,
-				report.F(float64(base.cycles)/1e6, 3),
-				report.F(float64(warp.cycles)/1e6, 3),
-				report.F(float64(base.cycles)/float64(warp.cycles), 2)+"x",
-				warp.result)
+				report.F(float64(base.Stats.Cycles)/1e6, 3),
+				report.F(float64(warp.Stats.Cycles)/1e6, 3),
+				report.F(float64(base.Stats.Cycles)/float64(warp.Stats.Cycles), 2)+"x",
+				e13Result(warp))
 		}
 	}
 	return []*report.Table{t}, nil
+}
+
+// e13Result is the table's result column: the count, or the palette size
+// and the top score where the answer is a vector.
+func e13Result(o gpualgo.Output) string {
+	switch r := o.Result.(type) {
+	case *gpualgo.ColoringResult:
+		return report.I(int64(r.NumColors))
+	case *gpualgo.BCResult:
+		var top float64
+		for _, s := range r.Scores {
+			top = math.Max(top, float64(s))
+		}
+		return report.F(top, 0)
+	}
+	return report.I(o.Value.(int64))
 }

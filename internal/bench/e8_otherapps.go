@@ -31,65 +31,18 @@ func E8OtherApps(cfg Config) ([]*report.Table, error) {
 	}
 	t.ChartSpec = &report.ChartSpec{GroupCol: 0, BarCol: 1, ValueCol: 4, Unit: "speedup x"}
 
-	type appResult struct {
-		cycles int64
-		iters  int
-	}
-	runApp := func(w workload, app string, k int) (appResult, error) {
+	runApp := func(w workload, app string, k int) (gpualgo.Output, error) {
 		d, err := newDevice(cfg)
 		if err != nil {
-			return appResult{}, err
+			return gpualgo.Output{}, err
 		}
-		opts := gpualgo.Options{K: k, BlockSize: cfg.BlockSize}
-		switch app {
-		case "bfs":
-			dg := gpualgo.Upload(d, w.g)
-			r, err := gpualgo.BFS(d, dg, w.src, opts)
-			if err != nil {
-				return appResult{}, err
-			}
-			return appResult{r.Stats.Cycles, r.Iterations}, nil
-		case "sssp":
-			weights := gengraph.EdgeWeights(w.g, 16, cfg.Seed)
-			dg, err := gpualgo.UploadWeighted(d, w.g, weights)
-			if err != nil {
-				return appResult{}, err
-			}
-			r, err := gpualgo.SSSP(d, dg, w.src, opts)
-			if err != nil {
-				return appResult{}, err
-			}
-			return appResult{r.Stats.Cycles, r.Iterations}, nil
-		case "pagerank":
-			r, err := gpualgo.PageRank(d, w.g, gpualgo.PageRankOptions{Options: opts, Iterations: 5})
-			if err != nil {
-				return appResult{}, err
-			}
-			return appResult{r.Stats.Cycles, r.Iterations}, nil
-		case "cc":
-			sym, err := w.g.Symmetrize()
-			if err != nil {
-				return appResult{}, err
-			}
-			dg := gpualgo.Upload(d, sym)
-			r, err := gpualgo.ConnectedComponents(d, dg, opts)
-			if err != nil {
-				return appResult{}, err
-			}
-			return appResult{r.Stats.Cycles, r.Iterations}, nil
-		case "nbrsum":
-			dg := gpualgo.Upload(d, w.g)
-			values := make([]int32, w.g.NumVertices())
-			for i := range values {
-				values[i] = int32(i)
-			}
-			r, err := gpualgo.NeighborSum(d, dg, values, opts)
-			if err != nil {
-				return appResult{}, err
-			}
-			return appResult{r.Stats.Cycles, r.Iterations}, nil
+		a := gpualgo.Lookup(app)
+		g, err := a.Graph(w.g)
+		if err != nil {
+			return gpualgo.Output{}, err
 		}
-		return appResult{}, fmt.Errorf("bench: unknown app %q", app)
+		in := gpualgo.Input{G: g, Weights: gengraph.EdgeWeights(w.g, 16, cfg.Seed), Src: w.src, Iterations: 5}
+		return a.Run(d, in, gpualgo.Options{K: k, BlockSize: cfg.BlockSize})
 	}
 
 	for _, w := range picks {
@@ -103,10 +56,10 @@ func E8OtherApps(cfg Config) ([]*report.Table, error) {
 				return nil, fmt.Errorf("%s/%s warp-centric: %w", w.name, app, err)
 			}
 			t.AddRow(w.name, app,
-				report.F(float64(base.cycles)/1e6, 2),
-				report.F(float64(warp.cycles)/1e6, 2),
-				report.F(float64(base.cycles)/float64(warp.cycles), 2)+"x",
-				report.I(int64(warp.iters)))
+				report.F(float64(base.Stats.Cycles)/1e6, 2),
+				report.F(float64(warp.Stats.Cycles)/1e6, 2),
+				report.F(float64(base.Stats.Cycles)/float64(warp.Stats.Cycles), 2)+"x",
+				report.I(int64(warp.Rounds)))
 		}
 	}
 	return []*report.Table{t}, nil

@@ -16,7 +16,7 @@ import (
 // heavier, so the eager FIFO distributor strands host goroutines while the
 // depth-limited stealing distributor keeps them fed. Both schedules are
 // deterministic per the stealing contract (internal/simt/steal_test.go);
-// the recorded fifo/steal ratio lives in BENCH_PR10.json.
+// the recorded fifo/steal ratio lives in EXPERIMENTS.md.
 func BenchmarkRMATBFSBlockSchedule(b *testing.B) {
 	g, err := gengraph.RMAT(15, 16, gengraph.RMATParams{A: 0.57, B: 0.19, C: 0.19, D: 0.05}, 7)
 	if err != nil {

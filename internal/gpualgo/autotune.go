@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"maxwarp/internal/graph"
 	"maxwarp/internal/simt"
 )
 
@@ -19,10 +18,10 @@ type TuneResult struct {
 	Speedup float64
 }
 
-// AutoTune measures each candidate K with the supplied function (returning
+// sweepK measures each candidate K with the supplied function (returning
 // simulated cycles) and picks the best. Candidates that fail to divide the
 // warp width should be excluded by the caller; measurement errors abort.
-func AutoTune(ks []int, measure func(k int) (int64, error)) (*TuneResult, error) {
+func sweepK(ks []int, measure func(k int) (int64, error)) (*TuneResult, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("gpualgo: no candidate widths to tune over")
 	}
@@ -60,48 +59,27 @@ func CandidateKs(d *simt.Device) []int {
 	return ks
 }
 
-// AutoTuneBFS sweeps BFS over the device's candidate widths on g and
+// AutoTune runs entry a on in at each of the device's candidate widths and
 // returns the tuning record. Each measurement runs on a fresh device with
-// the given base configuration so runs do not share state.
-func AutoTuneBFS(cfg simt.Config, g *graph.CSR, src graph.VertexID, opts Options) (*TuneResult, error) {
+// the given base configuration so runs do not share state. The neighbor-sum
+// entry is a cheap proxy probe whose best K usually transfers to the full
+// algorithms on the same graph.
+func AutoTune(cfg simt.Config, a *Algorithm, in Input, opts Options) (*TuneResult, error) {
 	probe, err := simt.NewDevice(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return AutoTune(CandidateKs(probe), func(k int) (int64, error) {
+	return sweepK(CandidateKs(probe), func(k int) (int64, error) {
 		d, err := simt.NewDevice(cfg)
 		if err != nil {
 			return 0, err
 		}
 		o := opts
 		o.K = k
-		res, err := BFS(d, Upload(d, g), src, o)
+		out, err := a.Run(d, in, o)
 		if err != nil {
 			return 0, err
 		}
-		return res.Stats.Cycles, nil
-	})
-}
-
-// AutoTuneNeighborSum sweeps the gather microkernel — a cheap proxy probe
-// whose best K usually transfers to the full algorithms on the same graph.
-func AutoTuneNeighborSum(cfg simt.Config, g *graph.CSR, opts Options) (*TuneResult, error) {
-	probe, err := simt.NewDevice(cfg)
-	if err != nil {
-		return nil, err
-	}
-	values := make([]int32, g.NumVertices())
-	return AutoTune(CandidateKs(probe), func(k int) (int64, error) {
-		d, err := simt.NewDevice(cfg)
-		if err != nil {
-			return 0, err
-		}
-		o := opts
-		o.K = k
-		res, err := NeighborSum(d, Upload(d, g), values, o)
-		if err != nil {
-			return 0, err
-		}
-		return res.Stats.Cycles, nil
+		return out.Stats.Cycles, nil
 	})
 }

@@ -18,7 +18,7 @@ func tuneConfig() simt.Config {
 }
 
 func TestAutoTunePicksMin(t *testing.T) {
-	res, err := AutoTune([]int{1, 2, 4}, func(k int) (int64, error) {
+	res, err := sweepK([]int{1, 2, 4}, func(k int) (int64, error) {
 		return int64(100 / k), nil // monotone: 4 wins
 	})
 	if err != nil {
@@ -36,16 +36,16 @@ func TestAutoTunePicksMin(t *testing.T) {
 }
 
 func TestAutoTuneErrors(t *testing.T) {
-	if _, err := AutoTune(nil, nil); err == nil {
+	if _, err := sweepK(nil, nil); err == nil {
 		t.Fatal("empty candidates accepted")
 	}
 	boom := errors.New("boom")
-	if _, err := AutoTune([]int{1}, func(int) (int64, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, err := sweepK([]int{1}, func(int) (int64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("measurement error lost: %v", err)
 	}
 	// Duplicates measured once.
 	calls := 0
-	if _, err := AutoTune([]int{2, 2, 2}, func(int) (int64, error) {
+	if _, err := sweepK([]int{2, 2, 2}, func(int) (int64, error) {
 		calls++
 		return 1, nil
 	}); err != nil {
@@ -79,7 +79,7 @@ func TestAutoTuneBFSFindsLargeKOnSkewedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.LargestOutComponentSeed(g)
-	res, err := AutoTuneBFS(tuneConfig(), g, src, Options{})
+	res, err := AutoTune(tuneConfig(), Lookup("bfs"), Input{G: g, Src: src}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestAutoTuneNeighborSumFindsSmallKOnMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AutoTuneNeighborSum(tuneConfig(), g, Options{})
+	res, err := AutoTune(tuneConfig(), Lookup("nbrsum"), Input{G: g}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,15 +163,10 @@ func BFS(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*BF
 	if err != nil {
 		return nil, err
 	}
-	for {
-		done, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return r.Result(), nil
-		}
+	if err := finish(r); err != nil {
+		return nil, err
 	}
+	return r.Result(), nil
 }
 
 // bfsScratchKey is the bfsScratch cache slot on a WarpCtx's KernelScratch.

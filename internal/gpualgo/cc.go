@@ -116,15 +116,10 @@ func ConnectedComponents(d *simt.Device, dg *DeviceGraph, opts Options) (*CCResu
 	if err != nil {
 		return nil, err
 	}
-	for {
-		done, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return r.Result(), nil
-		}
+	if err := finish(r); err != nil {
+		return nil, err
 	}
+	return r.Result(), nil
 }
 
 func ccPropagateKernel(dg *DeviceGraph, labels, changed, counter *simt.BufI32, opts Options) simt.Kernel {

@@ -31,26 +31,18 @@ func ClosenessCentrality(d *simt.Device, g *graph.CSR, samples int, seed uint64,
 	if samples <= 0 {
 		return nil, fmt.Errorf("gpualgo: need a positive sample count, got %d", samples)
 	}
-	if samples > n {
-		samples = n
-	}
 	// Distances v -> landmark = BFS distance landmark -> v on the reverse.
 	rev := g.Reverse()
 	dgRev := Upload(d, rev)
-	r := xrand.New(seed)
-	perm := r.Perm(n)
-	sources := make([]graph.VertexID, samples)
-	for i := range sources {
-		sources[i] = graph.VertexID(perm[i])
-	}
+	sources := closenessSources(n, samples, seed)
 	res := &ClosenessResult{Sources: sources}
 	res.Stats.WarpWidth = d.Config().WarpWidth
 	sumDist := make([]int64, n)
 	reached := make([]int64, n)
-	for off := 0; off < samples; off += MaxMSBFSSources {
+	for off := 0; off < len(sources); off += MaxMSBFSSources {
 		end := off + MaxMSBFSSources
-		if end > samples {
-			end = samples
+		if end > len(sources) {
+			end = len(sources)
 		}
 		batch, err := MSBFS(d, dgRev, sources[off:end], opts)
 		if err != nil {
@@ -100,4 +92,18 @@ func ClosenessCentralityCPU(g *graph.CSR, sources []graph.VertexID) []float64 {
 		}
 	}
 	return out
+}
+
+// closenessSources draws the landmark sample: the first samples vertices
+// (at most n) of a seeded permutation.
+func closenessSources(n, samples int, seed uint64) []graph.VertexID {
+	if samples > n {
+		samples = n
+	}
+	perm := xrand.New(seed).Perm(n)
+	sources := make([]graph.VertexID, samples)
+	for i := range sources {
+		sources[i] = graph.VertexID(perm[i])
+	}
+	return sources
 }

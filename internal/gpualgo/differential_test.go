@@ -2,7 +2,6 @@ package gpualgo
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -22,8 +21,9 @@ import (
 // never force the sequential fallback and that the counter totals are
 // bit-identical across host modes.
 //
-// New mapping variants and algorithms are enrolled by appending to
-// diffVariants / diffAlgos — the matrix is generated, not copy-pasted.
+// Every entry of the algorithm table is enrolled with its own oracle and
+// comparator; new mapping variants are enrolled by appending to
+// diffVariants.
 
 // diffVariant is one kernel mapping configuration.
 type diffVariant struct {
@@ -53,71 +53,23 @@ func diffVariants() []diffVariant {
 	return vs
 }
 
-// diffAlgo is one algorithm paired with its CPU oracle.
-type diffAlgo struct {
-	name string
-	// heavy algorithms restrict the variant sweep to the quick subset.
-	heavy bool
-	// run executes the GPU side and compares against the oracle's output.
-	run func(t *testing.T, label string, mode int, g *graph.CSR, weights []int32, src graph.VertexID, opts Options)
-}
+// diffFullSweep names the entries that run every variant; the others run
+// the quick subset.
+var diffFullSweep = map[string]bool{"bfs": true, "sssp": true, "pagerank": true}
 
-func diffAlgos() []diffAlgo {
-	return []diffAlgo{
-		{
-			name: "bfs",
-			run: func(t *testing.T, label string, mode int, g *graph.CSR, weights []int32, src graph.VertexID, opts Options) {
-				want := cpualgo.BFSSequential(g, src)
-				d := parallelDevice(t, mode)
-				res, err := BFS(d, Upload(d, g), src, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if !reflect.DeepEqual(res.Levels, want) {
-					t.Errorf("%s: BFS levels differ from CPU oracle", label)
-				}
-				checkNoFallback(t, label, mode, res.Stats.SequentialFallback)
-			},
-		},
-		{
-			name: "sssp",
-			run: func(t *testing.T, label string, mode int, g *graph.CSR, weights []int32, src graph.VertexID, opts Options) {
-				want := cpualgo.SSSPDijkstra(g, weights, src)
-				d := parallelDevice(t, mode)
-				dg, err := UploadWeighted(d, g, weights)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := SSSP(d, dg, src, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if !reflect.DeepEqual(res.Dist, want) {
-					t.Errorf("%s: SSSP distances differ from Dijkstra", label)
-				}
-				checkNoFallback(t, label, mode, res.Stats.SequentialFallback)
-			},
-		},
-		{
-			name:  "pagerank",
-			heavy: true,
-			run: func(t *testing.T, label string, mode int, g *graph.CSR, weights []int32, src graph.VertexID, opts Options) {
-				const iters = 10
-				want, _ := cpualgo.PageRank(g, cpualgo.PageRankOptions{MaxIters: iters, Tolerance: 1e-30})
-				d := parallelDevice(t, mode)
-				res, err := PageRank(d, g, PageRankOptions{Options: opts, Iterations: iters})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				for v := range want {
-					if diff := math.Abs(float64(res.Ranks[v]) - want[v]); diff > 1e-3*(want[v]+1e-9)+1e-5 {
-						t.Errorf("%s: rank[%d] = %g, oracle %g", label, v, res.Ranks[v], want[v])
-						break
-					}
-				}
-				checkNoFallback(t, label, mode, res.Stats.SequentialFallback)
-			},
-		},
+// diffInput is the input the harness gives entry a on g: PageRank runs 10
+// iterations, k-core peels the 2-core, BC starts from src and MS-BFS from
+// {src, 0}.
+func diffInput(t *testing.T, a *Algorithm, g *graph.CSR, weights []int32, src graph.VertexID) Input {
+	t.Helper()
+	view, err := a.Graph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Input{
+		G: view, Weights: weights, Src: src,
+		BCSources: []graph.VertexID{src}, MSBFSSources: []graph.VertexID{src, 0},
+		Iterations: 10, CoreK: 2, Seed: 42, Samples: 4,
 	}
 }
 
@@ -181,30 +133,38 @@ func TestDifferentialKernelVariants(t *testing.T) {
 		}
 		variants = quick
 	}
-	for _, alg := range diffAlgos() {
-		alg := alg
-		t.Run(alg.name, func(t *testing.T) {
+	for _, a := range Algorithms() {
+		a := a
+		t.Run(a.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, gr := range graphs {
-				src := graph.LargestOutComponentSeed(gr.g)
-				weights := gengraph.EdgeWeights(gr.g, 10, 5)
+				in := diffInput(t, &a, gr.g, gengraph.EdgeWeights(gr.g, 10, 5), graph.LargestOutComponentSeed(gr.g))
+				want := a.Oracle(in)
 				for _, v := range variants {
-					if alg.heavy && !v.quick {
+					if !diffFullSweep[a.Name] && !v.quick {
 						continue
 					}
 					perMode := make(map[int]map[string]int64)
 					for _, mode := range modes {
-						label := fmt.Sprintf("%s/%s/%s/ParallelSMs=%d", alg.name, gr.name, v.name, mode)
-						m := obs.NewMetrics(parallelDevice(t, mode).Config().NumSMs)
+						label := fmt.Sprintf("%s/%s/%s/ParallelSMs=%d", a.Name, gr.name, v.name, mode)
+						d := parallelDevice(t, mode)
+						m := obs.NewMetrics(d.Config().NumSMs)
 						opts := v.opts
 						opts.Metrics = m
-						alg.run(t, label, mode, gr.g, weights, src, opts)
+						got, err := a.Run(d, in, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if err := a.Compare(in, got.Value, want.Value); err != nil {
+							t.Errorf("%s: differs from the CPU oracle: %v", label, err)
+						}
+						checkNoFallback(t, label, mode, got.Stats.SequentialFallback)
 						perMode[mode] = m.Values()
 					}
 					for _, mode := range modes[1:] {
 						if !reflect.DeepEqual(perMode[modes[0]], perMode[mode]) {
 							t.Errorf("%s/%s/%s: obs counters differ between ParallelSMs=%d and %d\n %v\n %v",
-								alg.name, gr.name, v.name, modes[0], mode, perMode[modes[0]], perMode[mode])
+								a.Name, gr.name, v.name, modes[0], mode, perMode[modes[0]], perMode[mode])
 						}
 					}
 				}
@@ -235,9 +195,9 @@ func sanitizedDevice(t testing.TB) (*simt.Device, *sanitize.Sanitizer) {
 	return d, s
 }
 
-// TestSanitizerKernelSweep runs every gpualgo algorithm — the full kernel
-// set, mirroring cmd/maxwarp's dispatch — under the sanitizer on small
-// graphs and requires zero Error-severity diagnostics. Benign Info findings
+// TestSanitizerKernelSweep runs every entry of the algorithm table, plus the
+// incremental kernels, under the sanitizer on small graphs and requires
+// zero Error-severity diagnostics. Benign Info findings
 // (the BFS same-value frontier race, frozen-snapshot stale reads) are
 // allowed; conflicting-value races, plain/atomic mixes, shared-memory
 // races, OOB lanes, uninitialized reads, and barrier hazards are not.
@@ -255,116 +215,23 @@ func TestSanitizerKernelSweep(t *testing.T) {
 		g    *graph.CSR
 	}{{"rmat", rm}, {"mesh", mesh}}
 	opts := Options{K: 4}
-	algos := []struct {
+	type sweepRow struct {
 		name string
 		run  func(t *testing.T, d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID) error
-	}{
-		{"bfs", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) error {
-			_, err := BFS(d, Upload(d, g), src, opts)
-			return err
-		}},
-		{"bfsfrontier", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) error {
-			_, err := BFSFrontier(d, Upload(d, g), src, opts)
-			return err
-		}},
-		{"bfsdir", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) error {
-			_, err := BFSDirectionOpt(d, g, src, DirOptions{Options: opts})
-			return err
-		}},
-		{"sssp", func(t *testing.T, d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID) error {
-			dg, err := UploadWeighted(d, g, weights)
+	}
+	var algos []sweepRow
+	for _, a := range Algorithms() {
+		a := a
+		algos = append(algos, sweepRow{a.Name, func(t *testing.T, d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID) error {
+			in, err := sweepInput(&a, g, weights, src)
 			if err != nil {
 				return err
 			}
-			_, err = SSSP(d, dg, src, opts)
+			_, err = a.Run(d, in, opts)
 			return err
-		}},
-		{"deltastep", func(t *testing.T, d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID) error {
-			dg, err := UploadWeighted(d, g, weights)
-			if err != nil {
-				return err
-			}
-			_, err = DeltaStepping(d, dg, src, DeltaSteppingOptions{Options: opts})
-			return err
-		}},
-		{"pagerank", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			_, err := PageRank(d, g, PageRankOptions{Options: opts, Iterations: 5})
-			return err
-		}},
-		{"cc", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			_, err := ConnectedComponents(d, Upload(d, g), opts)
-			return err
-		}},
-		{"scc", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			_, err := SCC(d, g, opts)
-			return err
-		}},
-		{"nbrsum", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			vals := make([]int32, g.NumVertices())
-			for i := range vals {
-				vals[i] = int32(i%7 + 1)
-			}
-			_, err := NeighborSum(d, Upload(d, g), vals, opts)
-			return err
-		}},
-		{"spmv", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			vals := make([]float32, g.NumEdges())
-			for i := range vals {
-				vals[i] = float32(i%5+1) * 0.5
-			}
-			x := make([]float32, g.NumVertices())
-			for i := range x {
-				x[i] = float32(i%3 + 1)
-			}
-			_, err := SpMV(d, Upload(d, g), vals, x, opts)
-			return err
-		}},
-		// Triangles, k-core, MIS, and coloring require the undirected simple
-		// closure, exactly as cmd/maxwarp prepares it.
-		{"triangles", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			sym, err := g.Symmetrize()
-			if err != nil {
-				return err
-			}
-			_, err = TriangleCount(d, sym, opts)
-			return err
-		}},
-		{"kcore", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			sym, err := g.Symmetrize()
-			if err != nil {
-				return err
-			}
-			_, err = KCore(d, Upload(d, sym), 2, opts)
-			return err
-		}},
-		{"mis", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			sym, err := g.Symmetrize()
-			if err != nil {
-				return err
-			}
-			_, err = MIS(d, Upload(d, sym), 42, opts)
-			return err
-		}},
-		{"coloring", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			sym, err := g.Symmetrize()
-			if err != nil {
-				return err
-			}
-			_, err = GraphColoring(d, Upload(d, sym), 42, opts)
-			return err
-		}},
-		{"bc", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) error {
-			_, err := BetweennessCentrality(d, g, []graph.VertexID{src}, opts)
-			return err
-		}},
-		{"msbfs", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) error {
-			_, err := MSBFS(d, Upload(d, g), []graph.VertexID{src, 0}, opts)
-			return err
-		}},
-		{"closeness", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
-			_, err := ClosenessCentrality(d, g, 2, 7, opts)
-			return err
-		}},
+		}})
+	}
+	algos = append(algos, []sweepRow{
 		// The PR 8 streaming kernels: one mutate→repair cycle per incremental
 		// algorithm, so the overlay-aware repair kernels stay in the sweep.
 		{"incbfs", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) error {
@@ -426,7 +293,7 @@ func TestSanitizerKernelSweep(t *testing.T) {
 			_, _, err = DeltaPageRank(d, dl, nil, res.Ranks, popts)
 			return err
 		}},
-	}
+	}...)
 	for _, alg := range algos {
 		alg := alg
 		t.Run(alg.name, func(t *testing.T) {
@@ -445,4 +312,28 @@ func TestSanitizerKernelSweep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sweepInput is the input the sanitizer sweep and the warplint pin give
+// entry a on g. Two inputs differ from what the entry's form and the other
+// entries get, because the pinned fingerprints were measured with them: cc
+// runs on the directed graph (its kernel accepts any CSR), and closeness
+// draws its landmarks with seed 7.
+func sweepInput(a *Algorithm, g *graph.CSR, weights []int32, src graph.VertexID) (Input, error) {
+	in := Input{
+		G: g, Weights: weights, Src: src,
+		BCSources: []graph.VertexID{src}, MSBFSSources: []graph.VertexID{src, 0},
+		Iterations: 5, CoreK: 2, Seed: 42, Samples: 2,
+	}
+	if a.Form == Symmetrized && a.Name != "cc" {
+		sym, err := g.Symmetrize()
+		if err != nil {
+			return Input{}, err
+		}
+		in.G = sym
+	}
+	if a.Name == "closeness" {
+		in.Seed = 7
+	}
+	return in, nil
 }

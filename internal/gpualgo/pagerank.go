@@ -166,15 +166,10 @@ func PageRank(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*PageRankResu
 	if err != nil {
 		return nil, err
 	}
-	for {
-		done, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return r.Result(), nil
-		}
+	if err := finish(r); err != nil {
+		return nil, err
 	}
+	return r.Result(), nil
 }
 
 // prContribKernel computes contrib[v] = rank[v]/outdeg[v] (0 for dangling

@@ -122,15 +122,10 @@ func SSSP(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*S
 	if err != nil {
 		return nil, err
 	}
-	for {
-		done, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return r.Result(), nil
-		}
+	if err := finish(r); err != nil {
+		return nil, err
 	}
+	return r.Result(), nil
 }
 
 func ssspRelaxKernel(dg *DeviceGraph, dist, changed, counter *simt.BufI32, opts Options) simt.Kernel {

@@ -11,22 +11,24 @@ type RunState struct {
 	F32 []*simt.BufF32
 }
 
-// stepper is the common shape of the open-loop algorithm runs (BFSRun,
-// SSSPRun, PageRankRun): repeated Step calls until done, with host-side
-// progress advancing only on success so a failed step can be retried after
-// restoring State.
-type stepper interface {
+// Stepper is a resumable device run (BFSRun, SSSPRun, PageRankRun, CCRun):
+// repeated Step calls until done, with host-side progress advancing only on
+// success so a supervisor can restore State and retry a failed step.
+type Stepper interface {
 	Step() (done bool, err error)
 	State() RunState
 	Iterations() int
 }
 
-var (
-	_ stepper = (*BFSRun)(nil)
-	_ stepper = (*SSSPRun)(nil)
-	_ stepper = (*PageRankRun)(nil)
-	_ stepper = (*CCRun)(nil)
-)
+// finish steps s until it reports done.
+func finish(s Stepper) error {
+	for {
+		done, err := s.Step()
+		if err != nil || done {
+			return err
+		}
+	}
+}
 
 func graphState(st *RunState, dg *DeviceGraph) {
 	st.I32 = append(st.I32, dg.RowPtr, dg.Col)

@@ -282,167 +282,36 @@ func warplintFixtureRuns() []warplintRun {
 	}
 }
 
-// warplintAlgoRuns mirrors the sanitizer sweep's dispatch: every gpualgo
-// algorithm once, K=4, on the shared seeded RMAT graph.
+// warplintFiles maps every table entry to the source files holding its
+// kernels: the static side of the entry's fingerprint.
+var warplintFiles = map[string][]string{
+	"bfs": {"bfs.go"}, "bfsfrontier": {"bfsfrontier.go"}, "bfsdir": {"bfsdir.go"},
+	"sssp": {"sssp.go"}, "deltastep": {"deltastep.go"}, "pagerank": {"pagerank.go"},
+	"cc": {"cc.go"}, "scc": {"scc.go"}, "nbrsum": {"nbrsum.go"}, "spmv": {"spmv.go"},
+	"triangles": {"triangles.go"}, "kcore": {"kcore.go"}, "mis": {"mis.go"},
+	"coloring": {"coloring.go"}, "bc": {"betweenness.go"},
+	"closeness": {"closeness.go", "msbfs.go"}, "msbfs": {"msbfs.go"},
+}
+
+// warplintAlgoRuns runs every table entry once, K=4, with the sanitizer
+// sweep's inputs on the shared seeded RMAT graph.
 func warplintAlgoRuns() []warplintRun {
-	opts := Options{K: 4}
-	return []warplintRun{
-		{name: "bfs", files: []string{"bfs.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) simt.LaunchStats {
-			res, err := BFS(d, Upload(d, g), src, opts)
+	var runs []warplintRun
+	for _, a := range Algorithms() {
+		a := a
+		runs = append(runs, warplintRun{name: a.Name, files: warplintFiles[a.Name], run: func(t *testing.T, d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID) simt.LaunchStats {
+			in, err := sweepInput(&a, g, weights, src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Stats
-		}},
-		{name: "bfsfrontier", files: []string{"bfsfrontier.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) simt.LaunchStats {
-			res, err := BFSFrontier(d, Upload(d, g), src, opts)
+			out, err := a.Run(d, in, Options{K: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Stats
-		}},
-		{name: "bfsdir", files: []string{"bfsdir.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) simt.LaunchStats {
-			res, err := BFSDirectionOpt(d, g, src, DirOptions{Options: opts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "sssp", files: []string{"sssp.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID) simt.LaunchStats {
-			dg, err := UploadWeighted(d, g, weights)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := SSSP(d, dg, src, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "deltastep", files: []string{"deltastep.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID) simt.LaunchStats {
-			dg, err := UploadWeighted(d, g, weights)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := DeltaStepping(d, dg, src, DeltaSteppingOptions{Options: opts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "pagerank", files: []string{"pagerank.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			res, err := PageRank(d, g, PageRankOptions{Options: opts, Iterations: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "cc", files: []string{"cc.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			res, err := ConnectedComponents(d, Upload(d, g), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "scc", files: []string{"scc.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			res, err := SCC(d, g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "nbrsum", files: []string{"nbrsum.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			vals := make([]int32, g.NumVertices())
-			for i := range vals {
-				vals[i] = int32(i%7 + 1)
-			}
-			res, err := NeighborSum(d, Upload(d, g), vals, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "spmv", files: []string{"spmv.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			vals := make([]float32, g.NumEdges())
-			for i := range vals {
-				vals[i] = float32(i%5+1) * 0.5
-			}
-			x := make([]float32, g.NumVertices())
-			for i := range x {
-				x[i] = float32(i%3 + 1)
-			}
-			res, err := SpMV(d, Upload(d, g), vals, x, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "triangles", files: []string{"triangles.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			sym, err := g.Symmetrize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := TriangleCount(d, sym, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "kcore", files: []string{"kcore.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			sym, err := g.Symmetrize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := KCore(d, Upload(d, sym), 2, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "mis", files: []string{"mis.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			sym, err := g.Symmetrize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := MIS(d, Upload(d, sym), 42, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "coloring", files: []string{"coloring.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			sym, err := g.Symmetrize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := GraphColoring(d, Upload(d, sym), 42, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "bc", files: []string{"betweenness.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) simt.LaunchStats {
-			res, err := BetweennessCentrality(d, g, []graph.VertexID{src}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "msbfs", files: []string{"msbfs.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) simt.LaunchStats {
-			res, err := MSBFS(d, Upload(d, g), []graph.VertexID{src, 0}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
-		{name: "closeness", files: []string{"closeness.go", "msbfs.go"}, run: func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) simt.LaunchStats {
-			res, err := ClosenessCentrality(d, g, 2, 7, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Stats
-		}},
+			return out.Stats
+		}})
 	}
+	return runs
 }
 
 // --- the harness ------------------------------------------------------------

@@ -1,11 +1,36 @@
 package resilient
 
 import (
-	"maxwarp/internal/cpualgo"
 	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/graph"
 	"maxwarp/internal/simt"
 )
+
+// Execute runs table entry a fault-tolerantly on d: it uploads in.G in the
+// entry's form, drives the resumable run with checkpointed retries of
+// transient faults, and degrades to the entry's CPU oracle on a permanent
+// fault or an exhausted retry budget unless pol.NoFallback is set. The
+// Outcome is nil only when the run could not start.
+func Execute(d *simt.Device, a *gpualgo.Algorithm, in gpualgo.Input, opts gpualgo.Options, pol Policy) (gpualgo.Output, *Outcome, error) {
+	dg, err := a.Upload(d, in)
+	if err != nil {
+		return gpualgo.Output{}, nil, err
+	}
+	run, result, err := a.NewRun(d, dg, in, opts, pol.Launch)
+	if err != nil {
+		return gpualgo.Output{}, nil, err
+	}
+	out, derr := Drive(pol, run)
+	if derr == nil {
+		return result(), out, nil
+	}
+	if pol.NoFallback {
+		return gpualgo.Output{}, out, derr
+	}
+	out.Degraded = true
+	out.FallbackCause = derr
+	return a.Oracle(in), out, nil
+}
 
 // BFSResult is a fault-tolerant BFS answer: device levels when the run
 // survived, oracle levels tagged Degraded when it did not.
@@ -26,88 +51,13 @@ type BFSResult struct {
 // faults (or an exhausted retry budget) degrade to the CPU oracle unless
 // pol.NoFallback is set.
 func BFS(d *simt.Device, g *graph.CSR, src graph.VertexID, opts gpualgo.Options, pol Policy) (*BFSResult, error) {
-	pol = pol.withDefaults()
-	dg, err := gpualgo.UploadChecked(d, g)
+	a := gpualgo.Lookup("bfs")
+	o, out, err := Execute(d, a, gpualgo.Input{G: g, Src: src}, opts, pol)
 	if err != nil {
 		return nil, err
 	}
-	run, err := gpualgo.NewBFSRun(d, dg, src, opts)
-	if err != nil {
-		return nil, err
-	}
-	run.Launch = pol.Launch
-	out, derr := Drive(pol, run)
-	if derr == nil {
-		res := run.Result()
-		return &BFSResult{Levels: res.Levels, Depth: res.Depth, Outcome: *out, GPU: res}, nil
-	}
-	if pol.NoFallback {
-		return nil, derr
-	}
-	levels := cpualgo.BFSSequential(g, src)
-	out.Degraded = true
-	out.FallbackCause = derr
-	var depth int32
-	for _, l := range levels {
-		if l > depth {
-			depth = l
-		}
-	}
-	return &BFSResult{Levels: levels, Depth: depth, Outcome: *out}, nil
-}
-
-// CCResult is a fault-tolerant connected-components answer.
-type CCResult struct {
-	// Labels maps each vertex to its component label (the minimum vertex id
-	// in the component), whichever engine produced it.
-	Labels []int32
-	// Components is the number of distinct labels.
-	Components int
-	// Outcome records retries, faults, and whether the result is degraded.
-	Outcome Outcome
-	// GPU carries the device run's stats and output (nil when Degraded).
-	GPU *gpualgo.CCResult
-}
-
-// CC uploads g and runs fault-tolerant min-label propagation: transient
-// kernel faults are retried per round from a checkpoint, and permanent
-// faults (or an exhausted retry budget) degrade to the CPU union-find
-// oracle unless pol.NoFallback is set. For weakly-connected components on
-// a directed graph pass the symmetrized graph, as with the device kernel.
-func CC(d *simt.Device, g *graph.CSR, opts gpualgo.Options, pol Policy) (*CCResult, error) {
-	pol = pol.withDefaults()
-	dg, err := gpualgo.UploadChecked(d, g)
-	if err != nil {
-		return nil, err
-	}
-	run, err := gpualgo.NewCCRun(d, dg, opts)
-	if err != nil {
-		return nil, err
-	}
-	run.Launch = pol.Launch
-	out, derr := Drive(pol, run)
-	if derr == nil {
-		res := run.Result()
-		return &CCResult{Labels: res.Labels, Components: countLabels(res.Labels), Outcome: *out, GPU: res}, nil
-	}
-	if pol.NoFallback {
-		return nil, derr
-	}
-	labels := cpualgo.ConnectedComponents(g)
-	out.Degraded = true
-	out.FallbackCause = derr
-	return &CCResult{Labels: labels, Components: countLabels(labels), Outcome: *out}, nil
-}
-
-// countLabels counts the distinct component labels in a min-label vector.
-func countLabels(labels []int32) int {
-	n := 0
-	for v, l := range labels {
-		if int32(v) == l {
-			n++
-		}
-	}
-	return n
+	gpu, _ := o.Result.(*gpualgo.BFSResult)
+	return &BFSResult{Levels: o.Value.([]int32), Depth: a.Summarize(o.Value).Depth, Outcome: *out, GPU: gpu}, nil
 }
 
 // SSSPResult is a fault-tolerant shortest-paths answer.
@@ -123,33 +73,14 @@ type SSSPResult struct {
 
 // SSSP uploads g with weights and runs fault-tolerant Bellman-Ford from
 // src, retrying transient faults per round and degrading to the CPU
-// Bellman-Ford oracle on permanent failure.
+// Dijkstra oracle on permanent failure.
 func SSSP(d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID, opts gpualgo.Options, pol Policy) (*SSSPResult, error) {
-	pol = pol.withDefaults()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	dg, err := gpualgo.UploadWeighted(d, g, weights)
+	o, out, err := Execute(d, gpualgo.Lookup("sssp"), gpualgo.Input{G: g, Weights: weights, Src: src}, opts, pol)
 	if err != nil {
 		return nil, err
 	}
-	run, err := gpualgo.NewSSSPRun(d, dg, src, opts)
-	if err != nil {
-		return nil, err
-	}
-	run.Launch = pol.Launch
-	out, derr := Drive(pol, run)
-	if derr == nil {
-		res := run.Result()
-		return &SSSPResult{Dist: res.Dist, Outcome: *out, GPU: res}, nil
-	}
-	if pol.NoFallback {
-		return nil, derr
-	}
-	dist := cpualgo.SSSPBellmanFord(g, weights, src, 0)
-	out.Degraded = true
-	out.FallbackCause = derr
-	return &SSSPResult{Dist: dist, Outcome: *out}, nil
+	gpu, _ := o.Result.(*gpualgo.SSSPResult)
+	return &SSSPResult{Dist: o.Value.([]int32), Outcome: *out, GPU: gpu}, nil
 }
 
 // PageRankResult is a fault-tolerant PageRank answer.
@@ -168,41 +99,11 @@ type PageRankResult struct {
 // both succeed) and degrading to the CPU oracle on permanent failure. The
 // oracle runs the same damping for the same fixed iteration count.
 func PageRank(d *simt.Device, g *graph.CSR, opts gpualgo.PageRankOptions, pol Policy) (*PageRankResult, error) {
-	pol = pol.withDefaults()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	run, err := gpualgo.NewPageRankRun(d, g, opts)
+	in := gpualgo.Input{G: g, Iterations: opts.Iterations, Damping: float64(opts.Damping)}
+	o, out, err := Execute(d, gpualgo.Lookup("pagerank"), in, opts.Options, pol)
 	if err != nil {
 		return nil, err
 	}
-	run.Launch = pol.Launch
-	out, derr := Drive(pol, run)
-	if derr == nil {
-		res := run.Result()
-		return &PageRankResult{Ranks: res.Ranks, Outcome: *out, GPU: res}, nil
-	}
-	if pol.NoFallback {
-		return nil, derr
-	}
-	damping := opts.Damping
-	if damping == 0 {
-		damping = 0.85
-	}
-	iters := opts.Iterations
-	if iters == 0 {
-		iters = 20
-	}
-	ranks64, _ := cpualgo.PageRank(g, cpualgo.PageRankOptions{
-		Damping:   float64(damping),
-		MaxIters:  iters,
-		Tolerance: 1e-300, // run the full fixed iteration count, as the device does
-	})
-	ranks := make([]float32, len(ranks64))
-	for i, r := range ranks64 {
-		ranks[i] = float32(r)
-	}
-	out.Degraded = true
-	out.FallbackCause = derr
-	return &PageRankResult{Ranks: ranks, Outcome: *out}, nil
+	gpu, _ := o.Result.(*gpualgo.PageRankResult)
+	return &PageRankResult{Ranks: o.Value.([]float32), Outcome: *out, GPU: gpu}, nil
 }

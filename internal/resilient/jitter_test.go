@@ -77,8 +77,9 @@ func TestDefaultJitterDesynchronizesRetryLoops(t *testing.T) {
 	}
 }
 
-// CC joins the chaos suite: the new resilient runner must survive transient
-// aborts unchanged and degrade to the union-find oracle on device loss.
+// CC joins the chaos suite through the table: Execute must survive
+// transient aborts unchanged and degrade to the union-find oracle on device
+// loss.
 
 func TestCCSurvivesInjectedAborts(t *testing.T) {
 	g := testGraph(t)
@@ -90,17 +91,17 @@ func TestCCSurvivesInjectedAborts(t *testing.T) {
 
 	d := newTestDevice(t)
 	d.SetFaultPlan(&simt.FaultPlan{Seed: 23, AbortEvery: 2})
-	res, err := CC(d, sym, gpualgo.Options{K: 8}, fastPolicy())
+	res, out, err := Execute(d, gpualgo.Lookup("cc"), gpualgo.Input{G: sym}, gpualgo.Options{K: 8}, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome.Degraded {
-		t.Fatalf("transient aborts should not degrade: faults=%v", res.Outcome.Faults)
+	if out.Degraded {
+		t.Fatalf("transient aborts should not degrade: faults=%v", out.Faults)
 	}
-	if res.Outcome.Retries == 0 {
+	if out.Retries == 0 {
 		t.Fatal("fault plan injected nothing; the test is vacuous")
 	}
-	if !reflect.DeepEqual(res.Labels, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("CC under transient aborts differs from fault-free oracle")
 	}
 }
@@ -115,17 +116,18 @@ func TestCCDegradesOnDeviceLoss(t *testing.T) {
 
 	d := newTestDevice(t)
 	d.SetFaultPlan(&simt.FaultPlan{Seed: 29, DeviceLossAfterCycles: 1500})
-	res, err := CC(d, sym, gpualgo.Options{K: 8}, fastPolicy())
+	a := gpualgo.Lookup("cc")
+	res, out, err := Execute(d, a, gpualgo.Input{G: sym}, gpualgo.Options{K: 8}, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Outcome.Degraded || res.GPU != nil {
-		t.Fatalf("device loss should degrade to the oracle: %+v", res.Outcome)
+	if !out.Degraded || res.Result != nil {
+		t.Fatalf("device loss should degrade to the oracle: %+v", out)
 	}
-	if !reflect.DeepEqual(res.Labels, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("degraded CC differs from the union-find oracle")
 	}
-	if res.Components <= 0 || res.Components > g.NumVertices() {
-		t.Fatalf("implausible component count %d", res.Components)
+	if n := a.Summarize(res.Value).Components; n <= 0 || n > g.NumVertices() {
+		t.Fatalf("implausible component count %d", n)
 	}
 }

@@ -4,14 +4,10 @@ import (
 	"maxwarp/internal/gpualgo"
 )
 
-// Stepper is an open-loop iterative device algorithm (gpualgo.BFSRun,
-// SSSPRun, PageRankRun): Step advances one iteration and leaves host state
-// untouched on failure, State lists the device buffers a step mutates.
-type Stepper interface {
-	Step() (done bool, err error)
-	State() gpualgo.RunState
-	Iterations() int
-}
+// Stepper is a resumable device run: Step advances one iteration and
+// leaves host state untouched on failure, State lists the device buffers a
+// step mutates.
+type Stepper = gpualgo.Stepper
 
 // Drive runs s to completion under pol: after every successful step it
 // checkpoints the device state, and on a transient failure it restores the

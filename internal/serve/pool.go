@@ -8,27 +8,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"maxwarp/internal/cpualgo"
 	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/resilient"
 	"maxwarp/internal/simt"
 )
 
-// dgVariant distinguishes the uploaded forms of a graph a worker caches:
-// plain CSR (BFS, PageRank pulls its own), weighted (SSSP), symmetrized
-// (CC).
-type dgVariant int
-
-const (
-	dgPlain dgVariant = iota
-	dgWeighted
-	dgSym
-)
-
 type dgKey struct {
-	name    string
-	epoch   int64
-	variant dgVariant
+	name  string
+	epoch int64
+	form  gpualgo.Form
 }
 
 // deviceWorker owns one simulated device: it pulls requests from the shared
@@ -256,28 +244,18 @@ func faultStrings(out *resilient.Outcome) []string {
 	return fs
 }
 
-// deviceGraph returns the uploaded form of the request's graph, uploading
-// on first use per (graph, epoch, variant) and reusing it until the device
-// is recycled.
-func (w *deviceWorker) deviceGraph(ng *NamedGraph, variant dgVariant) (*gpualgo.DeviceGraph, error) {
-	key := dgKey{name: ng.Name, epoch: ng.Epoch, variant: variant}
+// deviceGraph returns in.G uploaded in a's form, uploading on first use per
+// (graph, epoch, form) and reusing it until the device is recycled.
+// HostSide entries upload their own copies, so they get nil.
+func (w *deviceWorker) deviceGraph(ng *NamedGraph, a *gpualgo.Algorithm, in gpualgo.Input) (*gpualgo.DeviceGraph, error) {
+	if a.Form == gpualgo.HostSide {
+		return nil, nil
+	}
+	key := dgKey{name: ng.Name, epoch: ng.Epoch, form: a.Form}
 	if dg, ok := w.dgs[key]; ok {
 		return dg, nil
 	}
-	var dg *gpualgo.DeviceGraph
-	var err error
-	switch variant {
-	case dgWeighted:
-		dg, err = gpualgo.UploadWeighted(w.dev, ng.G, ng.Weights)
-	case dgSym:
-		sym, serr := ng.Sym()
-		if serr != nil {
-			return nil, serr
-		}
-		dg, err = gpualgo.UploadChecked(w.dev, sym)
-	default:
-		dg, err = gpualgo.UploadChecked(w.dev, ng.G)
-	}
+	dg, err := a.Upload(w.dev, in)
 	if err != nil {
 		return nil, err
 	}
@@ -291,84 +269,23 @@ func (w *deviceWorker) deviceGraph(ng *NamedGraph, variant dgVariant) (*gpualgo.
 func (w *deviceWorker) execute(rq *request) (*ResultPayload, *resilient.Outcome, error) {
 	pol := w.s.cfg.Retry
 	pol.Launch = w.s.launchOpts(rq.ctx)
-	opts := gpualgo.Options{K: rq.k}
-
-	switch rq.algo {
-	case "bfs":
-		dg, err := w.deviceGraph(rq.graph, dgPlain)
-		if err != nil {
-			return nil, nil, err
-		}
-		run, err := gpualgo.NewBFSRun(w.dev, dg, rq.src, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		run.Launch = pol.Launch
-		out, err := resilient.Drive(pol, run)
-		if err != nil {
-			return nil, out, err
-		}
-		res := run.Result()
-		p := bfsPayload(res.Levels, res.Iterations, rq.full)
-		p.SimCycles = res.Stats.Cycles
-		return p, out, nil
-
-	case "sssp":
-		dg, err := w.deviceGraph(rq.graph, dgWeighted)
-		if err != nil {
-			return nil, nil, err
-		}
-		run, err := gpualgo.NewSSSPRun(w.dev, dg, rq.src, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		run.Launch = pol.Launch
-		out, err := resilient.Drive(pol, run)
-		if err != nil {
-			return nil, out, err
-		}
-		res := run.Result()
-		p := ssspPayload(res.Dist, res.Iterations, rq.full)
-		p.SimCycles = res.Stats.Cycles
-		return p, out, nil
-
-	case "pagerank":
-		run, err := gpualgo.NewPageRankRun(w.dev, rq.graph.G, gpualgo.PageRankOptions{
-			Options: opts, Damping: float32(rq.damping), Iterations: rq.iters,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		run.Launch = pol.Launch
-		out, err := resilient.Drive(pol, run)
-		if err != nil {
-			return nil, out, err
-		}
-		res := run.Result()
-		p := pagerankPayload(res.Ranks, res.Iterations, rq.full)
-		p.SimCycles = res.Stats.Cycles
-		return p, out, nil
-
-	case "cc":
-		dg, err := w.deviceGraph(rq.graph, dgSym)
-		if err != nil {
-			return nil, nil, err
-		}
-		run, err := gpualgo.NewCCRun(w.dev, dg, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		run.Launch = pol.Launch
-		out, err := resilient.Drive(pol, run)
-		if err != nil {
-			return nil, out, err
-		}
-		res := run.Result()
-		p := ccPayload(res.Labels, res.Iterations, rq.full)
-		p.SimCycles = res.Stats.Cycles
-		return p, out, nil
+	a, in, err := rq.input()
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("serve: unknown algo %q", rq.algo)
+	dg, err := w.deviceGraph(rq.graph, a, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	run, result, err := a.NewRun(w.dev, dg, in, gpualgo.Options{K: rq.k}, pol.Launch)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := resilient.Drive(pol, run)
+	if err != nil {
+		return nil, out, err
+	}
+	return newPayload(a, result(), rq.full), out, nil
 }
 
 // degradeLoop is the oracle of last resort: while every device breaker is
@@ -429,92 +346,42 @@ func oracleExecute(rq *request) (*ResultPayload, error) {
 	if err := rq.ctx.Err(); err != nil {
 		return nil, err
 	}
-	g := rq.graph.G
-	switch rq.algo {
-	case "bfs":
-		return bfsPayload(cpualgo.BFSSequential(g, rq.src), 0, rq.full), nil
-	case "sssp":
-		return ssspPayload(cpualgo.SSSPDijkstra(g, rq.graph.Weights, rq.src), 0, rq.full), nil
-	case "pagerank":
-		ranks64, iters := cpualgo.PageRank(g, cpualgo.PageRankOptions{
-			Damping:   rq.damping,
-			MaxIters:  rq.iters,
-			Tolerance: 1e-300, // fixed iteration count, matching the device
-		})
-		ranks := make([]float32, len(ranks64))
-		for i, r := range ranks64 {
-			ranks[i] = float32(r)
-		}
-		return pagerankPayload(ranks, iters, rq.full), nil
-	case "cc":
+	a, in, err := rq.input()
+	if err != nil {
+		return nil, err
+	}
+	return newPayload(a, a.Oracle(in), rq.full), nil
+}
+
+// input resolves the request's table entry and its input: the symmetrized
+// graph for Symmetrized entries, the served weights, and the query's
+// source and PageRank parameters.
+func (rq *request) input() (*gpualgo.Algorithm, gpualgo.Input, error) {
+	a := gpualgo.Lookup(rq.algo)
+	if a == nil {
+		return nil, gpualgo.Input{}, fmt.Errorf("serve: unknown algo %q", rq.algo)
+	}
+	in := gpualgo.Input{G: rq.graph.G, Weights: rq.graph.Weights, Src: rq.src, Iterations: rq.iters, Damping: rq.damping}
+	if a.Form == gpualgo.Symmetrized {
 		sym, err := rq.graph.Sym()
 		if err != nil {
-			return nil, err
+			return nil, gpualgo.Input{}, err
 		}
-		return ccPayload(cpualgo.ConnectedComponents(sym), 0, rq.full), nil
+		in.G = sym
 	}
-	return nil, fmt.Errorf("serve: unknown algo %q", rq.algo)
+	return a, in, nil
 }
 
-func bfsPayload(levels []int32, iters int, full bool) *ResultPayload {
-	p := &ResultPayload{Iterations: iters}
-	for _, l := range levels {
-		if l >= 0 {
-			p.Reached++
-			if l > p.Depth {
-				p.Depth = l
-			}
-		}
+// newPayload renders an answer as the wire result: the entry's summary, plus
+// the answer vector when full.
+func newPayload(a *gpualgo.Algorithm, o gpualgo.Output, full bool) *ResultPayload {
+	s := a.Summarize(o.Value)
+	p := &ResultPayload{
+		Iterations: o.Rounds, Depth: s.Depth, Reached: s.Reached, MaxFiniteDist: s.MaxFiniteDist,
+		Components: s.Components, RankSum: s.RankSum, TopVertex: s.TopVertex, SimCycles: o.Stats.Cycles,
 	}
 	if full {
-		p.Levels = levels
-	}
-	return p
-}
-
-func ssspPayload(dist []int32, iters int, full bool) *ResultPayload {
-	p := &ResultPayload{Iterations: iters}
-	for _, d := range dist {
-		if d < cpualgo.InfDist {
-			p.Reached++
-			if d > p.MaxFiniteDist {
-				p.MaxFiniteDist = d
-			}
-		}
-	}
-	if full {
-		p.Dist = dist
-	}
-	return p
-}
-
-func pagerankPayload(ranks []float32, iters int, full bool) *ResultPayload {
-	p := &ResultPayload{Iterations: iters}
-	var sum float64
-	var top int32
-	for v, r := range ranks {
-		sum += float64(r)
-		if r > ranks[top] {
-			top = int32(v)
-		}
-	}
-	p.RankSum = sum
-	p.TopVertex = top
-	if full {
-		p.Ranks = ranks
-	}
-	return p
-}
-
-func ccPayload(labels []int32, iters int, full bool) *ResultPayload {
-	p := &ResultPayload{Iterations: iters}
-	for v, l := range labels {
-		if int32(v) == l {
-			p.Components++
-		}
-	}
-	if full {
-		p.Labels = labels
+		p.Levels, p.Dist, p.Labels, p.Ranks = s.Levels, s.Dist, s.Labels, s.Ranks
 	}
 	return p
 }

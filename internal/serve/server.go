@@ -8,10 +8,12 @@ import (
 	"log"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/graph"
 	"maxwarp/internal/resilient"
 	"maxwarp/internal/simt"
@@ -560,10 +562,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // admit validates the query and resolves it against the graph registry.
 func (s *Server) admit(q *QueryRequest) (*request, int, error) {
-	switch q.Algo {
-	case "bfs", "sssp", "pagerank", "cc":
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown algo %q (want bfs|sssp|pagerank|cc)", q.Algo)
+	if a := gpualgo.Lookup(q.Algo); a == nil || !a.Resumable() {
+		return nil, http.StatusBadRequest, fmt.Errorf("unknown algo %q (want %s)", q.Algo, strings.Join(gpualgo.Names(true), "|"))
 	}
 	ng, ok := s.graphs.Get(q.Graph)
 	if !ok {

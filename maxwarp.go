@@ -518,12 +518,12 @@ func ExtractLargestWCC(g *Graph) (*Graph, []VertexID, error) { return graph.Extr
 
 // AutoTuneBFS sweeps BFS over all virtual warp widths and reports the best.
 func AutoTuneBFS(cfg DeviceConfig, g *Graph, src VertexID, opts Options) (*TuneResult, error) {
-	return gpualgo.AutoTuneBFS(cfg, g, src, opts)
+	return gpualgo.AutoTune(cfg, gpualgo.Lookup("bfs"), gpualgo.Input{G: g, Src: src}, opts)
 }
 
 // AutoTuneNeighborSum sweeps the cheap gather probe to pick K for a graph.
 func AutoTuneNeighborSum(cfg DeviceConfig, g *Graph, opts Options) (*TuneResult, error) {
-	return gpualgo.AutoTuneNeighborSum(cfg, g, opts)
+	return gpualgo.AutoTune(cfg, gpualgo.Lookup("nbrsum"), gpualgo.Input{G: g}, opts)
 }
 
 // ReadDIMACS parses a DIMACS shortest-path (.gr) file into a graph plus
