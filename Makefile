@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint race benchgate check fuzz sanitize servesmoke
+.PHONY: build test short vet lint race benchgate check fuzz sanitize servesmoke mwbenchtest
 
 build:
 	$(GO) build ./...
@@ -75,7 +75,13 @@ benchgate:
 servesmoke:
 	bash scripts/serve_smoke.sh
 
-check: vet lint race benchgate servesmoke
+# The benchmark harness is its own module (mwbench/go.mod), so `go test ./...`
+# never builds it; vet and test it here so it keeps compiling against the
+# simt, gpualgo, resilient and serve APIs it imports.
+mwbenchtest:
+	cd mwbench && $(GO) vet . && $(GO) test .
+
+check: vet lint race benchgate servesmoke mwbenchtest
 
 # Short fuzz pass over the untrusted-input parsers and the observability
 # exporters' round-trip properties.

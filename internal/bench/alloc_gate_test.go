@@ -38,9 +38,9 @@ func gateApplyUniform() (int64, error) {
 }
 
 // gateApplyParallel is the same probe under ParallelSMs>1: it additionally
-// covers the per-SM goroutine machinery (token handoff, gate horizons, the
-// lazily-armed loopResume channels) so parallel-mode-only allocation
-// regressions cannot hide behind the sequential gate.
+// covers the per-SM goroutine machinery (token handoff, gate horizons, one
+// scheduling domain per SM) so parallel-mode-only allocation regressions
+// cannot hide behind the sequential gate.
 func gateApplyParallel() (int64, error) {
 	cfg := simt.DefaultConfig()
 	cfg.NumSMs = 4

@@ -22,15 +22,11 @@ import (
 	"maxwarp/internal/report"
 )
 
-// shardPad pads each counter shard to 128 bytes — two cache lines — so
-// per-SM increments from concurrent host goroutines do not false-share even
-// through the adjacent-line spatial prefetcher, which pulls line pairs and
-// can make 64-byte-spaced hot words contend on common x86 parts. The
+// shardPad pads each counter shard to one 64-byte cache line so per-SM
+// increments from concurrent host goroutines do not false-share. The
 // 8-goroutine contention microbenchmark (contention_test.go, numbers in
-// EXPERIMENTS.md) measured parity with 64-byte padding on the dev host, so
-// the extra line is cheap insurance for prefetch-pairing parts, not a
-// measured local win.
-const shardPad = 16 // 16 × int64 = 128 bytes
+// EXPERIMENTS.md) measured two-line padding at parity with one.
+const shardPad = 8 // 8 × int64 = 64 bytes
 
 type counterShard struct {
 	v [shardPad]int64

@@ -166,10 +166,12 @@ func (w *deviceWorker) serveOne(rq *request) verdict {
 			ExecMillis:      float64(exec) / float64(time.Millisecond),
 			Result:          *payload,
 		}
-		rq.reply <- &reply{status: http.StatusOK, resp: resp}
+		// Cache before replying, so a client that repeats the query the
+		// moment it reads this reply hits the cache.
 		if rq.cacheKey != "" {
 			w.s.cache.Put(rq.cacheKey, cachedResult{payload: payload, engine: "gpu"})
 		}
+		rq.reply <- &reply{status: http.StatusOK, resp: resp}
 		w.maybeRecycle()
 		return verdictSuccess
 	}

@@ -15,11 +15,12 @@
 // reconvergence stack. Data manipulation runs natively (functionally exact);
 // its cost is charged in instruction issues. Everything is deterministic:
 // simulated effects execute in lexicographic (step key, SM id) order, so
-// atomics have a reproducible global order. The sequential event loop
-// realizes that order by always stepping the SM with the smallest clock;
-// with Config.ParallelSMs > 1 each SM runs on its own host goroutine and
-// synchronizes only at globally visible operations (global-memory atomics,
-// block admission), reproducing the same order bit-for-bit.
+// atomics have a reproducible global order. Sequential mode realizes that
+// order with one scheduling domain over every SM that always steps the SM
+// with the smallest clock; with Config.ParallelSMs > 1 each SM is its own
+// domain on its own host goroutine and synchronizes only at globally
+// visible operations (global-memory atomics, block admission), reproducing
+// the same order bit-for-bit.
 package simt
 
 import (
@@ -98,22 +99,25 @@ type Config struct {
 	// "fifo".
 	StealDepth int
 
-	// ParallelSMs selects the host execution mode. 1 runs the sequential
-	// direct-handoff loop (the warp holding the execution token applies its
-	// own cost, picks the successor, and hands the token straight to it —
-	// no supervisor round-trip per instruction); any value > 1 runs every
-	// simulated SM's event loop on its own host goroutine, synchronizing
-	// only at global-memory atomics and block admission. In parallel mode
-	// the value is a *worker-slot budget*, not an SM partition: all SM
-	// goroutines exist, but at most ParallelSMs of them execute
-	// simultaneously, and slots migrate from gate-blocked or finished SMs
-	// to SMs with ready work. Setting it above NumSMs is therefore
-	// harmless, and a value below NumSMs still drives every SM. Zero
-	// defaults to runtime.NumCPU(). Results and stats are bit-identical
-	// across all settings; launches that attach a non-parallel-safe tracer
-	// (see ParallelTracer), a fault-injection plan, or an OnProgress
-	// callback fall back to the sequential loop (recorded in
-	// LaunchStats.SequentialFallback).
+	// ParallelSMs selects the host execution mode. In both modes the warp
+	// holding an execution token applies its own cost, picks the successor
+	// and hands the token straight to it — no supervisor round-trip per
+	// instruction. 1 runs one scheduling domain over every SM on the
+	// launching goroutine; any value > 1 runs each simulated SM as its own
+	// domain on its own host goroutine, synchronizing only at global-memory
+	// atomics and block admission. In parallel mode the value is a
+	// *worker-slot budget*, not an SM partition: all SM goroutines exist,
+	// but at most ParallelSMs of them execute simultaneously, and slots
+	// migrate from gate-blocked or finished SMs to SMs with ready work.
+	// Setting it above NumSMs is therefore harmless, and a value below
+	// NumSMs still drives every SM. Zero defaults to runtime.NumCPU().
+	// Results and stats are bit-identical across all settings; launches
+	// that attach a non-parallel-safe tracer (see ParallelTracer), a
+	// fault-injection plan, or an OnProgress callback fall back to the
+	// sequential loop (recorded in LaunchStats.SequentialFallback). No
+	// block is admitted after an abort in either mode; a failed sequential
+	// launch is deterministic, while a failed parallel launch's partial
+	// stats depend on host timing.
 	ParallelSMs int
 
 	// Sanitize runs every launch under the attached sanitizer (see

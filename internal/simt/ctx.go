@@ -217,19 +217,9 @@ func (c *WarpCtx) sanShared(kind AccessKind, s *SharedI32, idx []int32, val []in
 	san.SharedAccess(&c.sa)
 }
 
-// charge reports an instruction's cost to the scheduler and blocks until the
-// warp is granted its next slot.
-func (c *WarpCtx) charge(r request) {
-	// Direct-handoff in both host modes: this goroutine holds the execution
-	// token (the launch-wide token sequentially, its SM's token in parallel
-	// mode), so it applies its own cost and passes the token itself — zero
-	// goroutine switches when the scheduler picks it again.
-	if c.l.parallel {
-		c.l.smStep(c.w, r)
-		return
-	}
-	c.l.seqStep(c.w, r)
-}
+// charge reports an instruction's cost to the scheduler and returns when the
+// warp holds its domain's execution token again (see step).
+func (c *WarpCtx) charge(r request) { c.l.step(c.w, r) }
 
 func (c *WarpCtx) activeCount() int { return c.activeN }
 
@@ -1008,7 +998,13 @@ func (c *WarpCtx) atomStoreF32(b *BufF32, i int32, v float32) {
 
 func (c *WarpCtx) atomicI32(b *BufI32, idx []int32, apply func(lane int)) {
 	c.sanGlobal(AccessAtomic, b, nil, idx, nil, nil)
-	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
+	c.atomic(b.base, len(b.data), b.name, idx, apply)
+}
+
+// atomic charges a global atomic on a buffer of n elements at base, then
+// runs apply on every active lane, in lane order, under the atomic gate.
+func (c *WarpCtx) atomic(base uint64, n int, name string, idx []int32, apply func(lane int)) {
+	addrs, active := c.gatherAddrsBuf(base, n, name, idx)
 	if active == 0 {
 		return
 	}
@@ -1016,11 +1012,7 @@ func (c *WarpCtx) atomicI32(b *BufI32, idx []int32, apply func(lane int)) {
 	c.w.sm.stats.AtomicSerial += serial
 	c.chargeMem(addrs, active, memAtomic, serial*c.l.cfg.AtomicExtraLatency)
 	if !c.l.gateEnter(c.w.sm) {
-		// Aborted while waiting for the gate. This goroutine holds its SM's
-		// execution token (parallel mode only — sequential gateEnter never
-		// fails), so smFinish must self-account it like a drained warp.
-		c.w.seqSelfAbort = true
-		panic(errAborted)
+		panic(errAborted) // aborted while waiting; runWarp unwinds the warp
 	}
 	if c.fullMask() {
 		for lane := 0; lane < c.width; lane++ {
@@ -1108,40 +1100,14 @@ func (c *WarpCtx) AtomicExchI32(b *BufI32, idx []int32, val []int32, old []int32
 // AtomicAddF32 is the float32 atomic add.
 func (c *WarpCtx) AtomicAddF32(b *BufF32, idx []int32, delta []float32, old []float32) {
 	c.sanGlobal(AccessAtomic, nil, b, idx, nil, nil)
-	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	if active == 0 {
-		return
-	}
-	serial := int64(conflictGroups(addrs) - 1)
-	c.w.sm.stats.AtomicSerial += serial
-	c.chargeMem(addrs, active, memAtomic, serial*c.l.cfg.AtomicExtraLatency)
-	if !c.l.gateEnter(c.w.sm) {
-		// Aborted while waiting for the gate. This goroutine holds its SM's
-		// execution token (parallel mode only — sequential gateEnter never
-		// fails), so smFinish must self-account it like a drained warp.
-		c.w.seqSelfAbort = true
-		panic(errAborted)
-	}
-	apply := func(lane int) {
+	c.atomic(b.base, len(b.data), b.name, idx, func(lane int) {
 		i := idx[lane]
 		cur := c.atomLoadF32(b, i)
 		if old != nil {
 			old[lane] = cur
 		}
 		c.atomStoreF32(b, i, cur+delta[lane])
-	}
-	if c.fullMask() {
-		for lane := 0; lane < c.width; lane++ {
-			apply(lane)
-		}
-	} else {
-		for lane := 0; lane < c.width; lane++ {
-			if c.mask[lane] {
-				apply(lane)
-			}
-		}
-	}
-	c.l.gateExit(c.w.sm)
+	})
 }
 
 // --- shared memory & barriers ------------------------------------------------

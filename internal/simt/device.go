@@ -40,6 +40,9 @@ type Device struct {
 	// fields plus Cycles; the per-warp vectors are per-launch only).
 	totals   LaunchStats
 	launches int64
+	// handoffs counts execution-token transfers between goroutines across
+	// launches (see domain.handoffs): the simulator's host cost per step.
+	handoffs int64
 
 	// warpPool recycles warp runtimes (goroutine channels plus lane-state
 	// slabs and register files) across launches, so steady-state repeated

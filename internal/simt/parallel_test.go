@@ -47,6 +47,13 @@ func mixedKernel(data, hist, olds *BufI32, acc *BufF32) Kernel {
 // mode and returns the stats plus final buffer contents.
 func runMixed(t *testing.T, parallelSMs int) (*LaunchStats, []int32, []int32, []int32, []float32) {
 	t.Helper()
+	_, stats, data, hist, olds, acc := runMixedDevice(t, parallelSMs)
+	return stats, data, hist, olds, acc
+}
+
+// runMixedDevice is runMixed that also returns the device it launched on.
+func runMixedDevice(t *testing.T, parallelSMs int) (*Device, *LaunchStats, []int32, []int32, []int32, []float32) {
+	t.Helper()
 	cfg := testConfig()
 	cfg.NumSMs = 8
 	cfg.ParallelSMs = parallelSMs
@@ -64,7 +71,7 @@ func runMixed(t *testing.T, parallelSMs int) (*LaunchStats, []int32, []int32, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats,
+	return d, stats,
 		append([]int32(nil), data.Data()...),
 		append([]int32(nil), hist.Data()...),
 		append([]int32(nil), olds.Data()...),

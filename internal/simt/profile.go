@@ -44,14 +44,6 @@ func BucketUpperBound(i int) int64 {
 	return int64(1)<<uint(i) - 1
 }
 
-// Mean returns the average observed sample (0 when empty).
-func (h *ProfileHist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 func (h *ProfileHist) add(o *ProfileHist) {
 	for i := range h.Buckets {
 		h.Buckets[i] += o.Buckets[i]

@@ -10,16 +10,19 @@ import (
 )
 
 // The simulation protocol: every warp runs its kernel on a dedicated
-// goroutine, and within one SM exactly one goroutine (a warp or the SM's
-// event loop) executes at any moment. A warp blocks inside charge() after
-// sending a cost request; the SM loop picks the next warp to advance by
-// simulated time and hands the execution token back over the warp's resume
-// channel.
+// goroutine. A scheduling domain is the set of SMs one execution token
+// serves, and within a domain exactly one goroutine holds the token and
+// executes at any moment. The holder is the domain's loop before the first
+// pick, then a warp: at every instruction the warp applies its own cost,
+// supervises, picks the domain's next runner and hands the token straight
+// to it over that warp's resume channel (or keeps running when it picks
+// itself). The token returns to the loop only when the domain runs dry.
 //
-// With Config.ParallelSMs == 1 a single host goroutine multiplexes all SMs,
-// always stepping the SM with the smallest clock (lowest id on ties). With
-// ParallelSMs > 1 every SM's event loop runs on its own host goroutine and
-// the SMs advance concurrently. Determinism is preserved by construction:
+// With Config.ParallelSMs == 1 one domain spans every SM and its loop runs
+// on the launching goroutine; each pick takes the SM with the smallest clock
+// (lowest id on ties). With ParallelSMs > 1 every SM is its own domain on
+// its own host goroutine and the SMs advance concurrently. Determinism is
+// preserved by construction:
 //
 //   - Plain global-memory stores go to a per-SM write shadow and plain loads
 //     read base-overridden-by-own-shadow (see mem.go), so no plain access
@@ -34,10 +37,14 @@ import (
 //     launch end; Cycles = max over SMFinish.
 //
 // The result: identical memory contents and bit-identical LaunchStats for
-// every ParallelSMs setting. The one caveat is aborts — which host goroutine
-// trips a fault or timeout first is timing-dependent, so the partial stats of
-// a FAILED parallel launch (and which of several concurrent errors is
-// reported) may vary run to run. Successful launches are fully deterministic.
+// every ParallelSMs setting. An abort unwinds the same way in both modes: no
+// block is admitted after it, and each domain's token visits every remaining
+// resident warp once, which unwinds and marks itself done. Failed sequential
+// launches are therefore deterministic. In parallel mode, which host
+// goroutine trips a fault or timeout first is timing-dependent, so the
+// partial stats of a FAILED parallel launch (and which of several concurrent
+// errors is reported) may vary run to run. Successful launches are fully
+// deterministic.
 
 type opClass uint8
 
@@ -70,7 +77,7 @@ var errAborted = errors.New("simt: launch aborted")
 const neverReady = math.MaxInt64
 
 // gateIdle marks an SM with no pending gated operation (and is the horizon
-// published by an SM whose event loop has exited).
+// published by an SM whose domain loop has exited).
 const gateIdle = int64(math.MaxInt64)
 
 type warpRT struct {
@@ -89,14 +96,8 @@ type warpRT struct {
 	inBarrier bool
 	arrivedAt int64
 
-	// seqSelfAbort marks a warp that initiated the launch abort from its own
-	// charge (direct-handoff mode): every other warp was drained by fail()
-	// while this one was still mid-kernel, so its unwind must account itself
-	// the way drainSM would have.
-	seqSelfAbort bool
-
-	resume chan int64
-	req    chan request
+	// resume hands this warp its domain's execution token.
+	resume chan struct{}
 	ctx    *WarpCtx
 	block  *blockRT
 	sm     *smRT
@@ -136,30 +137,50 @@ type smRT struct {
 
 	// warpFree recycles warp runtimes (channels + lane-state slabs) retired
 	// by this SM; admission reuses them before touching the device-level
-	// pool. Only the goroutine driving this SM's event loop touches it.
+	// pool. Only the goroutine holding this SM's token touches it.
 	warpFree []*warpRT
 
 	// slotHeld marks that this SM currently holds one of the launch's host
 	// worker slots (parallel mode). It is accessed only by the goroutine
-	// currently executing on behalf of this SM — the event loop or the warp
-	// it has handed the token to — so it needs no synchronization.
+	// holding this SM's token, so it needs no synchronization.
 	slotHeld bool
 
-	// token is the warp currently holding this SM's execution token in
-	// parallel direct-handoff mode; nil while the event loop holds it. Writes
-	// are chained by the channel operations that transfer the token, so no
-	// synchronization is needed.
-	token *warpRT
-	// loopResume wakes the SM event loop when the token chain ends (warp
-	// finished with no successor, abort, or no runnable warp).
-	loopResume chan struct{}
+	// dom is the scheduling domain this SM belongs to.
+	dom *domain
 
-	// stepKey is the SM clock at the top of the current event-loop step —
-	// the ordering key of every memory effect the step produces.
+	// stepKey is the SM clock at the top of the current step — the ordering
+	// key of every memory effect the step produces.
 	stepKey int64
 	// stats is this SM's shard of the launch counters; shards merge in
 	// ascending SM id at launch end so totals are order-independent.
 	stats LaunchStats
+}
+
+// domain is a scheduling domain: the SMs one execution token serves. Only
+// the token holder touches it, and the channel operations that pass the
+// token order those accesses, so it needs no lock.
+type domain struct {
+	// sms holds the domain's SMs that may still have work, in ascending id.
+	// An SM whose has-work check fails is dropped permanently: its resident
+	// warps are all done (liveWarps is monotone down to 0 between
+	// admissions), and either no blocks remain (nextBlock is monotone) or it
+	// cannot admit — and an SM with zero resident blocks that cannot admit
+	// never can. The stable in-place filter preserves ascending-id order, so
+	// the smallest-clock / lowest-id tie-break matches a full scan exactly.
+	sms []*smRT
+	// secondClock/secondID cache the best (clock, id) among live SMs other
+	// than the one the last full scan picked. Other SMs' clocks and work
+	// sets are frozen while the token stays on one SM (only its own warps
+	// execute and only a full scan drops SMs), so as long as that SM still
+	// lexicographically precedes the runner-up, the scan would pick it again
+	// and pick skips it. A one-SM domain's runner-up is +inf.
+	secondClock int64
+	secondID    int
+	// wake hands the token back to the domain's loop.
+	wake chan struct{}
+	// handoffs counts token transfers between goroutines: loop→warp,
+	// warp→warp and warp→loop.
+	handoffs int64
 }
 
 type launch struct {
@@ -173,13 +194,17 @@ type launch struct {
 	san    Sanitizer
 
 	sms           []*smRT
+	doms          []domain
 	warpsPerBlock int
 	nextBlock     atomic.Int64
 	totalBlocks   int
 
 	// maxCycles is the launch's resolved cycle budget (config overridden by
-	// LaunchOpts), read by both host modes' supervision checks.
+	// LaunchOpts), read by supervise.
 	maxCycles int64
+	// progressEvery/nextProgress pace LaunchOpts.OnProgress calls.
+	progressEvery int64
+	nextProgress  int64
 
 	// admitDepth caps resident blocks per SM at admission time. Under the
 	// default "fifo" schedule it equals MaxBlocksPerSM — every SM eagerly
@@ -193,42 +218,22 @@ type launch struct {
 	// modes and bit-deterministic.
 	admitDepth int
 
-	// parallel selects per-SM host goroutines; when false the gate calls
-	// below are no-ops and a single goroutine multiplexes the SMs.
+	// parallel selects one domain per SM on its own host goroutine; when
+	// false the gate calls below are no-ops and one domain spans every SM.
 	parallel bool
 
 	// slots is the host worker-slot pool (parallel mode): ParallelSMs tokens
-	// shared by all SM goroutines. An SM must hold a slot to execute its
-	// event loop and releases it while blocked in the atomic gate, so host
-	// workers migrate from stalled/finished SMs to SMs with ready work — the
-	// paper's dynamic workload distribution applied at host level — without
-	// perturbing the (stepKey, smID) effect order.
+	// shared by all domain goroutines. An SM must hold a slot to execute and
+	// releases it while blocked in the atomic gate, so host workers migrate
+	// from stalled/finished SMs to SMs with ready work — the paper's dynamic
+	// workload distribution applied at host level — without perturbing the
+	// (stepKey, smID) effect order.
 	slots chan struct{}
 
 	aborted  atomic.Bool
 	failMu   sync.Mutex
 	abortErr error
 	injFired bool
-
-	// Direct-handoff state (sequential mode only). Exactly one goroutine — the
-	// token holder — executes at any moment: it applies its own instruction
-	// cost, runs the supervision checks, and picks the next runner itself, so
-	// an instruction costs zero goroutine switches when the scheduler picks
-	// the same warp again and one switch (down from two) otherwise. The
-	// supervisor goroutine only starts the chain and parks on seqDone.
-	seqLive          []*smRT       // SMs that may still have work (permanent-drop filter)
-	seqDone          chan struct{} // closed by the token holder when no work remains
-	seqTokenWarp     *warpRT       // current token holder, nil when the supervisor holds it
-	seqProgressEvery int64
-	seqNextProgress  int64
-	// seqSecondClock/seqSecondID cache the best (clock, id) among live SMs
-	// other than the one last picked. Other SMs' clocks and work sets are
-	// frozen while the token stays on one SM (only its own warps execute and
-	// only a full pick consumes the global block cursor), so as long as the
-	// current SM still lexicographically precedes this cached runner-up, it
-	// remains the full scan's choice and seqStep can skip the rescan.
-	seqSecondClock int64
-	seqSecondID    int
 
 	// Atomic-gate state (parallel mode only). horizons[i] is SM i's current
 	// step key (gateIdle once its loop exits); pending[i] is the key of SM
@@ -237,10 +242,14 @@ type launch struct {
 	// could be unblocked. gateMu is held for the duration of every gated
 	// operation, making them mutually exclusive; the (horizon, id) ordering
 	// rule makes them execute in the sequential loop's exact order.
+	horizons []atomic.Int64
+	pending  []int64
+	gateCond *sync.Cond
+	// Every gated operation writes gateMu and minPending. The pad keeps them
+	// off the cache line of the fields above, which every step reads:
+	// sharing it cost parallel BFS about 3% wall-clock (EXPERIMENTS.md).
+	_          [64]byte
 	gateMu     sync.Mutex
-	gateCond   *sync.Cond
-	horizons   []atomic.Int64
-	pending    []int64
 	minPending atomic.Int64
 }
 
@@ -327,6 +336,11 @@ func (l *launch) run() (*LaunchStats, error) {
 		maxCycles = l.opts.MaxCycles
 	}
 	l.maxCycles = maxCycles
+	l.progressEvery = l.opts.ProgressEvery
+	if l.progressEvery == 0 {
+		l.progressEvery = 65536
+	}
+	l.nextProgress = l.progressEvery
 	mode, fallback := l.execMode()
 	l.parallel = mode > 1
 	l.stats.ParallelSMs = mode
@@ -345,9 +359,17 @@ func (l *launch) run() (*LaunchStats, error) {
 	}
 	l.trace(TraceEvent{Kind: TraceLaunchStart, Warp: -1, Block: -1, SM: -1})
 	if l.parallel {
-		l.runParallel(maxCycles)
+		l.runParallel()
 	} else {
-		l.runSequential(maxCycles)
+		// One domain over every SM, driven from this goroutine: the single
+		// global (clock, SM) order the tracer, the sanitizer, fault
+		// injection and OnProgress observe.
+		l.doms = make([]domain, 1)
+		l.doms[0].init(l.sms)
+		l.loop(&l.doms[0])
+	}
+	for i := range l.doms {
+		l.dev.handoffs += l.doms[i].handoffs
 	}
 	// A transient injection whose cycle the kernel outran still fires at
 	// drain: a bit-flip already corrupted memory, so swallowing it would be
@@ -388,240 +410,31 @@ func (l *launch) run() (*LaunchStats, error) {
 	return l.stats, nil
 }
 
-// runSequential drives the launch in direct-handoff mode: it performs the
-// first scheduling pick, hands the execution token to that warp's goroutine,
-// and parks until the token holders report completion. From then on every
-// warp applies its own instruction cost and passes the token itself (see
-// seqStep / seqFinish), which preserves the classic event loop's exact
-// operation order — [pick, preamble, execute, apply, supervise] per step —
-// while eliminating half (often all) of the per-instruction goroutine
-// switches.
-func (l *launch) runSequential(maxCycles int64) {
-	l.seqProgressEvery = l.opts.ProgressEvery
-	if l.seqProgressEvery == 0 {
-		l.seqProgressEvery = 65536
-	}
-	l.seqNextProgress = l.seqProgressEvery
-	// seqLive holds the SMs that may still have work. An SM whose has-work
-	// check fails is dropped permanently: its resident warps are all done
-	// (liveWarps is monotone down to 0 between admissions), and either no
-	// blocks remain (nextBlock is monotone) or it cannot admit — and an SM
-	// with zero resident blocks that cannot admit never can. The stable
-	// in-place filter preserves ascending-id order, so the smallest-clock /
-	// lowest-id tie-break matches the full scan exactly.
-	l.seqLive = make([]*smRT, len(l.sms))
-	copy(l.seqLive, l.sms)
-	l.seqDone = make(chan struct{})
-	first := l.seqPick()
-	if first == nil {
-		return
-	}
-	l.seqTokenWarp = first
-	first.resume <- first.sm.clock
-	<-l.seqDone
-	l.seqTokenWarp = nil
-}
-
-// seqPick selects the next warp to execute: the smallest-clock SM with work
-// (lowest id on ties), block admission, then that SM's scheduler policy. It
-// also performs the pre-step bookkeeping the classic loop did in stepSM —
-// stall accounting and the clock advance — so the returned warp is ready to
-// run the moment it receives the token. Returns nil when no SM has work.
-// Caller must hold the execution token (or be the supervisor before any warp
-// has started).
-func (l *launch) seqPick() *warpRT {
-	for {
-		var sm *smRT
-		secondClock := int64(math.MaxInt64)
-		secondID := math.MaxInt32
-		n := 0
-		for _, s := range l.seqLive {
-			if !l.smHasWork(s) {
-				continue
-			}
-			l.seqLive[n] = s
-			n++
-			switch {
-			case sm == nil:
-				sm = s
-			case s.clock < sm.clock:
-				// The scan runs in ascending SM id, so the displaced best is
-				// the lexicographic runner-up so far.
-				secondClock, secondID = sm.clock, sm.id
-				sm = s
-			case s.clock < secondClock:
-				secondClock, secondID = s.clock, s.id
-			}
-		}
-		l.seqLive = l.seqLive[:n]
-		if sm == nil {
-			return nil
-		}
-		l.seqSecondClock, l.seqSecondID = secondClock, secondID
-		sm.stepKey = sm.clock
-		l.admitBlocks(sm)
-		w := l.nextWarp(sm)
-		if w == nil {
-			continue
-		}
-		l.seqPreamble(sm, w)
-		return w
-	}
-}
-
-// seqPreamble performs the pre-execution bookkeeping the classic loop did in
-// stepSM after choosing a warp: stall accounting (suppressed for a lone
-// not-yet-started warp, i.e. plain admission latency) and the clock advance
-// to the warp's ready time.
-func (l *launch) seqPreamble(sm *smRT, w *warpRT) {
-	if w.readyAt > sm.clock {
-		// liveWarps counts resident not-done warps and w is one of them, so
-		// "another live warp exists" is exactly liveWarps > 1.
-		if sm.liveWarps > 1 || w.started {
-			sm.stats.StallCycles += w.readyAt - sm.clock
-			if p := sm.stats.Profile; p != nil {
-				p.StallWait.Observe(w.readyAt - sm.clock)
-			}
-		}
-		sm.clock = w.readyAt
-	}
-	w.started = true
-}
-
-// seqSupervise runs the post-step checks (fault injection, MaxCycles,
-// OnProgress) for the SM just stepped — the same checks, in the same order,
-// the classic loop ran after every stepSM.
-func (l *launch) seqSupervise(sm *smRT) {
-	if l.aborted.Load() {
-		return
-	}
-	if l.inj != nil && !l.injFired && sm.clock >= l.inj.abortAt {
-		l.fireInjection()
-		return
-	}
-	if sm.clock > l.maxCycles {
-		l.fail(fmt.Errorf("simt: launch exceeded MaxCycles=%d (possible kernel livelock): %w",
-			l.maxCycles, ErrLaunchTimeout))
-		return
-	}
-	if l.opts.OnProgress != nil && sm.clock >= l.seqNextProgress {
-		for l.seqNextProgress <= sm.clock {
-			l.seqNextProgress += l.seqProgressEvery
-		}
-		if err := l.opts.OnProgress(sm.clock); err != nil {
-			l.fail(fmt.Errorf("simt: launch cancelled at cycle %d: %w: %w",
-				sm.clock, ErrLaunchCancelled, err))
-		}
-	}
-}
-
-// seqStep is charge's fast path in direct-handoff mode: the calling warp
-// holds the token, applies its own instruction cost, supervises, and picks
-// the next runner. If the scheduler picks this same warp it simply returns —
-// zero goroutine switches; otherwise it hands the token straight to the next
-// warp and parks.
-func (l *launch) seqStep(w *warpRT, r request) {
-	l.apply(w.sm, w, r)
-	l.seqSupervise(w.sm)
-	if l.aborted.Load() {
-		// fail() drained every parked warp (drainSM skips the token holder);
-		// unwind this one through the kernel stack. seqFinish accounts it.
-		w.seqSelfAbort = true
-		panic(errAborted)
-	}
-	var next *warpRT
-	sm := w.sm
-	if sm.clock < l.seqSecondClock || (sm.clock == l.seqSecondClock && sm.id < l.seqSecondID) {
-		// Fast path: sm still precedes every other live SM, so the full scan
-		// would pick it again — skip the scan and run the rest of the step
-		// verbatim. admitBlocks stays: it admits at most one block per step
-		// (the breadth-first distributor cadence), so skipping it here would
-		// starve admission between warp completions. Its no-op pre-check is
-		// O(1). (If every candidate is barrier-blocked, fall through to the
-		// full pick.)
-		sm.stepKey = sm.clock
-		l.admitBlocks(sm)
-		if next = l.nextWarp(sm); next != nil {
-			l.seqPreamble(sm, next)
-		}
-	}
-	if next == nil {
-		next = l.seqPick()
-	}
-	if next == w {
-		return
-	}
-	if next == nil {
-		// Unreachable: this warp is live (and a barrier arrival that empties
-		// the ready set releases its own barrier), so the pick set cannot be
-		// empty. Fail loudly rather than deadlock.
-		panic(fmt.Sprintf("simt: internal: no runnable warp while warp %d is live", w.globalID))
-	}
-	l.seqTokenWarp = next
-	next.resume <- next.sm.clock
-	<-w.resume
-	if l.aborted.Load() {
-		// Woken by drainSM, not by a token handoff: unwind; the deferred
-		// opDone send below (runWarp) answers the drain loop.
-		panic(errAborted)
-	}
-}
-
-// seqFinish completes a warp in direct-handoff mode (the token holder's
-// replacement for the final opDone request): account the finished warp, then
-// pass the token on, or wake the supervisor when no work remains. Post-abort
-// it keeps the classic loop's admission-drain behavior: remaining blocks are
-// still admitted and immediately retired through apply, one victim handing
-// the token to the next.
-func (l *launch) seqFinish(w *warpRT, err error) {
-	if l.aborted.Load() && w.seqSelfAbort {
-		// This warp triggered the abort from its own charge; every other
-		// resident warp was drained by fail(). Account it the way drainSM
-		// accounts a drained warp.
-		w.seqSelfAbort = false
-		w.done = true
-		w.sm.readyKey[w.smIdx] = neverReady
-		w.sm.liveWarps--
-		if w.block.liveWarps > 0 {
-			w.block.liveWarps--
-		}
-	} else {
-		l.apply(w.sm, w, request{class: opDone, err: err})
-		l.seqSupervise(w.sm)
-	}
-	next := l.seqPick()
-	l.seqTokenWarp = next
-	if next == nil {
-		close(l.seqDone)
-		return
-	}
-	next.resume <- next.sm.clock
-}
-
-// runParallel runs every SM's event loop on its own host goroutine, with at
-// most ParallelSMs of them executing at any moment: each goroutine must hold
-// a slot from l.slots to step, and slots migrate from gate-blocked or
+// runParallel runs one domain per SM, each on its own host goroutine, with
+// at most ParallelSMs of them executing at any moment: each goroutine must
+// hold a slot from l.slots to step, and slots migrate from gate-blocked or
 // finished SMs to SMs with ready work. Simulated behavior is independent of
 // the slot count — slots only bound host-level concurrency.
-func (l *launch) runParallel(maxCycles int64) {
+func (l *launch) runParallel() {
 	mode := l.stats.ParallelSMs
 	l.slots = make(chan struct{}, mode)
 	for i := 0; i < mode; i++ {
 		l.slots <- struct{}{}
 	}
+	l.doms = make([]domain, len(l.sms))
 	var wg sync.WaitGroup
-	for _, sm := range l.sms {
-		if sm.loopResume == nil {
-			// Lazily armed here so sequential launches never pay for it.
-			sm.loopResume = make(chan struct{})
-		}
+	for i, sm := range l.sms {
+		d := &l.doms[i]
+		d.init(l.sms[i : i+1])
 		wg.Add(1)
-		go func(sm *smRT) {
+		go func() {
 			defer wg.Done()
 			// Unblock any gated op still waiting on this SM's horizon.
 			defer l.publishHorizon(sm.id, gateIdle)
-			l.smLoop(sm, maxCycles)
-		}(sm)
+			l.acquireSlot(sm)
+			defer l.releaseSlot(sm)
+			l.loop(d)
+		}()
 	}
 	wg.Wait()
 }
@@ -647,142 +460,203 @@ func (l *launch) releaseSlot(sm *smRT) {
 	l.slots <- struct{}{}
 }
 
-// smLoop is one SM's event loop in parallel mode, now in the same
-// direct-handoff shape as the sequential supervisor: it performs a
-// scheduling pick, hands the execution token to the chosen warp's goroutine,
-// and parks until the token chain ends. From then on every warp applies its
-// own instruction cost and passes the token itself (smStep / smFinish), so
-// an instruction costs zero goroutine switches when the scheduler picks the
-// same warp again and one switch (down from two) otherwise — the same
-// per-step order as before: [publish horizon, admit, pick, preamble,
-// execute, apply, supervise].
-//
-// The horizon published at the top of each step is the ordering key of every
-// memory effect the step can produce; it is monotone because the SM clock
-// never decreases.
-func (l *launch) smLoop(sm *smRT, maxCycles int64) {
-	l.acquireSlot(sm)
-	defer l.releaseSlot(sm)
-	for {
-		if l.aborted.Load() {
-			l.drainSM(sm)
-			return
-		}
-		if !l.smHasWork(sm) {
-			return
-		}
-		l.publishHorizon(sm.id, sm.clock)
-		sm.stepKey = sm.clock
-		l.admitBlocks(sm)
-		w := l.nextWarp(sm)
-		if w == nil {
-			// Either admission lost the race for the last block (the next
-			// has-work check returns false) or the launch aborted inside the
-			// admission gate (the abort check drains). Never a livelock: a
-			// live warp always yields a pick.
-			continue
-		}
-		l.seqPreamble(sm, w)
-		sm.token = w
-		w.resume <- sm.clock
-		<-sm.loopResume
-		sm.token = nil
+// init makes d the scheduling domain of sms. The domain keeps its own copy,
+// which pick filters in place.
+func (d *domain) init(sms []*smRT) {
+	d.sms = append([]*smRT(nil), sms...)
+	d.wake = make(chan struct{})
+	for _, sm := range sms {
+		sm.dom = d
 	}
 }
 
-// smStep is charge's fast path in parallel mode: the calling warp holds its
-// SM's execution token, applies its own instruction cost, supervises, and
-// picks the SM's next runner. If the scheduler picks this same warp it
-// simply returns — zero goroutine switches; otherwise it hands the token
-// straight to the next warp and parks. The per-step effect order — and with
-// it the sequence of gated admission attempts, hence the block→SM
-// assignment — is identical to the classic event loop's.
-func (l *launch) smStep(w *warpRT, r request) {
+// loop drives one domain: it picks the first runner, hands it the token and
+// parks until the token comes back, which happens only once the domain has
+// nothing left to run (or has unwound after an abort).
+func (l *launch) loop(d *domain) {
+	for {
+		w := l.pick(d, nil)
+		if w == nil {
+			return
+		}
+		l.handOff(d, w)
+		<-d.wake
+	}
+}
+
+// step is charge's body, run by the warp holding its domain's token: apply
+// the instruction's cost, supervise, pick the next runner and hand the token
+// over. When the warp picks itself it simply returns — zero goroutine
+// switches. A warp that wakes (or keeps running) after an abort unwinds.
+func (l *launch) step(w *warpRT, r request) {
 	sm := w.sm
 	l.apply(sm, w, r)
-	if sm.clock > l.maxCycles && !l.aborted.Load() {
-		l.fail(fmt.Errorf("simt: launch exceeded MaxCycles=%d (possible kernel livelock): %w",
-			l.maxCycles, ErrLaunchTimeout))
-	}
-	if l.aborted.Load() {
-		// Unwind through the kernel stack; smFinish accounts this warp the
-		// way drainSM accounts the others, then wakes the loop to drain.
-		w.seqSelfAbort = true
-		panic(errAborted)
-	}
-	l.publishHorizon(sm.id, sm.clock)
-	sm.stepKey = sm.clock
-	l.admitBlocks(sm)
-	if l.aborted.Load() {
-		w.seqSelfAbort = true
-		panic(errAborted)
-	}
-	next := l.nextWarp(sm)
+	l.supervise(sm)
+	next := l.pick(sm.dom, sm)
 	if next == nil {
-		// No runnable warp this step (transient: admission raced away the
-		// last block while this warp is mid-barrier, etc.) — give the token
-		// back to the loop, which re-evaluates has-work. This warp parks
-		// below like any other handoff.
-		sm.token = nil
-		sm.loopResume <- struct{}{}
-	} else {
-		l.seqPreamble(sm, next)
-		if next == w {
-			return
-		}
-		sm.token = next
-		next.resume <- sm.clock
+		// Unreachable: this warp is live (and a barrier arrival that empties
+		// the ready set releases its own barrier), so the pick set cannot be
+		// empty. Fail loudly rather than deadlock.
+		panic(fmt.Sprintf("simt: internal: no runnable warp while warp %d is live", w.globalID))
 	}
-	<-w.resume
+	if next != w {
+		l.handOff(sm.dom, next)
+		<-w.resume
+	}
 	if l.aborted.Load() {
-		// Woken by drainSM (token elsewhere: the deferred opDone send in
-		// runWarp answers the drain loop) or handed a token concurrently
-		// with an abort (smFinish self-accounts).
-		w.seqSelfAbort = sm.token == w
 		panic(errAborted)
 	}
 }
 
-// smFinish completes a warp in parallel direct-handoff mode — the token
-// holder's replacement for the final opDone send: account the finished
-// warp, then pass the token to the SM's next runner, or wake the event loop
-// when the chain ends (no runnable warp, or abort).
-func (l *launch) smFinish(w *warpRT, err error) {
+// finish retires a warp whose kernel returned, faulted or unwound, then
+// passes the token on. An unwound warp only marks itself done: nothing an
+// aborted launch reports moves after the abort.
+func (l *launch) finish(w *warpRT, err error, unwound bool) {
 	sm := w.sm
-	if l.aborted.Load() && w.seqSelfAbort {
-		// This warp aborted out of its own charge or gate wait; every other
-		// resident warp is drained by the loop. Account it the way drainSM
-		// accounts a drained warp.
-		w.seqSelfAbort = false
+	if unwound {
 		w.done = true
 		sm.readyKey[w.smIdx] = neverReady
 		sm.liveWarps--
-		if w.block.liveWarps > 0 {
-			w.block.liveWarps--
+		w.block.liveWarps--
+	} else {
+		l.apply(sm, w, request{class: opDone, err: err})
+		l.supervise(sm)
+	}
+	// w may be recycled by the pick's admission; touch only sm from here on.
+	l.handOff(sm.dom, l.pick(sm.dom, sm))
+}
+
+// handOff passes d's token to w, or back to d's loop when w is nil.
+func (l *launch) handOff(d *domain, w *warpRT) {
+	d.handoffs++
+	if w == nil {
+		d.wake <- struct{}{}
+		return
+	}
+	w.resume <- struct{}{}
+}
+
+// pick chooses d's next runner: the SM with the smallest (clock, id) among
+// those with work, then on that SM publish the horizon, admit at most one
+// block, pick a warp by the scheduler policy and run the preamble. cur is
+// the SM the caller just stepped; while it still precedes the cached
+// runner-up the scan would pick it again, so the scan is skipped. After an
+// abort it admits nothing and returns the next resident warp that has not
+// unwound. Nil means the domain has nothing left to run.
+func (l *launch) pick(d *domain, cur *smRT) *warpRT {
+	if cur != nil && !l.aborted.Load() &&
+		(cur.clock < d.secondClock || (cur.clock == d.secondClock && cur.id < d.secondID)) {
+		if w := l.pickOn(cur); w != nil {
+			return w
 		}
-		sm.loopResume <- struct{}{}
-		return
 	}
-	l.apply(sm, w, request{class: opDone, err: err})
-	if l.aborted.Load() {
-		sm.loopResume <- struct{}{}
-		return
+	for {
+		if l.aborted.Load() {
+			return d.unwindNext()
+		}
+		var sm *smRT
+		secondClock := int64(math.MaxInt64)
+		secondID := math.MaxInt32
+		n := 0
+		for _, s := range d.sms {
+			if !l.smHasWork(s) {
+				continue
+			}
+			d.sms[n] = s
+			n++
+			switch {
+			case sm == nil:
+				sm = s
+			case s.clock < sm.clock:
+				// The scan runs in ascending SM id, so the displaced best is
+				// the lexicographic runner-up so far.
+				secondClock, secondID = sm.clock, sm.id
+				sm = s
+			case s.clock < secondClock:
+				secondClock, secondID = s.clock, s.id
+			}
+		}
+		d.sms = d.sms[:n]
+		if sm == nil {
+			return nil
+		}
+		d.secondClock, d.secondID = secondClock, secondID
+		if w := l.pickOn(sm); w != nil {
+			return w
+		}
 	}
+}
+
+// pickOn is pick's per-SM half. It returns nil when sm has no runnable warp
+// or the launch aborted inside the admission gate. admitBlocks runs on every
+// pick, so the block distributor keeps its one-block-per-step cadence; its
+// no-op pre-check is O(1).
+func (l *launch) pickOn(sm *smRT) *warpRT {
 	l.publishHorizon(sm.id, sm.clock)
 	sm.stepKey = sm.clock
 	l.admitBlocks(sm)
 	if l.aborted.Load() {
-		sm.loopResume <- struct{}{}
+		return nil
+	}
+	w := l.nextWarp(sm)
+	if w == nil {
+		return nil
+	}
+	// The preamble: stall accounting (suppressed for a lone not-yet-started
+	// warp, i.e. plain admission latency) and the clock advance to the
+	// warp's ready time. liveWarps counts resident not-done warps and w is
+	// one of them, so "another live warp exists" is exactly liveWarps > 1.
+	if w.readyAt > sm.clock {
+		if sm.liveWarps > 1 || w.started {
+			sm.stats.StallCycles += w.readyAt - sm.clock
+			if p := sm.stats.Profile; p != nil {
+				p.StallWait.Observe(w.readyAt - sm.clock)
+			}
+		}
+		sm.clock = w.readyAt
+	}
+	w.started = true
+	return w
+}
+
+// unwindNext returns d's next resident warp that has not unwound, or nil
+// once every one has.
+func (d *domain) unwindNext() *warpRT {
+	for _, sm := range d.sms {
+		for _, w := range sm.warps {
+			if !w.done {
+				return w
+			}
+		}
+	}
+	return nil
+}
+
+// supervise runs the post-step checks (fault injection, MaxCycles,
+// OnProgress) for the SM just stepped. Injection and OnProgress force
+// sequential mode (execMode), so in parallel mode only the watchdog fires.
+func (l *launch) supervise(sm *smRT) {
+	if l.aborted.Load() {
 		return
 	}
-	next := l.nextWarp(sm)
-	if next == nil {
-		sm.loopResume <- struct{}{}
+	if l.inj != nil && !l.injFired && sm.clock >= l.inj.abortAt {
+		l.fireInjection()
 		return
 	}
-	l.seqPreamble(sm, next)
-	sm.token = next
-	next.resume <- sm.clock
+	if sm.clock > l.maxCycles {
+		l.fail(fmt.Errorf("simt: launch exceeded MaxCycles=%d (possible kernel livelock): %w",
+			l.maxCycles, ErrLaunchTimeout))
+		return
+	}
+	if l.opts.OnProgress != nil && sm.clock >= l.nextProgress {
+		for l.nextProgress <= sm.clock {
+			l.nextProgress += l.progressEvery
+		}
+		if err := l.opts.OnProgress(sm.clock); err != nil {
+			l.fail(fmt.Errorf("simt: launch cancelled at cycle %d: %w: %w",
+				sm.clock, ErrLaunchCancelled, err))
+		}
+	}
 }
 
 // fireInjection triggers the launch's planned fault.
@@ -805,7 +679,7 @@ func (l *launch) canAdmit(sm *smRT) bool {
 }
 
 // admitBlocks hands the SM at most one pending block per scheduling step.
-// Because steps are ordered by (clock, SM id) — explicitly by pickSM in
+// Because steps are ordered by (clock, SM id) — explicitly by the pick in
 // sequential mode, by the gate in parallel mode — this distributes blocks
 // breadth-first across SMs, matching the hardware block distributor, and the
 // block→SM assignment is identical in both modes.
@@ -819,7 +693,7 @@ func (l *launch) admitBlocks(sm *smRT) {
 		return
 	}
 	if !l.gateEnter(sm) {
-		return // aborted while waiting; the SM loop drains next
+		return // aborted while waiting; the pick unwinds the domain next
 	}
 	if l.nextBlock.Load() < int64(l.totalBlocks) && l.canAdmit(sm) {
 		blockID := int(l.nextBlock.Add(1) - 1)
@@ -838,7 +712,6 @@ func (l *launch) admitBlocks(sm *smRT) {
 			w.done = false
 			w.inBarrier = false
 			w.arrivedAt = 0
-			w.seqSelfAbort = false
 			w.block = b
 			w.sm = sm
 			w.ctx.reset(l, w)
@@ -865,9 +738,8 @@ func (l *launch) admitBlocks(sm *smRT) {
 // takeWarp returns a warp runtime for admission: this SM's own retired warps
 // first, then the device-level pool (accessed only under the admission gate,
 // which is mutually exclusive across SMs), then a fresh allocation. A
-// recycled warp's goroutine has fully exited — its final opDone send was
-// received by this SM's event loop before the block retired — so its
-// channels are quiescent and safe to reuse.
+// recycled warp's goroutine has passed the token on for the last time, so
+// its channel is quiescent and safe to reuse.
 func (l *launch) takeWarp(sm *smRT) *warpRT {
 	if n := len(sm.warpFree); n > 0 {
 		w := sm.warpFree[n-1]
@@ -880,8 +752,7 @@ func (l *launch) takeWarp(sm *smRT) *warpRT {
 		return w
 	}
 	return &warpRT{
-		resume: make(chan int64),
-		req:    make(chan request),
+		resume: make(chan struct{}),
 		ctx:    newWarpCtx(l.cfg.WarpWidth),
 	}
 }
@@ -891,7 +762,7 @@ func (l *launch) takeWarp(sm *smRT) *warpRT {
 const warpPoolCap = 4096
 
 // reclaimWarps moves the per-SM free lists into the device pool at launch
-// end (single-threaded: every SM loop has joined). Warps of unretired blocks
+// end (single-threaded: every domain loop has joined). Warps of unretired blocks
 // (failed launches) are simply dropped to the GC.
 func (l *launch) reclaimWarps() {
 	for _, sm := range l.sms {
@@ -911,11 +782,13 @@ func (l *launch) reclaimWarps() {
 
 // runWarp is the warp goroutine body. Any panic escaping the kernel —
 // including the typed *KernelFault panics raised by buffer bounds checks —
-// is recovered here, located (block/warp/cycle), and reported through the
-// opDone request so Launch returns it as a typed error.
+// is recovered here, located (block/warp/cycle), and reported through
+// finish so Launch returns it as a typed error. Every wake-up is a token
+// handoff, so the goroutine holds its domain's token when it finishes.
 func (l *launch) runWarp(w *warpRT) {
 	defer func() {
 		var err error
+		unwound := false
 		if r := recover(); r != nil {
 			switch v := r.(type) {
 			case *KernelFault:
@@ -923,28 +796,14 @@ func (l *launch) runWarp(w *warpRT) {
 				v.Cycle = w.sm.clock
 				err = v
 			case error:
-				if !errors.Is(v, errAborted) {
+				if unwound = errors.Is(v, errAborted); !unwound {
 					err = l.panicFault(w, r)
 				}
 			default:
 				err = l.panicFault(w, r)
 			}
 		}
-		if !l.parallel && l.seqTokenWarp == w {
-			// Direct-handoff mode and this goroutine holds the token:
-			// account ourselves and pass the token on without a channel
-			// round-trip. (A drained warp — woken by drainSM rather than a
-			// handoff — is not the token holder and uses the send below,
-			// which the drain loop is receiving.)
-			l.seqFinish(w, err)
-			return
-		}
-		if l.parallel && w.sm.token == w {
-			// Same in parallel mode, per SM: we hold this SM's token.
-			l.smFinish(w, err)
-			return
-		}
-		w.req <- request{class: opDone, err: err}
+		l.finish(w, err, unwound)
 	}()
 	<-w.resume
 	if l.aborted.Load() {
@@ -1124,16 +983,14 @@ func (l *launch) retireBlock(sm *smRT, b *blockRT) {
 	sm.warps = live
 	sm.readyKey = keys
 	sm.warpSlotsUsed -= l.warpsPerBlock
-	// Every warp of the block is done (its goroutine's final send was
-	// received by this loop), so the runtimes can serve the next admission.
+	// Every warp of the block is done and has passed the token on for the
+	// last time, so the runtimes can serve the next admission.
 	sm.warpFree = append(sm.warpFree, b.warps...)
 }
 
-// fail cancels the launch; the first error wins. In sequential mode every
-// live warp is synchronously woken, unwinds via the errAborted panic, and
-// reports done. In parallel mode each SM loop notices the flag and drains
-// its own warps; warps blocked in the atomic gate are woken by the
-// broadcast and unwind the same way.
+// fail cancels the launch; the first error wins. Each domain's token holder
+// notices the flag at its next pick and the domain unwinds; warps blocked in
+// the atomic gate are woken by the broadcast and unwind the same way.
 func (l *launch) fail(err error) {
 	l.failMu.Lock()
 	if l.abortErr == nil {
@@ -1141,43 +998,9 @@ func (l *launch) fail(err error) {
 	}
 	l.failMu.Unlock()
 	l.aborted.Store(true)
-	if l.parallel {
-		l.gateMu.Lock()
-		l.gateCond.Broadcast()
-		l.gateMu.Unlock()
-		return
-	}
-	for _, sm := range l.sms {
-		l.drainSM(sm)
-	}
-}
-
-// drainSM unwinds every live warp resident on sm. Must only be called from
-// the goroutine driving sm's event loop (or the sequential loop).
-func (l *launch) drainSM(sm *smRT) {
-	for _, w := range sm.warps {
-		if w == l.seqTokenWarp {
-			// Direct-handoff mode: the token holder is the goroutine whose
-			// charge initiated this abort — it unwinds itself after fail()
-			// returns (seqFinish accounts it). Pinging it here would
-			// deadlock. Always nil in parallel mode.
-			continue
-		}
-		for !w.done {
-			w.resume <- 0
-			r := <-w.req
-			if r.class == opDone {
-				w.done = true
-				sm.readyKey[w.smIdx] = neverReady
-				sm.liveWarps--
-				if w.block.liveWarps > 0 {
-					w.block.liveWarps--
-				}
-			}
-			// Any non-done request from an unwinding warp is impossible:
-			// charge panics immediately after resume when aborted.
-		}
-	}
+	l.gateMu.Lock()
+	l.gateCond.Broadcast()
+	l.gateMu.Unlock()
 }
 
 // --- the atomic gate -----------------------------------------------------

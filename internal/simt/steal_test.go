@@ -36,6 +36,14 @@ func powerLawGridKernel(data, hist *BufI32, maxSpin int32) Kernel {
 // and host mode and returns the stats plus final memory.
 func runPowerLaw(t *testing.T, schedule string, parallelSMs int) (*LaunchStats, []int32, []int32) {
 	t.Helper()
+	_, stats, data, hist := runPowerLawDevice(t, schedule, parallelSMs)
+	return stats, data, hist
+}
+
+// runPowerLawDevice is runPowerLaw that also returns the device it launched
+// on.
+func runPowerLawDevice(t *testing.T, schedule string, parallelSMs int) (*Device, *LaunchStats, []int32, []int32) {
+	t.Helper()
 	cfg := testConfig()
 	cfg.NumSMs = 8
 	cfg.ParallelSMs = parallelSMs
@@ -53,7 +61,7 @@ func runPowerLaw(t *testing.T, schedule string, parallelSMs int) (*LaunchStats, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats,
+	return d, stats,
 		append([]int32(nil), data.Data()...),
 		append([]int32(nil), hist.Data()...)
 }

@@ -500,16 +500,10 @@ func ForEachStaticBlocked(w *simt.WarpCtx, k int, numTasks int32, body func(t *T
 	}
 }
 
-// FetchChunk has one lane of the physical warp atomically advance the global
+// fetchChunk has one lane of the physical warp atomically advance the global
 // task counter by chunk and broadcasts the claimed base index to the warp —
-// the paper's dynamic workload distribution primitive. Loop callers should
-// hoist the three register vectors and use fetchChunk-style reuse (as
-// ForEachDynamic does) so repeated claims stay allocation-free.
-func FetchChunk(w *simt.WarpCtx, counter *simt.BufI32, chunk int32) int32 {
-	return fetchChunk(w, counter, w.ConstI32(0), w.ConstI32(chunk), w.VecI32())
-}
-
-// fetchChunk is FetchChunk with caller-owned registers: zero and chunkV are
+// the paper's dynamic workload distribution primitive. The registers are
+// caller-owned so repeated claims stay allocation-free: zero and chunkV are
 // the replicated index/delta vectors, old the landing pad for the claimed
 // counter value.
 func fetchChunk(w *simt.WarpCtx, counter *simt.BufI32, zero, chunkV, old []int32) int32 {
