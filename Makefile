@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint race benchgate check fuzz sanitize servesmoke mwbenchtest
+.PHONY: build test short vet lint race benchgate check fuzz sanitize servesmoke mwbenchtest stdoutdiff
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,16 @@ mwbenchtest:
 	cd mwbench && $(GO) vet . && $(GO) test .
 
 check: vet lint race benchgate servesmoke mwbenchtest
+
+# Byte-identical stdout check of the maxwarp CLI against another revision
+# (default HEAD, i.e. the working tree's uncommitted changes): builds
+# cmd/maxwarp at BASE and from the working tree, runs a fixed command list
+# and reports every command whose stdout or exit status differs. Not part of
+# check, because a change may alter stdout on purpose. See
+# scripts/stdout_diff.sh.
+BASE ?= HEAD
+stdoutdiff:
+	bash scripts/stdout_diff.sh $(BASE)
 
 # Short fuzz pass over the untrusted-input parsers and the observability
 # exporters' round-trip properties.

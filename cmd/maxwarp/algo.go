@@ -75,7 +75,7 @@ func cmdAlgo(args []string) error {
 	coreK := fs.Int("corek", defaultCoreK, "k for the kcore kernel")
 	iters := fs.Int("iters", 10, "iterations for pagerank")
 	samples := fs.Int("samples", defaultSamples, "landmark samples for closeness")
-	inject := fs.String("inject", "", "fault-injection spec ("+strings.Join(gpualgo.Names(true), ", ")+" only): abort=N,bitflip=N,buffers=a|b,loss=N,seed=N,maxfaults=N")
+	inject := fs.String("inject", "", "fault-injection spec: abort=N,bitflip=N,buffers=a|b,loss=N,seed=N,maxfaults=N")
 	retries := fs.Int("retries", 3, "per-iteration retry budget under -inject (min 1)")
 	parallel := fs.Int("parallel", 0, "host goroutines driving SMs (0 = one per CPU, 1 = sequential event loop)")
 	sanitized := fs.Bool("sanitize", false, "run under the kernel sanitizer and report hazards after the stats")

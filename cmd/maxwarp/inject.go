@@ -88,8 +88,8 @@ func printOutcome(w io.Writer, out resilient.Outcome) {
 	}
 }
 
-// runInjected is the algo subcommand's resilient path: a resumable table
-// entry runs under the parsed fault plan and degrades to its oracle.
+// runInjected is the algo subcommand's resilient path: the table entry runs
+// under the parsed fault plan and degrades to its oracle.
 func runInjected(dev *simt.Device, a *gpualgo.Algorithm, in gpualgo.Input, opts gpualgo.Options,
 	spec string, retries int, header string, k int, dynamic bool) error {
 	plan, err := parseFaultPlan(spec)
@@ -101,9 +101,6 @@ func runInjected(dev *simt.Device, a *gpualgo.Algorithm, in gpualgo.Input, opts 
 		// explicit 0 here would silently retry anyway; reject it instead.
 		return fmt.Errorf("-retries must be >= 1 (got %d)", retries)
 	}
-	if !a.Resumable() {
-		return fmt.Errorf("-inject supports %s (got %q)", strings.Join(gpualgo.Names(true), ", "), a.Name)
-	}
 	dev.SetFaultPlan(plan)
 	res, out, err := resilient.Execute(dev, a, in, opts, resilient.Policy{MaxRetries: retries})
 	if err != nil {
@@ -112,7 +109,15 @@ func runInjected(dev *simt.Device, a *gpualgo.Algorithm, in gpualgo.Input, opts 
 
 	cfg := dev.Config()
 	fmt.Println(header)
-	fmt.Printf("kernel   %s  K=%d dynamic=%v  inject=%s  [%s]\n", a.Name, k, dynamic, spec, a.Summarize(res.Value).Note)
+	note := res.Note
+	if a.Summarize != nil {
+		note = a.Summarize(res.Value).Note
+	}
+	fmt.Printf("kernel   %s  K=%d dynamic=%v  inject=%s", a.Name, k, dynamic, spec)
+	if note != "" {
+		fmt.Printf("  [%s]", note)
+	}
+	fmt.Println()
 	printOutcome(os.Stdout, *out)
 	if !out.Degraded {
 		fmt.Printf("rounds   %d\n", res.Rounds)

@@ -23,8 +23,15 @@ type BCResult struct {
 // sweep over levels — both as virtual warp-centric kernels over adjacency
 // lists, making BC the most kernel-intensive application in the suite.
 func BetweennessCentrality(d *simt.Device, g *graph.CSR, sources []graph.VertexID, opts Options) (*BCResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newBCRun(d, g, sources, opts))
+}
+
+// newBCRun builds a Brandes run whose rounds are sources: the forward
+// launches level by level, the backward sweep, then the accumulation.
+func newBCRun(d *simt.Device, g *graph.CSR, sources []graph.VertexID, opts Options) (*Run[*BCResult], error) {
+	res := &BCResult{}
+	r, err := newRun[*BCResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	n := g.NumVertices()
@@ -33,20 +40,19 @@ func BetweennessCentrality(d *simt.Device, g *graph.CSR, sources []graph.VertexI
 			return nil, fmt.Errorf("gpualgo: BC source %d out of range [0,%d)", s, n)
 		}
 	}
-	dg := Upload(d, g)
-	levels := d.AllocI32("bc.levels", n)
-	sigma := d.AllocF32("bc.sigma", n)
-	delta := d.AllocF32("bc.delta", n)
-	bc := d.AllocF32("bc.scores", n)
+	dg := r.graph(Upload(d, g))
+	levels := r.i32("bc.levels", n)
+	sigma := r.f32("bc.sigma", n)
+	delta := r.f32("bc.delta", n)
+	bc := r.f32("bc.scores", n)
 	// The backward pass accumulates bc[v] += delta[v] from the first source
 	// on — the initial zeros are load-bearing, so set them explicitly.
 	bc.Fill(0)
-	discovered := d.AllocI32("bc.discovered", 1)
-
-	res := &BCResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	lc := opts.grid(d, n)
-	for _, src := range sources {
+	discovered := r.i32("bc.discovered", 1)
+	lc := r.grid(n)
+	r.done = len(sources) == 0
+	r.round = func() (bool, error) {
+		src := sources[res.Iterations]
 		levels.Fill(Unvisited)
 		sigma.Fill(0)
 		delta.Fill(0)
@@ -57,40 +63,34 @@ func BetweennessCentrality(d *simt.Device, g *graph.CSR, sources []graph.VertexI
 		depth := int32(0)
 		for {
 			discovered.Data()[0] = 0
-			stats, err := d.Launch(lc, bcForwardKernel(dg, levels, sigma, discovered, depth, opts))
-			if err != nil {
-				return nil, fmt.Errorf("gpualgo: BC forward (src %d, level %d): %w", src, depth, err)
+			if err := r.launch(lc, bcForwardKernel(dg, levels, sigma, discovered, depth, opts), "BC forward (src %d, level %d)", src, depth); err != nil {
+				return false, err
 			}
-			res.Stats.Add(stats)
-			res.Launches++
 			if discovered.Data()[0] == 0 {
 				break
 			}
 			depth++
 			if int(depth) > n {
-				return nil, fmt.Errorf("gpualgo: BC forward did not terminate")
+				return false, fmt.Errorf("gpualgo: BC forward did not terminate")
 			}
 		}
 		// Backward: dependency accumulation from the deepest level down.
 		for dep := depth - 1; dep >= 0; dep-- {
-			stats, err := d.Launch(lc, bcBackwardKernel(dg, levels, sigma, delta, dep, opts))
-			if err != nil {
-				return nil, fmt.Errorf("gpualgo: BC backward (src %d, level %d): %w", src, dep, err)
+			if err := r.launch(lc, bcBackwardKernel(dg, levels, sigma, delta, dep, opts), "BC backward (src %d, level %d)", src, dep); err != nil {
+				return false, err
 			}
-			res.Stats.Add(stats)
-			res.Launches++
 		}
 		// Accumulate: bc[v] += delta[v] for v != src.
-		stats, err := d.Launch(lc, bcAccumulateKernel(n, int32(src), delta, bc))
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: BC accumulate (src %d): %w", src, err)
+		if err := r.launch(lc, bcAccumulateKernel(n, int32(src), delta, bc), "BC accumulate (src %d)", src); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
+		return res.Iterations+1 >= len(sources), nil
 	}
-	res.Scores = append([]float32(nil), bc.Data()...)
-	return res, nil
+	r.result = func() *BCResult {
+		res.Scores = append([]float32(nil), bc.Data()...)
+		return res
+	}
+	return r, nil
 }
 
 // bcForwardKernel expands level cur, counting shortest paths: every edge

@@ -25,133 +25,76 @@ type BFSResult struct {
 	Deferred int
 }
 
-// BFSRun is an open-loop level-synchronous BFS: NewBFSRun allocates the
-// device state, each Step expands one frontier level, and Result collects
-// the output once Step reports done. Host-side progress (the current level)
-// advances only when a step fully succeeds, so a supervisor can restore
-// State after a failed step and call Step again to retry the same level.
-type BFSRun struct {
-	// Launch supervises every kernel launch of the run (deadline, progress
-	// callback). Zero value means unsupervised.
-	Launch simt.LaunchOpts
-
-	d       *simt.Device
-	dg      *DeviceGraph
-	opts    Options
-	levels  *simt.BufI32
-	changed *simt.BufI32
-	counter *simt.BufI32
-	q       *vwarp.OutlierQueue
-	lc      simt.LaunchConfig
-	maxIter int
-	cur     int32
-	res     *BFSResult
-	done    bool
-}
-
-// NewBFSRun validates the inputs and allocates device state for a BFS from
-// src, without launching anything yet.
-func NewBFSRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*BFSRun, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+// NewBFSRun validates the inputs and allocates device state for a
+// level-synchronous BFS from src, without launching anything yet. Each Step
+// expands one frontier level (one kernel launch, plus one for deferred
+// outliers when enabled); the run is done when the frontier is exhausted or
+// after |V|+1 levels.
+func NewBFSRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*Run[*BFSResult], error) {
+	res := &BFSResult{}
+	r, err := newRun[*BFSResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	if src < 0 || int(src) >= dg.NumVertices {
 		return nil, fmt.Errorf("gpualgo: BFS source %d out of range [0,%d)", src, dg.NumVertices)
 	}
 	n := dg.NumVertices
-	r := &BFSRun{d: d, dg: dg, opts: opts, res: &BFSResult{}}
-	r.levels = d.AllocI32("bfs.levels", n)
-	r.levels.Fill(Unvisited)
-	r.levels.Data()[src] = 0
-	r.changed = d.AllocI32("bfs.changed", 1)
+	r.graph(dg)
+	levels := r.i32("bfs.levels", n)
+	levels.Fill(Unvisited)
+	levels.Data()[src] = 0
+	changed := r.i32("bfs.changed", 1)
+	var counter *simt.BufI32
 	if opts.Dynamic {
-		r.counter = d.AllocI32("bfs.counter", 1)
+		counter = r.i32("bfs.counter", 1)
 	}
+	var q *vwarp.OutlierQueue
 	if opts.DeferThreshold > 0 {
-		r.q = vwarp.NewOutlierQueue(d, "bfs.outliers", n)
+		q = vwarp.NewOutlierQueue(d, "bfs.outliers", n)
+		r.keep(q.Items, q.Count)
 	}
-	r.res.Stats.WarpWidth = d.Config().WarpWidth
-	r.maxIter = opts.MaxIterations
-	if r.maxIter == 0 {
-		r.maxIter = n + 1
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
+		cur := int32(res.Iterations)
+		changed.Data()[0] = 0
+		if counter != nil {
+			counter.Data()[0] = 0
+		}
+		if q != nil {
+			q.Reset()
+		}
+		if err := r.launch(lc, bfsLevelKernel(dg, levels, changed, counter, q, cur, opts), "BFS level %d", cur); err != nil {
+			return false, err
+		}
+		deferred := 0
+		if q != nil && q.Len() > 0 {
+			deferred = q.Len()
+			dk := bfsDeferredKernel(dg, levels, changed, q, int32(deferred), cur, opts)
+			if err := r.launch(r.grid(deferred*d.Config().WarpWidth/opts.K), dk, "BFS deferred pass level %d", cur); err != nil {
+				return false, err
+			}
+		}
+		res.Deferred += deferred
+		return changed.Data()[0] == 0 || int(cur)+1 >= n+1, nil
 	}
-	r.lc = opts.grid(d, n)
+	r.result = func() *BFSResult {
+		res.Levels = append([]int32(nil), levels.Data()...)
+		res.Depth = maxLevel(res.Levels)
+		return res
+	}
 	return r, nil
 }
 
-// Step expands the current frontier level (one kernel launch, plus one for
-// deferred outliers when enabled). It returns done=true when the frontier is
-// exhausted or the iteration cap is hit. On error no host state advances:
-// the same level can be retried after restoring State.
-func (r *BFSRun) Step() (bool, error) {
-	if r.done {
-		return true, nil
-	}
-	r.changed.Data()[0] = 0
-	if r.counter != nil {
-		r.counter.Data()[0] = 0
-	}
-	if r.q != nil {
-		r.q.Reset()
-	}
-	kernel := bfsLevelKernel(r.dg, r.levels, r.changed, r.counter, r.q, r.cur, r.opts)
-	stats, err := r.d.LaunchWith(r.lc, r.Launch, kernel)
-	if err != nil {
-		return false, fmt.Errorf("gpualgo: BFS level %d: %w", r.cur, err)
-	}
-	deferred := 0
-	launches := 1
-	if r.q != nil && r.q.Len() > 0 {
-		deferred = r.q.Len()
-		dk := bfsDeferredKernel(r.dg, r.levels, r.changed, r.q, int32(deferred), r.cur, r.opts)
-		dlc := r.opts.grid(r.d, deferred*r.d.Config().WarpWidth/r.opts.K)
-		dstats, err := r.d.LaunchWith(dlc, r.Launch, dk)
-		if err != nil {
-			return false, fmt.Errorf("gpualgo: BFS deferred pass level %d: %w", r.cur, err)
-		}
-		stats.Add(dstats)
-		launches++
-	}
-	r.res.Stats.Add(stats)
-	r.res.Launches += launches
-	r.res.Deferred += deferred
-	r.res.Iterations++
-	r.cur++
-	if r.changed.Data()[0] == 0 || int(r.cur) >= r.maxIter {
-		r.done = true
-	}
-	return r.done, nil
-}
-
-// State returns the device buffers a supervisor must snapshot to make Step
-// retryable (BFS state plus the uploaded graph).
-func (r *BFSRun) State() RunState {
-	st := RunState{I32: []*simt.BufI32{r.levels, r.changed}}
-	if r.counter != nil {
-		st.I32 = append(st.I32, r.counter)
-	}
-	if r.q != nil {
-		st.I32 = append(st.I32, r.q.Items, r.q.Count)
-	}
-	graphState(&st, r.dg)
-	return st
-}
-
-// Iterations returns the number of completed levels.
-func (r *BFSRun) Iterations() int { return r.res.Iterations }
-
-// Result finalizes and returns the run's output. Call it after Step reports
-// done (calling earlier returns the levels discovered so far).
-func (r *BFSRun) Result() *BFSResult {
-	r.res.Levels = append([]int32(nil), r.levels.Data()...)
-	r.res.Depth = 0
-	for _, l := range r.res.Levels {
-		if l > r.res.Depth {
-			r.res.Depth = l
+// maxLevel returns the deepest level in levels (0 when none is positive).
+func maxLevel(levels []int32) int32 {
+	var depth int32
+	for _, l := range levels {
+		if l > depth {
+			depth = l
 		}
 	}
-	return r.res
+	return depth
 }
 
 // BFS runs level-synchronous breadth-first search on the device, one kernel
@@ -159,14 +102,7 @@ func (r *BFSRun) Result() *BFSResult {
 // exactly mirroring the paper's implementation structure: a levels array, a
 // global "changed" flag, and re-launch until fixpoint.
 func BFS(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*BFSResult, error) {
-	r, err := NewBFSRun(d, dg, src, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := finish(r); err != nil {
-		return nil, err
-	}
-	return r.Result(), nil
+	return complete(NewBFSRun(d, dg, src, opts))
 }
 
 // bfsScratchKey is the bfsScratch cache slot on a WarpCtx's KernelScratch.

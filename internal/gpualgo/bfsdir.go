@@ -48,8 +48,16 @@ type BFSDirResult struct {
 // far fewer edges than expanding the whole frontier. Both kernels use the
 // virtual warp-centric mapping.
 func BFSDirectionOpt(d *simt.Device, g *graph.CSR, src graph.VertexID, opts DirOptions) (*BFSDirResult, error) {
-	opts.Options = opts.Options.withDefaults(d)
-	if err := opts.Options.validate(d); err != nil {
+	return complete(newBFSDirRun(d, g, src, opts))
+}
+
+// newBFSDirRun builds a direction-optimizing BFS whose rounds are levels,
+// each in the direction the host picks from the last level's discoveries;
+// it stops when a level discovers nothing or after |V|+1 levels.
+func newBFSDirRun(d *simt.Device, g *graph.CSR, src graph.VertexID, opts DirOptions) (*Run[*BFSDirResult], error) {
+	res := &BFSDirResult{}
+	r, err := newRun[*BFSDirResult](d, &res.Result, &opts.Options)
+	if err != nil {
 		return nil, err
 	}
 	if opts.Alpha <= 0 {
@@ -62,22 +70,16 @@ func BFSDirectionOpt(d *simt.Device, g *graph.CSR, src graph.VertexID, opts DirO
 	if src < 0 || int(src) >= n {
 		return nil, fmt.Errorf("gpualgo: BFS source %d out of range [0,%d)", src, n)
 	}
-	dg := Upload(d, g)
-	dgRev := Upload(d, g.Reverse())
-	levels := d.AllocI32("bfsd.levels", n)
+	dg := r.graph(Upload(d, g))
+	dgRev := r.graph(Upload(d, g.Reverse()))
+	levels := r.i32("bfsd.levels", n)
 	levels.Fill(Unvisited)
 	levels.Data()[src] = 0
-	discovered := d.AllocI32("bfsd.discovered", 1)
-
-	res := &BFSDirResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = n + 1
-	}
+	discovered := r.i32("bfsd.discovered", 1)
 	frontier := 1
-	lc := opts.grid(d, n)
-	for cur := int32(0); int(cur) < maxIter; cur++ {
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
+		cur := int32(res.Iterations)
 		dir := DirPush
 		switch {
 		case opts.Force != nil:
@@ -96,26 +98,19 @@ func BFSDirectionOpt(d *simt.Device, g *graph.CSR, src graph.VertexID, opts DirO
 		} else {
 			kernel = bfsPullKernel(dgRev, levels, discovered, cur, opts.Options)
 		}
-		stats, err := d.Launch(lc, kernel)
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: direction-opt BFS level %d: %w", cur, err)
+		if err := r.launch(lc, kernel, "direction-opt BFS level %d", cur); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
 		res.Schedule = append(res.Schedule, dir)
 		frontier = int(discovered.Data()[0])
-		if frontier == 0 {
-			break
-		}
+		return frontier == 0 || int(cur)+1 >= n+1, nil
 	}
-	res.Levels = append([]int32(nil), levels.Data()...)
-	for _, l := range res.Levels {
-		if l > res.Depth {
-			res.Depth = l
-		}
+	r.result = func() *BFSDirResult {
+		res.Levels = append([]int32(nil), levels.Data()...)
+		res.Depth = maxLevel(res.Levels)
+		return res
 	}
-	return res, nil
+	return r, nil
 }
 
 // bfsPushCountKernel is the top-down expansion with CAS discovery so the

@@ -19,52 +19,51 @@ import (
 // Discovery uses atomicCAS on the level array so each vertex is enqueued
 // exactly once (plain stores would duplicate frontier entries).
 func BFSFrontier(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*BFSResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newBFSFrontierRun(d, dg, src, opts))
+}
+
+// newBFSFrontierRun builds a frontier BFS whose rounds are levels; it stops
+// when the frontier empties or after |V|+1 levels.
+func newBFSFrontierRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*Run[*BFSResult], error) {
+	res := &BFSResult{}
+	r, err := newRun[*BFSResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	if src < 0 || int(src) >= dg.NumVertices {
 		return nil, fmt.Errorf("gpualgo: BFS source %d out of range [0,%d)", src, dg.NumVertices)
 	}
 	n := dg.NumVertices
-	levels := d.AllocI32("bfsf.levels", n)
+	r.graph(dg)
+	levels := r.i32("bfsf.levels", n)
 	levels.Fill(Unvisited)
 	levels.Data()[src] = 0
-	frontier := d.AllocI32("bfsf.frontier", n)
-	next := d.AllocI32("bfsf.next", n)
-	nextCount := d.AllocI32("bfsf.nextcount", 1)
+	frontier := r.i32("bfsf.frontier", n)
+	next := r.i32("bfsf.next", n)
+	nextCount := r.i32("bfsf.nextcount", 1)
 	frontier.Data()[0] = int32(src)
 	frontierLen := 1
-
-	res := &BFSResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = n + 1
-	}
-	for cur := int32(0); int(cur) < maxIter && frontierLen > 0; cur++ {
+	r.round = func() (bool, error) {
+		cur := int32(res.Iterations)
 		nextCount.Data()[0] = 0
 		kernel := bfsFrontierKernel(dg, levels, frontier, next, nextCount, int32(frontierLen), cur, opts)
-		stats, err := d.Launch(opts.grid(d, frontierLen), kernel)
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: frontier BFS level %d: %w", cur, err)
+		if err := r.launch(r.grid(frontierLen), kernel, "frontier BFS level %d", cur); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
-		frontierLen = int(nextCount.Data()[0])
-		if frontierLen > n {
-			return nil, fmt.Errorf("gpualgo: frontier BFS overflow: %d entries for %d vertices", frontierLen, n)
+		nextLen := int(nextCount.Data()[0])
+		if nextLen > n {
+			return false, fmt.Errorf("gpualgo: frontier BFS overflow: %d entries for %d vertices", nextLen, n)
 		}
+		frontierLen = nextLen
 		frontier, next = next, frontier
+		return frontierLen == 0 || int(cur)+1 >= n+1, nil
 	}
-	res.Levels = append([]int32(nil), levels.Data()...)
-	for _, l := range res.Levels {
-		if l > res.Depth {
-			res.Depth = l
-		}
+	r.result = func() *BFSResult {
+		res.Levels = append([]int32(nil), levels.Data()...)
+		res.Depth = maxLevel(res.Levels)
+		return res
 	}
-	return res, nil
+	return r, nil
 }
 
 func bfsFrontierKernel(dg *DeviceGraph, levels, frontier, next, nextCount *simt.BufI32, frontierLen, cur int32, opts Options) simt.Kernel {

@@ -1,8 +1,6 @@
 package gpualgo
 
 import (
-	"fmt"
-
 	"maxwarp/internal/simt"
 	"maxwarp/internal/vwarp"
 )
@@ -15,96 +13,43 @@ type CCResult struct {
 	Labels []int32
 }
 
-// CCRun is an open-loop min-label propagation run: each Step is one
-// propagation round. Host-side progress advances only when a step succeeds,
-// so a supervisor can restore State after a failure and retry the same
-// round (see internal/resilient).
-type CCRun struct {
-	// Launch supervises every kernel launch of the run.
-	Launch simt.LaunchOpts
-
-	d       *simt.Device
-	dg      *DeviceGraph
-	opts    Options
-	labels  *simt.BufI32
-	changed *simt.BufI32
-	counter *simt.BufI32
-	lc      simt.LaunchConfig
-	maxIter int
-	res     *CCResult
-	done    bool
-}
-
 // NewCCRun validates the inputs and allocates device state for a
-// connected-components run, without launching anything yet.
-func NewCCRun(d *simt.Device, dg *DeviceGraph, opts Options) (*CCRun, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+// connected-components run, without launching anything yet. Each Step is
+// one propagation round; the run is done once a round changes no label or
+// after |V|+1 rounds.
+func NewCCRun(d *simt.Device, dg *DeviceGraph, opts Options) (*Run[*CCResult], error) {
+	res := &CCResult{}
+	r, err := newRun[*CCResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	n := dg.NumVertices
-	r := &CCRun{d: d, dg: dg, opts: opts, res: &CCResult{}}
-	r.labels = d.AllocI32("cc.labels", n)
-	for i := range r.labels.Data() {
-		r.labels.Data()[i] = int32(i)
+	r.graph(dg)
+	labels := r.i32("cc.labels", n)
+	for i := range labels.Data() {
+		labels.Data()[i] = int32(i)
 	}
-	r.changed = d.AllocI32("cc.changed", 1)
+	changed := r.i32("cc.changed", 1)
+	var counter *simt.BufI32
 	if opts.Dynamic {
-		r.counter = d.AllocI32("cc.counter", 1)
+		counter = r.i32("cc.counter", 1)
 	}
-	r.res.Stats.WarpWidth = d.Config().WarpWidth
-	r.maxIter = opts.MaxIterations
-	if r.maxIter == 0 {
-		r.maxIter = n + 1
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
+		changed.Data()[0] = 0
+		if counter != nil {
+			counter.Data()[0] = 0
+		}
+		if err := r.launch(lc, ccPropagateKernel(dg, labels, changed, counter, opts), "CC round %d", res.Iterations); err != nil {
+			return false, err
+		}
+		return changed.Data()[0] == 0 || res.Iterations+1 >= n+1, nil
 	}
-	r.lc = opts.grid(d, n)
+	r.result = func() *CCResult {
+		res.Labels = append([]int32(nil), labels.Data()...)
+		return res
+	}
 	return r, nil
-}
-
-// Step runs one propagation round. It returns done=true once a round
-// changes no label or the iteration cap is hit. On error no host state
-// advances: the same round can be retried after restoring State.
-func (r *CCRun) Step() (bool, error) {
-	if r.done {
-		return true, nil
-	}
-	r.changed.Data()[0] = 0
-	if r.counter != nil {
-		r.counter.Data()[0] = 0
-	}
-	kernel := ccPropagateKernel(r.dg, r.labels, r.changed, r.counter, r.opts)
-	stats, err := r.d.LaunchWith(r.lc, r.Launch, kernel)
-	if err != nil {
-		return false, fmt.Errorf("gpualgo: CC round %d: %w", r.res.Iterations, err)
-	}
-	r.res.Stats.Add(stats)
-	r.res.Launches++
-	r.res.Iterations++
-	if r.changed.Data()[0] == 0 || r.res.Iterations >= r.maxIter {
-		r.done = true
-	}
-	return r.done, nil
-}
-
-// State returns the device buffers a supervisor must snapshot to make Step
-// retryable (CC state plus the uploaded graph).
-func (r *CCRun) State() RunState {
-	st := RunState{I32: []*simt.BufI32{r.labels, r.changed}}
-	if r.counter != nil {
-		st.I32 = append(st.I32, r.counter)
-	}
-	graphState(&st, r.dg)
-	return st
-}
-
-// Iterations returns the number of completed propagation rounds.
-func (r *CCRun) Iterations() int { return r.res.Iterations }
-
-// Result finalizes and returns the run's output. Call it after Step reports
-// done (calling earlier returns the labels converged so far).
-func (r *CCRun) Result() *CCResult {
-	r.res.Labels = append([]int32(nil), r.labels.Data()...)
-	return r.res
 }
 
 // ConnectedComponents runs min-label propagation on the device: labels start
@@ -112,14 +57,7 @@ func (r *CCRun) Result() *CCResult {
 // with atomicMin, until a round changes nothing. For weakly-connected
 // components on a directed graph, upload the symmetrized graph.
 func ConnectedComponents(d *simt.Device, dg *DeviceGraph, opts Options) (*CCResult, error) {
-	r, err := NewCCRun(d, dg, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := finish(r); err != nil {
-		return nil, err
-	}
-	return r.Result(), nil
+	return complete(NewCCRun(d, dg, opts))
 }
 
 func ccPropagateKernel(dg *DeviceGraph, labels, changed, counter *simt.BufI32, opts Options) simt.Kernel {

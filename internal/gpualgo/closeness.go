@@ -27,30 +27,40 @@ type ClosenessResult struct {
 // graph — the standard estimator that MS-BFS batching makes cheap. With
 // samples >= |V| (clamped) the estimate is exact.
 func ClosenessCentrality(d *simt.Device, g *graph.CSR, samples int, seed uint64, opts Options) (*ClosenessResult, error) {
+	return complete(newClosenessRun(d, g, samples, seed, opts))
+}
+
+// newClosenessRun builds a closeness run whose rounds are landmark batches:
+// each runs one MS-BFS to completion under the run's Launch.
+func newClosenessRun(d *simt.Device, g *graph.CSR, samples int, seed uint64, opts Options) (*Run[*ClosenessResult], error) {
+	res := &ClosenessResult{}
+	r, err := newRun[*ClosenessResult](d, &res.Result, &opts)
+	if err != nil {
+		return nil, err
+	}
 	n := g.NumVertices()
 	if samples <= 0 {
 		return nil, fmt.Errorf("gpualgo: need a positive sample count, got %d", samples)
 	}
 	// Distances v -> landmark = BFS distance landmark -> v on the reverse.
-	rev := g.Reverse()
-	dgRev := Upload(d, rev)
-	sources := closenessSources(n, samples, seed)
-	res := &ClosenessResult{Sources: sources}
-	res.Stats.WarpWidth = d.Config().WarpWidth
+	dgRev := r.graph(Upload(d, g.Reverse()))
+	res.Sources = closenessSources(n, samples, seed)
 	sumDist := make([]int64, n)
 	reached := make([]int64, n)
-	for off := 0; off < len(sources); off += MaxMSBFSSources {
-		end := off + MaxMSBFSSources
-		if end > len(sources) {
-			end = len(sources)
+	r.done = len(res.Sources) == 0
+	r.round = func() (bool, error) {
+		off := res.Iterations * MaxMSBFSSources
+		end := min(off+MaxMSBFSSources, len(res.Sources))
+		b, err := newMSBFSRun(d, dgRev, res.Sources[off:end], opts)
+		if err == nil {
+			b.Launch = r.Launch
+			err = finish(b)
 		}
-		batch, err := MSBFS(d, dgRev, sources[off:end], opts)
 		if err != nil {
-			return nil, fmt.Errorf("gpualgo: closeness batch at %d: %w", off, err)
+			return false, fmt.Errorf("gpualgo: closeness batch at %d: %w", off, err)
 		}
-		res.Stats.Add(&batch.Stats)
-		res.Launches += batch.Launches
-		res.Iterations++
+		batch := b.Result()
+		r.absorb(&batch.Result)
 		for _, levels := range batch.Levels {
 			for v, l := range levels {
 				if l > 0 {
@@ -59,15 +69,19 @@ func ClosenessCentrality(d *simt.Device, g *graph.CSR, samples int, seed uint64,
 				}
 			}
 		}
+		return end == len(res.Sources), nil
 	}
-	res.Scores = make([]float64, n)
-	for v := 0; v < n; v++ {
-		if sumDist[v] > 0 {
-			// Wasserman-Faust style normalization against the sample.
-			res.Scores[v] = float64(reached[v]) / float64(sumDist[v])
+	r.result = func() *ClosenessResult {
+		res.Scores = make([]float64, n)
+		for v := 0; v < n; v++ {
+			if sumDist[v] > 0 {
+				// Wasserman-Faust style normalization against the sample.
+				res.Scores[v] = float64(reached[v]) / float64(sumDist[v])
+			}
 		}
+		return res
 	}
-	return res, nil
+	return r, nil
 }
 
 // ClosenessCentralityCPU is the host oracle over the same landmark sample.

@@ -29,45 +29,51 @@ type ColoringResult struct {
 // colors depend on the engine's in-round progress order, so tests validate
 // properness and palette bounds rather than comparing colors to a CPU run.
 func GraphColoring(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*ColoringResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newColoringRun(d, dg, seed, opts))
+}
+
+// newColoringRun builds a coloring run whose rounds are Jones–Plassmann
+// rounds; it stops when a round colors nothing or after |V|+1 rounds, and
+// fails if a vertex is still uncolored then.
+func newColoringRun(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*Run[*ColoringResult], error) {
+	res := &ColoringResult{}
+	r, err := newRun[*ColoringResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	n := dg.NumVertices
-	prio := d.UploadI32("color.prio", misPriorities(n, seed))
-	colors := d.AllocI32("color.colors", n)
+	r.graph(dg)
+	prio := r.uploadI32("color.prio", misPriorities(n, seed))
+	colors := r.i32("color.colors", n)
 	colors.Fill(-1)
-	changed := d.AllocI32("color.changed", 1)
-	res := &ColoringResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = n + 1
-	}
-	lc := opts.grid(d, n)
-	for iter := 0; iter < maxIter; iter++ {
+	changed := r.i32("color.changed", 1)
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
 		changed.Data()[0] = 0
-		stats, err := d.Launch(lc, coloringRoundKernel(dg, prio, colors, changed, opts))
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: coloring round %d: %w", iter, err)
+		if err := r.launch(lc, coloringRoundKernel(dg, prio, colors, changed, opts), "coloring round %d", res.Iterations); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
-		if changed.Data()[0] == 0 {
-			break
+		done := changed.Data()[0] == 0 || res.Iterations+1 >= n+1
+		if done {
+			for _, c := range colors.Data() {
+				if c < 0 {
+					return false, fmt.Errorf("gpualgo: coloring left a vertex uncolored")
+				}
+			}
 		}
+		return done, nil
 	}
-	res.Colors = append([]int32(nil), colors.Data()...)
-	for _, c := range res.Colors {
-		if c < 0 {
-			return nil, fmt.Errorf("gpualgo: coloring left a vertex uncolored")
+	r.result = func() *ColoringResult {
+		res.Colors = append([]int32(nil), colors.Data()...)
+		res.NumColors = 0
+		for _, c := range res.Colors {
+			if c+1 > res.NumColors {
+				res.NumColors = c + 1
+			}
 		}
-		if c+1 > res.NumColors {
-			res.NumColors = c + 1
-		}
+		return res
 	}
-	return res, nil
+	return r, nil
 }
 
 func coloringRoundKernel(dg *DeviceGraph, prio, colors, changed *simt.BufI32, opts Options) simt.Kernel {

@@ -26,8 +26,16 @@ type DeltaSteppingOptions struct {
 // scanning all |V| every round — the classic work-efficiency trade against
 // extra queue atomics.
 func DeltaStepping(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts DeltaSteppingOptions) (*SSSPResult, error) {
-	opts.Options = opts.Options.withDefaults(d)
-	if err := opts.Options.validate(d); err != nil {
+	return complete(newDeltaSteppingRun(d, dg, src, opts))
+}
+
+// newDeltaSteppingRun builds a delta-stepping run whose rounds are phases:
+// a relaxation of the near list, or, once it drains, a threshold advance
+// that re-filters the far pile. It fails after 64*(|V|+2) phases.
+func newDeltaSteppingRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts DeltaSteppingOptions) (*Run[*SSSPResult], error) {
+	res := &SSSPResult{}
+	r, err := newRun[*SSSPResult](d, &res.Result, &opts.Options)
+	if err != nil {
 		return nil, err
 	}
 	if dg.Weights == nil {
@@ -52,74 +60,58 @@ func DeltaStepping(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Del
 	}
 
 	n := dg.NumVertices
+	r.graph(dg)
 	capQueue := 4*dg.NumEdges + n + 64
-	dist := d.AllocI32("ds.dist", n)
+	dist := r.i32("ds.dist", n)
 	dist.Fill(cpualgo.InfDist)
 	dist.Data()[src] = 0
-	near := d.AllocI32("ds.near", capQueue)
-	nearNext := d.AllocI32("ds.nearNext", capQueue)
-	far := d.AllocI32("ds.far", capQueue)
-	farNext := d.AllocI32("ds.farNext", capQueue)
-	counts := d.AllocI32("ds.counts", 3) // 0: nearNext, 1: farNext, 2: unused
+	near := r.i32("ds.near", capQueue)
+	nearNext := r.i32("ds.nearNext", capQueue)
+	far := r.i32("ds.far", capQueue)
+	farNext := r.i32("ds.farNext", capQueue)
+	counts := r.i32("ds.counts", 3) // 0: nearNext, 1: farNext, 2: unused
 
 	near.Data()[0] = int32(src)
 	nearLen, farLen := 1, 0
 	threshold := opts.Delta
-
-	res := &SSSPResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = 64 * (n + 2)
-	}
-	for iter := 0; ; iter++ {
-		if iter >= maxIter {
-			return nil, fmt.Errorf("gpualgo: delta-stepping exceeded %d phases", maxIter)
-		}
-		if nearLen == 0 && farLen == 0 {
-			break
-		}
-		if nearLen == 0 {
-			// Advance the threshold and re-filter the far pile.
-			threshold += opts.Delta
-			counts.Data()[0] = 0
-			counts.Data()[1] = 0
-			stats, err := d.Launch(opts.grid(d, farLen),
-				dsFilterKernel(dist, far, nearNext, farNext, counts, int32(farLen), threshold, opts.Options))
-			if err != nil {
-				return nil, fmt.Errorf("gpualgo: delta-stepping filter: %w", err)
-			}
-			res.Stats.Add(stats)
-			res.Launches++
-			nearLen = int(counts.Data()[0])
-			farLen = int(counts.Data()[1])
-			if nearLen > capQueue || farLen > capQueue {
-				return nil, fmt.Errorf("gpualgo: delta-stepping queue overflow")
-			}
-			near, nearNext = nearNext, near
-			far, farNext = farNext, far
-			res.Iterations++
-			continue
-		}
+	maxPhases := 64 * (n + 2)
+	r.round = func() (bool, error) {
 		counts.Data()[0] = 0
 		counts.Data()[1] = 0
-		stats, err := d.Launch(opts.grid(d, nearLen),
-			dsRelaxKernel(dg, dist, near, nearNext, far, counts, int32(nearLen), int32(farLen), threshold, opts))
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: delta-stepping relax: %w", err)
+		var newNear, newFar int
+		if nearLen == 0 {
+			// Advance the threshold and re-filter the far pile.
+			k := dsFilterKernel(dist, far, nearNext, farNext, counts, int32(farLen), threshold+opts.Delta, opts.Options)
+			if err := r.launch(r.grid(farLen), k, "delta-stepping filter"); err != nil {
+				return false, err
+			}
+			newNear, newFar = int(counts.Data()[0]), int(counts.Data()[1])
+		} else {
+			k := dsRelaxKernel(dg, dist, near, nearNext, far, counts, int32(nearLen), int32(farLen), threshold, opts)
+			if err := r.launch(r.grid(nearLen), k, "delta-stepping relax"); err != nil {
+				return false, err
+			}
+			newNear, newFar = int(counts.Data()[0]), farLen+int(counts.Data()[1])
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
-		nearLen = int(counts.Data()[0])
-		farLen += int(counts.Data()[1])
-		if nearLen > capQueue || farLen > capQueue {
-			return nil, fmt.Errorf("gpualgo: delta-stepping queue overflow")
+		if newNear > capQueue || newFar > capQueue {
+			return false, fmt.Errorf("gpualgo: delta-stepping queue overflow")
+		}
+		if res.Iterations+1 >= maxPhases {
+			return false, fmt.Errorf("gpualgo: delta-stepping exceeded %d phases", maxPhases)
+		}
+		if nearLen == 0 {
+			threshold += opts.Delta
+			far, farNext = farNext, far
 		}
 		near, nearNext = nearNext, near
+		nearLen, farLen = newNear, newFar
+		return nearLen == 0 && farLen == 0, nil
 	}
-	res.Dist = append([]int32(nil), dist.Data()...)
-	return res, nil
+	r.result = func() *SSSPResult {
+		res.Dist = append([]int32(nil), dist.Data()...)
+		return res
+	}
+	return r, nil
 }
 
 // dsRelaxKernel processes the near worklist: each entry still under the

@@ -65,7 +65,9 @@ type Options struct {
 	// warp-centric mapping. Zero defaults to 1 (baseline).
 	K int
 	// Dynamic enables dynamic workload distribution: warps claim task chunks
-	// from a global counter instead of a static stride schedule.
+	// from a global counter instead of a static stride schedule. Supported
+	// by BFS, SSSP, connected components, NeighborSum and SpMV; the other
+	// kernels ignore it.
 	Dynamic bool
 	// Blocked selects the paper-era blocked static schedule (contiguous task
 	// ranges per virtual warp) instead of the default stride schedule.
@@ -75,6 +77,7 @@ type Options struct {
 	Chunk int32
 	// DeferThreshold, when > 0, defers vertices with degree above it to a
 	// global outlier queue processed by full warps in a follow-up pass.
+	// Supported by BFS; the other kernels ignore it.
 	DeferThreshold int32
 	// BlockSize is threads per block (default 128).
 	BlockSize int
@@ -82,9 +85,6 @@ type Options struct {
 	// the stride/dynamic schedule (default: enough blocks to fill the
 	// machine 4x).
 	GridBlocksCap int
-	// MaxIterations bounds iterative algorithms (default: |V|+1 for BFS and
-	// SSSP-like loops).
-	MaxIterations int
 	// Metrics, when non-nil, receives algorithm-level event counters
 	// (frontier sizes, edges traversed — see the Metric* names). Counting is
 	// host-side accounting sharded by SM: it charges no simulated cycles, so

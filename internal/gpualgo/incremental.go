@@ -122,49 +122,44 @@ func repairSeeds(dl *graph.Delta, val []int32, applied []graph.AppliedMutation, 
 	return seeds
 }
 
-// repairFrontier is the phase-2 device loop: rounds of decrease-only
-// relaxation over the overlay until the frontier drains. Per-round
-// deduplication uses a claim buffer driven by atomicMin on the negated round
-// number (the machine has no atomicMax), so each vertex enters the next
-// frontier once per round. Returns the round count.
-func repairFrontier(d *simt.Device, ddg *DeviceDeltaGraph, val *simt.BufI32, seeds []int32, weighted bool, opts Options, res *Result) (int, error) {
-	n := ddg.NumVertices
+// drainFrontier makes r's rounds the phase-2 device loop: rounds of
+// decrease-only relaxation over the overlay that drain a worklist seeded
+// with seeds. Each round launches kernel over the current frontier; the
+// kernel appends the next frontier through nextCount, deduplicated per round
+// by a claim buffer driven by atomicMin on the negated round number (the
+// machine has no atomicMax), so each vertex enters the next frontier once
+// per round. what names the loop in errors, prefix its buffers. The run is
+// done when the frontier drains, and fails if it overflows or is still
+// non-empty after |V|+1 rounds.
+func (r *Run[R]) drainFrontier(n int, seeds []int32, prefix, what string, kernel func(frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32) simt.Kernel) {
 	if len(seeds) == 0 {
-		return 0, nil
+		r.done = true
+		return
 	}
-	frontier := d.AllocI32("repair.frontier", n)
-	next := d.AllocI32("repair.next", n)
-	nextCount := d.AllocI32("repair.nextcount", 1)
-	claim := d.AllocI32("repair.claim", n)
+	frontier := r.i32(prefix+".frontier", n)
+	next := r.i32(prefix+".next", n)
+	nextCount := r.i32(prefix+".nextcount", 1)
+	claim := r.i32(prefix+".claim", n)
 	copy(frontier.Data(), seeds)
 	frontierLen := len(seeds)
-
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = n + 1
-	}
-	rounds := 0
-	for rounds < maxIter && frontierLen > 0 {
-		rounds++
+	r.round = func() (bool, error) {
+		round := r.res.Iterations + 1
 		nextCount.Data()[0] = 0
-		kernel := repairRelaxKernel(ddg, val, frontier, next, nextCount, claim, int32(frontierLen), int32(-rounds), weighted, opts)
-		stats, err := d.Launch(opts.grid(d, frontierLen), kernel)
-		if err != nil {
-			return rounds, fmt.Errorf("gpualgo: repair round %d: %w", rounds, err)
+		k := kernel(frontier, next, nextCount, claim, int32(frontierLen), int32(-round))
+		if err := r.launch(r.grid(frontierLen), k, "%s round %d", what, round); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
-		frontierLen = int(nextCount.Data()[0])
-		if frontierLen > n {
-			return rounds, fmt.Errorf("gpualgo: repair frontier overflow: %d entries for %d vertices", frontierLen, n)
+		nextLen := int(nextCount.Data()[0])
+		if nextLen > n {
+			return false, fmt.Errorf("gpualgo: %s frontier overflow: %d entries for %d vertices", what, nextLen, n)
 		}
+		if nextLen > 0 && round >= n+1 {
+			return false, fmt.Errorf("gpualgo: %s did not converge in %d rounds", what, round)
+		}
+		frontierLen = nextLen
 		frontier, next = next, frontier
+		return frontierLen == 0, nil
 	}
-	if frontierLen > 0 {
-		return rounds, fmt.Errorf("gpualgo: repair did not converge in %d rounds", rounds)
-	}
-	return rounds, nil
 }
 
 // incScratchKey is the incScratch cache slot on a WarpCtx's KernelScratch.
@@ -465,8 +460,9 @@ func repairRelaxKernel(ddg *DeviceDeltaGraph, val, frontier, next, nextCount, cl
 // full BFS on the compacted graph. ddg must be the forward upload of dl at
 // its current epoch (nil uploads one).
 func IncrementalBFS(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src graph.VertexID, prevLevels []int32, applied []graph.AppliedMutation, opts Options) (*BFSResult, RepairInfo, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	res := &BFSResult{}
+	r, err := newRun[*BFSResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, RepairInfo{}, err
 	}
 	n := dl.NumVertices()
@@ -477,7 +473,6 @@ func IncrementalBFS(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src 
 		return nil, RepairInfo{}, fmt.Errorf("gpualgo: %d previous levels for %d vertices", len(prevLevels), n)
 	}
 	if ddg == nil {
-		var err error
 		if ddg, err = UploadDelta(d, dl); err != nil {
 			return nil, RepairInfo{}, err
 		}
@@ -496,12 +491,12 @@ func IncrementalBFS(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src 
 	invalidated := invalidateStale(dl, src, val, applied, true)
 	seeds := repairSeeds(dl, val, applied, invalidated)
 
-	res := &BFSResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	dval := d.AllocI32("ibfs.val", n)
+	dval := r.i32("ibfs.val", n)
 	copy(dval.Data(), val)
-	rounds, err := repairFrontier(d, ddg, dval, seeds, false, opts, &res.Result)
-	if err != nil {
+	r.drainFrontier(n, seeds, "repair", "repair", func(frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32) simt.Kernel {
+		return repairRelaxKernel(ddg, dval, frontier, next, nextCount, claim, frontierLen, negRound, false, opts)
+	})
+	if err := finish(r); err != nil {
 		return nil, RepairInfo{}, err
 	}
 	res.Levels = make([]int32, n)
@@ -515,7 +510,7 @@ func IncrementalBFS(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src 
 			}
 		}
 	}
-	return res, RepairInfo{Invalidated: len(invalidated), Seeds: len(seeds), Rounds: rounds}, nil
+	return res, RepairInfo{Invalidated: len(invalidated), Seeds: len(seeds), Rounds: res.Iterations}, nil
 }
 
 // IncrementalSSSP repairs prevDist (an SSSP result for the pre-batch graph
@@ -525,8 +520,9 @@ func IncrementalBFS(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src 
 // weighted; ddg must be the forward upload of dl at its current epoch (nil
 // uploads one).
 func IncrementalSSSP(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src graph.VertexID, prevDist []int32, applied []graph.AppliedMutation, opts Options) (*SSSPResult, RepairInfo, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	res := &SSSPResult{}
+	r, err := newRun[*SSSPResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, RepairInfo{}, err
 	}
 	if !dl.Weighted() {
@@ -540,7 +536,6 @@ func IncrementalSSSP(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src
 		return nil, RepairInfo{}, fmt.Errorf("gpualgo: %d previous distances for %d vertices", len(prevDist), n)
 	}
 	if ddg == nil {
-		var err error
 		if ddg, err = UploadDelta(d, dl); err != nil {
 			return nil, RepairInfo{}, err
 		}
@@ -552,16 +547,16 @@ func IncrementalSSSP(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src
 	invalidated := invalidateStale(dl, src, val, applied, false)
 	seeds := repairSeeds(dl, val, applied, invalidated)
 
-	res := &SSSPResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	dval := d.AllocI32("isssp.val", n)
+	dval := r.i32("isssp.val", n)
 	copy(dval.Data(), val)
-	rounds, err := repairFrontier(d, ddg, dval, seeds, true, opts, &res.Result)
-	if err != nil {
+	r.drainFrontier(n, seeds, "repair", "repair", func(frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32) simt.Kernel {
+		return repairRelaxKernel(ddg, dval, frontier, next, nextCount, claim, frontierLen, negRound, true, opts)
+	})
+	if err := finish(r); err != nil {
 		return nil, RepairInfo{}, err
 	}
 	res.Dist = append([]int32(nil), dval.Data()...)
-	return res, RepairInfo{Invalidated: len(invalidated), Seeds: len(seeds), Rounds: rounds}, nil
+	return res, RepairInfo{Invalidated: len(invalidated), Seeds: len(seeds), Rounds: res.Iterations}, nil
 }
 
 // --- Connected components repair -------------------------------------------
@@ -578,8 +573,9 @@ func IncrementalSSSP(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src
 // graph. ddg must be the forward upload of dl at its current epoch (nil
 // uploads one).
 func IncrementalCC(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, prevLabels []int32, applied []graph.AppliedMutation, opts Options) (*CCResult, RepairInfo, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	res := &CCResult{}
+	r, err := newRun[*CCResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, RepairInfo{}, err
 	}
 	n := dl.NumVertices()
@@ -587,7 +583,6 @@ func IncrementalCC(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, prevL
 		return nil, RepairInfo{}, fmt.Errorf("gpualgo: %d previous labels for %d vertices", len(prevLabels), n)
 	}
 	if ddg == nil {
-		var err error
 		if ddg, err = UploadDelta(d, dl); err != nil {
 			return nil, RepairInfo{}, err
 		}
@@ -631,56 +626,16 @@ func IncrementalCC(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, prevL
 	}
 	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
 
-	res := &CCResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	dlabels := d.AllocI32("icc.labels", n)
+	dlabels := r.i32("icc.labels", n)
 	copy(dlabels.Data(), labels)
-	rounds, err := ccRepairLoop(d, ddg, dlabels, seeds, opts, &res.Result)
-	if err != nil {
+	r.drainFrontier(n, seeds, "icc", "CC repair", func(frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32) simt.Kernel {
+		return ccRepairKernel(ddg, dlabels, frontier, next, nextCount, claim, frontierLen, negRound, opts)
+	})
+	if err := finish(r); err != nil {
 		return nil, RepairInfo{}, err
 	}
 	res.Labels = append([]int32(nil), dlabels.Data()...)
-	return res, RepairInfo{Invalidated: invalidated, Seeds: len(seeds), Rounds: rounds}, nil
-}
-
-// ccRepairLoop drains a min-label frontier with the pull-then-push kernel.
-func ccRepairLoop(d *simt.Device, ddg *DeviceDeltaGraph, labels *simt.BufI32, seeds []int32, opts Options, res *Result) (int, error) {
-	n := ddg.NumVertices
-	if len(seeds) == 0 {
-		return 0, nil
-	}
-	frontier := d.AllocI32("icc.frontier", n)
-	next := d.AllocI32("icc.next", n)
-	nextCount := d.AllocI32("icc.nextcount", 1)
-	claim := d.AllocI32("icc.claim", n)
-	copy(frontier.Data(), seeds)
-	frontierLen := len(seeds)
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = n + 1
-	}
-	rounds := 0
-	for rounds < maxIter && frontierLen > 0 {
-		rounds++
-		nextCount.Data()[0] = 0
-		kernel := ccRepairKernel(ddg, labels, frontier, next, nextCount, claim, int32(frontierLen), int32(-rounds), opts)
-		stats, err := d.Launch(opts.grid(d, frontierLen), kernel)
-		if err != nil {
-			return rounds, fmt.Errorf("gpualgo: CC repair round %d: %w", rounds, err)
-		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
-		frontierLen = int(nextCount.Data()[0])
-		if frontierLen > n {
-			return rounds, fmt.Errorf("gpualgo: CC repair frontier overflow: %d entries for %d vertices", frontierLen, n)
-		}
-		frontier, next = next, frontier
-	}
-	if frontierLen > 0 {
-		return rounds, fmt.Errorf("gpualgo: CC repair did not converge in %d rounds", rounds)
-	}
-	return rounds, nil
+	return res, RepairInfo{Invalidated: invalidated, Seeds: len(seeds), Rounds: res.Iterations}, nil
 }
 
 // ccRepairKernel processes one frontier: each vertex first PULLS the minimum
@@ -711,8 +666,9 @@ func ccRepairKernel(ddg *DeviceDeltaGraph, labels, frontier, next, nextCount, cl
 // tolerance, not bit-exactly: float accumulation order differs from the
 // non-overlay pull kernel.
 func DeltaPageRank(d *simt.Device, dl *graph.Delta, rddg *DeviceDeltaGraph, prev []float32, opts PageRankOptions) (*PageRankResult, RepairInfo, error) {
-	opts.Options = opts.Options.withDefaults(d)
-	if err := opts.Options.validate(d); err != nil {
+	res := &PageRankResult{}
+	r, err := newRun[*PageRankResult](d, &res.Result, &opts.Options)
+	if err != nil {
 		return nil, RepairInfo{}, err
 	}
 	if opts.Damping == 0 {
@@ -728,8 +684,6 @@ func DeltaPageRank(d *simt.Device, dl *graph.Delta, rddg *DeviceDeltaGraph, prev
 		opts.Tolerance = 1e-6
 	}
 	n := dl.NumVertices()
-	res := &PageRankResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
 	if n == 0 {
 		return res, RepairInfo{}, nil
 	}
@@ -737,7 +691,6 @@ func DeltaPageRank(d *simt.Device, dl *graph.Delta, rddg *DeviceDeltaGraph, prev
 		return nil, RepairInfo{}, fmt.Errorf("gpualgo: %d previous ranks for %d vertices", len(prev), n)
 	}
 	if rddg == nil {
-		var err error
 		if rddg, err = UploadDeltaReverse(d, dl); err != nil {
 			return nil, RepairInfo{}, err
 		}
@@ -746,38 +699,25 @@ func DeltaPageRank(d *simt.Device, dl *graph.Delta, rddg *DeviceDeltaGraph, prev
 		return nil, RepairInfo{}, err
 	}
 	outDeg := dl.LiveOutDegrees()
-	dOutDeg := d.UploadI32("dpr.outdeg", outDeg)
-	rank := d.AllocF32("dpr.rank", n)
-	contrib := d.AllocF32("dpr.contrib", n)
-	next := d.AllocF32("dpr.next", n)
+	dOutDeg := r.uploadI32("dpr.outdeg", outDeg)
+	rank := r.f32("dpr.rank", n)
+	contrib := r.f32("dpr.contrib", n)
+	next := r.f32("dpr.next", n)
 	if prev != nil {
 		copy(rank.Data(), prev)
 	} else {
 		rank.Fill(1 / float32(n))
 	}
-	lc := opts.grid(d, n)
-	rounds := 0
-	for rounds < opts.Iterations {
-		var dangling float32
-		for v := 0; v < n; v++ {
-			if outDeg[v] == 0 {
-				dangling += rank.Data()[v]
-			}
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
+		iter := res.Iterations
+		base := prBase(rank.Data(), outDeg, opts.Damping)
+		if err := r.launch(lc, prContribKernel(n, rank, contrib, dOutDeg), "delta PageRank contrib iter %d", iter); err != nil {
+			return false, err
 		}
-		base := (1-opts.Damping)/float32(n) + opts.Damping*dangling/float32(n)
-		stats, err := d.Launch(lc, prContribKernel(n, rank, contrib, dOutDeg))
-		if err != nil {
-			return nil, RepairInfo{}, fmt.Errorf("gpualgo: delta PageRank contrib iter %d: %w", rounds, err)
+		if err := r.launch(lc, dprPullKernel(rddg, contrib, next, base, opts), "delta PageRank pull iter %d", iter); err != nil {
+			return false, err
 		}
-		pstats, err := d.Launch(lc, dprPullKernel(rddg, contrib, next, base, opts))
-		if err != nil {
-			return nil, RepairInfo{}, fmt.Errorf("gpualgo: delta PageRank pull iter %d: %w", rounds, err)
-		}
-		stats.Add(pstats)
-		res.Stats.Add(stats)
-		res.Launches += 2
-		res.Iterations++
-		rounds++
 		var l1 float32
 		for v := 0; v < n; v++ {
 			diff := next.Data()[v] - rank.Data()[v]
@@ -787,12 +727,13 @@ func DeltaPageRank(d *simt.Device, dl *graph.Delta, rddg *DeviceDeltaGraph, prev
 			l1 += diff
 		}
 		rank, next = next, rank
-		if l1 < opts.Tolerance {
-			break
-		}
+		return l1 < opts.Tolerance || iter+1 >= opts.Iterations, nil
+	}
+	if err := finish(r); err != nil {
+		return nil, RepairInfo{}, err
 	}
 	res.Ranks = append([]float32(nil), rank.Data()...)
-	return res, RepairInfo{Rounds: rounds}, nil
+	return res, RepairInfo{Rounds: res.Iterations}, nil
 }
 
 // dprPullKernel computes next[v] = base + d * sum over live in-neighbors of

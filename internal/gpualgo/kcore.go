@@ -22,49 +22,49 @@ type KCoreResult struct {
 // itself and decrements its neighbors' degrees with atomics, until a round
 // removes nothing. Upload the symmetrized graph.
 func KCore(d *simt.Device, dg *DeviceGraph, k int32, opts Options) (*KCoreResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newKCoreRun(d, dg, k, opts))
+}
+
+// newKCoreRun builds a k-core run whose rounds are peeling rounds; it stops
+// when a round removes nothing or after |V|+1 rounds.
+func newKCoreRun(d *simt.Device, dg *DeviceGraph, k int32, opts Options) (*Run[*KCoreResult], error) {
+	res := &KCoreResult{}
+	r, err := newRun[*KCoreResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	if k < 0 {
 		return nil, fmt.Errorf("gpualgo: negative k %d", k)
 	}
 	n := dg.NumVertices
-	deg := d.AllocI32("kcore.deg", n)
-	alive := d.AllocI32("kcore.alive", n)
+	r.graph(dg)
+	deg := r.i32("kcore.deg", n)
+	alive := r.i32("kcore.alive", n)
 	for v := 0; v < n; v++ {
 		deg.Data()[v] = dg.RowPtr.Data()[v+1] - dg.RowPtr.Data()[v]
 		alive.Data()[v] = 1
 	}
-	changed := d.AllocI32("kcore.changed", 1)
-	res := &KCoreResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = n + 1
-	}
-	lc := opts.grid(d, n)
-	for iter := 0; iter < maxIter; iter++ {
+	changed := r.i32("kcore.changed", 1)
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
 		changed.Data()[0] = 0
-		stats, err := d.Launch(lc, kcorePeelKernel(dg, deg, alive, changed, k, opts))
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: k-core round %d: %w", iter, err)
+		if err := r.launch(lc, kcorePeelKernel(dg, deg, alive, changed, k, opts), "k-core round %d", res.Iterations); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
-		if changed.Data()[0] == 0 {
-			break
-		}
+		return changed.Data()[0] == 0 || res.Iterations+1 >= n+1, nil
 	}
-	res.InCore = make([]bool, n)
-	for v := 0; v < n; v++ {
-		if alive.Data()[v] == 1 {
-			res.InCore[v] = true
-			res.Remaining++
+	r.result = func() *KCoreResult {
+		res.InCore = make([]bool, n)
+		res.Remaining = 0
+		for v := 0; v < n; v++ {
+			if alive.Data()[v] == 1 {
+				res.InCore[v] = true
+				res.Remaining++
+			}
 		}
+		return res
 	}
-	return res, nil
+	return r, nil
 }
 
 func kcorePeelKernel(dg *DeviceGraph, deg, alive, changed *simt.BufI32, k int32, opts Options) simt.Kernel {

@@ -1,7 +1,6 @@
 package gpualgo
 
 import (
-	"fmt"
 	"sort"
 
 	"maxwarp/internal/graph"
@@ -33,45 +32,45 @@ type MISResult struct {
 // priorities the fixpoint is unique — identical to sequential greedy MIS in
 // priority order, which is the CPU oracle. Upload the symmetrized graph.
 func MIS(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*MISResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newMISRun(d, dg, seed, opts))
+}
+
+// newMISRun builds an MIS run whose rounds are Luby rounds; it stops when a
+// round decides nothing or after |V|+1 rounds.
+func newMISRun(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*Run[*MISResult], error) {
+	res := &MISResult{}
+	r, err := newRun[*MISResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	n := dg.NumVertices
-	prio := d.UploadI32("mis.prio", misPriorities(n, seed))
-	status := d.AllocI32("mis.status", n)
+	r.graph(dg)
+	prio := r.uploadI32("mis.prio", misPriorities(n, seed))
+	status := r.i32("mis.status", n)
 	// Every round reads status; 0 = undecided is the starting state, so
 	// initialize it explicitly rather than leaning on zeroed allocation.
 	status.Fill(0)
-	changed := d.AllocI32("mis.changed", 1)
-	res := &MISResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = n + 1
-	}
-	lc := opts.grid(d, n)
-	for iter := 0; iter < maxIter; iter++ {
+	changed := r.i32("mis.changed", 1)
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
 		changed.Data()[0] = 0
-		stats, err := d.Launch(lc, misRoundKernel(dg, prio, status, changed, opts))
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: MIS round %d: %w", iter, err)
+		if err := r.launch(lc, misRoundKernel(dg, prio, status, changed, opts), "MIS round %d", res.Iterations); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
-		if changed.Data()[0] == 0 {
-			break
-		}
+		return changed.Data()[0] == 0 || res.Iterations+1 >= n+1, nil
 	}
-	res.InSet = make([]bool, n)
-	for v := 0; v < n; v++ {
-		if status.Data()[v] == misIn {
-			res.InSet[v] = true
-			res.Size++
+	r.result = func() *MISResult {
+		res.InSet = make([]bool, n)
+		res.Size = 0
+		for v := 0; v < n; v++ {
+			if status.Data()[v] == misIn {
+				res.InSet[v] = true
+				res.Size++
+			}
 		}
+		return res
 	}
-	return res, nil
+	return r, nil
 }
 
 // misRoundKernel runs one round: join if locally max-priority among

@@ -27,12 +27,22 @@ type MSBFSResult struct {
 // batched BFS (e.g. for betweenness or closeness sampling) far cheaper than
 // independent runs. Kernels use the virtual warp-centric mapping throughout.
 func MSBFS(d *simt.Device, dg *DeviceGraph, sources []graph.VertexID, opts Options) (*MSBFSResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newMSBFSRun(d, dg, sources, opts))
+}
+
+// newMSBFSRun builds a multi-source BFS whose rounds are levels: an expand
+// launch, then, unless it discovered nothing, a commit launch. It stops
+// when a level discovers nothing or after |V|+1 levels.
+func newMSBFSRun(d *simt.Device, dg *DeviceGraph, sources []graph.VertexID, opts Options) (*Run[*MSBFSResult], error) {
+	res := &MSBFSResult{}
+	r, err := newRun[*MSBFSResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
+	r.result = func() *MSBFSResult { return res }
 	if len(sources) == 0 {
-		return &MSBFSResult{}, nil
+		r.done = true
+		return r, nil
 	}
 	if len(sources) > MaxMSBFSSources {
 		return nil, fmt.Errorf("gpualgo: %d sources exceed the %d-bit batch limit", len(sources), MaxMSBFSSources)
@@ -43,52 +53,44 @@ func MSBFS(d *simt.Device, dg *DeviceGraph, sources []graph.VertexID, opts Optio
 			return nil, fmt.Errorf("gpualgo: MS-BFS source %d out of range [0,%d)", s, n)
 		}
 	}
-	visited := d.AllocI32("msbfs.visited", n)   // all bits seen so far
-	frontier := d.AllocI32("msbfs.frontier", n) // bits active this level
-	next := d.AllocI32("msbfs.next", n)         // bits discovered this level
+	r.graph(dg)
+	visited := r.i32("msbfs.visited", n)   // all bits seen so far
+	frontier := r.i32("msbfs.frontier", n) // bits active this level
+	next := r.i32("msbfs.next", n)         // bits discovered this level
 	// The update kernel reads every next cell, including ones no lane ORed
 	// this level — zero them explicitly (cudaMemset, not cudaMalloc luck).
 	next.Fill(0)
-	levelOf := d.AllocI32("msbfs.levels", n*len(sources))
+	levelOf := r.i32("msbfs.levels", n*len(sources))
 	levelOf.Fill(Unvisited)
 	for s, src := range sources {
 		frontier.Data()[src] |= 1 << uint(s)
 		visited.Data()[src] |= 1 << uint(s)
 		levelOf.Data()[s*n+int(src)] = 0
 	}
-	changed := d.AllocI32("msbfs.changed", 1)
-
-	res := &MSBFSResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = n + 1
-	}
-	lc := opts.grid(d, n)
-	for cur := int32(0); int(cur) < maxIter; cur++ {
+	changed := r.i32("msbfs.changed", 1)
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
+		cur := int32(res.Iterations)
 		changed.Data()[0] = 0
-		stats, err := d.Launch(lc, msbfsExpandKernel(dg, frontier, visited, next, changed, opts))
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: MS-BFS expand level %d: %w", cur, err)
+		if err := r.launch(lc, msbfsExpandKernel(dg, frontier, visited, next, changed, opts), "MS-BFS expand level %d", cur); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
-		res.Iterations++
 		if changed.Data()[0] == 0 {
-			break
+			return true, nil
 		}
-		stats, err = d.Launch(lc, msbfsCommitKernel(n, len(sources), frontier, visited, next, levelOf, cur+1, opts))
-		if err != nil {
-			return nil, fmt.Errorf("gpualgo: MS-BFS commit level %d: %w", cur, err)
+		if err := r.launch(lc, msbfsCommitKernel(n, len(sources), frontier, visited, next, levelOf, cur+1, opts), "MS-BFS commit level %d", cur); err != nil {
+			return false, err
 		}
-		res.Stats.Add(stats)
-		res.Launches++
+		return int(cur)+1 >= n+1, nil
 	}
-	res.Levels = make([][]int32, len(sources))
-	for s := range sources {
-		res.Levels[s] = append([]int32(nil), levelOf.Data()[s*n:(s+1)*n]...)
+	r.result = func() *MSBFSResult {
+		res.Levels = make([][]int32, len(sources))
+		for s := range sources {
+			res.Levels[s] = append([]int32(nil), levelOf.Data()[s*n:(s+1)*n]...)
+		}
+		return res
 	}
-	return res, nil
+	return r, nil
 }
 
 // msbfsExpandKernel pushes each frontier vertex's bitmask to its neighbors:

@@ -21,23 +21,41 @@ type NeighborSumResult struct {
 // from the warp-centric mapping's coalesced ones, with no algorithmic
 // iteration effects mixed in.
 func NeighborSum(d *simt.Device, dg *DeviceGraph, values []int32, opts Options) (*NeighborSumResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newNeighborSumRun(d, dg, values, opts))
+}
+
+// newNeighborSumRun builds a one-round run: a single launch.
+func newNeighborSumRun(d *simt.Device, dg *DeviceGraph, values []int32, opts Options) (*Run[*NeighborSumResult], error) {
+	res := &NeighborSumResult{}
+	r, err := newRun[*NeighborSumResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	if len(values) != dg.NumVertices {
 		return nil, fmt.Errorf("gpualgo: %d values for %d vertices", len(values), dg.NumVertices)
 	}
 	n := dg.NumVertices
-	dVals := d.UploadI32("nbrsum.values", values)
-	out := d.AllocI32("nbrsum.out", n)
+	r.graph(dg)
+	dVals := r.uploadI32("nbrsum.values", values)
+	out := r.i32("nbrsum.out", n)
 	var counter *simt.BufI32
 	if opts.Dynamic {
-		counter = d.AllocI32("nbrsum.counter", 1)
+		counter = r.i32("nbrsum.counter", 1)
 	}
-	res := &NeighborSumResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	kernel := func(w *simt.WarpCtx) {
+	r.round = func() (bool, error) {
+		return true, r.launch(r.grid(n), nbrsumKernel(dg, dVals, out, counter, opts), "neighbor sum")
+	}
+	r.result = func() *NeighborSumResult {
+		res.Sums = append([]int32(nil), out.Data()...)
+		return res
+	}
+	return r, nil
+}
+
+// nbrsumKernel writes out[v] = sum of dVals[u] over v's out-neighbors u.
+func nbrsumKernel(dg *DeviceGraph, dVals, out, counter *simt.BufI32, opts Options) simt.Kernel {
+	n := dg.NumVertices
+	return func(w *simt.WarpCtx) {
 		body := func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			start := make([]int32, g)
@@ -65,15 +83,6 @@ func NeighborSum(d *simt.Device, dg *DeviceGraph, values []int32, opts Options) 
 			vwarp.ForEachStatic(w, opts.K, int32(n), body)
 		}
 	}
-	stats, err := d.Launch(opts.grid(d, n), kernel)
-	if err != nil {
-		return nil, fmt.Errorf("gpualgo: neighbor sum: %w", err)
-	}
-	res.Stats.Add(stats)
-	res.Launches = 1
-	res.Iterations = 1
-	res.Sums = append([]int32(nil), out.Data()...)
-	return res, nil
 }
 
 // NeighborSumCPU is the host oracle for NeighborSum.

@@ -21,8 +21,9 @@ type PageRankOptions struct {
 	Options
 	// Damping factor (default 0.85).
 	Damping float32
-	// Iterations of power iteration to run (default 20, as in GPU
-	// benchmarking practice: fixed-iteration comparison).
+	// Iterations of power iteration to run: PageRank's fixed count
+	// (default 20, as in GPU benchmarking practice: fixed-iteration
+	// comparison), DeltaPageRank's cap (default 50).
 	Iterations int
 	// Tolerance stops DeltaPageRank early when the L1 step delta falls
 	// below it (default 1e-6 there). PageRank ignores it: the full run
@@ -30,33 +31,14 @@ type PageRankOptions struct {
 	Tolerance float32
 }
 
-// PageRankRun is an open-loop power-iteration run: each Step performs one
-// full iteration (contribution kernel then pull kernel). The rank/next swap
-// happens only after both launches succeed, so a supervisor can restore
-// State after a failure and retry the same iteration.
-type PageRankRun struct {
-	// Launch supervises every kernel launch of the run.
-	Launch simt.LaunchOpts
-
-	d       *simt.Device
-	opts    PageRankOptions
-	dgRev   *DeviceGraph
-	outDeg  []int32
-	dOutDeg *simt.BufI32
-	rank    *simt.BufF32
-	contrib *simt.BufF32
-	next    *simt.BufF32
-	n       int
-	lc      simt.LaunchConfig
-	res     *PageRankResult
-	done    bool
-}
-
 // NewPageRankRun validates the inputs, builds the reverse graph, and
-// allocates device state, without launching anything yet.
-func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*PageRankRun, error) {
-	opts.Options = opts.Options.withDefaults(d)
-	if err := opts.Options.validate(d); err != nil {
+// allocates device state, without launching anything yet. Each Step performs
+// one power iteration (contribution kernel then pull kernel); the rank/next
+// swap happens only after both launches succeed.
+func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*Run[*PageRankResult], error) {
+	res := &PageRankResult{}
+	r, err := newRun[*PageRankResult](d, &res.Result, &opts.Options)
+	if err != nil {
 		return nil, err
 	}
 	if opts.Damping == 0 {
@@ -68,89 +50,58 @@ func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*PageRa
 	if opts.Iterations == 0 {
 		opts.Iterations = 20
 	}
+	var rank *simt.BufF32
+	r.result = func() *PageRankResult {
+		if rank != nil {
+			res.Ranks = append([]float32(nil), rank.Data()...)
+		}
+		return res
+	}
 	n := g.NumVertices()
-	r := &PageRankRun{d: d, opts: opts, n: n, res: &PageRankResult{}}
-	r.res.Stats.WarpWidth = d.Config().WarpWidth
 	if n == 0 {
 		r.done = true
 		return r, nil
 	}
-	rev := g.Reverse()
-	r.dgRev = Upload(d, rev)
-	r.outDeg = make([]int32, n)
+	dgRev := r.graph(Upload(d, g.Reverse()))
+	outDeg := make([]int32, n)
 	for v := 0; v < n; v++ {
-		r.outDeg[v] = g.Degree(graph.VertexID(v))
+		outDeg[v] = g.Degree(graph.VertexID(v))
 	}
-	r.dOutDeg = d.UploadI32("pr.outdeg", r.outDeg)
-	r.rank = d.AllocF32("pr.rank", n)
-	r.contrib = d.AllocF32("pr.contrib", n)
-	r.next = d.AllocF32("pr.next", n)
-	r.rank.Fill(1 / float32(n))
-	r.lc = opts.grid(d, n)
+	dOutDeg := r.uploadI32("pr.outdeg", outDeg)
+	rank = r.f32("pr.rank", n)
+	contrib := r.f32("pr.contrib", n)
+	next := r.f32("pr.next", n)
+	rank.Fill(1 / float32(n))
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
+		iter := res.Iterations
+		base := prBase(rank.Data(), outDeg, opts.Damping)
+		if err := r.launch(lc, prContribKernel(n, rank, contrib, dOutDeg), "PageRank contrib iter %d", iter); err != nil {
+			return false, err
+		}
+		if err := r.launch(lc, prPullKernel(dgRev, contrib, next, base, opts), "PageRank pull iter %d", iter); err != nil {
+			return false, err
+		}
+		rank, next = next, rank
+		return iter+1 >= opts.Iterations, nil
+	}
 	return r, nil
 }
 
-// Step runs one power iteration (two kernel launches). On error no host
-// state advances and the rank/next buffers are not swapped, so the same
-// iteration can be retried after restoring State.
-func (r *PageRankRun) Step() (bool, error) {
-	if r.done {
-		return true, nil
-	}
-	// Host-side dangling-mass reduction (stand-in for the standard tiny
-	// reduction kernel; not counted in device cycles, matching how CUDA
-	// codes usually exclude it or find it negligible).
+// prBase is the rank every vertex starts an iteration's pull from: the
+// teleport share plus the dangling vertices' mass spread evenly. It is a
+// host-side reduction (a stand-in for the standard tiny reduction kernel;
+// not counted in device cycles, matching how CUDA codes usually exclude it
+// or find it negligible).
+func prBase(rank []float32, outDeg []int32, damping float32) float32 {
+	n := float32(len(rank))
 	var dangling float32
-	for v := 0; v < r.n; v++ {
-		if r.outDeg[v] == 0 {
-			dangling += r.rank.Data()[v]
+	for v, deg := range outDeg {
+		if deg == 0 {
+			dangling += rank[v]
 		}
 	}
-	base := (1-r.opts.Damping)/float32(r.n) + r.opts.Damping*dangling/float32(r.n)
-
-	iter := r.res.Iterations
-	stats, err := r.d.LaunchWith(r.lc, r.Launch, prContribKernel(r.n, r.rank, r.contrib, r.dOutDeg))
-	if err != nil {
-		return false, fmt.Errorf("gpualgo: PageRank contrib iter %d: %w", iter, err)
-	}
-	pstats, err := r.d.LaunchWith(r.lc, r.Launch, prPullKernel(r.dgRev, r.contrib, r.next, base, r.opts))
-	if err != nil {
-		return false, fmt.Errorf("gpualgo: PageRank pull iter %d: %w", iter, err)
-	}
-	stats.Add(pstats)
-	r.res.Stats.Add(stats)
-	r.res.Launches += 2
-	r.res.Iterations++
-	r.rank, r.next = r.next, r.rank
-	if r.res.Iterations >= r.opts.Iterations {
-		r.done = true
-	}
-	return r.done, nil
-}
-
-// State returns the device buffers a supervisor must snapshot to make Step
-// retryable (rank vectors, out-degrees, and the reverse graph).
-func (r *PageRankRun) State() RunState {
-	if r.n == 0 {
-		return RunState{}
-	}
-	st := RunState{
-		I32: []*simt.BufI32{r.dOutDeg},
-		F32: []*simt.BufF32{r.rank, r.contrib, r.next},
-	}
-	graphState(&st, r.dgRev)
-	return st
-}
-
-// Iterations returns the number of completed power iterations.
-func (r *PageRankRun) Iterations() int { return r.res.Iterations }
-
-// Result finalizes and returns the run's output.
-func (r *PageRankRun) Result() *PageRankResult {
-	if r.n > 0 {
-		r.res.Ranks = append([]float32(nil), r.rank.Data()...)
-	}
-	return r.res
+	return (1-damping)/n + damping*dangling/n
 }
 
 // PageRank runs pull-based power iteration on the device. Each vertex pulls
@@ -162,14 +113,7 @@ func (r *PageRankRun) Result() *PageRankResult {
 // folded in host-side between iterations, as CUDA implementations do with a
 // small reduction kernel.
 func PageRank(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*PageRankResult, error) {
-	r, err := NewPageRankRun(d, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := finish(r); err != nil {
-		return nil, err
-	}
-	return r.Result(), nil
+	return complete(NewPageRankRun(d, g, opts))
 }
 
 // prContribKernel computes contrib[v] = rank[v]/outdeg[v] (0 for dangling

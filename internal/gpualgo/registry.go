@@ -73,7 +73,7 @@ type Output struct {
 	Result any
 }
 
-// Summary digests the answer of a resumable entry: the note `maxwarp algo
+// Summary digests the answer of a servable entry: the note `maxwarp algo
 // -inject` prints, and what the analytics service returns.
 type Summary struct {
 	Note          string
@@ -89,7 +89,7 @@ type Summary struct {
 }
 
 // Algorithm is one kernel of the table: the single place that knows which
-// graph form it needs, how to run it once or step by step, which CPU oracle
+// graph form it needs, how to build its resumable run, which CPU oracle
 // checks it and how its answer is compared.
 type Algorithm struct {
 	Name string
@@ -100,15 +100,19 @@ type Algorithm struct {
 	// exact for vectors and counts, a per-element tolerance for floats, and
 	// a validity check where many answers are right (coloring).
 	Compare func(in Input, got, want any) error
-	// Summarize digests an answer; set for resumable entries.
+	// Summarize digests an answer; set for the entries the analytics
+	// service serves (bfs, sssp, pagerank, cc).
 	Summarize func(v any) Summary
 
-	// run uploads in.G itself and runs the kernel once. Resumable entries
-	// leave it nil and run their stepper.
-	run func(d *simt.Device, in Input, opts Options) (Output, error)
-	// resume builds the resumable run on dg, the graph Upload returned; nil
-	// when the kernel has none.
-	resume func(d *simt.Device, dg *DeviceGraph, in Input, opts Options, launch simt.LaunchOpts) (Stepper, func() Output, error)
+	// start builds the entry's run on dg, the graph Upload returned, and
+	// the function that packs its answer once the run is done.
+	start func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error)
+}
+
+// runner is a Stepper whose launches a supervisor can set: every *Run.
+type runner interface {
+	Stepper
+	setLaunch(simt.LaunchOpts)
 }
 
 // Algorithms returns the table in display order.
@@ -126,21 +130,17 @@ func Lookup(name string) *Algorithm {
 	return nil
 }
 
-// Names lists the entries' names in table order; with resumable set, only
-// those of entries with a stepper.
-func Names(resumable bool) []string {
+// Names lists the entries' names in table order; with summarized set, only
+// those of entries with a Summarize (the servable ones).
+func Names(summarized bool) []string {
 	var names []string
 	for _, a := range algorithms {
-		if !resumable || a.Resumable() {
+		if !summarized || a.Summarize != nil {
 			names = append(names, a.Name)
 		}
 	}
 	return names
 }
-
-// Resumable reports whether the entry has a stepper, which makes it
-// servable and usable under fault injection.
-func (a *Algorithm) Resumable() bool { return a.resume != nil }
 
 // Graph returns the graph a runs on for the caller's g: its symmetrized
 // closure for Symmetrized entries, g itself otherwise.
@@ -151,7 +151,7 @@ func (a *Algorithm) Graph(g *graph.CSR) (*graph.CSR, error) {
 	return g.Symmetrize()
 }
 
-// Upload validates in.G and puts it on d in the form the entry's stepper
+// Upload validates in.G and puts it on d in the form the entry's run
 // takes. HostSide entries upload their own copies, so it returns nil for
 // them.
 func (a *Algorithm) Upload(d *simt.Device, in Input) (*DeviceGraph, error) {
@@ -169,14 +169,11 @@ func (a *Algorithm) Upload(d *simt.Device, in Input) (*DeviceGraph, error) {
 
 // Run uploads in.G and runs the kernel to completion.
 func (a *Algorithm) Run(d *simt.Device, in Input, opts Options) (Output, error) {
-	if a.run != nil {
-		return a.run(d, in, opts)
-	}
 	dg, err := a.Upload(d, in)
 	if err != nil {
 		return Output{}, err
 	}
-	s, result, err := a.resume(d, dg, in, opts, simt.LaunchOpts{})
+	s, result, err := a.NewRun(d, dg, in, opts, simt.LaunchOpts{})
 	if err != nil {
 		return Output{}, err
 	}
@@ -190,10 +187,12 @@ func (a *Algorithm) Run(d *simt.Device, in Input, opts Options) (Output, error) 
 // in. launch supervises every kernel launch of the run. The returned
 // function reads the answer once the stepper reports done.
 func (a *Algorithm) NewRun(d *simt.Device, dg *DeviceGraph, in Input, opts Options, launch simt.LaunchOpts) (Stepper, func() Output, error) {
-	if a.resume == nil {
-		return nil, nil, fmt.Errorf("gpualgo: %s has no resumable run", a.Name)
+	s, result, err := a.start(d, dg, in, opts)
+	if err != nil {
+		return nil, nil, err
 	}
-	return a.resume(d, dg, in, opts, launch)
+	s.setLaunch(launch)
+	return s, result, nil
 }
 
 // output packs a finished device run.
@@ -330,83 +329,49 @@ func ssspOracle(in Input) Output { return oracle(cpualgo.SSSPDijkstra(in.G, in.W
 var algorithms = []Algorithm{
 	{
 		Name: "bfs", Form: Plain,
-		resume: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options, launch simt.LaunchOpts) (Stepper, func() Output, error) {
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
 			r, err := NewBFSRun(d, dg, in.Src, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Launch = launch
-			return r, func() Output {
-				res := r.Result()
-				return res.output(res, res.Levels, depthNote(res.Depth))
-			}, nil
+			return r, func() Output { res := r.Result(); return res.output(res, res.Levels, depthNote(res.Depth)) }, err
 		},
 		Oracle: bfsOracle, Compare: exact, Summarize: summarizeLevels,
 	},
 	{
 		Name: "bfsfrontier", Form: Plain,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := BFSFrontier(d, Upload(d, in.G), in.Src, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Levels, depthNote(r.Depth)), nil
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newBFSFrontierRun(d, dg, in.Src, opts)
+			return r, func() Output { res := r.Result(); return res.output(res, res.Levels, depthNote(res.Depth)) }, err
 		},
 		Oracle: bfsOracle, Compare: exact,
 	},
 	{
 		Name: "bfsdir", Form: HostSide,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := BFSDirectionOpt(d, in.G, in.Src, DirOptions{Options: opts})
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Levels, depthNote(r.Depth)), nil
+		start: func(d *simt.Device, _ *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newBFSDirRun(d, in.G, in.Src, DirOptions{Options: opts})
+			return r, func() Output { res := r.Result(); return res.output(res, res.Levels, depthNote(res.Depth)) }, err
 		},
 		Oracle: bfsOracle, Compare: exact,
 	},
 	{
 		Name: "sssp", Form: Weighted,
-		resume: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options, launch simt.LaunchOpts) (Stepper, func() Output, error) {
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
 			r, err := NewSSSPRun(d, dg, in.Src, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Launch = launch
-			return r, func() Output {
-				res := r.Result()
-				return res.output(res, res.Dist, "")
-			}, nil
+			return r, func() Output { res := r.Result(); return res.output(res, res.Dist, "") }, err
 		},
 		Oracle: ssspOracle, Compare: exact, Summarize: summarizeDist,
 	},
 	{
 		Name: "deltastep", Form: Weighted,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			dg, err := UploadWeighted(d, in.G, in.Weights)
-			if err != nil {
-				return Output{}, err
-			}
-			r, err := DeltaStepping(d, dg, in.Src, DeltaSteppingOptions{Options: opts})
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Dist, ""), nil
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newDeltaSteppingRun(d, dg, in.Src, DeltaSteppingOptions{Options: opts})
+			return r, func() Output { res := r.Result(); return res.output(res, res.Dist, "") }, err
 		},
 		Oracle: ssspOracle, Compare: exact,
 	},
 	{
 		Name: "pagerank", Form: HostSide,
-		resume: func(d *simt.Device, _ *DeviceGraph, in Input, opts Options, launch simt.LaunchOpts) (Stepper, func() Output, error) {
+		start: func(d *simt.Device, _ *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
 			r, err := NewPageRankRun(d, in.G, PageRankOptions{Options: opts, Damping: float32(in.Damping), Iterations: in.Iterations})
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Launch = launch
-			return r, func() Output {
-				res := r.Result()
-				return res.output(res, res.Ranks, "")
-			}, nil
+			return r, func() Output { res := r.Result(); return res.output(res, res.Ranks, "") }, err
 		},
 		// The oracle runs the device's fixed iteration count.
 		Oracle: func(in Input) Output {
@@ -428,40 +393,30 @@ var algorithms = []Algorithm{
 	},
 	{
 		Name: "cc", Form: Symmetrized,
-		resume: func(d *simt.Device, dg *DeviceGraph, _ Input, opts Options, launch simt.LaunchOpts) (Stepper, func() Output, error) {
+		start: func(d *simt.Device, dg *DeviceGraph, _ Input, opts Options) (runner, func() Output, error) {
 			r, err := NewCCRun(d, dg, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Launch = launch
-			return r, func() Output {
-				res := r.Result()
-				return res.output(res, res.Labels, "")
-			}, nil
+			return r, func() Output { res := r.Result(); return res.output(res, res.Labels, "") }, err
 		},
 		Oracle:  func(in Input) Output { return oracle(cpualgo.ConnectedComponents(in.G)) },
 		Compare: exact, Summarize: summarizeLabels,
 	},
 	{
 		Name: "scc", Form: HostSide,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := SCC(d, in.G, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Labels, fmt.Sprintf("%d components, %d trimmed", r.Components, r.Trimmed)), nil
+		start: func(d *simt.Device, _ *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newSCCRun(d, in.G, opts)
+			return r, func() Output {
+				res := r.Result()
+				return res.output(res, res.Labels, fmt.Sprintf("%d components, %d trimmed", res.Components, res.Trimmed))
+			}, err
 		},
 		Oracle:  func(in Input) Output { return oracle(cpualgo.SCC(in.G)) },
 		Compare: exact,
 	},
 	{
 		Name: "nbrsum", Form: Plain,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := NeighborSum(d, Upload(d, in.G), nbrsumValues(in.G.NumVertices()), opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Sums, ""), nil
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newNeighborSumRun(d, dg, nbrsumValues(in.G.NumVertices()), opts)
+			return r, func() Output { res := r.Result(); return res.output(res, res.Sums, "") }, err
 		},
 		Oracle: func(in Input) Output {
 			return oracle(NeighborSumCPU(in.G.RowPtr, in.G.Col, nbrsumValues(in.G.NumVertices())))
@@ -470,13 +425,10 @@ var algorithms = []Algorithm{
 	},
 	{
 		Name: "spmv", Form: Plain,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
 			vals, x := spmvMatrix(in.G)
-			r, err := SpMV(d, Upload(d, in.G), vals, x, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Y, ""), nil
+			r, err := newSpMVRun(d, dg, vals, x, opts)
+			return r, func() Output { res := r.Result(); return res.output(res, res.Y, "") }, err
 		},
 		Oracle: func(in Input) Output {
 			vals, x := spmvMatrix(in.G)
@@ -486,12 +438,12 @@ var algorithms = []Algorithm{
 	},
 	{
 		Name: "triangles", Form: Symmetrized,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := TriangleCount(d, in.G, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Total, fmt.Sprintf("%d triangles", r.Total)), nil
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newTriangleRun(d, in.G, dg, opts)
+			return r, func() Output {
+				res := r.Result()
+				return res.output(res, res.Total, fmt.Sprintf("%d triangles", res.Total))
+			}, err
 		},
 		Oracle: func(in Input) Output {
 			_, total := TriangleCountCPU(in.G)
@@ -501,12 +453,12 @@ var algorithms = []Algorithm{
 	},
 	{
 		Name: "kcore", Form: Symmetrized,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := KCore(d, Upload(d, in.G), in.CoreK, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, int64(r.Remaining), fmt.Sprintf("|%d-core| = %d", in.CoreK, r.Remaining)), nil
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newKCoreRun(d, dg, in.CoreK, opts)
+			return r, func() Output {
+				res := r.Result()
+				return res.output(res, int64(res.Remaining), fmt.Sprintf("|%d-core| = %d", in.CoreK, res.Remaining))
+			}, err
 		},
 		Oracle: func(in Input) Output {
 			_, remaining := KCoreCPU(in.G, in.CoreK)
@@ -516,12 +468,12 @@ var algorithms = []Algorithm{
 	},
 	{
 		Name: "mis", Form: Symmetrized,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := MIS(d, Upload(d, in.G), in.Seed, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, int64(r.Size), fmt.Sprintf("|MIS| = %d", r.Size)), nil
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newMISRun(d, dg, in.Seed, opts)
+			return r, func() Output {
+				res := r.Result()
+				return res.output(res, int64(res.Size), fmt.Sprintf("|MIS| = %d", res.Size))
+			}, err
 		},
 		Oracle: func(in Input) Output {
 			_, size := MISCPU(in.G, in.Seed)
@@ -531,12 +483,12 @@ var algorithms = []Algorithm{
 	},
 	{
 		Name: "coloring", Form: Symmetrized,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := GraphColoring(d, Upload(d, in.G), in.Seed, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Colors, fmt.Sprintf("%d colors", r.NumColors)), nil
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newColoringRun(d, dg, in.Seed, opts)
+			return r, func() Output {
+				res := r.Result()
+				return res.output(res, res.Colors, fmt.Sprintf("%d colors", res.NumColors))
+			}, err
 		},
 		Oracle: func(in Input) Output {
 			colors, _ := GreedyColoringCPU(in.G)
@@ -547,34 +499,34 @@ var algorithms = []Algorithm{
 	},
 	{
 		Name: "bc", Form: HostSide,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := BetweennessCentrality(d, in.G, in.BCSources, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			var top float32
-			for _, s := range r.Scores {
-				if s > top {
-					top = s
+		start: func(d *simt.Device, _ *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newBCRun(d, in.G, in.BCSources, opts)
+			return r, func() Output {
+				res := r.Result()
+				var top float32
+				for _, s := range res.Scores {
+					if s > top {
+						top = s
+					}
 				}
-			}
-			sources := "1 source"
-			if len(in.BCSources) != 1 {
-				sources = fmt.Sprintf("%d sources", len(in.BCSources))
-			}
-			return r.output(r, r.Scores, fmt.Sprintf("max score %.1f (%s)", top, sources)), nil
+				sources := "1 source"
+				if len(in.BCSources) != 1 {
+					sources = fmt.Sprintf("%d sources", len(in.BCSources))
+				}
+				return res.output(res, res.Scores, fmt.Sprintf("max score %.1f (%s)", top, sources))
+			}, err
 		},
 		Oracle:  func(in Input) Output { return oracle(BetweennessCentralityCPU(in.G, in.BCSources)) },
 		Compare: within(1e-2, 1e-2),
 	},
 	{
 		Name: "closeness", Form: HostSide,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := ClosenessCentrality(d, in.G, in.Samples, in.Seed, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Scores, fmt.Sprintf("%d landmark samples", len(r.Sources))), nil
+		start: func(d *simt.Device, _ *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newClosenessRun(d, in.G, in.Samples, in.Seed, opts)
+			return r, func() Output {
+				res := r.Result()
+				return res.output(res, res.Scores, fmt.Sprintf("%d landmark samples", len(res.Sources)))
+			}, err
 		},
 		Oracle: func(in Input) Output {
 			return oracle(ClosenessCentralityCPU(in.G, closenessSources(in.G.NumVertices(), in.Samples, in.Seed)))
@@ -583,12 +535,12 @@ var algorithms = []Algorithm{
 	},
 	{
 		Name: "msbfs", Form: Plain,
-		run: func(d *simt.Device, in Input, opts Options) (Output, error) {
-			r, err := MSBFS(d, Upload(d, in.G), in.MSBFSSources, opts)
-			if err != nil {
-				return Output{}, err
-			}
-			return r.output(r, r.Levels, fmt.Sprintf("%d sources, bit-parallel", len(in.MSBFSSources))), nil
+		start: func(d *simt.Device, dg *DeviceGraph, in Input, opts Options) (runner, func() Output, error) {
+			r, err := newMSBFSRun(d, dg, in.MSBFSSources, opts)
+			return r, func() Output {
+				res := r.Result()
+				return res.output(res, res.Levels, fmt.Sprintf("%d sources, bit-parallel", len(in.MSBFSSources)))
+			}, err
 		},
 		Oracle:  func(in Input) Output { return oracle(MSBFSCPU(in.G, in.MSBFSSources)) },
 		Compare: exact,

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestAlgorithmTable checks the table's invariants: unique names, an oracle
-// and a comparator on every entry, a summary on every resumable one, and a
-// warplint file mapping that covers every entry exactly once.
+// TestAlgorithmTable checks the table's invariants: unique names, an oracle,
+// a comparator and a run constructor on every entry, and a warplint file
+// mapping that covers every entry exactly once.
 func TestAlgorithmTable(t *testing.T) {
 	var names []string
 	seen := map[string]bool{}
@@ -20,11 +20,8 @@ func TestAlgorithmTable(t *testing.T) {
 		if a.Oracle == nil || a.Compare == nil {
 			t.Errorf("%s: missing oracle or comparator", a.Name)
 		}
-		if (a.run == nil) == (a.resume == nil) {
-			t.Errorf("%s: want exactly one of a one-shot run and a stepper", a.Name)
-		}
-		if a.Resumable() != (a.Summarize != nil) {
-			t.Errorf("%s: a summary belongs to exactly the resumable entries", a.Name)
+		if a.start == nil {
+			t.Errorf("%s: missing run constructor", a.Name)
 		}
 		if got := Lookup(a.Name); got == nil || got.Name != a.Name {
 			t.Errorf("Lookup(%q) = %v", a.Name, got)

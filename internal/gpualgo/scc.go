@@ -33,69 +33,64 @@ type SCCResult struct {
 // full-vertex scan; the algorithm shines on small-world graphs where trim
 // plus a few FB rounds resolve everything.
 func SCC(d *simt.Device, g *graph.CSR, opts Options) (*SCCResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newSCCRun(d, g, opts))
+}
+
+// newSCCRun builds a Forward-Backward-Trim run whose rounds are regions:
+// each pops one region off the worklist, trims it, and splits what survives
+// around a pivot into up to three new regions. It fails after 4|V|+16
+// regions.
+func newSCCRun(d *simt.Device, g *graph.CSR, opts Options) (*Run[*SCCResult], error) {
+	res := &SCCResult{}
+	r, err := newRun[*SCCResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
+	r.result = func() *SCCResult { return res }
 	n := g.NumVertices()
-	res := &SCCResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
 	if n == 0 {
-		return res, nil
+		r.done = true
+		return r, nil
 	}
-	dg := Upload(d, g)
-	dgRev := Upload(d, g.Reverse())
-	region := d.AllocI32("scc.region", n) // current partition; -1 = resolved
+	dg := r.graph(Upload(d, g))
+	dgRev := r.graph(Upload(d, g.Reverse()))
+	region := r.i32("scc.region", n) // current partition; -1 = resolved
 	// Kernels read region from the first iteration; partition 0 is the
 	// initial state, so write it explicitly.
 	region.Fill(0)
-	scc := d.AllocI32("scc.labels", n)
+	scc := r.i32("scc.labels", n)
 	scc.Fill(-1)
-	fwd := d.AllocI32("scc.fwd", n)
-	bwd := d.AllocI32("scc.bwd", n)
-	hasOut := d.AllocI32("scc.hasout", n)
-	hasIn := d.AllocI32("scc.hasin", n)
-	counts := d.AllocI32("scc.counts", 4)
-	changed := d.AllocI32("scc.changed", 1)
+	fwd := r.i32("scc.fwd", n)
+	bwd := r.i32("scc.bwd", n)
+	hasOut := r.i32("scc.hasout", n)
+	hasIn := r.i32("scc.hasin", n)
+	counts := r.i32("scc.counts", 4)
+	changed := r.i32("scc.changed", 1)
 
-	lc := opts.grid(d, n)
-	launch := func(k simt.Kernel, what string) error {
-		stats, err := d.Launch(lc, k)
-		if err != nil {
-			return fmt.Errorf("gpualgo: SCC %s: %w", what, err)
-		}
-		res.Stats.Add(stats)
-		res.Launches++
-		return nil
-	}
-
+	lc := r.grid(n)
 	worklist := []int32{0}
 	nextRegion := int32(1)
-	guard := 0
-	for len(worklist) > 0 {
-		guard++
-		if guard > 4*n+16 {
-			return nil, fmt.Errorf("gpualgo: SCC exceeded %d region iterations", guard)
+	r.round = func() (bool, error) {
+		if res.Iterations+1 > 4*n+16 {
+			return false, fmt.Errorf("gpualgo: SCC exceeded %d region iterations", res.Iterations+1)
 		}
-		r := worklist[len(worklist)-1]
-		worklist = worklist[:len(worklist)-1]
-		res.Iterations++
+		cur := worklist[len(worklist)-1]
 
 		// Trim loop: peel trivially strongly-connected vertices.
+		trimmed := 0
 		for {
-			if err := launch(sccScanKernel(dg, region, hasOut, r, opts), "out-scan"); err != nil {
-				return nil, err
+			if err := r.launch(lc, sccScanKernel(dg, region, hasOut, cur, opts), "SCC out-scan"); err != nil {
+				return false, err
 			}
-			if err := launch(sccScanKernel(dgRev, region, hasIn, r, opts), "in-scan"); err != nil {
-				return nil, err
+			if err := r.launch(lc, sccScanKernel(dgRev, region, hasIn, cur, opts), "SCC in-scan"); err != nil {
+				return false, err
 			}
 			changed.Data()[0] = 0
-			if err := launch(sccTrimKernel(n, region, hasOut, hasIn, scc, changed, r), "trim"); err != nil {
-				return nil, err
+			if err := r.launch(lc, sccTrimKernel(n, region, hasOut, hasIn, scc, changed, cur), "SCC trim"); err != nil {
+				return false, err
 			}
-			trimmed := int(changed.Data()[0])
-			res.Trimmed += trimmed
-			if trimmed == 0 {
+			trimmed += int(changed.Data()[0])
+			if changed.Data()[0] == 0 {
 				break
 			}
 		}
@@ -103,18 +98,20 @@ func SCC(d *simt.Device, g *graph.CSR, opts Options) (*SCCResult, error) {
 		// stand-in for a tiny argmax kernel).
 		pivot := int32(-1)
 		for v := 0; v < n; v++ {
-			if region.Data()[v] == r {
+			if region.Data()[v] == cur {
 				pivot = int32(v)
 				break
 			}
 		}
 		if pivot < 0 {
-			continue
+			worklist = worklist[:len(worklist)-1]
+			res.Trimmed += trimmed
+			return len(worklist) == 0, nil
 		}
 		// Reset masks for this region, seed the pivot, and compute the
 		// forward/backward closures with masked BFS.
-		if err := launch(sccResetKernel(n, region, fwd, bwd, r), "reset"); err != nil {
-			return nil, err
+		if err := r.launch(lc, sccResetKernel(n, region, fwd, bwd, cur), "SCC reset"); err != nil {
+			return false, err
 		}
 		fwd.Data()[pivot] = 1
 		bwd.Data()[pivot] = 1
@@ -125,8 +122,8 @@ func SCC(d *simt.Device, g *graph.CSR, opts Options) (*SCCResult, error) {
 		}{{dg, fwd, "forward"}, {dgRev, bwd, "backward"}} {
 			for {
 				changed.Data()[0] = 0
-				if err := launch(sccClosureKernel(dir.g, region, dir.mask, changed, r, opts), dir.what); err != nil {
-					return nil, err
+				if err := r.launch(lc, sccClosureKernel(dir.g, region, dir.mask, changed, cur, opts), "SCC %s", dir.what); err != nil {
+					return false, err
 				}
 				if changed.Data()[0] == 0 {
 					break
@@ -135,13 +132,15 @@ func SCC(d *simt.Device, g *graph.CSR, opts Options) (*SCCResult, error) {
 		}
 		// Split: SCC = fwd ∩ bwd; the three remainders become new regions.
 		idFwd, idBwd, idRest := nextRegion, nextRegion+1, nextRegion+2
-		nextRegion += 3
 		for i := range counts.Data() {
 			counts.Data()[i] = 0
 		}
-		if err := launch(sccAssignKernel(n, region, fwd, bwd, scc, counts, r, pivot, idFwd, idBwd, idRest), "assign"); err != nil {
-			return nil, err
+		if err := r.launch(lc, sccAssignKernel(n, region, fwd, bwd, scc, counts, cur, pivot, idFwd, idBwd, idRest), "SCC assign"); err != nil {
+			return false, err
 		}
+		worklist = worklist[:len(worklist)-1]
+		res.Trimmed += trimmed
+		nextRegion += 3
 		if counts.Data()[1] > 0 {
 			worklist = append(worklist, idFwd)
 		}
@@ -151,24 +150,27 @@ func SCC(d *simt.Device, g *graph.CSR, opts Options) (*SCCResult, error) {
 		if counts.Data()[3] > 0 {
 			worklist = append(worklist, idRest)
 		}
+		return len(worklist) == 0, nil
 	}
-
-	// Canonicalize labels to the minimum vertex id per component, matching
-	// the CPU oracle's labeling.
-	raw := scc.Data()
-	minOf := map[int32]int32{}
-	for v := 0; v < n; v++ {
-		l := raw[v]
-		if cur, ok := minOf[l]; !ok || int32(v) < cur {
-			minOf[l] = int32(v)
+	r.result = func() *SCCResult {
+		// Canonicalize labels to the minimum vertex id per component,
+		// matching the CPU oracle's labeling.
+		raw := scc.Data()
+		minOf := map[int32]int32{}
+		for v := 0; v < n; v++ {
+			l := raw[v]
+			if cur, ok := minOf[l]; !ok || int32(v) < cur {
+				minOf[l] = int32(v)
+			}
 		}
+		res.Labels = make([]int32, n)
+		for v := 0; v < n; v++ {
+			res.Labels[v] = minOf[raw[v]]
+		}
+		res.Components = len(minOf)
+		return res
 	}
-	res.Labels = make([]int32, n)
-	for v := 0; v < n; v++ {
-		res.Labels[v] = minOf[raw[v]]
-	}
-	res.Components = len(minOf)
-	return res, nil
+	return r, nil
 }
 
 // sccScanKernel sets flag[v] = 1 iff v (in region r) has a neighbor still in

@@ -23,8 +23,14 @@ type SpMVResult struct {
 // and intermediate K interpolates between them — exactly the virtual-warp
 // spectrum.
 func SpMV(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, opts Options) (*SpMVResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newSpMVRun(d, dg, vals, x, opts))
+}
+
+// newSpMVRun builds a one-round run: a single launch.
+func newSpMVRun(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, opts Options) (*Run[*SpMVResult], error) {
+	res := &SpMVResult{}
+	r, err := newRun[*SpMVResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	if len(vals) != dg.NumEdges {
@@ -34,16 +40,29 @@ func SpMV(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, opts Opt
 		return nil, fmt.Errorf("gpualgo: x has %d entries for %d rows", len(x), dg.NumVertices)
 	}
 	n := dg.NumVertices
-	dVals := d.UploadF32("spmv.vals", vals)
-	dX := d.UploadF32("spmv.x", x)
-	dY := d.AllocF32("spmv.y", n)
+	r.graph(dg)
+	dVals := r.uploadF32("spmv.vals", vals)
+	dX := r.uploadF32("spmv.x", x)
+	dY := r.f32("spmv.y", n)
 	var counter *simt.BufI32
 	if opts.Dynamic {
-		counter = d.AllocI32("spmv.counter", 1)
+		counter = r.i32("spmv.counter", 1)
 	}
-	res := &SpMVResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
-	kernel := func(w *simt.WarpCtx) {
+	r.round = func() (bool, error) {
+		return true, r.launch(r.grid(n), spmvKernel(dg, dVals, dX, dY, counter, opts), "SpMV")
+	}
+	r.result = func() *SpMVResult {
+		res.Y = append([]float32(nil), dY.Data()...)
+		return res
+	}
+	return r, nil
+}
+
+// spmvKernel writes dY = A·dX, one row per virtual warp, for the matrix with
+// dg's sparsity pattern and the nonzeros dVals.
+func spmvKernel(dg *DeviceGraph, dVals, dX, dY *simt.BufF32, counter *simt.BufI32, opts Options) simt.Kernel {
+	n := dg.NumVertices
+	return func(w *simt.WarpCtx) {
 		body := func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			start := make([]int32, g)
@@ -73,15 +92,6 @@ func SpMV(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, opts Opt
 			vwarp.ForEachStatic(w, opts.K, int32(n), body)
 		}
 	}
-	stats, err := d.Launch(opts.grid(d, n), kernel)
-	if err != nil {
-		return nil, fmt.Errorf("gpualgo: SpMV: %w", err)
-	}
-	res.Stats.Add(stats)
-	res.Launches = 1
-	res.Iterations = 1
-	res.Y = append([]float32(nil), dY.Data()...)
-	return res, nil
 }
 
 // SpMVCPU is the host oracle for SpMV. Note the device reduces each row in

@@ -18,31 +18,14 @@ type SSSPResult struct {
 	Dist []int32
 }
 
-// SSSPRun is an open-loop Bellman-Ford run: each Step relaxes every finite
-// vertex's out-edges once. Host-side progress advances only when a step
-// succeeds, so a supervisor can restore State after a failure and retry the
-// same round.
-type SSSPRun struct {
-	// Launch supervises every kernel launch of the run.
-	Launch simt.LaunchOpts
-
-	d       *simt.Device
-	dg      *DeviceGraph
-	opts    Options
-	dist    *simt.BufI32
-	changed *simt.BufI32
-	counter *simt.BufI32
-	lc      simt.LaunchConfig
-	maxIter int
-	res     *SSSPResult
-	done    bool
-}
-
 // NewSSSPRun validates the inputs and allocates device state for a
-// Bellman-Ford run from src, without launching anything yet.
-func NewSSSPRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*SSSPRun, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+// Bellman-Ford run from src, without launching anything yet. Each Step
+// relaxes every finite vertex's out-edges once; the run is done at fixpoint
+// or after |V|+1 rounds.
+func NewSSSPRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*Run[*SSSPResult], error) {
+	res := &SSSPResult{}
+	r, err := newRun[*SSSPResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	if dg.Weights == nil {
@@ -52,64 +35,31 @@ func NewSSSPRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Option
 		return nil, fmt.Errorf("gpualgo: SSSP source %d out of range [0,%d)", src, dg.NumVertices)
 	}
 	n := dg.NumVertices
-	r := &SSSPRun{d: d, dg: dg, opts: opts, res: &SSSPResult{}}
-	r.dist = d.AllocI32("sssp.dist", n)
-	r.dist.Fill(cpualgo.InfDist)
-	r.dist.Data()[src] = 0
-	r.changed = d.AllocI32("sssp.changed", 1)
+	r.graph(dg)
+	dist := r.i32("sssp.dist", n)
+	dist.Fill(cpualgo.InfDist)
+	dist.Data()[src] = 0
+	changed := r.i32("sssp.changed", 1)
+	var counter *simt.BufI32
 	if opts.Dynamic {
-		r.counter = d.AllocI32("sssp.counter", 1)
+		counter = r.i32("sssp.counter", 1)
 	}
-	r.res.Stats.WarpWidth = d.Config().WarpWidth
-	r.maxIter = opts.MaxIterations
-	if r.maxIter == 0 {
-		r.maxIter = n + 1
+	lc := r.grid(n)
+	r.round = func() (bool, error) {
+		changed.Data()[0] = 0
+		if counter != nil {
+			counter.Data()[0] = 0
+		}
+		if err := r.launch(lc, ssspRelaxKernel(dg, dist, changed, counter, opts), "SSSP round %d", res.Iterations); err != nil {
+			return false, err
+		}
+		return changed.Data()[0] == 0 || res.Iterations+1 >= n+1, nil
 	}
-	r.lc = opts.grid(d, n)
+	r.result = func() *SSSPResult {
+		res.Dist = append([]int32(nil), dist.Data()...)
+		return res
+	}
 	return r, nil
-}
-
-// Step runs one relaxation round. It returns done=true at fixpoint or when
-// the iteration cap is hit; on error no host state advances.
-func (r *SSSPRun) Step() (bool, error) {
-	if r.done {
-		return true, nil
-	}
-	r.changed.Data()[0] = 0
-	if r.counter != nil {
-		r.counter.Data()[0] = 0
-	}
-	stats, err := r.d.LaunchWith(r.lc, r.Launch, ssspRelaxKernel(r.dg, r.dist, r.changed, r.counter, r.opts))
-	if err != nil {
-		return false, fmt.Errorf("gpualgo: SSSP round %d: %w", r.res.Iterations, err)
-	}
-	r.res.Stats.Add(stats)
-	r.res.Launches++
-	r.res.Iterations++
-	if r.changed.Data()[0] == 0 || r.res.Iterations >= r.maxIter {
-		r.done = true
-	}
-	return r.done, nil
-}
-
-// State returns the device buffers a supervisor must snapshot to make Step
-// retryable (distances plus the uploaded weighted graph).
-func (r *SSSPRun) State() RunState {
-	st := RunState{I32: []*simt.BufI32{r.dist, r.changed}}
-	if r.counter != nil {
-		st.I32 = append(st.I32, r.counter)
-	}
-	graphState(&st, r.dg)
-	return st
-}
-
-// Iterations returns the number of completed relaxation rounds.
-func (r *SSSPRun) Iterations() int { return r.res.Iterations }
-
-// Result finalizes and returns the run's output.
-func (r *SSSPRun) Result() *SSSPResult {
-	r.res.Dist = append([]int32(nil), r.dist.Data()...)
-	return r.res
 }
 
 // SSSP runs Bellman-Ford-style iterative relaxation on the device: every
@@ -118,14 +68,7 @@ func (r *SSSPRun) Result() *SSSPResult {
 // applies exactly as in BFS: the SISD phase reads the vertex's distance and
 // row pointers, the SIMD phase strides the edge list.
 func SSSP(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*SSSPResult, error) {
-	r, err := NewSSSPRun(d, dg, src, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := finish(r); err != nil {
-		return nil, err
-	}
-	return r.Result(), nil
+	return complete(NewSSSPRun(d, dg, src, opts))
 }
 
 func ssspRelaxKernel(dg *DeviceGraph, dist, changed, counter *simt.BufI32, opts Options) simt.Kernel {

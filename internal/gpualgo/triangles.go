@@ -30,20 +30,44 @@ type TriangleResult struct {
 // lanes stride over N(v) (SIMD phase), binary-searching each candidate w in
 // the sorted N(u) — the classic GPU intersection formulation.
 func TriangleCount(d *simt.Device, g *graph.CSR, opts Options) (*TriangleResult, error) {
-	opts = opts.withDefaults(d)
-	if err := opts.validate(d); err != nil {
+	return complete(newTriangleRun(d, g, nil, opts))
+}
+
+// newTriangleRun builds a one-round run on dg, the upload of g (nil
+// uploads g once the preconditions hold): a single launch.
+func newTriangleRun(d *simt.Device, g *graph.CSR, dg *DeviceGraph, opts Options) (*Run[*TriangleResult], error) {
+	res := &TriangleResult{}
+	r, err := newRun[*TriangleResult](d, &res.Result, &opts)
+	if err != nil {
 		return nil, err
 	}
 	if err := requireSortedSimple(g); err != nil {
 		return nil, err
 	}
-	dg := Upload(d, g)
+	if dg == nil {
+		dg = Upload(d, g)
+	}
 	n := dg.NumVertices
-	out := d.AllocI32("tri.out", n)
-	res := &TriangleResult{}
-	res.Stats.WarpWidth = d.Config().WarpWidth
+	r.graph(dg)
+	out := r.i32("tri.out", n)
+	r.round = func() (bool, error) {
+		return true, r.launch(r.grid(n), triangleKernel(dg, out, opts), "triangle count")
+	}
+	r.result = func() *TriangleResult {
+		res.PerVertex = append([]int32(nil), out.Data()...)
+		res.Total = 0
+		for _, c := range res.PerVertex {
+			res.Total += int64(c)
+		}
+		return res
+	}
+	return r, nil
+}
 
-	kernel := func(w *simt.WarpCtx) {
+// triangleKernel writes out[u], the triangles {u,v,w} with u < v < w.
+func triangleKernel(dg *DeviceGraph, out *simt.BufI32, opts Options) simt.Kernel {
+	n := dg.NumVertices
+	return func(w *simt.WarpCtx) {
 		vwarp.ForEachStatic(w, opts.K, int32(n), func(ts *vwarp.Tasks) {
 			gn := ts.Groups
 			startU := make([]int32, gn)
@@ -85,18 +109,6 @@ func TriangleCount(d *simt.Device, g *graph.CSR, opts Options) (*TriangleResult,
 			ts.StoreI32Grouped(out, ts.Task, sums, nil)
 		})
 	}
-	stats, err := d.Launch(opts.grid(d, n), kernel)
-	if err != nil {
-		return nil, fmt.Errorf("gpualgo: triangle count: %w", err)
-	}
-	res.Stats.Add(stats)
-	res.Launches = 1
-	res.Iterations = 1
-	res.PerVertex = append([]int32(nil), out.Data()...)
-	for _, c := range res.PerVertex {
-		res.Total += int64(c)
-	}
-	return res, nil
 }
 
 // binarySearchLanes searches target[lane] in the sorted slice

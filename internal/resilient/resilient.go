@@ -1,11 +1,12 @@
 // Package resilient wraps the device graph algorithms with fault tolerance:
 // bounded retry with exponential backoff on transient kernel faults,
-// checkpoint/restore of device buffers between iterations of the iterative
-// algorithms (BFS levels, Bellman-Ford rounds, PageRank sweeps), and
-// graceful degradation to the matching CPU oracle once the retry budget is
-// exhausted or the fault is permanent (device loss, deterministic kernel
-// bugs). Degraded results are tagged so callers can tell a GPU answer from
-// an oracle answer.
+// checkpoint/restore of device buffers between the rounds of every
+// algorithm-table entry's run (BFS levels, Bellman-Ford rounds, PageRank
+// sweeps, SCC regions, BC sources, single launches), and graceful
+// degradation to the matching CPU oracle once the retry budget is exhausted
+// or the fault is permanent (device loss, deterministic kernel bugs).
+// Degraded results are tagged so callers can tell a GPU answer from an
+// oracle answer.
 package resilient
 
 import (

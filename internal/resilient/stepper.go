@@ -4,9 +4,9 @@ import (
 	"maxwarp/internal/gpualgo"
 )
 
-// Stepper is a resumable device run: Step advances one iteration and
-// leaves host state untouched on failure, State lists the device buffers a
-// step mutates.
+// Stepper is a resumable device run — every table entry's gpualgo.Run:
+// Step advances one round and leaves host state untouched on failure, State
+// lists the device buffers a step may touch.
 type Stepper = gpualgo.Stepper
 
 // Drive runs s to completion under pol: after every successful step it

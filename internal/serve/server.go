@@ -562,7 +562,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // admit validates the query and resolves it against the graph registry.
 func (s *Server) admit(q *QueryRequest) (*request, int, error) {
-	if a := gpualgo.Lookup(q.Algo); a == nil || !a.Resumable() {
+	if a := gpualgo.Lookup(q.Algo); a == nil || a.Summarize == nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("unknown algo %q (want %s)", q.Algo, strings.Join(gpualgo.Names(true), "|"))
 	}
 	ng, ok := s.graphs.Get(q.Graph)

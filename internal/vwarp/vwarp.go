@@ -500,23 +500,12 @@ func ForEachStaticBlocked(w *simt.WarpCtx, k int, numTasks int32, body func(t *T
 	}
 }
 
-// fetchChunk has one lane of the physical warp atomically advance the global
-// task counter by chunk and broadcasts the claimed base index to the warp —
-// the paper's dynamic workload distribution primitive. The registers are
-// caller-owned so repeated claims stay allocation-free: zero and chunkV are
-// the replicated index/delta vectors, old the landing pad for the claimed
-// counter value.
-func fetchChunk(w *simt.WarpCtx, counter *simt.BufI32, zero, chunkV, old []int32) int32 {
-	w.If(func(lane int) bool { return lane == 0 }, func() {
-		w.AtomicAddI32(counter, zero, chunkV, old)
-	}, nil)
-	return w.BroadcastI32(old, 0)
-}
-
 // ForEachDynamic distributes tasks [0, numTasks) over physical warps in
 // chunks claimed from the global counter buffer (counter[0] must be zeroed
-// by the host before launch). Within a claimed chunk, tasks are dealt to the
-// warp's virtual warps round-robin.
+// by the host before launch) — the paper's dynamic workload distribution
+// primitive. One lane of the physical warp atomically advances the counter
+// by chunk and broadcasts the claimed base index to the warp; within a
+// claimed chunk, tasks are dealt to the warp's virtual warps round-robin.
 func ForEachDynamic(w *simt.WarpCtx, k int, numTasks int32, counter *simt.BufI32, chunk int32, body func(t *Tasks)) {
 	if chunk < 1 {
 		panic(fmt.Sprintf("vwarp: chunk size %d must be >= 1", chunk))

@@ -249,8 +249,11 @@ func TestDeferAndProcessDeferred(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("deferred %d tasks, want 3", q.Len())
 	}
+	// Read the queue length on the host: Data must not be touched while a
+	// launch is in flight.
+	numDeferred := int32(q.Len())
 	deferredPass := func(w *simt.WarpCtx) {
-		ForEachDeferred(w, w.Width(), q, int32(q.Len()), func(ts *Tasks) {
+		ForEachDeferred(w, w.Width(), q, numDeferred, func(ts *Tasks) {
 			vals := make([]int32, ts.Groups)
 			ts.SISD(1, func(g int) { vals[g] = 2 })
 			ts.StoreI32Grouped(processed, ts.Task, vals, nil)
