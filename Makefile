@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint race benchgate check fuzz sanitize servesmoke mwbenchtest stdoutdiff
+.PHONY: build test short vet lint race benchgate check fuzz sanitize servesmoke mwbenchtest examples stdoutdiff
 
 build:
 	$(GO) build ./...
@@ -81,14 +81,26 @@ servesmoke:
 mwbenchtest:
 	cd mwbench && $(GO) vet . && $(GO) test .
 
-check: vet lint race benchgate servesmoke mwbenchtest
+# The examples are the public maxwarp package's only non-test callers. Build
+# them once and run each: an example exits non-zero (log.Fatal) when a device
+# answer differs from its CPU oracle. About 16 s on a 2-vCPU host, most of it
+# roadnetwork.
+examples:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/" ./examples/... && \
+	for e in "$$d"/*; do \
+		echo "examples/$$(basename "$$e")"; \
+		"$$e" >/dev/null || exit 1; \
+	done
 
-# Byte-identical stdout check of the maxwarp CLI against another revision
-# (default HEAD, i.e. the working tree's uncommitted changes): builds
-# cmd/maxwarp at BASE and from the working tree, runs a fixed command list
-# and reports every command whose stdout or exit status differs. Not part of
-# check, because a change may alter stdout on purpose. See
-# scripts/stdout_diff.sh.
+check: vet lint race benchgate servesmoke mwbenchtest examples
+
+# Byte-identical stdout check of the maxwarp CLI and the examples against
+# another revision (default HEAD, i.e. the working tree's uncommitted
+# changes): builds cmd/maxwarp and the examples at BASE and from the working
+# tree, runs a fixed command list and every example, and reports each one
+# whose stdout or exit status differs. Not part of check, because a change
+# may alter stdout on purpose. See scripts/stdout_diff.sh.
 BASE ?= HEAD
 stdoutdiff:
 	bash scripts/stdout_diff.sh $(BASE)

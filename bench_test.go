@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"maxwarp"
+	"maxwarp/internal/bench"
+	"maxwarp/internal/cpualgo"
 )
 
 func benchScale() int {
@@ -25,13 +27,13 @@ func benchScale() int {
 	return 9
 }
 
-func benchConfig() maxwarp.ExperimentConfig {
-	return maxwarp.ExperimentConfig{Scale: benchScale(), Seed: 42}
+func benchConfig() bench.Config {
+	return bench.Config{Scale: benchScale(), Seed: 42}
 }
 
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
-	e, err := maxwarp.ExperimentByID(id)
+	e, err := bench.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func BenchmarkCPUBFSSequential(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		maxwarp.BFSCPU(g, 0)
+		cpualgo.BFSSequential(g, 0)
 	}
 }
 
@@ -178,7 +180,7 @@ func BenchmarkCPUBFSParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		maxwarp.BFSCPUParallel(g, 0, 0)
+		cpualgo.BFSParallel(g, 0, 0)
 	}
 }
 

@@ -301,24 +301,20 @@ func cmdBFS(args []string) error {
 			return fmt.Errorf("-retries must be >= 1 (got %d)", *retries)
 		}
 		dev.SetFaultPlan(plan)
-		rres, err := resilient.BFS(dev, g, source, opts, resilient.Policy{MaxRetries: *retries})
+		a := gpualgo.Lookup("bfs")
+		o, out, err := resilient.Execute(dev, a, gpualgo.Input{G: g, Src: source}, opts, resilient.Policy{MaxRetries: *retries})
 		if err != nil {
 			return err
 		}
-		reached := 0
-		for _, l := range rres.Levels {
-			if l >= 0 {
-				reached++
-			}
-		}
+		sum := a.Summarize(o.Value)
 		fmt.Printf("graph       %s (%s)\n", name, graph.Stats(g))
 		fmt.Printf("mapping     K=%d dynamic=%v defer=%d  inject=%s\n", *k, *dynamic, *deferTh, *inject)
-		fmt.Printf("source      %d  reached %d/%d  depth %d\n", source, reached, g.NumVertices(), rres.Depth)
-		printOutcome(os.Stdout, rres.Outcome)
-		if rres.GPU != nil {
+		fmt.Printf("source      %d  reached %d/%d  depth %d\n", source, sum.Reached, g.NumVertices(), sum.Depth)
+		printOutcome(os.Stdout, *out)
+		if !out.Degraded {
 			cfg := dev.Config()
 			fmt.Printf("cycles      %d  (%.3f ms at %.1f GHz)\n",
-				rres.GPU.Stats.Cycles, rres.GPU.Stats.TimeMS(cfg.ClockGHz), cfg.ClockGHz)
+				o.Stats.Cycles, o.Stats.TimeMS(cfg.ClockGHz), cfg.ClockGHz)
 		}
 		return reportSanitizer(san, false)
 	}

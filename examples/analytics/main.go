@@ -6,6 +6,8 @@
 //   - k-core decomposition (dense community cores),
 //   - maximal independent set (scheduling/seeding),
 //   - connected components (reachability islands).
+//
+// Each analytic is an entry of the algorithm table, looked up by name.
 package main
 
 import (
@@ -31,49 +33,37 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dg, err := maxwarp.UploadGraph(dev, g)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts := maxwarp.Options{K: 32}
-
-	tri, err := maxwarp.TriangleCount(dev, g, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, want := maxwarp.TriangleCountCPU(g); tri.Total != want {
-		log.Fatalf("triangle count mismatch: %d vs CPU %d", tri.Total, want)
-	}
-	fmt.Printf("triangles:        %8d        (%.2f Mcycles)\n",
-		tri.Total, float64(tri.Stats.Cycles)/1e6)
-
-	for _, k := range []int32{2, 4, 8} {
-		core, err := maxwarp.KCore(dev, dg, k, opts)
+	// run executes entry name on the device and checks it against the
+	// entry's CPU oracle.
+	run := func(name string, in maxwarp.Input) maxwarp.Output {
+		a := maxwarp.Lookup(name)
+		in.G = g
+		out, err := a.Run(dev, in, maxwarp.Options{K: 32})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, want := maxwarp.KCoreCPU(g, k); core.Remaining != want {
-			log.Fatalf("%d-core mismatch: %d vs CPU %d", k, core.Remaining, want)
+		if err := a.Compare(in, out.Value, a.Oracle(in).Value); err != nil {
+			log.Fatalf("%s: %v", name, err)
 		}
+		return out
+	}
+
+	tri := run("triangles", maxwarp.Input{})
+	fmt.Printf("triangles:        %8d        (%.2f Mcycles)\n",
+		tri.Value, float64(tri.Stats.Cycles)/1e6)
+
+	for _, k := range []int32{2, 4, 8} {
+		core := run("kcore", maxwarp.Input{CoreK: k})
 		fmt.Printf("%d-core size:      %8d vertices (%d peeling rounds)\n",
-			k, core.Remaining, core.Iterations)
+			k, core.Value, core.Rounds)
 	}
 
-	mis, err := maxwarp.MIS(dev, dg, 7, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, want := maxwarp.MISCPU(g, 7); mis.Size != want {
-		log.Fatalf("MIS mismatch: %d vs CPU %d", mis.Size, want)
-	}
-	fmt.Printf("max indep. set:   %8d vertices (%d rounds)\n", mis.Size, mis.Iterations)
+	mis := run("mis", maxwarp.Input{Seed: 7})
+	fmt.Printf("max indep. set:   %8d vertices (%d rounds)\n", mis.Value, mis.Rounds)
 
-	cc, err := maxwarp.ConnectedComponents(dev, dg, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cc := run("cc", maxwarp.Input{})
 	comps := map[int32]int{}
-	for _, l := range cc.Labels {
+	for _, l := range cc.Value.([]int32) {
 		comps[l]++
 	}
 	largest := 0

@@ -20,19 +20,16 @@ func main() {
 	}
 	fmt.Printf("citation graph: %s\n\n", maxwarp.Stats(g))
 
-	run := func(k int) *maxwarp.PageRankResult {
+	run := func(k int) maxwarp.Output {
 		dev, err := maxwarp.NewDevice(maxwarp.DefaultDeviceConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := maxwarp.PageRank(dev, g, maxwarp.PageRankOptions{
-			Options:    maxwarp.Options{K: k},
-			Iterations: 15,
-		})
+		out, err := maxwarp.Lookup("pagerank").Run(dev, maxwarp.Input{G: g, Iterations: 15}, maxwarp.Options{K: k})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res
+		return out
 	}
 	base := run(1)
 	warp := run(32)
@@ -44,8 +41,9 @@ func main() {
 		v    int
 		rank float32
 	}
-	top := make([]ranked, len(warp.Ranks))
-	for v, r := range warp.Ranks {
+	ranks := warp.Value.([]float32)
+	top := make([]ranked, len(ranks))
+	for v, r := range ranks {
 		top[v] = ranked{v, r}
 	}
 	sort.Slice(top, func(i, j int) bool { return top[i].rank > top[j].rank })

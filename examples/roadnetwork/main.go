@@ -50,26 +50,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wdg, err := maxwarp.UploadWeightedGraph(dev, g, weights)
+	sssp := maxwarp.Lookup("sssp")
+	in := maxwarp.Input{G: g, Weights: weights}
+	res, err := sssp.Run(dev, in, maxwarp.Options{K: bestK})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := maxwarp.SSSP(dev, wdg, 0, maxwarp.Options{K: bestK})
-	if err != nil {
-		log.Fatal(err)
+	if err := sssp.Compare(in, res.Value, sssp.Oracle(in).Value); err != nil {
+		log.Fatalf("device SSSP disagrees with Dijkstra: %v", err)
 	}
-	oracle := maxwarp.SSSPCPU(g, weights, 0)
 	far, farDist := 0, int32(0)
-	for v, d := range res.Dist {
-		if d != oracle[v] {
-			log.Fatalf("device SSSP disagrees with Dijkstra at vertex %d", v)
-		}
+	for v, d := range res.Value.([]int32) {
 		if d < maxwarp.InfDist && d > farDist {
 			far, farDist = v, d
 		}
 	}
 	fmt.Printf("SSSP from depot 0 (K=%d): %d relaxation rounds, %d cycles\n",
-		bestK, res.Iterations, res.Stats.Cycles)
+		bestK, res.Rounds, res.Stats.Cycles)
 	fmt.Printf("farthest intersection: %d at %d minutes (matches CPU Dijkstra)\n",
 		far, farDist)
 }

@@ -3,14 +3,18 @@ package gpualgo
 import (
 	"sort"
 	"testing"
+
+	"maxwarp/internal/simt"
 )
 
 // TestAlgorithmTable checks the table's invariants: unique names, an oracle,
-// a comparator and a run constructor on every entry, and a warplint file
-// mapping that covers every entry exactly once.
+// a comparator and a run constructor on every entry, an error (not a panic)
+// from Run without a graph, and a warplint file mapping that covers every
+// entry exactly once.
 func TestAlgorithmTable(t *testing.T) {
 	var names []string
 	seen := map[string]bool{}
+	d := simt.MustNewDevice(simt.DefaultConfig())
 	for _, a := range Algorithms() {
 		if seen[a.Name] {
 			t.Errorf("duplicate entry %q", a.Name)
@@ -25,6 +29,9 @@ func TestAlgorithmTable(t *testing.T) {
 		}
 		if got := Lookup(a.Name); got == nil || got.Name != a.Name {
 			t.Errorf("Lookup(%q) = %v", a.Name, got)
+		}
+		if _, err := a.Run(d, Input{}, Options{}); err == nil {
+			t.Errorf("%s: ran without a graph", a.Name)
 		}
 	}
 	if Lookup("nope") != nil {

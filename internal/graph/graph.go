@@ -54,6 +54,9 @@ func (g *CSR) Neighbors(v VertexID) []VertexID {
 // Validate checks the CSR invariants, returning a descriptive error on the
 // first violation.
 func (g *CSR) Validate() error {
+	if g == nil {
+		return errors.New("graph: nil graph")
+	}
 	if len(g.RowPtr) == 0 {
 		return errors.New("graph: empty RowPtr; need at least [0]")
 	}

@@ -167,6 +167,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := empty.Validate(); err == nil {
 		t.Error("zero-value CSR validated")
 	}
+	var none *CSR
+	if err := none.Validate(); err == nil {
+		t.Error("nil CSR validated")
+	}
 }
 
 func TestMaxDegreeVertex(t *testing.T) {

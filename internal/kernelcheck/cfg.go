@@ -240,7 +240,6 @@ var memOps = map[string]memOp{
 	"AtomicMinI32":       {kind: EvAtomic, idx: 1},
 	"AtomicCASI32":       {kind: EvAtomic, idx: 1},
 	"AtomicOrI32":        {kind: EvAtomic, idx: 1},
-	"AtomicExchI32":      {kind: EvAtomic, idx: 1},
 	"AtomicAddF32":       {kind: EvAtomic, idx: 1},
 	"AtomicAddGrouped":   {kind: EvAtomic, idx: 1, grouped: true},
 	"AtomicAddSharedI32": {kind: EvAtomic, idx: 1, shared: true},

@@ -110,12 +110,8 @@ func CheckFileWith(fset *token.FileSet, file *ast.File, analyzers []*Analyzer) [
 	return diags
 }
 
-// CheckSource parses src (named filename for positions) and checks it.
-func CheckSource(filename string, src []byte) ([]Diagnostic, error) {
-	return CheckSourceWith(filename, src, All)
-}
-
-// CheckSourceWith parses src and runs a specific analyzer set over it.
+// CheckSourceWith parses src (named filename for positions) and runs a
+// specific analyzer set over it.
 func CheckSourceWith(filename string, src []byte, analyzers []*Analyzer) ([]Diagnostic, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments)

@@ -8,7 +8,7 @@ import (
 // check runs the full analyzer set over one fixture file.
 func check(t *testing.T, src string) []Diagnostic {
 	t.Helper()
-	diags, err := CheckSource("fixture.go", []byte(src))
+	diags, err := CheckSourceWith("fixture.go", []byte(src), All)
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
 	}

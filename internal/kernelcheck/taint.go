@@ -80,11 +80,9 @@ var (
 
 // uniformCalls return warp-uniform values regardless of arguments.
 var uniformCalls = map[string]bool{
-	"ConstI32": true, "ConstF32": true,
-	"VecI32": true, "VecF32": true, "VecBool": true,
+	"ConstI32": true, "VecI32": true, "VecF32": true,
 	"BroadcastI32": true, "Ballot": true,
-	"Width": true, "BlockDim": true, "GridDim": true, "GridThreads": true,
-	"ActiveCount": true, "AnyActive": true, "LaneActive": true,
+	"Width": true, "BlockDim": true, "GridThreads": true, "LaneActive": true,
 	"BlockID": true, "SMID": true, "GlobalWarpID": true, "WarpInBlock": true,
 	"KernelScratch": true, "SharedI32": true, "Valid": true,
 	"len": true, "cap": true, "int": true, "int32": true, "int64": true,
@@ -122,14 +120,12 @@ var outParams = map[string]outParam{
 	"AtomicAddI32":       {idx: -1, out: 3},
 	"AtomicMinI32":       {idx: -1, out: 3},
 	"AtomicOrI32":        {idx: -1, out: 3},
-	"AtomicExchI32":      {idx: -1, out: 3},
 	"AtomicAddF32":       {idx: -1, out: 3},
 	"AtomicCASI32":       {idx: -1, out: 4},
 	"AtomicAddGrouped":   {idx: -1, out: 3},
 	"AtomicAddSharedI32": {idx: -1, out: 3},
 
 	"GroupReduceAddI32": {idx: -1, out: 2},
-	"GroupReduceMinI32": {idx: -1, out: 2},
 	"GroupReduceOrI32":  {idx: -1, out: 2},
 	"GroupReduceAddF32": {idx: -1, out: 2},
 }

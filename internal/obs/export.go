@@ -38,11 +38,6 @@ func (m *Metrics) Families(perSM bool) []report.MetricFamily {
 	return fams
 }
 
-// PromText renders the registry in the Prometheus text format.
-func (m *Metrics) PromText(perSM bool) (string, error) {
-	return report.PromText(m.Families(perSM))
-}
-
 // StatsFamilies renders a launch's merged counters (and its histograms when
 // profiling was on) as Prometheus metric families under the given name
 // prefix (e.g. "maxwarp"). Host-mode fields and the per-warp vectors are

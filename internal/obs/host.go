@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -142,31 +141,6 @@ func (h *HostHist) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *HostHist) Sum() int64 { return h.sum.Load() }
-
-// Quantile returns an upper bound for the q-quantile (q in [0,1]) from the
-// bucket counts: the upper bound of the first bucket whose cumulative count
-// reaches q of the total. Returns 0 with no observations.
-func (h *HostHist) Quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := 0; i < HostHistBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			if ub := hostBucketUpperBound(i); ub >= 0 {
-				return ub
-			}
-			return math.MaxInt64
-		}
-	}
-	return math.MaxInt64
-}
 
 // hostBucketIndex maps v to its bucket: bucket i holds values in
 // (2^(i-1), 2^i] with bucket 0 holding v <= 1, and the last bucket

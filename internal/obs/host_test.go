@@ -37,7 +37,7 @@ func TestHostCountersSurviveConcurrentHammering(t *testing.T) {
 	}
 }
 
-func TestHostHistBucketsAndQuantiles(t *testing.T) {
+func TestHostHistBuckets(t *testing.T) {
 	var h HostHist
 	for v := int64(1); v <= 1000; v++ {
 		h.Observe(v)
@@ -45,15 +45,21 @@ func TestHostHistBucketsAndQuantiles(t *testing.T) {
 	if h.Count() != 1000 || h.Sum() != 500500 {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
 	}
-	// Quantile returns a power-of-two upper bound for the rank.
-	if q := h.Quantile(0.5); q < 500 || q > 1024 {
-		t.Fatalf("p50 bound = %d, want in [500,1024]", q)
-	}
-	if q := h.Quantile(0.99); q < 990 || q > 1024 {
-		t.Fatalf("p99 bound = %d, want in [990,1024]", q)
-	}
-	if q := h.Quantile(1.0); q != 1024 {
-		t.Fatalf("p100 bound = %d, want 1024", q)
+	// Bucket 0 holds 1, bucket i in 1..9 holds (2^(i-1), 2^i], and bucket
+	// 10 holds the 488 values in (512, 1000].
+	for i := 0; i < HostHistBuckets; i++ {
+		want := int64(0)
+		switch {
+		case i == 0:
+			want = 1
+		case i <= 9:
+			want = 1 << (i - 1)
+		case i == 10:
+			want = 488
+		}
+		if got := h.buckets[i].Load(); got != want {
+			t.Errorf("bucket %d holds %d values, want %d", i, got, want)
+		}
 	}
 }
 

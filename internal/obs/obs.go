@@ -81,13 +81,6 @@ func (c *Counter) Name() string { return c.name }
 // Help returns the counter's description.
 func (c *Counter) Help() string { return c.help }
 
-// Reset zeroes every shard.
-func (c *Counter) Reset() {
-	for i := range c.shard {
-		c.shard[i].v[0] = 0
-	}
-}
-
 func (c *Counter) index(sm int) int {
 	if sm < 0 || sm >= len(c.shard)-1 {
 		return len(c.shard) - 1
@@ -133,16 +126,6 @@ func (m *Metrics) Counter(name, help string) *Counter {
 	return c
 }
 
-// Lookup returns the counter with that name, or nil.
-func (m *Metrics) Lookup(name string) *Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.byName[name]
-}
-
-// NumSMs returns the shard count the registry was built for.
-func (m *Metrics) NumSMs() int { return m.numSMs }
-
 // Counters returns the registered counters sorted by name (a deterministic
 // snapshot independent of registration order).
 func (m *Metrics) Counters() []*Counter {
@@ -151,13 +134,6 @@ func (m *Metrics) Counters() []*Counter {
 	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// Reset zeroes every registered counter.
-func (m *Metrics) Reset() {
-	for _, c := range m.Counters() {
-		c.Reset()
-	}
 }
 
 // Values returns a name→total snapshot of every registered counter.

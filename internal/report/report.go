@@ -156,6 +156,3 @@ func F(v float64, prec int) string {
 
 // I formats an integer.
 func I(v int64) string { return fmt.Sprintf("%d", v) }
-
-// Sci formats large magnitudes in engineering style (e.g. 1.23e+06).
-func Sci(v float64) string { return fmt.Sprintf("%.3g", v) }

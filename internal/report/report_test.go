@@ -87,7 +87,4 @@ func TestFormatters(t *testing.T) {
 	if I(42) != "42" {
 		t.Fatal("I wrong")
 	}
-	if Sci(1234567) != "1.23e+06" {
-		t.Fatalf("Sci wrong: %s", Sci(1234567))
-	}
 }

@@ -2,6 +2,7 @@ package resilient
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -13,10 +14,10 @@ import (
 	"maxwarp/internal/simt"
 )
 
-// The chaos suite: run the resilient algorithms under seeded fault injection
-// and assert that (a) transient faults never change the answer, (b)
-// permanent faults degrade to the CPU oracle with Degraded set, and (c) no
-// fault ever surfaces as a panic.
+// The chaos suite: run table entries through Execute under seeded fault
+// injection and assert that (a) transient faults never change the answer,
+// (b) permanent faults degrade to the CPU oracle with Degraded set, and (c)
+// no fault ever surfaces as a panic.
 
 func testConfig() simt.Config {
 	cfg := simt.DefaultConfig()
@@ -49,23 +50,28 @@ func fastPolicy() Policy {
 	return Policy{MaxRetries: 3, Sleep: func(time.Duration) {}}
 }
 
+// bfs runs the BFS entry from vertex 0 under Execute.
+func bfs(d *simt.Device, g *graph.CSR, k int, pol Policy) (gpualgo.Output, *Outcome, error) {
+	return Execute(d, gpualgo.Lookup("bfs"), gpualgo.Input{G: g}, gpualgo.Options{K: k}, pol)
+}
+
 func TestBFSSurvivesInjectedAborts(t *testing.T) {
 	g := testGraph(t)
 	want := cpualgo.BFSSequential(g, 0)
 
 	d := newTestDevice(t)
 	d.SetFaultPlan(&simt.FaultPlan{Seed: 17, AbortEvery: 3})
-	res, err := BFS(d, g, 0, gpualgo.Options{K: 8}, fastPolicy())
+	res, out, err := bfs(d, g, 8, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome.Degraded {
-		t.Fatalf("transient aborts should not degrade: faults=%v", res.Outcome.Faults)
+	if out.Degraded {
+		t.Fatalf("transient aborts should not degrade: faults=%v", out.Faults)
 	}
-	if res.Outcome.Retries == 0 {
+	if out.Retries == 0 {
 		t.Fatal("fault plan injected nothing; the test is vacuous")
 	}
-	if !reflect.DeepEqual(res.Levels, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("BFS under transient aborts differs from fault-free oracle")
 	}
 }
@@ -80,20 +86,20 @@ func TestBFSSurvivesBitFlipsInStateBuffers(t *testing.T) {
 		BitFlipEvery: 2,
 		Buffers:      []string{"bfs.levels", "bfs.changed"},
 	})
-	res, err := BFS(d, g, 0, gpualgo.Options{K: 8}, fastPolicy())
+	res, out, err := bfs(d, g, 8, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome.Degraded {
-		t.Fatalf("bit-flips should be retried, not degraded: faults=%v", res.Outcome.Faults)
+	if out.Degraded {
+		t.Fatalf("bit-flips should be retried, not degraded: faults=%v", out.Faults)
 	}
-	if res.Outcome.Retries == 0 {
+	if out.Retries == 0 {
 		t.Fatal("no bit-flip was injected; the test is vacuous")
 	}
-	if !reflect.DeepEqual(res.Levels, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("BFS under bit-flips differs from fault-free oracle")
 	}
-	for _, f := range res.Outcome.Faults {
+	for _, f := range out.Faults {
 		if !simt.IsTransient(f.Err) {
 			t.Fatalf("non-transient fault recovered from: %v", f.Err)
 		}
@@ -114,17 +120,17 @@ func TestBFSRestoresCorruptedGraphBuffers(t *testing.T) {
 		BitFlipEvery: 2,
 		Buffers:      []string{"graph.col"},
 	})
-	res, err := BFS(d, g, 0, gpualgo.Options{K: 8}, fastPolicy())
+	res, out, err := bfs(d, g, 8, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome.Degraded {
-		t.Fatalf("graph corruption should be restored and retried: faults=%v", res.Outcome.Faults)
+	if out.Degraded {
+		t.Fatalf("graph corruption should be restored and retried: faults=%v", out.Faults)
 	}
-	if res.Outcome.Retries == 0 {
+	if out.Retries == 0 {
 		t.Fatal("no bit-flip was injected; the test is vacuous")
 	}
-	if !reflect.DeepEqual(res.Levels, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("BFS after graph-buffer restoration differs from oracle")
 	}
 }
@@ -135,20 +141,20 @@ func TestBFSDegradesOnDeviceLoss(t *testing.T) {
 
 	d := newTestDevice(t)
 	d.SetFaultPlan(&simt.FaultPlan{Seed: 1, DeviceLossAfterCycles: 500})
-	res, err := BFS(d, g, 0, gpualgo.Options{K: 8}, fastPolicy())
+	res, out, err := bfs(d, g, 8, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Outcome.Degraded {
+	if !out.Degraded {
 		t.Fatal("device loss must degrade to the CPU oracle")
 	}
-	if !errors.Is(res.Outcome.FallbackCause, simt.ErrDeviceLost) {
-		t.Fatalf("fallback cause = %v, want ErrDeviceLost", res.Outcome.FallbackCause)
+	if !errors.Is(out.FallbackCause, simt.ErrDeviceLost) {
+		t.Fatalf("fallback cause = %v, want ErrDeviceLost", out.FallbackCause)
 	}
-	if res.GPU != nil {
+	if res.Result != nil {
 		t.Fatal("degraded result still claims GPU provenance")
 	}
-	if !reflect.DeepEqual(res.Levels, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("degraded BFS differs from oracle")
 	}
 	if !d.Lost() {
@@ -164,17 +170,17 @@ func TestBFSDegradesWhenRetryBudgetExhausted(t *testing.T) {
 	d.SetFaultPlan(&simt.FaultPlan{Seed: 2, AbortEvery: 1}) // every launch dies
 	pol := fastPolicy()
 	pol.MaxRetries = 2
-	res, err := BFS(d, g, 0, gpualgo.Options{K: 8}, pol)
+	res, out, err := bfs(d, g, 8, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Outcome.Degraded {
+	if !out.Degraded {
 		t.Fatal("exhausted budget must degrade")
 	}
-	if res.Outcome.Retries != 2 {
-		t.Fatalf("retries = %d, want exactly MaxRetries=2", res.Outcome.Retries)
+	if out.Retries != 2 {
+		t.Fatalf("retries = %d, want exactly MaxRetries=2", out.Retries)
 	}
-	if !reflect.DeepEqual(res.Levels, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("degraded BFS differs from oracle")
 	}
 }
@@ -186,7 +192,7 @@ func TestBFSNoFallbackReturnsTypedError(t *testing.T) {
 	pol := fastPolicy()
 	pol.MaxRetries = 1
 	pol.NoFallback = true
-	_, err := BFS(d, g, 0, gpualgo.Options{K: 8}, pol)
+	_, _, err := bfs(d, g, 8, pol)
 	if err == nil {
 		t.Fatal("NoFallback must surface the error")
 	}
@@ -208,17 +214,17 @@ func TestSSSPSurvivesTransientFaults(t *testing.T) {
 		BitFlipEvery: 3,
 		Buffers:      []string{"sssp.dist", "graph.col"},
 	})
-	res, err := SSSP(d, g, weights, 0, gpualgo.Options{K: 8}, fastPolicy())
+	res, out, err := Execute(d, gpualgo.Lookup("sssp"), gpualgo.Input{G: g, Weights: weights}, gpualgo.Options{K: 8}, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome.Degraded {
-		t.Fatalf("transient faults should not degrade: faults=%v", res.Outcome.Faults)
+	if out.Degraded {
+		t.Fatalf("transient faults should not degrade: faults=%v", out.Faults)
 	}
-	if res.Outcome.Retries == 0 {
+	if out.Retries == 0 {
 		t.Fatal("no fault was injected; the test is vacuous")
 	}
-	if !reflect.DeepEqual(res.Dist, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("SSSP under transient faults differs from oracle")
 	}
 }
@@ -230,27 +236,28 @@ func TestSSSPDegradesOnDeviceLoss(t *testing.T) {
 
 	d := newTestDevice(t)
 	d.SetFaultPlan(&simt.FaultPlan{Seed: 4, DeviceLossAfterCycles: 800})
-	res, err := SSSP(d, g, weights, 0, gpualgo.Options{K: 8}, fastPolicy())
+	res, out, err := Execute(d, gpualgo.Lookup("sssp"), gpualgo.Input{G: g, Weights: weights}, gpualgo.Options{K: 8}, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Outcome.Degraded || !errors.Is(res.Outcome.FallbackCause, simt.ErrDeviceLost) {
-		t.Fatalf("outcome = %+v, want device-loss degradation", res.Outcome)
+	if !out.Degraded || !errors.Is(out.FallbackCause, simt.ErrDeviceLost) {
+		t.Fatalf("outcome = %+v, want device-loss degradation", *out)
 	}
-	if !reflect.DeepEqual(res.Dist, want) {
+	if !reflect.DeepEqual(res.Value, want) {
 		t.Fatal("degraded SSSP differs from oracle")
 	}
 }
 
 func TestPageRankSurvivesTransientFaults(t *testing.T) {
 	g := testGraph(t)
-	opts := gpualgo.PageRankOptions{Options: gpualgo.Options{K: 8}, Iterations: 5}
+	a := gpualgo.Lookup("pagerank")
+	in := gpualgo.Input{G: g, Iterations: 5}
+	opts := gpualgo.Options{K: 8}
 
 	// Fault-free device run is the reference: transient faults must not
 	// perturb even the floating-point result (exact equality, since retries
 	// replay identical launches from restored state).
-	clean := newTestDevice(t)
-	ref, err := gpualgo.PageRank(clean, g, opts)
+	ref, err := a.Run(newTestDevice(t), in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,17 +273,17 @@ func TestPageRankSurvivesTransientFaults(t *testing.T) {
 	// loop more headroom than the BFS tests need.
 	pol := fastPolicy()
 	pol.MaxRetries = 8
-	res, err := PageRank(d, g, opts, pol)
+	res, out, err := Execute(d, a, in, opts, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome.Degraded {
-		t.Fatalf("transient faults should not degrade: faults=%v", res.Outcome.Faults)
+	if out.Degraded {
+		t.Fatalf("transient faults should not degrade: faults=%v", out.Faults)
 	}
-	if res.Outcome.Retries == 0 {
+	if out.Retries == 0 {
 		t.Fatal("no fault was injected; the test is vacuous")
 	}
-	if !reflect.DeepEqual(res.Ranks, ref.Ranks) {
+	if !reflect.DeepEqual(res.Value, ref.Value) {
 		t.Fatal("PageRank under transient faults differs from fault-free run")
 	}
 }
@@ -285,15 +292,15 @@ func TestPageRankDegradesOnDeviceLoss(t *testing.T) {
 	g := testGraph(t)
 	d := newTestDevice(t)
 	d.SetFaultPlan(&simt.FaultPlan{Seed: 6, DeviceLossAfterCycles: 1000})
-	res, err := PageRank(d, g, gpualgo.PageRankOptions{Options: gpualgo.Options{K: 8}, Iterations: 5}, fastPolicy())
+	res, out, err := Execute(d, gpualgo.Lookup("pagerank"), gpualgo.Input{G: g, Iterations: 5}, gpualgo.Options{K: 8}, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Outcome.Degraded || !errors.Is(res.Outcome.FallbackCause, simt.ErrDeviceLost) {
-		t.Fatalf("outcome = %+v, want device-loss degradation", res.Outcome)
+	if !out.Degraded || !errors.Is(out.FallbackCause, simt.ErrDeviceLost) {
+		t.Fatalf("outcome = %+v, want device-loss degradation", *out)
 	}
 	var sum float64
-	for _, r := range res.Ranks {
+	for _, r := range res.Value.([]float32) {
 		sum += float64(r)
 	}
 	if sum < 0.99 || sum > 1.01 {
@@ -301,42 +308,49 @@ func TestPageRankDegradesOnDeviceLoss(t *testing.T) {
 	}
 }
 
-func TestRunRetriesTransientThenSucceeds(t *testing.T) {
-	pol := fastPolicy()
-	calls := 0
-	v, out, err := Run(pol, func(try int) (int, error) {
-		calls++
-		if try < 3 {
-			return 0, &simt.KernelFault{Kind: simt.FaultAbort, Index: -1, Block: -1, Warp: -1, Lane: -1}
-		}
-		return 42, nil
-	}, nil)
-	if err != nil || v != 42 {
-		t.Fatalf("v=%d err=%v", v, err)
+// flakyStepper is a run of one round whose first fails attempts fail with
+// err; it counts every Step call.
+type flakyStepper struct {
+	fails int
+	err   error
+	steps int
+}
+
+func (s *flakyStepper) Step() (bool, error) {
+	s.steps++
+	if s.steps <= s.fails {
+		return false, s.err
 	}
-	if calls != 3 || out.Retries != 2 || len(out.Faults) != 2 {
-		t.Fatalf("calls=%d outcome=%+v", calls, out)
+	return true, nil
+}
+
+func (s *flakyStepper) State() gpualgo.RunState { return gpualgo.RunState{} }
+
+func (s *flakyStepper) Iterations() int { return 0 }
+
+// failing returns a stepper whose every attempt fails with err.
+func failing(err error) *flakyStepper { return &flakyStepper{fails: math.MaxInt, err: err} }
+
+func TestRunRetriesTransientThenSucceeds(t *testing.T) {
+	s := &flakyStepper{fails: 2, err: &simt.KernelFault{Kind: simt.FaultAbort, Index: -1, Block: -1, Warp: -1, Lane: -1}}
+	out, err := Drive(fastPolicy(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.steps != 3 || out.Retries != 2 || len(out.Faults) != 2 {
+		t.Fatalf("steps=%d outcome=%+v", s.steps, out)
 	}
 }
 
 func TestRunPermanentFaultSkipsRetries(t *testing.T) {
-	pol := fastPolicy()
-	calls := 0
 	boom := &simt.KernelFault{Kind: simt.FaultOOB, Index: -1, Block: -1, Warp: -1, Lane: -1}
-	v, out, err := Run(pol, func(try int) (string, error) {
-		calls++
-		return "", boom
-	}, func() (string, error) {
-		return "oracle", nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	s := failing(boom)
+	out, err := Drive(fastPolicy(), s)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the permanent fault", err)
 	}
-	if calls != 1 {
-		t.Fatalf("permanent fault retried %d times", calls-1)
-	}
-	if !out.Degraded || v != "oracle" || !errors.Is(out.FallbackCause, boom) {
-		t.Fatalf("v=%q outcome=%+v", v, out)
+	if s.steps != 1 || out.Retries != 0 {
+		t.Fatalf("permanent fault retried: steps=%d outcome=%+v", s.steps, out)
 	}
 }
 
@@ -350,9 +364,8 @@ func TestRunBackoffGrowsExponentially(t *testing.T) {
 		NoJitter:    true,
 	}
 	transient := &simt.KernelFault{Kind: simt.FaultBitFlip, Index: -1, Block: -1, Warp: -1, Lane: -1}
-	_, _, err := Run(pol, func(try int) (int, error) { return 0, transient }, func() (int, error) { return 1, nil })
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Drive(pol, failing(transient)); !errors.Is(err, transient) {
+		t.Fatalf("err = %v, want the exhausted transient fault", err)
 	}
 	want := []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond}
 	if !reflect.DeepEqual(slept, want) {
@@ -397,12 +410,12 @@ func TestChaosSweepNeverPanicsAlwaysCorrect(t *testing.T) {
 		p := plan
 		d := newTestDevice(t)
 		d.SetFaultPlan(&p)
-		res, err := BFS(d, g, 0, gpualgo.Options{K: 4}, fastPolicy())
+		res, out, err := bfs(d, g, 4, fastPolicy())
 		if err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(res.Levels, want) {
-			t.Fatalf("plan %d: wrong answer (degraded=%v)", i, res.Outcome.Degraded)
+		if !reflect.DeepEqual(res.Value, want) {
+			t.Fatalf("plan %d: wrong answer (degraded=%v)", i, out.Degraded)
 		}
 	}
 }

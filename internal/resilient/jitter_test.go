@@ -1,6 +1,7 @@
 package resilient
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -20,9 +21,8 @@ func collectSleeps(t *testing.T, pol Policy) []time.Duration {
 	var slept []time.Duration
 	pol.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	transient := &simt.KernelFault{Kind: simt.FaultBitFlip, Index: -1, Block: -1, Warp: -1, Lane: -1}
-	_, _, err := Run(pol, func(int) (int, error) { return 0, transient }, func() (int, error) { return 1, nil })
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Drive(pol, failing(transient)); !errors.Is(err, transient) {
+		t.Fatalf("err = %v, want the exhausted transient fault", err)
 	}
 	return slept
 }

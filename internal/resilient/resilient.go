@@ -11,7 +11,6 @@ package resilient
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -144,41 +143,4 @@ func permanent(err error) bool {
 		return true
 	}
 	return !simt.IsTransient(err)
-}
-
-// Run executes attempt with the policy's retry loop and falls back once the
-// budget is exhausted or the fault is permanent. attempt receives the
-// 1-based attempt number and must be safe to call again after a failure
-// (restore any state it mutates). fallback may be nil, in which case the
-// last error is returned instead of degrading.
-func Run[T any](pol Policy, attempt func(try int) (T, error), fallback func() (T, error)) (T, *Outcome, error) {
-	pol = pol.withDefaults()
-	out := &Outcome{}
-	var zero T
-	var lastErr error
-	for try := 1; try <= 1+pol.MaxRetries; try++ {
-		v, err := attempt(try)
-		if err == nil {
-			return v, out, nil
-		}
-		lastErr = err
-		out.Faults = append(out.Faults, FaultRecord{Attempt: try, Err: err})
-		if permanent(err) {
-			break
-		}
-		if try <= pol.MaxRetries {
-			out.Retries++
-			pol.Sleep(pol.sleepFor(try))
-		}
-	}
-	if fallback == nil || pol.NoFallback {
-		return zero, out, lastErr
-	}
-	v, err := fallback()
-	if err != nil {
-		return zero, out, fmt.Errorf("resilient: fallback after %w: %v", lastErr, err)
-	}
-	out.Degraded = true
-	out.FallbackCause = lastErr
-	return v, out, nil
 }

@@ -26,7 +26,8 @@ import (
 //     bit and changes the answer.
 //
 // Entries with fewer launches than a plan's period see no fault under it;
-// each plan must still fault some entry.
+// each plan must still fault some entry. Execute without a graph must
+// return an error, not panic.
 func TestEveryEntrySurvivesInjectedFaults(t *testing.T) {
 	g := testGraph(t)
 	opts := gpualgo.Options{K: 8}
@@ -57,6 +58,9 @@ func TestEveryEntrySurvivesInjectedFaults(t *testing.T) {
 				G: view, Weights: gengraph.EdgeWeights(view, 16, 5), Src: 0,
 				BCSources: []graph.VertexID{0, 1}, MSBFSSources: []graph.VertexID{0, 1},
 				Iterations: 5, CoreK: 2, Seed: 42, Samples: 2,
+			}
+			if _, _, err := Execute(newTestDevice(t), &a, gpualgo.Input{}, opts, pol); err == nil {
+				t.Fatal("Execute ran without a graph")
 			}
 			want, err := a.Run(newTestDevice(t), in, opts)
 			if err != nil {

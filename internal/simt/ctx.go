@@ -33,8 +33,8 @@ type WarpCtx struct {
 	width int
 	mask  []bool
 	// activeN is the number of true lanes in mask, maintained incrementally
-	// by the mask-mutating primitives so ActiveCount and the full-mask fast
-	// path are O(1) instead of an O(width) scan per instruction.
+	// by the mask-mutating primitives so the full-mask fast path is O(1)
+	// instead of an O(width) scan per instruction.
 	activeN int
 
 	lanes []int32
@@ -57,18 +57,16 @@ type WarpCtx struct {
 	// allocates again.
 	maskFree [][]bool
 
-	// Register files: vectors handed out by VecI32/VecF32/VecBool (and the
+	// Register files: vectors handed out by VecI32/VecF32 (and the
 	// Const/Copy variants). regI32Next etc. index the next reusable slot;
 	// recycling resets the cursors so the same backing arrays serve the next
 	// kernel invocation. Capped so a kernel that allocates registers inside
 	// an unbounded loop degrades to plain allocation instead of growing the
 	// file without limit.
-	regI32      [][]int32
-	regI32Next  int
-	regF32      [][]float32
-	regF32Next  int
-	regBool     [][]bool
-	regBoolNext int
+	regI32     [][]int32
+	regI32Next int
+	regF32     [][]float32
+	regF32Next int
 
 	// scratch buffers reused across ops to keep the simulator allocation-free
 	// in steady state.
@@ -116,7 +114,6 @@ func (c *WarpCtx) reset(l *launch, w *warpRT) {
 	c.barriers = 0
 	c.regI32Next = 0
 	c.regF32Next = 0
-	c.regBoolNext = 0
 	width := c.width
 	warpBase := w.warpInBlock * width
 	n := 0
@@ -221,8 +218,6 @@ func (c *WarpCtx) sanShared(kind AccessKind, s *SharedI32, idx []int32, val []in
 // warp holds its domain's execution token again (see step).
 func (c *WarpCtx) charge(r request) { c.l.step(c.w, r) }
 
-func (c *WarpCtx) activeCount() int { return c.activeN }
-
 func (c *WarpCtx) noteALU(instrs, activeLanes, usefulLanes int64) {
 	s := &c.w.sm.stats
 	s.Instructions += instrs
@@ -265,17 +260,8 @@ func (c *WarpCtx) GlobalWarpID() int { return c.w.globalID }
 // BlockDim returns threads per block for this launch.
 func (c *WarpCtx) BlockDim() int { return c.l.lc.ThreadsPerBlock }
 
-// GridDim returns the number of blocks in this launch.
-func (c *WarpCtx) GridDim() int { return c.l.lc.Blocks }
-
 // GridThreads returns the total thread count of the launch.
 func (c *WarpCtx) GridThreads() int { return c.l.lc.Blocks * c.l.lc.ThreadsPerBlock }
-
-// ActiveCount returns how many lanes are currently active.
-func (c *WarpCtx) ActiveCount() int { return c.activeN }
-
-// AnyActive reports whether any lane is active.
-func (c *WarpCtx) AnyActive() bool { return c.activeN > 0 }
 
 // LaneActive reports whether a specific lane is active.
 func (c *WarpCtx) LaneActive(lane int) bool { return c.mask[lane] }
@@ -313,33 +299,9 @@ func (c *WarpCtx) VecF32() []float32 {
 	return v
 }
 
-// VecBool returns an uninitialized per-lane predicate register vector.
-func (c *WarpCtx) VecBool() []bool {
-	if c.regBoolNext < len(c.regBool) {
-		v := c.regBool[c.regBoolNext]
-		c.regBoolNext++
-		return v
-	}
-	v := make([]bool, c.width)
-	if len(c.regBool) < regFileCap {
-		c.regBool = append(c.regBool, v)
-		c.regBoolNext++
-	}
-	return v
-}
-
 // ConstI32 returns a register vector with every lane set to v.
 func (c *WarpCtx) ConstI32(v int32) []int32 {
 	r := c.VecI32()
-	for i := range r {
-		r[i] = v
-	}
-	return r
-}
-
-// ConstF32 returns a float register vector with every lane set to v.
-func (c *WarpCtx) ConstF32(v float32) []float32 {
-	r := c.VecF32()
 	for i := range r {
 		r[i] = v
 	}
@@ -637,30 +599,6 @@ func (c *WarpCtx) GroupReduceAddI32(groupWidth int, src, dst []int32) {
 	})
 }
 
-// GroupReduceMinI32 is GroupReduceAddI32 with min (identity math.MaxInt32).
-func (c *WarpCtx) GroupReduceMinI32(groupWidth int, src, dst []int32) {
-	full := c.fullMask()
-	c.groupReduce(groupWidth, func(g, base int) {
-		mn := int32(1<<31 - 1)
-		if full {
-			for lane := base; lane < base+groupWidth; lane++ {
-				if src[lane] < mn {
-					mn = src[lane]
-				}
-			}
-		} else {
-			for lane := base; lane < base+groupWidth; lane++ {
-				if c.mask[lane] && src[lane] < mn {
-					mn = src[lane]
-				}
-			}
-		}
-		for lane := base; lane < base+groupWidth; lane++ {
-			dst[lane] = mn
-		}
-	})
-}
-
 // GroupReduceOrI32 is the bitwise-OR reduction (identity 0), useful for
 // building per-group bitmasks (e.g. used-color windows in graph coloring).
 func (c *WarpCtx) GroupReduceOrI32(groupWidth int, src, dst []int32) {
@@ -723,29 +661,10 @@ func (c *WarpCtx) groupReduce(groupWidth int, apply func(g, base int)) {
 
 // --- global memory -----------------------------------------------------------
 
-func (c *WarpCtx) gatherAddrs(addrOf func(lane int) uint64) (addrs []uint64, active int64) {
-	a := c.addrScratch[:0]
-	if c.fullMask() {
-		for lane := 0; lane < c.width; lane++ {
-			a = append(a, addrOf(lane))
-		}
-	} else {
-		for lane := 0; lane < c.width; lane++ {
-			if c.mask[lane] {
-				a = append(a, addrOf(lane))
-			}
-		}
-	}
-	c.addrScratch = a
-	return a, int64(len(a))
-}
-
-// gatherAddrsBuf is the closure-free address gather for the dominant case —
-// element index idx[lane] into a 4-byte-element device buffer at base — with
-// the bounds check batched into the same pass as a single unsigned compare
-// per lane. It preserves the gatherAddrs contract exactly: ascending-lane
-// order (so the lowest faulting active lane panics first), the same typed
-// *KernelFault payload, and the same address stream.
+// gatherAddrsBuf gathers the byte addresses of element idx[lane] of a
+// 4-byte-element device buffer at base for every active lane, in ascending
+// lane order, with the bounds check in the same pass: the lowest faulting
+// active lane panics with a typed out-of-bounds *KernelFault.
 func (c *WarpCtx) gatherAddrsBuf(base uint64, n int, name string, idx []int32) (addrs []uint64, active int64) {
 	a := c.addrScratch[:0]
 	if c.fullMask() {
@@ -1081,19 +1000,6 @@ func (c *WarpCtx) AtomicOrI32(b *BufI32, idx []int32, val []int32, old []int32) 
 			old[lane] = cur
 		}
 		c.atomStoreI32(b, i, cur|val[lane])
-	})
-}
-
-// AtomicExchI32 swaps val into b[idx] per lane; old receives the previous
-// value.
-func (c *WarpCtx) AtomicExchI32(b *BufI32, idx []int32, val []int32, old []int32) {
-	c.atomicI32(b, idx, func(lane int) {
-		i := idx[lane]
-		cur := c.atomLoadI32(b, i)
-		if old != nil {
-			old[lane] = cur
-		}
-		c.atomStoreI32(b, i, val[lane])
 	})
 }
 

@@ -230,6 +230,9 @@ func TestDeviceLossPoisonsUntilRevive(t *testing.T) {
 	if !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("err = %v, want ErrDeviceLost", err)
 	}
+	if IsTransient(err) {
+		t.Fatal("device loss reported transient")
+	}
 	if !d.Lost() {
 		t.Fatal("device not marked lost")
 	}

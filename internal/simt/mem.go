@@ -325,18 +325,6 @@ func (b *BufI32) Fill(v int32) {
 // predate any kernel write.
 func (b *BufI32) HostInitialized() bool { return b.hostInit }
 
-func (b *BufI32) addr(idx int32) uint64 { return b.base + 4*uint64(idx) }
-
-// check panics with a typed *KernelFault on an out-of-range access; the
-// launch recovers it at the warp boundary and returns it as an error.
-func (b *BufI32) check(idx int32, lane int) {
-	if idx < 0 || int(idx) >= len(b.data) {
-		f := newFaultOOB(b.name, int64(idx), len(b.data))
-		f.Lane = lane
-		panic(f)
-	}
-}
-
 // BufF32 is a device-resident buffer of float32 elements.
 type BufF32 struct {
 	name string
@@ -392,18 +380,6 @@ func (b *BufF32) Fill(v float32) {
 // HostInitialized reports whether the host ever uploaded, filled, or aliased
 // (via Data) this buffer; see BufI32.HostInitialized.
 func (b *BufF32) HostInitialized() bool { return b.hostInit }
-
-func (b *BufF32) addr(idx int32) uint64 { return b.base + 4*uint64(idx) }
-
-// check panics with a typed *KernelFault on an out-of-range access; see
-// BufI32.check.
-func (b *BufF32) check(idx int32, lane int) {
-	if idx < 0 || int(idx) >= len(b.data) {
-		f := newFaultOOB(b.name, int64(idx), len(b.data))
-		f.Lane = lane
-		panic(f)
-	}
-}
 
 // coalesceSegments appends the distinct SegmentBytes-sized segments covered
 // by the given byte addresses to dst — one entry per global-memory

@@ -11,9 +11,6 @@ type SharedI32 struct {
 
 func (s *SharedI32) len() int { return len(s.data) }
 
-// Len returns the element count.
-func (s *SharedI32) Len() int { return len(s.data) }
-
 // sharedArena is one block's shared-memory namespace. The simulation is
 // sequential (one warp executes at a time), so no locking is needed.
 type sharedArena struct {

@@ -334,7 +334,7 @@ func TestAtomicReturnsOldValues(t *testing.T) {
 	}
 }
 
-func TestAtomicMinCASExch(t *testing.T) {
+func TestAtomicMinCAS(t *testing.T) {
 	d := newTestDevice(t)
 	cell := d.AllocI32("cell", 3)
 	cell.Data()[0] = 100
@@ -354,7 +354,6 @@ func TestAtomicMinCASExch(t *testing.T) {
 			old := w.VecI32()
 			w.AtomicCASI32(cell, idx2, cmp, val, old)
 			w.AtomicCASI32(cell, idx2, cmp, w.ConstI32(77), old) // fails: cell!=0
-			w.AtomicExchI32(cell, idx1, w.ConstI32(55), old)
 		}, nil)
 	}
 	if _, err := d.Launch(LaunchConfig{Blocks: 1, ThreadsPerBlock: 32}, k); err != nil {
@@ -363,8 +362,8 @@ func TestAtomicMinCASExch(t *testing.T) {
 	if got := cell.Data()[0]; got != 42 {
 		t.Fatalf("min: %d, want 42", got)
 	}
-	if got := cell.Data()[1]; got != 55 {
-		t.Fatalf("exch: %d, want 55", got)
+	if got := cell.Data()[1]; got != 5 {
+		t.Fatalf("min of a smaller cell: %d, want 5", got)
 	}
 	if got := cell.Data()[2]; got != 9 {
 		t.Fatalf("cas: %d, want 9", got)
@@ -376,7 +375,8 @@ func TestAtomicAddF32(t *testing.T) {
 	acc := d.AllocF32("acc", 1)
 	k := func(w *WarpCtx) {
 		zero := w.ConstI32(0)
-		half := w.ConstF32(0.5)
+		half := w.VecF32()
+		w.Apply(1, func(l int) { half[l] = 0.5 })
 		w.AtomicAddF32(acc, zero, half, nil)
 	}
 	if _, err := d.Launch(LaunchConfig{Blocks: 1, ThreadsPerBlock: 32}, k); err != nil {
@@ -601,24 +601,25 @@ func TestGroupReduceAdd(t *testing.T) {
 	}
 }
 
-func TestGroupReduceMinRespectsMask(t *testing.T) {
+func TestGroupReduceAddRespectsMask(t *testing.T) {
 	d := newTestDevice(t)
 	out := d.AllocI32("out", 32)
 	k := func(w *WarpCtx) {
 		lane := w.LaneIDs()
-		// Only odd lanes active: min over odd lanes of each group of 4.
+		// Only odd lanes active: sum over odd lanes of each group of 4.
 		w.If(func(l int) bool { return lane[l]%2 == 1 }, func() {
-			mins := w.VecI32()
-			w.GroupReduceMinI32(4, lane, mins)
-			w.StoreI32(out, lane, mins)
+			sums := w.VecI32()
+			w.GroupReduceAddI32(4, lane, sums)
+			w.StoreI32(out, lane, sums)
 		}, nil)
 	}
 	if _, err := d.Launch(LaunchConfig{Blocks: 1, ThreadsPerBlock: 32}, k); err != nil {
 		t.Fatal(err)
 	}
+	// Group g's active lanes are 4g+1 and 4g+3.
 	for i := 1; i < 32; i += 2 {
 		g := i / 4
-		want := int32(g*4 + 1)
+		want := int32(8*g + 4)
 		if out.Data()[i] != want {
 			t.Fatalf("out[%d] = %d, want %d", i, out.Data()[i], want)
 		}

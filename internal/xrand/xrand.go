@@ -73,12 +73,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns 32 random bits (the high half of Uint64).
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
-# stdout_diff.sh — check that the maxwarp CLI prints the same stdout as
-# another revision.
+# stdout_diff.sh — check that the maxwarp CLI and the examples print the
+# same stdout as another revision.
 #
 # Usage: scripts/stdout_diff.sh REV      (or: make stdoutdiff BASE=REV)
 #
-# Builds cmd/maxwarp at REV (unpacked with `git archive` into a temp
-# directory, so nothing is fetched and .git is left untouched) and from the
-# working tree, runs both binaries over a fixed command list, and compares
-# each command's stdout and exit status. stderr is not compared: it carries
+# Builds cmd/maxwarp and every example at REV (unpacked with `git archive`
+# into a temp directory, so nothing is fetched and .git is left untouched)
+# and from the working tree, runs both CLI binaries over a fixed command list
+# and both builds of each example, and compares each run's stdout and exit
+# status. stderr is not compared: it carries
 # timestamped log lines. Prints every differing command with a short diff
 # and exits 1 if any command differs.
 #
 # The list covers every table entry on two presets and both host modes,
-# the dynamic schedule, -inject on the served entries, sanitize, verify,
-# profile, the dynamic-graph stream and every experiment except E3, whose
-# CPU columns are host wall-clock.
+# the dynamic schedule, -inject on the served entries and on `bfs`,
+# sanitize, verify, profile, the dynamic-graph stream and every experiment
+# except E3, whose CPU columns are host wall-clock.
 set -euo pipefail
 
 rev="${1:?usage: scripts/stdout_diff.sh REV}"
@@ -24,8 +25,10 @@ trap 'rm -rf "$workdir"' EXIT
 
 mkdir "$workdir/base"
 git archive "$rev" | tar -x -C "$workdir/base"
-(cd "$workdir/base" && go build -o "$workdir/mw-base" ./cmd/maxwarp)
+(cd "$workdir/base" && go build -o "$workdir/mw-base" ./cmd/maxwarp &&
+  go build -o "$workdir/ex-base/" ./examples/...)
 go build -o "$workdir/mw-head" ./cmd/maxwarp
+go build -o "$workdir/ex-head/" ./examples/...
 
 # The table entries and experiments, as the working tree lists them.
 # (-h exits non-zero after printing the usage.)
@@ -41,10 +44,11 @@ for n in $names; do
   cmds+=("algo -name $n -preset RoadNet-like -scale 9 -k 8 -parallel 1")
   cmds+=("algo -name $n -scale 8 -k 4 -dynamic -parallel 1")
 done
-for n in bfs sssp pagerank cc; do
-  for s in abort=4,seed=3 bitflip=3,seed=5 loss=3000; do
+for s in abort=4,seed=3 bitflip=3,seed=5 loss=3000; do
+  for n in bfs sssp pagerank cc; do
     cmds+=("algo -name $n -scale 7 -inject $s")
   done
+  cmds+=("bfs -scale 7 -inject $s")
 done
 cmds+=("sanitize -scale 7" "verify -scale 8")
 cmds+=("profile -name bfs -scale 8" "profile -name pagerank -scale 8")
@@ -53,21 +57,35 @@ for e in $exps; do
   cmds+=("run -exp $e -scale 7")
 done
 
+runs=0
 differ=0
-for c in "${cmds[@]}"; do
-  # $c is unquoted on purpose: each command is a flat argument list.
+# compare LABEL BASE HEAD [ARG...] runs both binaries with the arguments
+# and reports a difference in stdout or exit status.
+compare() {
+  local label=$1 base=$2 head=$3 base_rc head_rc
+  shift 3
+  runs=$((runs + 1))
   set +e
-  "$workdir/mw-base" $c >"$workdir/base.out" 2>/dev/null
+  "$base" "$@" >"$workdir/base.out" 2>/dev/null
   base_rc=$?
-  "$workdir/mw-head" $c >"$workdir/head.out" 2>/dev/null
+  "$head" "$@" >"$workdir/head.out" 2>/dev/null
   head_rc=$?
   set -e
   if [ "$base_rc" != "$head_rc" ] || ! cmp -s "$workdir/base.out" "$workdir/head.out"; then
     differ=$((differ + 1))
-    echo "DIFF  maxwarp $c  (exit $base_rc -> $head_rc)"
+    echo "DIFF  $label  (exit $base_rc -> $head_rc)"
     diff -u "$workdir/base.out" "$workdir/head.out" | sed -n '3,14p' || true
   fi
+}
+
+for c in "${cmds[@]}"; do
+  # $c is unquoted on purpose: each command is a flat argument list.
+  compare "maxwarp $c" "$workdir/mw-base" "$workdir/mw-head" $c
+done
+for e in "$workdir"/ex-head/*; do
+  n=$(basename "$e")
+  compare "examples/$n" "$workdir/ex-base/$n" "$e"
 done
 
-echo "stdout_diff: ${#cmds[@]} commands against $rev, $differ differ"
+echo "stdout_diff: $runs commands against $rev, $differ differ"
 [ "$differ" -eq 0 ]
