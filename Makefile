@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint race benchgate check fuzz sanitize servesmoke mwbenchtest examples stdoutdiff
+.PHONY: build test short vet lint race racesched benchgate check fuzz sanitize servesmoke mwbenchtest examples stdoutdiff
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,13 @@ sanitize:
 race:
 	$(GO) test -race ./...
 
+# The scheduler's cross-goroutine tests, ten times under the race detector.
+# A warp's run-ahead queue is written by its own goroutine and drained by
+# whichever goroutine holds the token next; only the token handoff orders
+# the two, and one pass may not interleave them badly enough to show a race.
+racesched:
+	$(GO) test -race -count=10 -run 'Parallel|Steal|Abort|Handoff|FastPath|Vec' ./internal/simt
+
 # Benchmark-regression gate, two halves:
 #   - E4 BFS warp-width sweep cycles must stay within ±10% of the committed
 #     baseline (internal/bench/testdata/e4_baseline.json). Regenerate after an
@@ -93,7 +100,7 @@ examples:
 		"$$e" >/dev/null || exit 1; \
 	done
 
-check: vet lint race benchgate servesmoke mwbenchtest examples
+check: vet lint race racesched benchgate servesmoke mwbenchtest examples
 
 # Byte-identical stdout check of the maxwarp CLI and the examples against
 # another revision (default HEAD, i.e. the working tree's uncommitted

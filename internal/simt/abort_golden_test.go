@@ -6,13 +6,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"testing"
 )
 
 var updateAbortGolden = flag.Bool("update-abort-golden", false,
-	"rewrite testdata/abort_golden.json from the current scheduler instead of comparing")
+	"rewrite testdata/abort_golden.json and testdata/runahead_golden.json from the current scheduler instead of comparing")
 
 // abortGoldenPath pins the observable outcome of failed sequential launches.
 const abortGoldenPath = "testdata/abort_golden.json"
@@ -105,6 +106,46 @@ func abortScenarios() []abortRecord {
 		stats, err := d.Launch(lc, k)
 		recs = append(recs, recordLaunch(fmt.Sprintf("loss/launch%d", i), d, stats, err))
 	}
+
+	// A panic inside an Apply closure after a run of ALU-only instructions,
+	// while other warps run the same ALU run or have returned.
+	cfg = testConfig()
+	cfg.NumSMs = 8
+	cfg.ParallelSMs = 1
+	d = MustNewDevice(cfg)
+	buf = d.AllocI32("buf", 2048)
+	stats, err = d.Launch(LaunchConfig{Blocks: 32, ThreadsPerBlock: 64}, func(w *WarpCtx) {
+		v := w.VecI32()
+		w.LoadI32(buf, w.GlobalThreadIDs(), v)
+		if w.BlockID()%3 == 0 {
+			return
+		}
+		for i := 0; i < 24; i++ {
+			w.Apply(1, func(l int) {
+				if w.GlobalWarpID() == 21 && i == 19 && l == 5 {
+					panic("kernel bug")
+				}
+				v[l] += int32(i)
+			})
+		}
+		w.StoreI32(buf, w.GlobalThreadIDs(), v)
+	})
+	recs = append(recs, recordLaunch("panic-after-alu-run", d, stats, err))
+
+	// An ALU-only spin under a cycle budget: every fourth block never
+	// leaves its loop, the others return after a short one.
+	d = MustNewDevice(cfg)
+	stats, err = d.LaunchWith(LaunchConfig{Blocks: 32, ThreadsPerBlock: 64}, LaunchOpts{MaxCycles: 4_000}, func(w *WarpCtx) {
+		n := int32(40)
+		if w.BlockID()%4 == 0 {
+			n = math.MaxInt32
+		}
+		i := w.ConstI32(0)
+		w.While(func(l int) bool { return i[l] < n }, func() {
+			w.AddConstI32(i, 1)
+		})
+	})
+	recs = append(recs, recordLaunch("maxcycles/alu-spin", d, stats, err))
 	return recs
 }
 

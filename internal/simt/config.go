@@ -99,25 +99,27 @@ type Config struct {
 	// "fifo".
 	StealDepth int
 
-	// ParallelSMs selects the host execution mode. In both modes the warp
-	// holding an execution token applies its own cost, picks the successor
-	// and hands the token straight to it — no supervisor round-trip per
-	// instruction. 1 runs one scheduling domain over every SM on the
-	// launching goroutine; any value > 1 runs each simulated SM as its own
-	// domain on its own host goroutine, synchronizing only at global-memory
-	// atomics and block admission. In parallel mode the value is a
-	// *worker-slot budget*, not an SM partition: all SM goroutines exist,
-	// but at most ParallelSMs of them execute simultaneously, and slots
-	// migrate from gate-blocked or finished SMs to SMs with ready work.
-	// Setting it above NumSMs is therefore harmless, and a value below
-	// NumSMs still drives every SM. Zero defaults to runtime.NumCPU().
-	// Results and stats are bit-identical across all settings; launches
-	// that attach a non-parallel-safe tracer (see ParallelTracer), a
-	// fault-injection plan, or an OnProgress callback fall back to the
-	// sequential loop (recorded in LaunchStats.SequentialFallback). No
-	// block is admitted after an abort in either mode; a failed sequential
-	// launch is deterministic, while a failed parallel launch's partial
-	// stats depend on host timing.
+	// ParallelSMs selects the host execution mode. In both modes a warp
+	// queues its ALU-class instructions and runs ahead through them, and the
+	// goroutine holding an execution token applies queued instructions in
+	// one-step order, picks the successor and hands the token straight to
+	// it only when the successor must run Go code first — no supervisor
+	// round-trip per instruction. 1 runs one scheduling domain over every
+	// SM on the launching goroutine; any value > 1 runs each simulated SM
+	// as its own domain on its own host goroutine, synchronizing only at
+	// global-memory atomics and block admission. In parallel mode the
+	// value is a *worker-slot budget*, not an SM partition: all SM
+	// goroutines exist, but at most ParallelSMs of them execute
+	// simultaneously, and slots migrate from gate-blocked or finished SMs
+	// to SMs with ready work. Setting it above NumSMs is therefore
+	// harmless, and a value below NumSMs still drives every SM. Zero
+	// defaults to runtime.NumCPU(). Results and stats are bit-identical
+	// across all settings; launches that attach a non-parallel-safe tracer
+	// (see ParallelTracer), a fault-injection plan, or an OnProgress
+	// callback fall back to the sequential loop (recorded in
+	// LaunchStats.SequentialFallback). No block is admitted after an abort
+	// in either mode; a failed sequential launch is deterministic, while a
+	// failed parallel launch's partial stats depend on host timing.
 	ParallelSMs int
 
 	// Sanitize runs every launch under the attached sanitizer (see

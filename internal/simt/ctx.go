@@ -214,20 +214,24 @@ func (c *WarpCtx) sanShared(kind AccessKind, s *SharedI32, idx []int32, val []in
 	san.SharedAccess(&c.sa)
 }
 
-// charge reports an instruction's cost to the scheduler and returns when the
-// warp holds its domain's execution token again (see step).
-func (c *WarpCtx) charge(r request) { c.l.step(c.w, r) }
-
-func (c *WarpCtx) noteALU(instrs, activeLanes, usefulLanes int64) {
-	s := &c.w.sm.stats
-	s.Instructions += instrs
-	s.IssueSlots += instrs
-	s.ActiveLaneOps += instrs * activeLanes
-	s.UsefulLaneOps += instrs * usefulLanes
-	s.LaneSlots += instrs * int64(c.width)
-	if activeLanes == int64(c.width) {
-		s.FullMaskOps += instrs
+// charge reports an instruction whose Go code has run. The warp queues the
+// request and runs ahead while it is ALU-class and the queue has room;
+// anything else yields to the scheduler, which applies the queue in
+// one-step order and returns once this warp is picked with its queue empty
+// (see the protocol comment in sched.go).
+func (c *WarpCtx) charge(r request) {
+	w := c.w
+	w.push(r)
+	if r.class == opALU && w.qLen < c.l.depth {
+		return
 	}
+	c.l.yield(w)
+}
+
+// chargeALU charges instrs ALU instructions over active lanes, useful of
+// them doing useful work.
+func (c *WarpCtx) chargeALU(instrs, active, useful int64) {
+	c.charge(request{class: opALU, issue: instrs, active: int32(active), useful: int32(useful)})
 }
 
 // --- identity / geometry -------------------------------------------------
@@ -337,8 +341,7 @@ func (c *WarpCtx) Apply(instrs int, f func(lane int)) {
 			}
 		}
 	}
-	c.noteALU(int64(instrs), active, active)
-	c.charge(request{class: opALU, issue: int64(instrs), latency: c.l.cfg.ALULatency})
+	c.chargeALU(int64(instrs), active, active)
 }
 
 // ApplyReplicated executes f once per virtual-warp group of groupWidth lanes
@@ -366,9 +369,7 @@ func (c *WarpCtx) ApplyReplicated(instrs, groupWidth int, f func(group int)) {
 			}
 		}
 	}
-	active := int64(c.activeN)
-	c.noteALU(int64(instrs), active, activeGroups)
-	c.charge(request{class: opALU, issue: int64(instrs), latency: c.l.cfg.ALULatency})
+	c.chargeALU(int64(instrs), int64(c.activeN), activeGroups)
 }
 
 func (c *WarpCtx) checkGroupWidth(groupWidth int) {
@@ -460,11 +461,8 @@ func (c *WarpCtx) ifImpl(groupWidth int, pred func(lane int) bool, thenFn, elseF
 	if groupWidth > 0 {
 		useful = c.activeGroupCount(groupWidth)
 	}
-	c.noteALU(1, active, useful)
-	c.charge(request{class: opALU, issue: 1, latency: c.l.cfg.ALULatency})
-	if thenAny && elseAny && elseFn != nil {
-		c.w.sm.stats.DivergentBranches++
-	}
+	c.charge(request{class: opALU, issue: 1, active: int32(active), useful: int32(useful),
+		divergent: thenAny && elseAny && elseFn != nil})
 	if thenAny && thenFn != nil {
 		copy(c.mask, thenMask)
 		c.activeN = thenN
@@ -525,8 +523,7 @@ func (c *WarpCtx) While(cond func(lane int) bool, body func()) {
 		if active == 0 {
 			active = int64(savedN) // the cond evaluation still issues
 		}
-		c.noteALU(1, active, active)
-		c.charge(request{class: opALU, issue: 1, latency: c.l.cfg.ALULatency})
+		c.chargeALU(1, active, active)
 		if !any {
 			break
 		}
@@ -556,9 +553,7 @@ func (c *WarpCtx) Ballot(pred func(lane int) bool) uint64 {
 			}
 		}
 	}
-	active := int64(c.activeN)
-	c.noteALU(1, active, active)
-	c.charge(request{class: opALU, issue: 1, latency: c.l.cfg.ALULatency})
+	c.chargeALU1()
 	return out
 }
 
@@ -568,9 +563,7 @@ func (c *WarpCtx) BroadcastI32(src []int32, fromLane int) int32 {
 	if fromLane < 0 || fromLane >= c.width {
 		panic(fmt.Sprintf("simt: broadcast from lane %d outside warp of width %d", fromLane, c.width))
 	}
-	active := int64(c.activeN)
-	c.noteALU(1, active, active)
-	c.charge(request{class: opALU, issue: 1, latency: c.l.cfg.ALULatency})
+	c.chargeALU1()
 	return src[fromLane]
 }
 
@@ -654,9 +647,7 @@ func (c *WarpCtx) groupReduce(groupWidth int, apply func(g, base int)) {
 	if steps < 1 {
 		steps = 1
 	}
-	active := int64(c.activeN)
-	c.noteALU(steps, active, active)
-	c.charge(request{class: opALU, issue: steps, latency: c.l.cfg.ALULatency})
+	c.chargeALU(steps, int64(c.activeN), int64(c.activeN))
 }
 
 // --- global memory -----------------------------------------------------------
@@ -694,72 +685,16 @@ func (c *WarpCtx) gatherAddrsBuf(base uint64, n int, name string, idx []int32) (
 	return a, int64(len(a))
 }
 
-// memKind distinguishes the three global-memory access classes: only loads
-// consult the read-only cache; stores and atomics bypass and invalidate.
-type memKind uint8
-
-const (
-	memLoad memKind = iota
-	memStore
-	memAtomic
-)
-
-func (c *WarpCtx) chargeMem(addrs []uint64, active int64, kind memKind, extraLatency int64) {
-	c.chargeMemUseful(addrs, active, active, kind, extraLatency)
-}
-
-func (c *WarpCtx) chargeMemUseful(addrs []uint64, active, useful int64, kind memKind, extraLatency int64) {
+// chargeMem charges a global-memory instruction of class opLoad, opStore or
+// opAtomic over addrs, with serial same-address atomic serialization steps.
+// It coalesces the addresses into segScratch; apply does the cache and DRAM
+// accounting when the scheduler reaches the request.
+func (c *WarpCtx) chargeMem(class opClass, addrs []uint64, active, useful, serial int64) {
 	if active == 0 {
 		return
 	}
-	segs := coalesceSegments(addrs, uint64(c.l.cfg.SegmentBytes), c.segScratch[:0])
-	c.segScratch = segs
-	txns := int64(len(segs))
-	s := &c.w.sm.stats
-	s.Instructions++
-	s.IssueSlots += txns
-	s.ActiveLaneOps += active
-	s.UsefulLaneOps += useful
-	s.LaneSlots += int64(c.width)
-	s.MemOps++
-	if active == int64(c.width) {
-		s.FullMaskOps++
-	}
-
-	cache := c.w.sm.cache
-	dramTxns := txns
-	latency := c.l.cfg.DRAMLatency + extraLatency
-	switch {
-	case cache != nil && kind == memLoad:
-		misses := int64(0)
-		for _, seg := range segs {
-			if !cache.access(seg) {
-				misses++
-			}
-		}
-		s.CacheHits += txns - misses
-		s.CacheMisses += misses
-		dramTxns = misses
-		if misses == 0 {
-			latency = c.l.cfg.CacheHitLatency + extraLatency
-		}
-	case cache != nil:
-		for _, seg := range segs {
-			cache.invalidate(seg)
-		}
-	}
-	s.MemTxns += dramTxns
-	s.MemBytes += dramTxns * int64(c.l.cfg.SegmentBytes)
-	class := opMem
-	if kind == memAtomic {
-		class = opAtomic
-		s.AtomicOps++
-	}
-	c.charge(request{
-		class:   class,
-		txns:    dramTxns,
-		latency: latency,
-	})
+	c.segScratch = coalesceSegments(addrs, uint64(c.l.cfg.SegmentBytes), c.segScratch[:0])
+	c.charge(request{class: class, active: int32(active), useful: int32(useful), extra: serial})
 }
 
 // readI32 is the plain-load data phase: the frozen launch-entry value
@@ -786,7 +721,7 @@ func (c *WarpCtx) readF32(b *BufF32, i int32) float32 {
 func (c *WarpCtx) LoadI32(b *BufI32, idx []int32, dst []int32) {
 	c.sanGlobal(AccessLoad, b, nil, idx, nil, nil)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	c.chargeMem(addrs, active, memLoad, 0)
+	c.chargeMem(opLoad, addrs, active, active, 0)
 	c.loadI32Data(b, idx, dst)
 }
 
@@ -824,7 +759,7 @@ func (c *WarpCtx) LoadI32Replicated(groupWidth int, b *BufI32, idx []int32, dst 
 	c.sanGlobal(AccessLoad, b, nil, idx, nil, nil)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
 	useful := c.activeGroupCount(groupWidth)
-	c.chargeMemUseful(addrs, active, useful, memLoad, 0)
+	c.chargeMem(opLoad, addrs, active, useful, 0)
 	c.loadI32Data(b, idx, dst)
 }
 
@@ -834,7 +769,7 @@ func (c *WarpCtx) LoadI32Replicated(groupWidth int, b *BufI32, idx []int32, dst 
 func (c *WarpCtx) StoreI32(b *BufI32, idx []int32, src []int32) {
 	c.sanGlobal(AccessStore, b, nil, idx, src, nil)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	c.chargeMem(addrs, active, memStore, 0)
+	c.chargeMem(opStore, addrs, active, active, 0)
 	sh := b.shadowFor(c.w.sm.id)
 	if c.fullMask() {
 		sh.storeAll(idx[:c.width], src[:c.width])
@@ -847,7 +782,7 @@ func (c *WarpCtx) StoreI32(b *BufI32, idx []int32, src []int32) {
 func (c *WarpCtx) LoadF32(b *BufF32, idx []int32, dst []float32) {
 	c.sanGlobal(AccessLoad, nil, b, idx, nil, nil)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	c.chargeMem(addrs, active, memLoad, 0)
+	c.chargeMem(opLoad, addrs, active, active, 0)
 	sh := b.sh[c.w.sm.id]
 	switch {
 	case sh == nil && c.fullMask():
@@ -873,7 +808,7 @@ func (c *WarpCtx) LoadF32(b *BufF32, idx []int32, dst []float32) {
 func (c *WarpCtx) StoreF32(b *BufF32, idx []int32, src []float32) {
 	c.sanGlobal(AccessStore, nil, b, idx, nil, src)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	c.chargeMem(addrs, active, memStore, 0)
+	c.chargeMem(opStore, addrs, active, active, 0)
 	sh := b.shadowFor(c.w.sm.id)
 	if c.fullMask() {
 		sh.storeAll(idx[:c.width], src[:c.width])
@@ -927,9 +862,7 @@ func (c *WarpCtx) atomic(base uint64, n int, name string, idx []int32, apply fun
 	if active == 0 {
 		return
 	}
-	serial := int64(conflictGroups(addrs) - 1)
-	c.w.sm.stats.AtomicSerial += serial
-	c.chargeMem(addrs, active, memAtomic, serial*c.l.cfg.AtomicExtraLatency)
+	c.chargeMem(opAtomic, addrs, active, active, int64(conflictGroups(addrs)-1))
 	if !c.l.gateEnter(c.w.sm) {
 		panic(errAborted) // aborted while waiting; runWarp unwinds the warp
 	}
@@ -1140,18 +1073,7 @@ func (c *WarpCtx) sharedConflicts(s *SharedI32, idx []int32) (slots, minSlots, a
 }
 
 func (c *WarpCtx) chargeShared(slots, minSlots, active int64) {
-	s := &c.w.sm.stats
-	s.Instructions++
-	s.IssueSlots += slots
-	s.ActiveLaneOps += active
-	s.UsefulLaneOps += active
-	s.LaneSlots += int64(c.width)
-	s.SharedOps++
-	s.SharedBankConflicts += slots - minSlots
-	if active == int64(c.width) {
-		s.FullMaskOps++
-	}
-	c.charge(request{class: opShared, issue: slots, latency: c.l.cfg.SharedLatency})
+	c.charge(request{class: opShared, issue: slots, extra: slots - minSlots, active: int32(active)})
 }
 
 // AtomicAddSharedI32 atomically adds delta[lane] to s[idx[lane]] per active

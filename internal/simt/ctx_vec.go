@@ -15,12 +15,11 @@ package simt
 // and full-mask paths against each other, and the differential harness pins
 // converted kernels against their CPU oracles across host modes.
 
-// chargeALU1 is the shared accounting tail of every one-instruction vector
-// primitive: exactly what Apply(1, f) charges.
+// chargeALU1 charges one ALU instruction over the active lanes — exactly
+// what Apply(1, f) charges. It is the accounting tail of every
+// one-instruction vector primitive, Ballot and BroadcastI32.
 func (c *WarpCtx) chargeALU1() {
-	active := int64(c.activeN)
-	c.noteALU(1, active, active)
-	c.charge(request{class: opALU, issue: 1, latency: c.l.cfg.ALULatency})
+	c.chargeALU(1, int64(c.activeN), int64(c.activeN))
 }
 
 // FillI32 sets dst[lane] = v on every active lane (one instruction) —

@@ -13,10 +13,28 @@ import (
 // goroutine. A scheduling domain is the set of SMs one execution token
 // serves, and within a domain exactly one goroutine holds the token and
 // executes at any moment. The holder is the domain's loop before the first
-// pick, then a warp: at every instruction the warp applies its own cost,
-// supervises, picks the domain's next runner and hands the token straight
-// to it over that warp's resume channel (or keeps running when it picks
-// itself). The token returns to the loop only when the domain runs dry.
+// pick, then a warp goroutine.
+//
+// Each warp primitive runs its Go code, then reports the instruction as a
+// request (see charge). An ALU-class request — Apply, If/While conditions,
+// Ballot, shuffles, reductions, the vector primitives — touches only the
+// warp's own registers, so the warp queues it and keeps running its kernel
+// while its queue has room (queueDepth). Any other request (a load, store,
+// atomic, shared access or barrier), or one that fills the queue, makes the
+// warp yield: its goroutine runs the domain's scheduler, which repeats
+// apply (account and time the picked warp's queue head), supervise, pick.
+// While a pick lands on a warp with requests queued, the token holder
+// applies the next one inline. A pick on a warp with an empty queue
+// switches goroutines, because that warp's next step is Go code it has not
+// run yet: its first instruction, a load's data phase, a store, an atomic,
+// a shared access or a barrier. A pick on the yielding warp itself with
+// only ALU requests queued returns to its kernel, which runs ahead again
+// (it is the current pick, and its queue head stays next). So requests
+// apply, and the simulated machine moves, in exactly the order of one step
+// per instruction; only the Go code between two primitives runs early. The
+// token returns to the loop only when the domain runs dry. Sanitized
+// launches queue nothing (the sanitizer's hooks run in kernel code), which
+// is one step per instruction.
 //
 // With Config.ParallelSMs == 1 one domain spans every SM and its loop runs
 // on the launching goroutine; each pick takes the SM with the smallest clock
@@ -38,37 +56,46 @@ import (
 //
 // The result: identical memory contents and bit-identical LaunchStats for
 // every ParallelSMs setting. An abort unwinds the same way in both modes: no
-// block is admitted after it, and each domain's token visits every remaining
-// resident warp once, which unwinds and marks itself done. Failed sequential
-// launches are therefore deterministic. In parallel mode, which host
-// goroutine trips a fault or timeout first is timing-dependent, so the
-// partial stats of a FAILED parallel launch (and which of several concurrent
-// errors is reported) may vary run to run. Successful launches are fully
-// deterministic.
+// block is admitted after it, queued requests are discarded uncounted, and
+// each domain's token visits every remaining resident warp once, which
+// unwinds and marks itself done. Failed sequential launches are therefore
+// deterministic. In parallel mode, which host goroutine trips a fault or
+// timeout first is timing-dependent, so the partial stats of a FAILED
+// parallel launch (and which of several concurrent errors is reported) may
+// vary run to run. Successful launches are fully deterministic.
 
 type opClass uint8
 
 const (
 	opALU opClass = iota
-	opMem
+	opLoad
+	opStore
 	opAtomic
 	opShared
 	opBarrier
 	opDone
 )
 
-// request is a warp's report of the instruction it is about to complete.
+// request is a warp's report of an instruction whose Go code has run: what
+// apply needs to account for it and time it.
 type request struct {
 	class opClass
-	// issue is pipeline occupancy in slots (ALU/shared ops).
+	// divergent marks an If condition both of whose sides run.
+	divergent bool
+	// active and useful count the instruction's active and useful lanes.
+	active, useful int32
+	// issue is the instruction count (ALU) or issue slots (shared).
 	issue int64
-	// latency is the delay until the warp may issue again.
-	latency int64
-	// txns is memory-pipe occupancy for mem/atomic ops.
-	txns int64
+	// extra is the bank-conflict slots of a shared access, or the
+	// same-address serialization steps of an atomic.
+	extra int64
 	// err reports a kernel failure alongside opDone.
-	err error
+	err *KernelFault
 }
+
+// queueDepth is the length of a warp's request queue: how far a warp may
+// run ahead of the scheduler through ALU-class instructions.
+const queueDepth = 16
 
 // errAborted is the sentinel panic used to unwind warp goroutines when a
 // launch is cancelled; it never escapes the package.
@@ -95,6 +122,12 @@ type warpRT struct {
 	done      bool
 	inBarrier bool
 	arrivedAt int64
+
+	// q is a ring of the qLen requests, oldest at qHead, whose Go code has
+	// run but which the scheduler has not applied yet. Only the holder of
+	// the domain's token touches it.
+	q           [queueDepth]request
+	qHead, qLen int
 
 	// resume hands this warp its domain's execution token.
 	resume chan struct{}
@@ -202,6 +235,9 @@ type launch struct {
 	// maxCycles is the launch's resolved cycle budget (config overridden by
 	// LaunchOpts), read by supervise.
 	maxCycles int64
+	// depth is how many requests a warp may queue before it yields:
+	// queueDepth, or 0 (one step per instruction) under a sanitizer.
+	depth int
 	// progressEvery/nextProgress pace LaunchOpts.OnProgress calls.
 	progressEvery int64
 	nextProgress  int64
@@ -341,6 +377,9 @@ func (l *launch) run() (*LaunchStats, error) {
 		l.progressEvery = 65536
 	}
 	l.nextProgress = l.progressEvery
+	if l.san == nil {
+		l.depth = queueDepth
+	}
 	mode, fallback := l.execMode()
 	l.parallel = mode > 1
 	l.stats.ParallelSMs = mode
@@ -475,7 +514,7 @@ func (d *domain) init(sms []*smRT) {
 // nothing left to run (or has unwound after an abort).
 func (l *launch) loop(d *domain) {
 	for {
-		w := l.pick(d, nil)
+		w := l.drain(l.pick(d, nil), nil)
 		if w == nil {
 			return
 		}
@@ -484,15 +523,17 @@ func (l *launch) loop(d *domain) {
 	}
 }
 
-// step is charge's body, run by the warp holding its domain's token: apply
-// the instruction's cost, supervise, pick the next runner and hand the token
-// over. When the warp picks itself it simply returns — zero goroutine
-// switches. A warp that wakes (or keeps running) after an abort unwinds.
-func (l *launch) step(w *warpRT, r request) {
+// yield is run by w's goroutine, the current pick, when w must stop
+// running ahead: its queue is full, or its newest request is not ALU-class.
+// It applies w's queue head and runs the domain's scheduler (drain), then
+// returns once a pick lands on w and w may run on — at once when w picks
+// itself, else after handing the token over and parking. A warp that
+// resumes after an abort unwinds.
+func (l *launch) yield(w *warpRT) {
 	sm := w.sm
-	l.apply(sm, w, r)
+	l.apply(sm, w, w.pop())
 	l.supervise(sm)
-	next := l.pick(sm.dom, sm)
+	next := l.drain(l.pick(sm.dom, sm), w)
 	if next == nil {
 		// Unreachable: this warp is live (and a barrier arrival that empties
 		// the ready set releases its own barrier), so the pick set cannot be
@@ -508,22 +549,78 @@ func (l *launch) step(w *warpRT, r request) {
 	}
 }
 
-// finish retires a warp whose kernel returned, faulted or unwound, then
-// passes the token on. An unwound warp only marks itself done: nothing an
-// aborted launch reports moves after the abort.
-func (l *launch) finish(w *warpRT, err error, unwound bool) {
-	sm := w.sm
-	if unwound {
-		w.done = true
-		sm.readyKey[w.smIdx] = neverReady
-		sm.liveWarps--
-		w.block.liveWarps--
-	} else {
-		l.apply(sm, w, request{class: opDone, err: err})
-		l.supervise(sm)
+// drain is the domain's scheduler, run by the token holder — self, a warp
+// goroutine, or nil — after a pick landed on w. While the pick has requests
+// queued it applies the head, supervises and picks again, with no goroutine
+// switch. It returns the first pick whose goroutine must run next: a warp
+// with an empty queue, or self while self has only ALU requests queued (it
+// is the current pick and may run ahead again; its head stays queued); nil
+// when the domain has nothing left to run. Only a queue's newest request
+// can be non-ALU (queueing one makes the warp yield until its queue is
+// empty), so the newest request's class tells the cases apart. After an
+// abort nothing more is applied: a picked warp's queue is discarded, and a
+// warp whose goroutine has exited (its queue ends in opDone) is marked done
+// on the spot.
+func (l *launch) drain(w, self *warpRT) *warpRT {
+	for w != nil && w.qLen > 0 {
+		sm := w.sm
+		last := w.q[(w.qHead+w.qLen-1)%queueDepth].class
+		switch {
+		case l.aborted.Load():
+			w.qHead, w.qLen = 0, 0
+			if last != opDone {
+				return w
+			}
+			l.unwind(w)
+		case w == self && last == opALU:
+			return w
+		default:
+			l.apply(sm, w, w.pop())
+			l.supervise(sm)
+		}
+		// w may be recycled by the pick's admission; touch only sm from here on.
+		w = l.pick(sm.dom, sm)
 	}
-	// w may be recycled by the pick's admission; touch only sm from here on.
-	l.handOff(sm.dom, l.pick(sm.dom, sm))
+	return w
+}
+
+// push queues r behind w's other requests.
+func (w *warpRT) push(r request) {
+	w.q[(w.qHead+w.qLen)%queueDepth] = r
+	w.qLen++
+}
+
+// pop dequeues w's oldest request.
+func (w *warpRT) pop() request {
+	r := w.q[w.qHead]
+	w.qHead = (w.qHead + 1) % queueDepth
+	w.qLen--
+	return r
+}
+
+// finish retires a warp whose kernel returned, faulted or unwound, then
+// passes the token on and lets the goroutine exit. A returned or faulted
+// warp queues its opDone behind any requests it still has queued; whoever
+// picks the warp applies them. An unwound warp only marks itself done:
+// nothing an aborted launch reports moves after the abort.
+func (l *launch) finish(w *warpRT, err *KernelFault, unwound bool) {
+	sm := w.sm
+	next := w
+	if unwound {
+		l.unwind(w)
+		next = l.pick(sm.dom, sm)
+	} else {
+		w.push(request{class: opDone, err: err})
+	}
+	l.handOff(sm.dom, l.drain(next, nil))
+}
+
+// unwind marks w done without accounting for it (aborted launches).
+func (l *launch) unwind(w *warpRT) {
+	w.done = true
+	w.sm.readyKey[w.smIdx] = neverReady
+	w.sm.liveWarps--
+	w.block.liveWarps--
 }
 
 // handOff passes d's token to w, or back to d's loop when w is nil.
@@ -782,18 +879,18 @@ func (l *launch) reclaimWarps() {
 
 // runWarp is the warp goroutine body. Any panic escaping the kernel —
 // including the typed *KernelFault panics raised by buffer bounds checks —
-// is recovered here, located (block/warp/cycle), and reported through
-// finish so Launch returns it as a typed error. Every wake-up is a token
-// handoff, so the goroutine holds its domain's token when it finishes.
+// is recovered here, located (block/warp; the cycle when its opDone
+// applies), and reported through finish so Launch returns it as a typed
+// error. Every wake-up is a token handoff, so the goroutine holds its
+// domain's token when it finishes.
 func (l *launch) runWarp(w *warpRT) {
 	defer func() {
-		var err error
+		var err *KernelFault
 		unwound := false
 		if r := recover(); r != nil {
 			switch v := r.(type) {
 			case *KernelFault:
 				v.Block, v.Warp = w.blockID, w.globalID
-				v.Cycle = w.sm.clock
 				err = v
 			case error:
 				if unwound = errors.Is(v, errAborted); !unwound {
@@ -818,7 +915,6 @@ func (l *launch) panicFault(w *warpRT, r interface{}) *KernelFault {
 		Kind:  FaultPanic,
 		Index: -1,
 		Block: w.blockID, Warp: w.globalID, Lane: -1,
-		Cycle:  w.sm.clock,
 		Detail: fmt.Sprint(r),
 		Stack:  string(debug.Stack()),
 	}
@@ -853,41 +949,59 @@ func (l *launch) nextWarp(sm *smRT) *warpRT {
 	}
 	n := len(sm.warps)
 	for i := 1; i <= n; i++ {
-		w := sm.warps[(sm.rrCursor+i)%n]
+		j := (sm.rrCursor + i) % n
+		w := sm.warps[j]
 		if w.done || w.inBarrier || w.readyAt > sm.clock {
 			continue
 		}
-		for j, ww := range sm.warps {
-			if ww == w {
-				sm.rrCursor = j
-				break
-			}
-		}
+		sm.rrCursor = j
 		return w
 	}
 	return best
 }
 
+// apply accounts for and times w's request r on sm. Every per-instruction
+// counter is kept here rather than in the kernel-side primitives, so a
+// request counts exactly when the scheduler reaches it, in one-step order,
+// and a queued request an abort discards counts nothing.
 func (l *launch) apply(sm *smRT, w *warpRT, r request) {
+	s := &sm.stats
+	width := int64(l.cfg.WarpWidth)
+	var latency, txns int64
+	switch r.class {
+	case opALU:
+		latency = l.cfg.ALULatency
+		s.countInstr(r.issue, r.issue, int64(r.active), int64(r.useful), width)
+		if r.divergent {
+			s.DivergentBranches++
+		}
+	case opShared:
+		latency = l.cfg.SharedLatency
+		s.countInstr(1, r.issue, int64(r.active), int64(r.active), width)
+		s.SharedOps++
+		s.SharedBankConflicts += r.extra
+	case opLoad, opStore, opAtomic:
+		txns, latency = l.memAccess(sm, w, r)
+	}
 	if l.dev.tracer != nil && r.class != opDone {
 		l.trace(TraceEvent{
 			Kind: TraceInstr, Cycle: sm.clock, SM: sm.id, Block: w.blockID, Warp: w.globalID,
-			Class: classString(r.class), Issue: r.issue, Latency: r.latency, Txns: r.txns,
+			Class: classString(r.class), Issue: r.issue, Latency: latency, Txns: txns,
 		})
 	}
-	if p := sm.stats.Profile; p != nil && r.class != opDone {
-		p.InstrLatency.Observe(r.latency)
-		if r.class == opMem || r.class == opAtomic {
-			p.MemTxns.Observe(r.txns)
+	if p := s.Profile; p != nil && r.class != opDone {
+		p.InstrLatency.Observe(latency)
+		if r.class == opLoad || r.class == opStore || r.class == opAtomic {
+			p.MemTxns.Observe(txns)
 		}
 	}
 	switch r.class {
 	case opALU, opShared:
 		sm.clock += r.issue
-		w.readyAt = sm.clock + r.latency
+		w.readyAt = sm.clock + latency
 		sm.readyKey[w.smIdx] = w.readyAt
-		w.busy += r.issue + r.latency
-	case opMem, opAtomic:
+		w.busy += r.issue + latency
+	case opLoad, opStore, opAtomic:
 		// One compute-pipe slot to issue, then the memory pipe carries the
 		// transactions; the warp waits out the full memory latency.
 		sm.clock++
@@ -895,10 +1009,10 @@ func (l *launch) apply(sm *smRT, w *warpRT, r request) {
 		if sm.memPipeFree > start {
 			start = sm.memPipeFree
 		}
-		sm.memPipeFree = start + r.txns*l.cfg.MemPipeCyclesPerTxn
-		w.readyAt = sm.memPipeFree + r.latency
+		sm.memPipeFree = start + txns*l.cfg.MemPipeCyclesPerTxn
+		w.readyAt = sm.memPipeFree + latency
 		sm.readyKey[w.smIdx] = w.readyAt
-		w.busy += (sm.memPipeFree - sm.clock + 1) + r.latency
+		w.busy += (sm.memPipeFree - sm.clock + 1) + latency
 	case opBarrier:
 		b := w.block
 		w.inBarrier = true
@@ -926,6 +1040,7 @@ func (l *launch) apply(sm *smRT, w *warpRT, r request) {
 		b := w.block
 		b.liveWarps--
 		if r.err != nil && !l.aborted.Load() {
+			r.err.Cycle = sm.clock
 			// A fault during a launch with a pending transient injection is
 			// attributed to the injection: the corruption it planted is the
 			// root cause of whatever the kernel tripped over, and reporting
@@ -945,6 +1060,47 @@ func (l *launch) apply(sm *smRT, w *warpRT, r request) {
 			l.maybeReleaseBarrier(sm, b)
 		}
 	}
+}
+
+// memAccess accounts for a global-memory request over the segments w's
+// primitive coalesced into its segScratch (untouched while the request is
+// queued: a memory request always makes its warp yield), looks them up in or
+// invalidates them from the SM's read-only cache, and returns the DRAM
+// transactions and latency.
+func (l *launch) memAccess(sm *smRT, w *warpRT, r request) (txns, latency int64) {
+	s := &sm.stats
+	segs := w.ctx.segScratch
+	txns = int64(len(segs))
+	s.countInstr(1, txns, int64(r.active), int64(r.useful), int64(l.cfg.WarpWidth))
+	s.MemOps++
+	extra := r.extra * l.cfg.AtomicExtraLatency
+	latency = l.cfg.DRAMLatency + extra
+	switch {
+	case sm.cache != nil && r.class == opLoad:
+		misses := int64(0)
+		for _, seg := range segs {
+			if !sm.cache.access(seg) {
+				misses++
+			}
+		}
+		s.CacheHits += txns - misses
+		s.CacheMisses += misses
+		if misses == 0 {
+			latency = l.cfg.CacheHitLatency + extra
+		}
+		txns = misses
+	case sm.cache != nil:
+		for _, seg := range segs {
+			sm.cache.invalidate(seg)
+		}
+	}
+	s.MemTxns += txns
+	s.MemBytes += txns * int64(l.cfg.SegmentBytes)
+	if r.class == opAtomic {
+		s.AtomicOps++
+		s.AtomicSerial += r.extra
+	}
+	return txns, latency
 }
 
 func (l *launch) maybeReleaseBarrier(sm *smRT, b *blockRT) {

@@ -293,6 +293,20 @@ func (s *LaunchStats) mergeProfile(o *LaunchProfile) {
 	s.Profile.add(o)
 }
 
+// countInstr counts instrs warp instructions occupying slots issue slots,
+// each over active lanes of a width-wide warp, useful of them doing useful
+// work.
+func (s *LaunchStats) countInstr(instrs, slots, active, useful, width int64) {
+	s.Instructions += instrs
+	s.IssueSlots += slots
+	s.ActiveLaneOps += instrs * active
+	s.UsefulLaneOps += instrs * useful
+	s.LaneSlots += instrs * width
+	if active == width {
+		s.FullMaskOps += instrs
+	}
+}
+
 // addCounters folds a per-SM shard's counters into the merged launch stats.
 // Cycles, WarpBusy, SMFinish, WarpWidth, and the execution-mode fields are
 // owned by the scheduler's merge epilogue and are not touched here.

@@ -164,7 +164,7 @@ func classString(c opClass) string {
 	switch c {
 	case opALU:
 		return "alu"
-	case opMem:
+	case opLoad, opStore:
 		return "mem"
 	case opAtomic:
 		return "atomic"
