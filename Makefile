@@ -59,7 +59,7 @@ race:
 # whichever goroutine holds the token next; only the token handoff orders
 # the two, and one pass may not interleave them badly enough to show a race.
 racesched:
-	$(GO) test -race -count=10 -run 'Parallel|Steal|Abort|Handoff|FastPath|Vec' ./internal/simt
+	$(GO) test -race -count=10 -run 'Parallel|Abort|Handoff|FastPath|Vec' ./internal/simt
 
 # Benchmark-regression gate, two halves:
 #   - E4 BFS warp-width sweep cycles must stay within ±10% of the committed

@@ -63,7 +63,7 @@ func newBCRun(d *simt.Device, g *graph.CSR, sources []graph.VertexID, opts Optio
 		depth := int32(0)
 		for {
 			discovered.Data()[0] = 0
-			if err := r.launch(lc, bcForwardKernel(dg, levels, sigma, discovered, depth, opts), "BC forward (src %d, level %d)", src, depth); err != nil {
+			if err := r.launch(lc, bcForwardKernel(dg, levels, sigma, discovered, depth, r.sched), "BC forward (src %d, level %d)", src, depth); err != nil {
 				return false, err
 			}
 			if discovered.Data()[0] == 0 {
@@ -76,7 +76,7 @@ func newBCRun(d *simt.Device, g *graph.CSR, sources []graph.VertexID, opts Optio
 		}
 		// Backward: dependency accumulation from the deepest level down.
 		for dep := depth - 1; dep >= 0; dep-- {
-			if err := r.launch(lc, bcBackwardKernel(dg, levels, sigma, delta, dep, opts), "BC backward (src %d, level %d)", src, dep); err != nil {
+			if err := r.launch(lc, bcBackwardKernel(dg, levels, sigma, delta, dep, r.sched), "BC backward (src %d, level %d)", src, dep); err != nil {
 				return false, err
 			}
 		}
@@ -95,9 +95,9 @@ func newBCRun(d *simt.Device, g *graph.CSR, sources []graph.VertexID, opts Optio
 
 // bcForwardKernel expands level cur, counting shortest paths: every edge
 // from the frontier into level cur+1 adds the tail's sigma to the head's.
-func bcForwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma *simt.BufF32, discovered *simt.BufI32, cur int32, opts Options) simt.Kernel {
+func bcForwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma *simt.BufF32, discovered *simt.BufI32, cur int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			lvl := make([]int32, g)
 			ts.LoadI32Grouped(levels, ts.Task, lvl)
@@ -106,10 +106,7 @@ func bcForwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma *simt.BufF32, d
 				ts.LoadF32Grouped(sigma, ts.Task, mySigma)
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				nbr := w.VecI32()
 				old := w.VecI32()
 				sig := w.VecF32()
@@ -141,9 +138,9 @@ func bcForwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma *simt.BufF32, d
 // bcBackwardKernel accumulates dependencies for vertices at level dep:
 // delta[v] = sum over successors w at dep+1 of sigma[v]/sigma[w]*(1+delta[w]).
 // delta[v] is owned by v's virtual warp, so no atomics are needed.
-func bcBackwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma, delta *simt.BufF32, dep int32, opts Options) simt.Kernel {
+func bcBackwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma, delta *simt.BufF32, dep int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			lvl := make([]int32, g)
 			ts.LoadI32Grouped(levels, ts.Task, lvl)
@@ -152,10 +149,7 @@ func bcBackwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma, delta *simt.B
 				ts.LoadF32Grouped(sigma, ts.Task, mySigma)
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				acc := w.VecF32()
 				w.Apply(1, func(lane int) { acc[lane] = 0 })
 				nbr := w.VecI32()

@@ -45,10 +45,6 @@ func NewBFSRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options
 	levels.Fill(Unvisited)
 	levels.Data()[src] = 0
 	changed := r.i32("bfs.changed", 1)
-	var counter *simt.BufI32
-	if opts.Dynamic {
-		counter = r.i32("bfs.counter", 1)
-	}
 	var q *vwarp.OutlierQueue
 	if opts.DeferThreshold > 0 {
 		q = vwarp.NewOutlierQueue(d, "bfs.outliers", n)
@@ -58,13 +54,10 @@ func NewBFSRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options
 	r.round = func() (bool, error) {
 		cur := int32(res.Iterations)
 		changed.Data()[0] = 0
-		if counter != nil {
-			counter.Data()[0] = 0
-		}
 		if q != nil {
 			q.Reset()
 		}
-		if err := r.launch(lc, bfsLevelKernel(dg, levels, changed, counter, q, cur, opts), "BFS level %d", cur); err != nil {
+		if err := r.launch(lc, bfsLevelKernel(dg, levels, changed, q, cur, r.sched, opts), "BFS level %d", cur); err != nil {
 			return false, err
 		}
 		deferred := 0
@@ -128,7 +121,7 @@ type bfsScratch struct {
 	ts *vwarp.Tasks // current round's task view (set by body)
 
 	// Per-group vectors, sized for the widest possible grouping (K=1).
-	lvl, start, end, taskP1 []int32
+	lvl, start, end []int32
 	// Per-lane vectors.
 	next, nbr, nl []int32
 	zero, one     []int32
@@ -136,7 +129,6 @@ type bfsScratch struct {
 	body, deferredBody func(ts *vwarp.Tasks)
 	maskPred           func(gi int) bool
 	maskBody           func()
-	sisdP1             func(gi int)
 	heavy, light       func(gi int) bool
 	expand             func()
 	simdBody           func(j []int32)
@@ -152,22 +144,20 @@ func bfsScratchFor(w *simt.WarpCtx) *bfsScratch {
 	}
 	width := w.Width()
 	s := &bfsScratch{
-		w:      w,
-		lvl:    make([]int32, width),
-		start:  make([]int32, width),
-		end:    make([]int32, width),
-		taskP1: make([]int32, width),
-		next:   make([]int32, width),
-		nbr:    make([]int32, width),
-		nl:     make([]int32, width),
-		zero:   make([]int32, width),
-		one:    make([]int32, width),
+		w:     w,
+		lvl:   make([]int32, width),
+		start: make([]int32, width),
+		end:   make([]int32, width),
+		next:  make([]int32, width),
+		nbr:   make([]int32, width),
+		nl:    make([]int32, width),
+		zero:  make([]int32, width),
+		one:   make([]int32, width),
 	}
 	for i := range s.one {
 		s.one[i] = 1
 	}
 	s.maskPred = func(gi int) bool { return s.lvl[gi] == s.cur }
-	s.sisdP1 = func(gi int) { s.taskP1[gi] = s.ts.Task[gi] + 1 }
 	s.heavy = func(gi int) bool { return s.end[gi]-s.start[gi] > s.deferThreshold }
 	s.light = func(gi int) bool { return !s.heavy(gi) }
 	s.unvisited = func(lane int) bool { return s.nl[lane] == Unvisited }
@@ -183,9 +173,7 @@ func bfsScratchFor(w *simt.WarpCtx) *bfsScratch {
 	s.expand = func() { s.ts.SIMDRange(s.start, s.end, s.simdBody) }
 	s.maskBody = func() {
 		ts := s.ts
-		ts.LoadI32Grouped(s.dg.RowPtr, ts.Task, s.start)
-		ts.SISD(1, s.sisdP1)
-		ts.LoadI32Grouped(s.dg.RowPtr, s.taskP1, s.end)
+		ts.Row(s.dg.RowPtr, ts.Task, s.start, s.end)
 		if s.cEdges != nil {
 			// Heavy vertices are deferred below; their edges are counted by
 			// the deferred pass.
@@ -225,9 +213,7 @@ func bfsScratchFor(w *simt.WarpCtx) *bfsScratch {
 	}
 	s.deferredBody = func(ts *vwarp.Tasks) {
 		s.ts = ts
-		ts.LoadI32Grouped(s.dg.RowPtr, ts.Task, s.start)
-		ts.SISD(1, s.sisdP1)
-		ts.LoadI32Grouped(s.dg.RowPtr, s.taskP1, s.end)
+		ts.Row(s.dg.RowPtr, ts.Task, s.start, s.end)
 		if s.cEdges != nil {
 			var eg int64
 			for gi := 0; gi < ts.Groups; gi++ {
@@ -258,7 +244,7 @@ func (s *bfsScratch) bind(dg *DeviceGraph, levels, changed *simt.BufI32, q *vwar
 // bfsLevelKernel expands the frontier at level cur. Discovery writes are
 // plain stores (a benign race, as in the paper: any winner writes the same
 // level value).
-func bfsLevelKernel(dg *DeviceGraph, levels, changed, counter *simt.BufI32, q *vwarp.OutlierQueue, cur int32, opts Options) simt.Kernel {
+func bfsLevelKernel(dg *DeviceGraph, levels, changed *simt.BufI32, q *vwarp.OutlierQueue, cur int32, sched vwarp.Schedule, opts Options) simt.Kernel {
 	var cFrontier, cEdges *obs.Counter
 	if m := opts.Metrics; m != nil {
 		cFrontier = m.Counter(MetricBFSFrontier, "BFS frontier vertices expanded.")
@@ -267,14 +253,7 @@ func bfsLevelKernel(dg *DeviceGraph, levels, changed, counter *simt.BufI32, q *v
 	return func(w *simt.WarpCtx) {
 		s := bfsScratchFor(w)
 		s.bind(dg, levels, changed, q, cur, opts.DeferThreshold, cFrontier, cEdges)
-		switch {
-		case counter != nil:
-			vwarp.ForEachDynamic(w, opts.K, int32(dg.NumVertices), counter, opts.Chunk, s.body)
-		case opts.Blocked:
-			vwarp.ForEachStaticBlocked(w, opts.K, int32(dg.NumVertices), s.body)
-		default:
-			vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), s.body)
-		}
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), s.body)
 	}
 }
 

@@ -94,9 +94,9 @@ func newBFSDirRun(d *simt.Device, g *graph.CSR, src graph.VertexID, opts DirOpti
 		discovered.Data()[0] = 0
 		var kernel simt.Kernel
 		if dir == DirPush {
-			kernel = bfsPushCountKernel(dg, levels, discovered, cur, opts.Options)
+			kernel = bfsPushCountKernel(dg, levels, discovered, cur, r.sched)
 		} else {
-			kernel = bfsPullKernel(dgRev, levels, discovered, cur, opts.Options)
+			kernel = bfsPullKernel(dgRev, levels, discovered, cur, r.sched)
 		}
 		if err := r.launch(lc, kernel, "direction-opt BFS level %d", cur); err != nil {
 			return false, err
@@ -115,19 +115,16 @@ func newBFSDirRun(d *simt.Device, g *graph.CSR, src graph.VertexID, opts DirOpti
 
 // bfsPushCountKernel is the top-down expansion with CAS discovery so the
 // new-frontier size can be counted exactly (the hybrid heuristic needs it).
-func bfsPushCountKernel(dg *DeviceGraph, levels, discovered *simt.BufI32, cur int32, opts Options) simt.Kernel {
+func bfsPushCountKernel(dg *DeviceGraph, levels, discovered *simt.BufI32, cur int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			lvl := make([]int32, g)
 			ts.LoadI32Grouped(levels, ts.Task, lvl)
 			ts.Mask(func(gi int) bool { return lvl[gi] == cur }, func() {
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				nbr := w.VecI32()
 				old := w.VecI32()
 				unvisited := w.ConstI32(Unvisited)
@@ -149,19 +146,16 @@ func bfsPushCountKernel(dg *DeviceGraph, levels, discovered *simt.BufI32, cur in
 // bfsPullKernel is the bottom-up check: every unvisited vertex scans its
 // in-neighbors for one at the current level, stopping at the first hit
 // (a warp-vote early exit, like CUDA's __any).
-func bfsPullKernel(dgRev *DeviceGraph, levels, discovered *simt.BufI32, cur int32, opts Options) simt.Kernel {
+func bfsPullKernel(dgRev *DeviceGraph, levels, discovered *simt.BufI32, cur int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dgRev.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dgRev.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			lvl := make([]int32, g)
 			ts.LoadI32Grouped(levels, ts.Task, lvl)
 			ts.Mask(func(gi int) bool { return lvl[gi] == Unvisited }, func() {
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dgRev.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dgRev.RowPtr, taskP1, end)
+				ts.Row(dgRev.RowPtr, ts.Task, start, end)
 
 				done := make([]bool, g)
 				j := w.VecI32()

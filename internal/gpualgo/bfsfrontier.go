@@ -46,7 +46,7 @@ func newBFSFrontierRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts
 	r.round = func() (bool, error) {
 		cur := int32(res.Iterations)
 		nextCount.Data()[0] = 0
-		kernel := bfsFrontierKernel(dg, levels, frontier, next, nextCount, int32(frontierLen), cur, opts)
+		kernel := bfsFrontierKernel(dg, levels, frontier, next, nextCount, int32(frontierLen), cur, r.sched)
 		if err := r.launch(r.grid(frontierLen), kernel, "frontier BFS level %d", cur); err != nil {
 			return false, err
 		}
@@ -66,18 +66,15 @@ func newBFSFrontierRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts
 	return r, nil
 }
 
-func bfsFrontierKernel(dg *DeviceGraph, levels, frontier, next, nextCount *simt.BufI32, frontierLen, cur int32, opts Options) simt.Kernel {
+func bfsFrontierKernel(dg *DeviceGraph, levels, frontier, next, nextCount *simt.BufI32, frontierLen, cur int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, frontierLen, func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, frontierLen, func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			// Indirect through the frontier: the task id is a queue slot.
 			ts.LoadI32Grouped(frontier, ts.Task, ts.Task)
 			start := make([]int32, g)
 			end := make([]int32, g)
-			taskP1 := make([]int32, g)
-			ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-			ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-			ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+			ts.Row(dg.RowPtr, ts.Task, start, end)
 			nbr := w.VecI32()
 			seen := w.VecI32()
 			slot := w.VecI32()

@@ -30,17 +30,10 @@ func NewCCRun(d *simt.Device, dg *DeviceGraph, opts Options) (*Run[*CCResult], e
 		labels.Data()[i] = int32(i)
 	}
 	changed := r.i32("cc.changed", 1)
-	var counter *simt.BufI32
-	if opts.Dynamic {
-		counter = r.i32("cc.counter", 1)
-	}
 	lc := r.grid(n)
 	r.round = func() (bool, error) {
 		changed.Data()[0] = 0
-		if counter != nil {
-			counter.Data()[0] = 0
-		}
-		if err := r.launch(lc, ccPropagateKernel(dg, labels, changed, counter, opts), "CC round %d", res.Iterations); err != nil {
+		if err := r.launch(lc, ccPropagateKernel(dg, labels, changed, r.sched), "CC round %d", res.Iterations); err != nil {
 			return false, err
 		}
 		return changed.Data()[0] == 0 || res.Iterations+1 >= n+1, nil
@@ -60,18 +53,15 @@ func ConnectedComponents(d *simt.Device, dg *DeviceGraph, opts Options) (*CCResu
 	return complete(NewCCRun(d, dg, opts))
 }
 
-func ccPropagateKernel(dg *DeviceGraph, labels, changed, counter *simt.BufI32, opts Options) simt.Kernel {
+func ccPropagateKernel(dg *DeviceGraph, labels, changed *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		body := func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			lbl := make([]int32, g)
 			ts.LoadI32Grouped(labels, ts.Task, lbl)
 			start := make([]int32, g)
 			end := make([]int32, g)
-			taskP1 := make([]int32, g)
-			ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-			ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-			ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+			ts.Row(dg.RowPtr, ts.Task, start, end)
 			nbr := w.VecI32()
 			mine := w.VecI32()
 			old := w.VecI32()
@@ -85,11 +75,6 @@ func ccPropagateKernel(dg *DeviceGraph, labels, changed, counter *simt.BufI32, o
 					w.StoreI32(changed, zero, one)
 				}, nil)
 			})
-		}
-		if counter != nil {
-			vwarp.ForEachDynamic(w, opts.K, int32(dg.NumVertices), counter, opts.Chunk, body)
-		} else {
-			vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), body)
-		}
+		})
 	}
 }

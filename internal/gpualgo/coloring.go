@@ -50,7 +50,7 @@ func newColoringRun(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) 
 	lc := r.grid(n)
 	r.round = func() (bool, error) {
 		changed.Data()[0] = 0
-		if err := r.launch(lc, coloringRoundKernel(dg, prio, colors, changed, opts), "coloring round %d", res.Iterations); err != nil {
+		if err := r.launch(lc, coloringRoundKernel(dg, prio, colors, changed, r.sched), "coloring round %d", res.Iterations); err != nil {
 			return false, err
 		}
 		done := changed.Data()[0] == 0 || res.Iterations+1 >= n+1
@@ -76,9 +76,9 @@ func newColoringRun(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) 
 	return r, nil
 }
 
-func coloringRoundKernel(dg *DeviceGraph, prio, colors, changed *simt.BufI32, opts Options) simt.Kernel {
+func coloringRoundKernel(dg *DeviceGraph, prio, colors, changed *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			myColor := make([]int32, g)
 			ts.LoadI32Grouped(colors, ts.Task, myColor)
@@ -87,10 +87,7 @@ func coloringRoundKernel(dg *DeviceGraph, prio, colors, changed *simt.BufI32, op
 				ts.LoadI32Grouped(prio, ts.Task, myPrio)
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 
 				// Phase 1: eligibility — no uncolored neighbor dominates.
 				blocked := w.VecI32()

@@ -81,13 +81,13 @@ func newDeltaSteppingRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, op
 		var newNear, newFar int
 		if nearLen == 0 {
 			// Advance the threshold and re-filter the far pile.
-			k := dsFilterKernel(dist, far, nearNext, farNext, counts, int32(farLen), threshold+opts.Delta, opts.Options)
+			k := dsFilterKernel(dist, far, nearNext, farNext, counts, int32(farLen), threshold+opts.Delta, r.sched)
 			if err := r.launch(r.grid(farLen), k, "delta-stepping filter"); err != nil {
 				return false, err
 			}
 			newNear, newFar = int(counts.Data()[0]), int(counts.Data()[1])
 		} else {
-			k := dsRelaxKernel(dg, dist, near, nearNext, far, counts, int32(nearLen), int32(farLen), threshold, opts)
+			k := dsRelaxKernel(dg, dist, near, nearNext, far, counts, int32(nearLen), int32(farLen), threshold, r.sched)
 			if err := r.launch(r.grid(nearLen), k, "delta-stepping relax"); err != nil {
 				return false, err
 			}
@@ -117,9 +117,9 @@ func newDeltaSteppingRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, op
 // dsRelaxKernel processes the near worklist: each entry still under the
 // threshold relaxes its out-edges; improvements land in nearNext (under
 // threshold) or are appended to the far pile (beyond it).
-func dsRelaxKernel(dg *DeviceGraph, dist, near, nearNext, far, counts *simt.BufI32, nearLen, farBase, threshold int32, opts DeltaSteppingOptions) simt.Kernel {
+func dsRelaxKernel(dg *DeviceGraph, dist, near, nearNext, far, counts *simt.BufI32, nearLen, farBase, threshold int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, nearLen, func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, nearLen, func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			// Indirect through the worklist; stale entries (already settled
 			// under an earlier threshold or re-improved) still relax
@@ -131,10 +131,7 @@ func dsRelaxKernel(dg *DeviceGraph, dist, near, nearNext, far, counts *simt.BufI
 			ts.Mask(func(gi int) bool { return dv[gi] < threshold }, func() {
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				nbr := w.VecI32()
 				wt := w.VecI32()
 				cand := w.VecI32()
@@ -166,9 +163,9 @@ func dsRelaxKernel(dg *DeviceGraph, dist, near, nearNext, far, counts *simt.BufI
 
 // dsFilterKernel re-buckets the far pile after a threshold advance: entries
 // now under the threshold move to the near list, the rest stay far.
-func dsFilterKernel(dist, far, nearNext, farNext, counts *simt.BufI32, farLen, threshold int32, opts Options) simt.Kernel {
+func dsFilterKernel(dist, far, nearNext, farNext, counts *simt.BufI32, farLen, threshold int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, farLen, func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, farLen, func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			ts.LoadI32Grouped(far, ts.Task, ts.Task)
 			dv := make([]int32, g)

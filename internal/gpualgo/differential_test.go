@@ -35,7 +35,10 @@ type diffVariant struct {
 
 // diffVariants is the mapping sweep: the thread-per-vertex baseline, the
 // warp-centric widths K∈{2..32}, and the paper's refinements (outlier
-// deferral, dynamic distribution, blocked schedule).
+// deferral, dynamic distribution, blocked schedule). The blocked variant
+// caps the grid at two blocks (64 virtual warps at K=4), so each virtual
+// warp owns a range of several tasks; with one task per virtual warp every
+// static schedule deals alike.
 func diffVariants() []diffVariant {
 	var vs []diffVariant
 	for _, k := range []int{1, 2, 4, 8, 16, 32} {
@@ -48,7 +51,7 @@ func diffVariants() []diffVariant {
 	vs = append(vs,
 		diffVariant{name: "K8+defer", opts: Options{K: 8, DeferThreshold: 16}, quick: true},
 		diffVariant{name: "K8+dynamic", opts: Options{K: 8, Dynamic: true}, quick: true},
-		diffVariant{name: "K4+blocked", opts: Options{K: 4, Blocked: true}},
+		diffVariant{name: "K4+blocked", opts: Options{K: 4, Blocked: true, GridBlocksCap: 2}, quick: true},
 	)
 	return vs
 }
@@ -113,8 +116,11 @@ func diffGraphs(t testing.TB) []struct {
 
 // TestDifferentialKernelVariants is the full matrix: algorithms × variants ×
 // graphs × host modes, each compared against its oracle, with obs counters
-// attached and cross-mode counter totals required to match bit-for-bit.
-// -short trims to the quick variant subset, one graph, and the parallel mode.
+// attached and cross-mode counter totals required to match bit-for-bit. A
+// dynamic variant must also issue more atomics than the same options
+// without Dynamic: the difference is its chunk claims, so an entry that
+// ignored the schedule would fail. -short trims to the quick variant
+// subset, one graph, and the parallel mode.
 func TestDifferentialKernelVariants(t *testing.T) {
 	graphs := diffGraphs(t)
 	variants := diffVariants()
@@ -145,6 +151,7 @@ func TestDifferentialKernelVariants(t *testing.T) {
 						continue
 					}
 					perMode := make(map[int]map[string]int64)
+					var atomicOps int64
 					for _, mode := range modes {
 						label := fmt.Sprintf("%s/%s/%s/ParallelSMs=%d", a.Name, gr.name, v.name, mode)
 						d := parallelDevice(t, mode)
@@ -160,6 +167,19 @@ func TestDifferentialKernelVariants(t *testing.T) {
 						}
 						checkNoFallback(t, label, mode, got.Stats.SequentialFallback)
 						perMode[mode] = m.Values()
+						atomicOps = got.Stats.AtomicOps
+					}
+					if v.opts.Dynamic {
+						plain := v.opts
+						plain.Dynamic = false
+						got, err := a.Run(parallelDevice(t, modes[0]), in, plain)
+						if err != nil {
+							t.Fatalf("%s/%s/%s without Dynamic: %v", a.Name, gr.name, v.name, err)
+						}
+						if atomicOps <= got.Stats.AtomicOps {
+							t.Errorf("%s/%s/%s: %d atomic ops, not more than the %d without Dynamic: no task was claimed",
+								a.Name, gr.name, v.name, atomicOps, got.Stats.AtomicOps)
+						}
 					}
 					for _, mode := range modes[1:] {
 						if !reflect.DeepEqual(perMode[modes[0]], perMode[mode]) {

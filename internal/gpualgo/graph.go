@@ -65,13 +65,11 @@ type Options struct {
 	// warp-centric mapping. Zero defaults to 1 (baseline).
 	K int
 	// Dynamic enables dynamic workload distribution: warps claim task chunks
-	// from a global counter instead of a static stride schedule. Supported
-	// by BFS, SSSP, connected components, NeighborSum and SpMV; the other
-	// kernels ignore it.
+	// from a global counter instead of a static stride schedule.
 	Dynamic bool
 	// Blocked selects the paper-era blocked static schedule (contiguous task
 	// ranges per virtual warp) instead of the default stride schedule.
-	// Mutually exclusive with Dynamic. Supported by BFS.
+	// Mutually exclusive with Dynamic.
 	Blocked bool
 	// Chunk is the dynamic fetch size in tasks (default: 4 * warp width / K).
 	Chunk int32
@@ -82,8 +80,7 @@ type Options struct {
 	// BlockSize is threads per block (default 128).
 	BlockSize int
 	// GridBlocksCap bounds the launched grid; work beyond it is covered by
-	// the stride/dynamic schedule (default: enough blocks to fill the
-	// machine 4x).
+	// the run's schedule (default: enough blocks to fill the machine 4x).
 	GridBlocksCap int
 	// Metrics, when non-nil, receives algorithm-level event counters
 	// (frontier sizes, edges traversed — see the Metric* names). Counting is

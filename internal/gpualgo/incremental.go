@@ -446,11 +446,11 @@ func (s *incScratch) bindDPR(ddg *DeviceDeltaGraph, contrib, next *simt.BufF32, 
 // the overlay: the masked base pass first, then the extension pass. Deleted
 // base lanes relax with an InfDist candidate (a no-op on the min), which
 // keeps the warp convergent instead of branching around dead edges.
-func repairRelaxKernel(ddg *DeviceDeltaGraph, val, frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32, weighted bool, opts Options) simt.Kernel {
+func repairRelaxKernel(ddg *DeviceDeltaGraph, val, frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32, weighted bool, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
 		s := incScratchFor(w)
 		s.bindRelax(ddg, val, frontier, next, nextCount, claim, negRound, weighted)
-		vwarp.ForEachStatic(w, opts.K, frontierLen, s.relaxBody)
+		vwarp.ForEach(w, sched, frontierLen, s.relaxBody)
 	}
 }
 
@@ -494,7 +494,7 @@ func IncrementalBFS(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src 
 	dval := r.i32("ibfs.val", n)
 	copy(dval.Data(), val)
 	r.drainFrontier(n, seeds, "repair", "repair", func(frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32) simt.Kernel {
-		return repairRelaxKernel(ddg, dval, frontier, next, nextCount, claim, frontierLen, negRound, false, opts)
+		return repairRelaxKernel(ddg, dval, frontier, next, nextCount, claim, frontierLen, negRound, false, r.sched)
 	})
 	if err := finish(r); err != nil {
 		return nil, RepairInfo{}, err
@@ -550,7 +550,7 @@ func IncrementalSSSP(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src
 	dval := r.i32("isssp.val", n)
 	copy(dval.Data(), val)
 	r.drainFrontier(n, seeds, "repair", "repair", func(frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32) simt.Kernel {
-		return repairRelaxKernel(ddg, dval, frontier, next, nextCount, claim, frontierLen, negRound, true, opts)
+		return repairRelaxKernel(ddg, dval, frontier, next, nextCount, claim, frontierLen, negRound, true, r.sched)
 	})
 	if err := finish(r); err != nil {
 		return nil, RepairInfo{}, err
@@ -629,7 +629,7 @@ func IncrementalCC(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, prevL
 	dlabels := r.i32("icc.labels", n)
 	copy(dlabels.Data(), labels)
 	r.drainFrontier(n, seeds, "icc", "CC repair", func(frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32) simt.Kernel {
-		return ccRepairKernel(ddg, dlabels, frontier, next, nextCount, claim, frontierLen, negRound, opts)
+		return ccRepairKernel(ddg, dlabels, frontier, next, nextCount, claim, frontierLen, negRound, r.sched)
 	})
 	if err := finish(r); err != nil {
 		return nil, RepairInfo{}, err
@@ -644,12 +644,12 @@ func IncrementalCC(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, prevL
 // PUSHES its refreshed label outward, enqueueing neighbors whose label
 // dropped. Deleted base lanes participate with a neutral candidate (>= any
 // live label) so the warp stays convergent.
-func ccRepairKernel(ddg *DeviceDeltaGraph, labels, frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32, opts Options) simt.Kernel {
+func ccRepairKernel(ddg *DeviceDeltaGraph, labels, frontier, next, nextCount, claim *simt.BufI32, frontierLen, negRound int32, sched vwarp.Schedule) simt.Kernel {
 	neutral := int32(ddg.NumVertices) // labels are vertex ids < n
 	return func(w *simt.WarpCtx) {
 		s := incScratchFor(w)
 		s.bindCC(ddg, labels, frontier, next, nextCount, claim, negRound, neutral)
-		vwarp.ForEachStatic(w, opts.K, frontierLen, s.ccBody)
+		vwarp.ForEach(w, sched, frontierLen, s.ccBody)
 	}
 }
 
@@ -715,7 +715,7 @@ func DeltaPageRank(d *simt.Device, dl *graph.Delta, rddg *DeviceDeltaGraph, prev
 		if err := r.launch(lc, prContribKernel(n, rank, contrib, dOutDeg), "delta PageRank contrib iter %d", iter); err != nil {
 			return false, err
 		}
-		if err := r.launch(lc, dprPullKernel(rddg, contrib, next, base, opts), "delta PageRank pull iter %d", iter); err != nil {
+		if err := r.launch(lc, dprPullKernel(rddg, contrib, next, base, opts.Damping, r.sched), "delta PageRank pull iter %d", iter); err != nil {
 			return false, err
 		}
 		var l1 float32
@@ -739,10 +739,10 @@ func DeltaPageRank(d *simt.Device, dl *graph.Delta, rddg *DeviceDeltaGraph, prev
 // dprPullKernel computes next[v] = base + d * sum over live in-neighbors of
 // contrib[u], over the reverse overlay (masked reverse base, then reverse
 // extension). Deleted lanes contribute zero instead of diverging.
-func dprPullKernel(rddg *DeviceDeltaGraph, contrib, next *simt.BufF32, base float32, opts PageRankOptions) simt.Kernel {
+func dprPullKernel(rddg *DeviceDeltaGraph, contrib, next *simt.BufF32, base, damping float32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
 		s := incScratchFor(w)
-		s.bindDPR(rddg, contrib, next, base, opts.Damping)
-		vwarp.ForEachStatic(w, opts.K, int32(rddg.NumVertices), s.dprBody)
+		s.bindDPR(rddg, contrib, next, base, damping)
+		vwarp.ForEach(w, sched, int32(rddg.NumVertices), s.dprBody)
 	}
 }

@@ -48,7 +48,7 @@ func newKCoreRun(d *simt.Device, dg *DeviceGraph, k int32, opts Options) (*Run[*
 	lc := r.grid(n)
 	r.round = func() (bool, error) {
 		changed.Data()[0] = 0
-		if err := r.launch(lc, kcorePeelKernel(dg, deg, alive, changed, k, opts), "k-core round %d", res.Iterations); err != nil {
+		if err := r.launch(lc, kcorePeelKernel(dg, deg, alive, changed, k, r.sched), "k-core round %d", res.Iterations); err != nil {
 			return false, err
 		}
 		return changed.Data()[0] == 0 || res.Iterations+1 >= n+1, nil
@@ -67,9 +67,9 @@ func newKCoreRun(d *simt.Device, dg *DeviceGraph, k int32, opts Options) (*Run[*
 	return r, nil
 }
 
-func kcorePeelKernel(dg *DeviceGraph, deg, alive, changed *simt.BufI32, k int32, opts Options) simt.Kernel {
+func kcorePeelKernel(dg *DeviceGraph, deg, alive, changed *simt.BufI32, k int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			isAlive := make([]int32, g)
 			myDeg := make([]int32, g)
@@ -82,10 +82,7 @@ func kcorePeelKernel(dg *DeviceGraph, deg, alive, changed *simt.BufI32, k int32,
 				ts.W.StoreI32(changed, ts.W.ConstI32(0), one)
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				nbr := ts.W.VecI32()
 				minusOne := ts.W.ConstI32(-1)
 				ts.SIMDRange(start, end, func(j []int32) {

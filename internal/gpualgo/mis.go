@@ -54,7 +54,7 @@ func newMISRun(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*Run
 	lc := r.grid(n)
 	r.round = func() (bool, error) {
 		changed.Data()[0] = 0
-		if err := r.launch(lc, misRoundKernel(dg, prio, status, changed, opts), "MIS round %d", res.Iterations); err != nil {
+		if err := r.launch(lc, misRoundKernel(dg, prio, status, changed, r.sched), "MIS round %d", res.Iterations); err != nil {
 			return false, err
 		}
 		return changed.Data()[0] == 0 || res.Iterations+1 >= n+1, nil
@@ -75,9 +75,9 @@ func newMISRun(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*Run
 
 // misRoundKernel runs one round: join if locally max-priority among
 // undecided neighbors, then mark all neighbors out.
-func misRoundKernel(dg *DeviceGraph, prio, status, changed *simt.BufI32, opts Options) simt.Kernel {
+func misRoundKernel(dg *DeviceGraph, prio, status, changed *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			st := make([]int32, g)
 			ts.LoadI32Grouped(status, ts.Task, st)
@@ -86,10 +86,7 @@ func misRoundKernel(dg *DeviceGraph, prio, status, changed *simt.BufI32, opts Op
 				ts.LoadI32Grouped(prio, ts.Task, myPrio)
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 
 				// blocked[lane] = 1 if some undecided neighbor dominates.
 				blocked := w.VecI32()

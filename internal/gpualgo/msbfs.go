@@ -72,7 +72,7 @@ func newMSBFSRun(d *simt.Device, dg *DeviceGraph, sources []graph.VertexID, opts
 	r.round = func() (bool, error) {
 		cur := int32(res.Iterations)
 		changed.Data()[0] = 0
-		if err := r.launch(lc, msbfsExpandKernel(dg, frontier, visited, next, changed, opts), "MS-BFS expand level %d", cur); err != nil {
+		if err := r.launch(lc, msbfsExpandKernel(dg, frontier, visited, next, changed, r.sched), "MS-BFS expand level %d", cur); err != nil {
 			return false, err
 		}
 		if changed.Data()[0] == 0 {
@@ -95,19 +95,16 @@ func newMSBFSRun(d *simt.Device, dg *DeviceGraph, sources []graph.VertexID, opts
 
 // msbfsExpandKernel pushes each frontier vertex's bitmask to its neighbors:
 // next[nbr] |= frontier[v] &^ visited[nbr].
-func msbfsExpandKernel(dg *DeviceGraph, frontier, visited, next, changed *simt.BufI32, opts Options) simt.Kernel {
+func msbfsExpandKernel(dg *DeviceGraph, frontier, visited, next, changed *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			fbits := make([]int32, g)
 			ts.LoadI32Grouped(frontier, ts.Task, fbits)
 			ts.Mask(func(gi int) bool { return fbits[gi] != 0 }, func() {
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				nbr := w.VecI32()
 				nvis := w.VecI32()
 				push := w.VecI32()

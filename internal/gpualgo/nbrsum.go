@@ -38,12 +38,8 @@ func newNeighborSumRun(d *simt.Device, dg *DeviceGraph, values []int32, opts Opt
 	r.graph(dg)
 	dVals := r.uploadI32("nbrsum.values", values)
 	out := r.i32("nbrsum.out", n)
-	var counter *simt.BufI32
-	if opts.Dynamic {
-		counter = r.i32("nbrsum.counter", 1)
-	}
 	r.round = func() (bool, error) {
-		return true, r.launch(r.grid(n), nbrsumKernel(dg, dVals, out, counter, opts), "neighbor sum")
+		return true, r.launch(r.grid(n), nbrsumKernel(dg, dVals, out, r.sched), "neighbor sum")
 	}
 	r.result = func() *NeighborSumResult {
 		res.Sums = append([]int32(nil), out.Data()...)
@@ -53,17 +49,13 @@ func newNeighborSumRun(d *simt.Device, dg *DeviceGraph, values []int32, opts Opt
 }
 
 // nbrsumKernel writes out[v] = sum of dVals[u] over v's out-neighbors u.
-func nbrsumKernel(dg *DeviceGraph, dVals, out, counter *simt.BufI32, opts Options) simt.Kernel {
-	n := dg.NumVertices
+func nbrsumKernel(dg *DeviceGraph, dVals, out *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		body := func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			start := make([]int32, g)
 			end := make([]int32, g)
-			taskP1 := make([]int32, g)
-			ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-			ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-			ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+			ts.Row(dg.RowPtr, ts.Task, start, end)
 			acc := w.VecI32()
 			w.FillI32(acc, 0)
 			nbr := w.VecI32()
@@ -76,12 +68,7 @@ func nbrsumKernel(dg *DeviceGraph, dVals, out, counter *simt.BufI32, opts Option
 			sums := make([]int32, g)
 			ts.ReduceAddI32(acc, sums)
 			ts.StoreI32Grouped(out, ts.Task, sums, nil)
-		}
-		if counter != nil {
-			vwarp.ForEachDynamic(w, opts.K, int32(n), counter, opts.Chunk, body)
-		} else {
-			vwarp.ForEachStatic(w, opts.K, int32(n), body)
-		}
+		})
 	}
 }
 

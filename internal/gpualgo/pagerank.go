@@ -79,7 +79,7 @@ func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*Run[*P
 		if err := r.launch(lc, prContribKernel(n, rank, contrib, dOutDeg), "PageRank contrib iter %d", iter); err != nil {
 			return false, err
 		}
-		if err := r.launch(lc, prPullKernel(dgRev, contrib, next, base, opts), "PageRank pull iter %d", iter); err != nil {
+		if err := r.launch(lc, prPullKernel(dgRev, contrib, next, base, r.sched, opts), "PageRank pull iter %d", iter); err != nil {
 			return false, err
 		}
 		rank, next = next, rank
@@ -144,20 +144,17 @@ func prContribKernel(n int, rank, contrib *simt.BufF32, outDeg *simt.BufI32) sim
 
 // prPullKernel computes next[v] = base + d * sum_{u in in(v)} contrib[u]
 // with one virtual warp per vertex.
-func prPullKernel(dgRev *DeviceGraph, contrib, next *simt.BufF32, base float32, opts PageRankOptions) simt.Kernel {
+func prPullKernel(dgRev *DeviceGraph, contrib, next *simt.BufF32, base float32, sched vwarp.Schedule, opts PageRankOptions) simt.Kernel {
 	var cEdges *obs.Counter
 	if m := opts.Metrics; m != nil {
 		cEdges = m.Counter(MetricPREdges, "PageRank in-edges pulled.")
 	}
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dgRev.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dgRev.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			start := make([]int32, g)
 			end := make([]int32, g)
-			taskP1 := make([]int32, g)
-			ts.LoadI32Grouped(dgRev.RowPtr, ts.Task, start)
-			ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-			ts.LoadI32Grouped(dgRev.RowPtr, taskP1, end)
+			ts.Row(dgRev.RowPtr, ts.Task, start, end)
 			if cEdges != nil {
 				var eg int64
 				for gi := 0; gi < g; gi++ {

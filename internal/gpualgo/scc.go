@@ -79,10 +79,10 @@ func newSCCRun(d *simt.Device, g *graph.CSR, opts Options) (*Run[*SCCResult], er
 		// Trim loop: peel trivially strongly-connected vertices.
 		trimmed := 0
 		for {
-			if err := r.launch(lc, sccScanKernel(dg, region, hasOut, cur, opts), "SCC out-scan"); err != nil {
+			if err := r.launch(lc, sccScanKernel(dg, region, hasOut, cur, r.sched), "SCC out-scan"); err != nil {
 				return false, err
 			}
-			if err := r.launch(lc, sccScanKernel(dgRev, region, hasIn, cur, opts), "SCC in-scan"); err != nil {
+			if err := r.launch(lc, sccScanKernel(dgRev, region, hasIn, cur, r.sched), "SCC in-scan"); err != nil {
 				return false, err
 			}
 			changed.Data()[0] = 0
@@ -122,7 +122,7 @@ func newSCCRun(d *simt.Device, g *graph.CSR, opts Options) (*Run[*SCCResult], er
 		}{{dg, fwd, "forward"}, {dgRev, bwd, "backward"}} {
 			for {
 				changed.Data()[0] = 0
-				if err := r.launch(lc, sccClosureKernel(dir.g, region, dir.mask, changed, cur, opts), "SCC %s", dir.what); err != nil {
+				if err := r.launch(lc, sccClosureKernel(dir.g, region, dir.mask, changed, cur, r.sched), "SCC %s", dir.what); err != nil {
 					return false, err
 				}
 				if changed.Data()[0] == 0 {
@@ -175,19 +175,16 @@ func newSCCRun(d *simt.Device, g *graph.CSR, opts Options) (*Run[*SCCResult], er
 
 // sccScanKernel sets flag[v] = 1 iff v (in region r) has a neighbor still in
 // region r along the given graph direction.
-func sccScanKernel(dg *DeviceGraph, region, flag *simt.BufI32, r int32, opts Options) simt.Kernel {
+func sccScanKernel(dg *DeviceGraph, region, flag *simt.BufI32, r int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			reg := make([]int32, g)
 			ts.LoadI32Grouped(region, ts.Task, reg)
 			ts.Mask(func(gi int) bool { return reg[gi] == r }, func() {
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				found := w.VecI32()
 				w.Apply(1, func(lane int) { found[lane] = 0 })
 				nbr := w.VecI32()
@@ -264,9 +261,9 @@ func sccResetKernel(n int, region, fwd, bwd *simt.BufI32, r int32) simt.Kernel {
 
 // sccClosureKernel expands the mask one step: frontier vertices (mask == 1)
 // mark their unvisited region-r neighbors and settle to mask == 2.
-func sccClosureKernel(dg *DeviceGraph, region, mask, changed *simt.BufI32, r int32, opts Options) simt.Kernel {
+func sccClosureKernel(dg *DeviceGraph, region, mask, changed *simt.BufI32, r int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			reg := make([]int32, g)
 			mk := make([]int32, g)
@@ -275,10 +272,7 @@ func sccClosureKernel(dg *DeviceGraph, region, mask, changed *simt.BufI32, r int
 			ts.Mask(func(gi int) bool { return reg[gi] == r && mk[gi] == 1 }, func() {
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				nbr := w.VecI32()
 				nreg := w.VecI32()
 				nmk := w.VecI32()

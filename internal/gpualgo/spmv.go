@@ -44,12 +44,8 @@ func newSpMVRun(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, op
 	dVals := r.uploadF32("spmv.vals", vals)
 	dX := r.uploadF32("spmv.x", x)
 	dY := r.f32("spmv.y", n)
-	var counter *simt.BufI32
-	if opts.Dynamic {
-		counter = r.i32("spmv.counter", 1)
-	}
 	r.round = func() (bool, error) {
-		return true, r.launch(r.grid(n), spmvKernel(dg, dVals, dX, dY, counter, opts), "SpMV")
+		return true, r.launch(r.grid(n), spmvKernel(dg, dVals, dX, dY, r.sched), "SpMV")
 	}
 	r.result = func() *SpMVResult {
 		res.Y = append([]float32(nil), dY.Data()...)
@@ -60,17 +56,13 @@ func newSpMVRun(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, op
 
 // spmvKernel writes dY = A·dX, one row per virtual warp, for the matrix with
 // dg's sparsity pattern and the nonzeros dVals.
-func spmvKernel(dg *DeviceGraph, dVals, dX, dY *simt.BufF32, counter *simt.BufI32, opts Options) simt.Kernel {
-	n := dg.NumVertices
+func spmvKernel(dg *DeviceGraph, dVals, dX, dY *simt.BufF32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
-		body := func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			start := make([]int32, g)
 			end := make([]int32, g)
-			taskP1 := make([]int32, g)
-			ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-			ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-			ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+			ts.Row(dg.RowPtr, ts.Task, start, end)
 			acc := w.VecF32()
 			w.FillF32(acc, 0)
 			col := w.VecI32()
@@ -85,12 +77,7 @@ func spmvKernel(dg *DeviceGraph, dVals, dX, dY *simt.BufF32, counter *simt.BufI3
 			sums := make([]float32, g)
 			ts.ReduceAddF32(acc, sums)
 			ts.StoreF32Grouped(dY, ts.Task, sums, nil)
-		}
-		if counter != nil {
-			vwarp.ForEachDynamic(w, opts.K, int32(n), counter, opts.Chunk, body)
-		} else {
-			vwarp.ForEachStatic(w, opts.K, int32(n), body)
-		}
+		})
 	}
 }
 

@@ -40,17 +40,10 @@ func NewSSSPRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Option
 	dist.Fill(cpualgo.InfDist)
 	dist.Data()[src] = 0
 	changed := r.i32("sssp.changed", 1)
-	var counter *simt.BufI32
-	if opts.Dynamic {
-		counter = r.i32("sssp.counter", 1)
-	}
 	lc := r.grid(n)
 	r.round = func() (bool, error) {
 		changed.Data()[0] = 0
-		if counter != nil {
-			counter.Data()[0] = 0
-		}
-		if err := r.launch(lc, ssspRelaxKernel(dg, dist, changed, counter, opts), "SSSP round %d", res.Iterations); err != nil {
+		if err := r.launch(lc, ssspRelaxKernel(dg, dist, changed, r.sched, opts), "SSSP round %d", res.Iterations); err != nil {
 			return false, err
 		}
 		return changed.Data()[0] == 0 || res.Iterations+1 >= n+1, nil
@@ -71,23 +64,20 @@ func SSSP(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*S
 	return complete(NewSSSPRun(d, dg, src, opts))
 }
 
-func ssspRelaxKernel(dg *DeviceGraph, dist, changed, counter *simt.BufI32, opts Options) simt.Kernel {
+func ssspRelaxKernel(dg *DeviceGraph, dist, changed *simt.BufI32, sched vwarp.Schedule, opts Options) simt.Kernel {
 	var cEdges *obs.Counter
 	if m := opts.Metrics; m != nil {
 		cEdges = m.Counter(MetricSSSPEdges, "SSSP edges relaxed.")
 	}
 	return func(w *simt.WarpCtx) {
-		body := func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			dv := make([]int32, g)
 			ts.LoadI32Grouped(dist, ts.Task, dv)
 			ts.Mask(func(gi int) bool { return dv[gi] < cpualgo.InfDist }, func() {
 				start := make([]int32, g)
 				end := make([]int32, g)
-				taskP1 := make([]int32, g)
-				ts.LoadI32Grouped(dg.RowPtr, ts.Task, start)
-				ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-				ts.LoadI32Grouped(dg.RowPtr, taskP1, end)
+				ts.Row(dg.RowPtr, ts.Task, start, end)
 				if cEdges != nil {
 					var eg int64
 					for gi := 0; gi < g; gi++ {
@@ -115,11 +105,6 @@ func ssspRelaxKernel(dg *DeviceGraph, dist, changed, counter *simt.BufI32, opts 
 					}, nil)
 				})
 			})
-		}
-		if counter != nil {
-			vwarp.ForEachDynamic(w, opts.K, int32(dg.NumVertices), counter, opts.Chunk, body)
-		} else {
-			vwarp.ForEachStatic(w, opts.K, int32(dg.NumVertices), body)
-		}
+		})
 	}
 }

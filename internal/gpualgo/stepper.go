@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"maxwarp/internal/simt"
+	"maxwarp/internal/vwarp"
 )
 
 // RunState lists the device buffers that make up a run's replayable state:
@@ -43,6 +44,9 @@ type Run[R any] struct {
 	opts  Options
 	res   *Result
 	state RunState
+	// sched is how every ForEach of the run deals its tasks, resolved from
+	// opts once.
+	sched vwarp.Schedule
 	// round runs one round and reports whether the run is done.
 	round func() (bool, error)
 	// result packs the answer from the device buffers.
@@ -54,14 +58,19 @@ type Run[R any] struct {
 }
 
 // newRun starts a run that records into res: it applies the option
-// defaults to *opts, validates them and sets the warp width.
+// defaults to *opts, validates them, sets the warp width and resolves the
+// run's schedule, allocating its claim counter when opts.Dynamic is set.
 func newRun[R any](d *simt.Device, res *Result, opts *Options) (*Run[R], error) {
 	*opts = opts.withDefaults(d)
 	if err := opts.validate(d); err != nil {
 		return nil, err
 	}
 	res.Stats.WarpWidth = d.Config().WarpWidth
-	return &Run[R]{d: d, opts: *opts, res: res}, nil
+	r := &Run[R]{d: d, opts: *opts, res: res, sched: vwarp.Schedule{K: opts.K, Blocked: opts.Blocked}}
+	if opts.Dynamic {
+		r.sched.Counter, r.sched.Chunk = r.i32("sched.counter", 1), opts.Chunk
+	}
+	return r, nil
 }
 
 // Step runs one round. When every launch in it succeeds it adds the
@@ -98,9 +107,13 @@ func (r *Run[R]) Result() R { return r.result() }
 func (r *Run[R]) setLaunch(lo simt.LaunchOpts) { r.Launch = lo }
 
 // launch runs kernel as part of the current round and adds its stats to
-// the round's pending total. It wraps a failure as "gpualgo: <what>: <err>",
-// formatting what with args.
+// the round's pending total. It zeroes the schedule's claim counter first,
+// so every launch deals its tasks from the start. It wraps a failure as
+// "gpualgo: <what>: <err>", formatting what with args.
 func (r *Run[R]) launch(lc simt.LaunchConfig, kernel simt.Kernel, what string, args ...any) error {
+	if c := r.sched.Counter; c != nil {
+		c.Data()[0] = 0
+	}
 	stats, err := r.d.LaunchWith(lc, r.Launch, kernel)
 	if err != nil {
 		return fmt.Errorf("gpualgo: %s: %w", fmt.Sprintf(what, args...), err)

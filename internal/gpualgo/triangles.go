@@ -51,7 +51,7 @@ func newTriangleRun(d *simt.Device, g *graph.CSR, dg *DeviceGraph, opts Options)
 	r.graph(dg)
 	out := r.i32("tri.out", n)
 	r.round = func() (bool, error) {
-		return true, r.launch(r.grid(n), triangleKernel(dg, out, opts), "triangle count")
+		return true, r.launch(r.grid(n), triangleKernel(dg, out, r.sched), "triangle count")
 	}
 	r.result = func() *TriangleResult {
 		res.PerVertex = append([]int32(nil), out.Data()...)
@@ -65,31 +65,25 @@ func newTriangleRun(d *simt.Device, g *graph.CSR, dg *DeviceGraph, opts Options)
 }
 
 // triangleKernel writes out[u], the triangles {u,v,w} with u < v < w.
-func triangleKernel(dg *DeviceGraph, out *simt.BufI32, opts Options) simt.Kernel {
+func triangleKernel(dg *DeviceGraph, out *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	n := dg.NumVertices
 	return func(w *simt.WarpCtx) {
-		vwarp.ForEachStatic(w, opts.K, int32(n), func(ts *vwarp.Tasks) {
+		vwarp.ForEach(w, sched, int32(n), func(ts *vwarp.Tasks) {
 			gn := ts.Groups
 			startU := make([]int32, gn)
 			endU := make([]int32, gn)
-			taskP1 := make([]int32, gn)
-			ts.LoadI32Grouped(dg.RowPtr, ts.Task, startU)
-			ts.SISD(1, func(gi int) { taskP1[gi] = ts.Task[gi] + 1 })
-			ts.LoadI32Grouped(dg.RowPtr, taskP1, endU)
+			ts.Row(dg.RowPtr, ts.Task, startU, endU)
 
 			count := w.VecI32()
 			w.Apply(1, func(lane int) { count[lane] = 0 })
 
 			v := make([]int32, gn)
-			vP1 := make([]int32, gn)
 			startV := make([]int32, gn)
 			endV := make([]int32, gn)
 			ts.GroupLoop(startU, endU, func(pos []int32) {
 				ts.LoadI32Grouped(dg.Col, pos, v)
 				ts.Mask(func(gi int) bool { return v[gi] > ts.Task[gi] }, func() {
-					ts.LoadI32Grouped(dg.RowPtr, v, startV)
-					ts.SISD(1, func(gi int) { vP1[gi] = v[gi] + 1 })
-					ts.LoadI32Grouped(dg.RowPtr, vP1, endV)
+					ts.Row(dg.RowPtr, v, startV, endV)
 					wv := w.VecI32()
 					ts.SIMDRange(startV, endV, func(j []int32) {
 						w.LoadI32(dg.Col, j, wv)

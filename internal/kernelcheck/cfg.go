@@ -208,10 +208,8 @@ var constructs = map[string]construct{
 	// vwarp drivers: body runs in a round loop whose trip count varies per
 	// warp. The guard is "intrinsic": the divergence analyzer does not
 	// blame the kernel for it, but barriers under it are real hazards.
-	"ForEachStatic":        {pred: -1, bodies: []int{3}, kind: GuardDriver, loop: true, guarded: true},
-	"ForEachStaticBlocked": {pred: -1, bodies: []int{3}, kind: GuardDriver, loop: true, guarded: true},
-	"ForEachDynamic":       {pred: -1, bodies: []int{5}, kind: GuardDriver, loop: true, guarded: true},
-	"ForEachDeferred":      {pred: -1, bodies: []int{4}, kind: GuardDriver, loop: true, guarded: true},
+	"ForEach":         {pred: -1, bodies: []int{3}, kind: GuardDriver, loop: true, guarded: true},
+	"ForEachDeferred": {pred: -1, bodies: []int{4}, kind: GuardDriver, loop: true, guarded: true},
 }
 
 // memOps maps memory-primitive names to their event shape. idx is the
@@ -230,6 +228,7 @@ var memOps = map[string]memOp{
 	"StoreF32":          {kind: EvStore, idx: 1},
 	"LoadI32Replicated": {kind: EvLoad, idx: 2, grouped: true},
 	"LoadI32Grouped":    {kind: EvLoad, idx: 1, grouped: true},
+	"Row":               {kind: EvLoad, idx: 1, grouped: true},
 	"LoadF32Grouped":    {kind: EvLoad, idx: 1, grouped: true},
 	"StoreI32Grouped":   {kind: EvStore, idx: 1, grouped: true},
 	"StoreF32Grouped":   {kind: EvStore, idx: 1, grouped: true},
@@ -243,6 +242,7 @@ var memOps = map[string]memOp{
 	"AtomicAddF32":       {kind: EvAtomic, idx: 1},
 	"AtomicAddGrouped":   {kind: EvAtomic, idx: 1, grouped: true},
 	"AtomicAddSharedI32": {kind: EvAtomic, idx: 1, shared: true},
+	"Defer":              {kind: EvAtomic, idx: 0, grouped: true}, // leaders bump the queue's one count cell
 }
 
 // bindings is the file-wide closure-binding table: "s.body" (and fallback

@@ -105,8 +105,9 @@ type outParam struct {
 	// idx is the index-vector argument governing the result's class, -1
 	// when the output is unconditionally irregular data.
 	idx int
-	// out is the output argument position.
-	out int
+	// out is the output argument position; out2 is a second one (Row's
+	// end), 0 when there is none.
+	out, out2 int
 }
 
 var outParams = map[string]outParam{
@@ -114,6 +115,7 @@ var outParams = map[string]outParam{
 	"LoadF32":           {idx: 1, out: 2},
 	"LoadI32Replicated": {idx: 2, out: 3},
 	"LoadI32Grouped":    {idx: 1, out: 2},
+	"Row":               {idx: 1, out: 2, out2: 3},
 	"LoadF32Grouped":    {idx: 1, out: 2},
 	"LoadSharedI32":     {idx: 1, out: 2},
 
@@ -128,6 +130,8 @@ var outParams = map[string]outParam{
 	"GroupReduceAddI32": {idx: -1, out: 2},
 	"GroupReduceOrI32":  {idx: -1, out: 2},
 	"GroupReduceAddF32": {idx: -1, out: 2},
+	"ReduceAddI32":      {idx: -1, out: 1},
+	"ReduceAddF32":      {idx: -1, out: 1},
 }
 
 // laneClosureMethods are the calls whose closure arguments receive lane or
@@ -138,6 +142,7 @@ var laneClosureMethods = map[string]bool{
 	"Apply": true, "ApplyReplicated": true,
 	"Mask": true, "SISD": true, "SIMDRange": true, "GroupLoop": true,
 	"StoreI32Grouped": true, "StoreF32Grouped": true, "AtomicAddGrouped": true,
+	"Defer": true,
 }
 
 // Taint is the fixpoint result for one file.
@@ -282,6 +287,9 @@ func (t *Taint) sweep(file *ast.File) bool {
 				}
 			}
 			if t.raise(taintKey(n.Args[op.out]), outCls) {
+				changed = true
+			}
+			if op.out2 > 0 && op.out2 < len(n.Args) && t.raise(taintKey(n.Args[op.out2]), outCls) {
 				changed = true
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -495,5 +496,36 @@ func TestTaintStrideLattice(t *testing.T) {
 	}
 	if !strings.Contains(StrideIrregular.String(), "irregular") {
 		t.Errorf("Stride.String: %v", StrideIrregular)
+	}
+}
+
+// TestEveryVwarpPrimitiveModeled fails for any exported internal/vwarp
+// function or method that no analysis table models: the analyzers would see
+// its outputs as uniform and its memory traffic not at all. Only the
+// host-side queue helpers, which never run inside a kernel, are exempt.
+func TestEveryVwarpPrimitiveModeled(t *testing.T) {
+	hostSide := map[string]bool{"NewOutlierQueue": true, "Reset": true, "Len": true}
+	var missing []string
+	err := walkDir("../vwarp", false, func(_ *token.FileSet, file *ast.File) {
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() || hostSide[fd.Name.Name] {
+				continue
+			}
+			name := fd.Name.Name
+			_, c := constructs[name]
+			_, m := memOps[name]
+			_, o := outParams[name]
+			if !c && !m && !o && !uniformCalls[name] && !laneCalls[name] && !dataCalls[name] && !laneClosureMethods[name] {
+				missing = append(missing, name)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(missing)
+	if len(missing) > 0 {
+		t.Errorf("vwarp exports no kernelcheck table models: %v", missing)
 	}
 }

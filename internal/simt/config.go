@@ -75,30 +75,6 @@ type Config struct {
 	// round-robin: rotate through ready warps).
 	SchedulerPolicy string
 
-	// BlockSchedule selects the block distributor policy: "fifo" (default)
-	// eagerly fills every SM to MaxBlocksPerSM resident blocks in global
-	// block order, matching a static breadth-first distributor; "steal"
-	// throttles each SM to at most StealDepth resident blocks, so the tail
-	// of the grid stays in the central queue and is claimed by whichever SM
-	// retires a block first — the paper's dynamic workload distribution
-	// applied at the host block distributor. On imbalanced grids (power-law
-	// per-block cost) "steal" keeps all SMs busy to the end instead of
-	// letting an unlucky static stripe serialize the launch. The decision
-	// reads only the requesting SM's own retirement progress at its own step
-	// key, so for a fixed config results and stats are bit-identical across
-	// all ParallelSMs settings — but "steal" and "fifo" are *different
-	// simulated machines*: block→SM assignment, cycles, and stats differ
-	// between the two policies.
-	BlockSchedule string
-
-	// StealDepth is the resident-block cap per SM under BlockSchedule =
-	// "steal" (default 1, clamped to MaxBlocksPerSM). Depth 1 is pure
-	// work-queue dispatch — maximal balance, and the measured wall-clock
-	// winner on imbalanced RMAT grids; larger depths trade balance for
-	// cross-block latency hiding in the simulated machine. Ignored under
-	// "fifo".
-	StealDepth int
-
 	// ParallelSMs selects the host execution mode. In both modes a warp
 	// queues its ALU-class instructions and runs ahead through them, and the
 	// goroutine holding an execution token applies queued instructions in
@@ -184,10 +160,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("simt: negative cache parameter in config")
 	case c.SchedulerPolicy != "" && c.SchedulerPolicy != "gto" && c.SchedulerPolicy != "lrr":
 		return fmt.Errorf("simt: unknown scheduler policy %q (want gto or lrr)", c.SchedulerPolicy)
-	case c.BlockSchedule != "" && c.BlockSchedule != "fifo" && c.BlockSchedule != "steal":
-		return fmt.Errorf("simt: unknown block schedule %q (want fifo or steal)", c.BlockSchedule)
-	case c.StealDepth < 0:
-		return fmt.Errorf("simt: StealDepth = %d, need >= 0 (0 = default)", c.StealDepth)
 	case c.ParallelSMs < 0:
 		return fmt.Errorf("simt: ParallelSMs = %d, need >= 0 (0 = NumCPU)", c.ParallelSMs)
 	case c.ClockGHz <= 0:
@@ -203,12 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SchedulerPolicy == "" {
 		c.SchedulerPolicy = "gto"
-	}
-	if c.BlockSchedule == "" {
-		c.BlockSchedule = "fifo"
-	}
-	if c.BlockSchedule == "steal" && c.StealDepth == 0 {
-		c.StealDepth = 1
 	}
 	if c.ParallelSMs == 0 {
 		c.ParallelSMs = runtime.NumCPU()

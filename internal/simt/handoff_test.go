@@ -19,17 +19,12 @@ func TestHandoffsDoNotRise(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		schedule    string
 		parallelSMs int
 		max         int64
-	}{
-		{"fifo", 1, 935}, {"fifo", 2, 801}, {"fifo", 8, 801},
-		{"steal", 1, 939}, {"steal", 2, 636}, {"steal", 8, 636},
-	} {
-		d, _, _, _ := runPowerLawDevice(t, tc.schedule, tc.parallelSMs)
+	}{{1, 935}, {2, 801}, {8, 801}} {
+		d, _, _, _ := runPowerLawDevice(t, tc.parallelSMs)
 		if d.handoffs > tc.max {
-			t.Errorf("powerLawGridKernel %s ParallelSMs=%d: %d handoffs, ceiling %d",
-				tc.schedule, tc.parallelSMs, d.handoffs, tc.max)
+			t.Errorf("powerLawGridKernel ParallelSMs=%d: %d handoffs, ceiling %d", tc.parallelSMs, d.handoffs, tc.max)
 		}
 	}
 }

@@ -242,18 +242,6 @@ type launch struct {
 	progressEvery int64
 	nextProgress  int64
 
-	// admitDepth caps resident blocks per SM at admission time. Under the
-	// default "fifo" schedule it equals MaxBlocksPerSM — every SM eagerly
-	// fills its static occupancy limit. Under "steal" it is the configured
-	// StealDepth: each SM keeps at most that many blocks in flight, so the
-	// tail of the grid stays in the central queue and is claimed by whichever
-	// SM retires first — the paper's dynamic workload distribution applied at
-	// the host block distributor. The check reads only the requester's own
-	// resident count (admitted minus retired, i.e. its measured retirement
-	// progress at its own step key), so the policy is identical across host
-	// modes and bit-deterministic.
-	admitDepth int
-
 	// parallel selects one domain per SM on its own host goroutine; when
 	// false the gate calls below are no-ops and one domain spans every SM.
 	parallel bool
@@ -302,10 +290,6 @@ func newLaunch(d *Device, lc LaunchConfig, kernel Kernel) *launch {
 			WarpWidth: d.cfg.WarpWidth,
 			WarpBusy:  make([]int64, lc.Blocks*warpsPerBlock),
 		},
-	}
-	l.admitDepth = d.cfg.MaxBlocksPerSM
-	if d.cfg.BlockSchedule == "steal" && d.cfg.StealDepth < l.admitDepth {
-		l.admitDepth = d.cfg.StealDepth
 	}
 	l.sms = make([]*smRT, d.cfg.NumSMs)
 	for i := range l.sms {
@@ -771,7 +755,7 @@ func (l *launch) smHasWork(sm *smRT) bool {
 }
 
 func (l *launch) canAdmit(sm *smRT) bool {
-	return len(sm.blocks) < l.admitDepth &&
+	return len(sm.blocks) < l.cfg.MaxBlocksPerSM &&
 		sm.warpSlotsUsed+l.warpsPerBlock <= l.cfg.MaxWarpsPerSM
 }
 

@@ -182,8 +182,7 @@ func (s *LaunchStats) WarpBusyMaxOverMean() float64 {
 // SMFinishCV returns the coefficient of variation of per-SM finish clocks:
 // 0 when every SM retires its last block at the same simulated cycle, large
 // when an unlucky SM's block assignment serializes the launch tail. It is
-// the block-distributor analogue of WarpImbalanceCV — the metric
-// BlockSchedule = "steal" exists to drive down on imbalanced grids.
+// the block-distributor analogue of WarpImbalanceCV.
 func (s *LaunchStats) SMFinishCV() float64 {
 	n := len(s.SMFinish)
 	if n == 0 {

@@ -13,7 +13,7 @@ func TestMaskNarrowsToPredicateGroups(t *testing.T) {
 	out := d.AllocI32("out", numTasks)
 	out.Fill(-1)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 4, numTasks, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 4}, numTasks, func(ts *Tasks) {
 			vals := make([]int32, ts.Groups)
 			ts.SISD(1, func(g int) { vals[g] = ts.Task[g] * 2 })
 			ts.Mask(func(g int) bool { return ts.Task[g]%3 == 0 }, func() {
@@ -40,7 +40,7 @@ func TestStoreF32GroupedAndReduceAddF32(t *testing.T) {
 	const numTasks = 16
 	out := d.AllocF32("out", numTasks)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 8, numTasks, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 8}, numTasks, func(ts *Tasks) {
 			// Each lane contributes its lane-in-group index; group sum of
 			// 0..7 = 28, scaled by the task id via SISD.
 			contrib := w.VecF32()
@@ -70,7 +70,7 @@ func TestReduceAddI32Grouped(t *testing.T) {
 	d := testDevice(t)
 	out := d.AllocI32("out", 8)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 4, 8, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 4}, 8, func(ts *Tasks) {
 			ones := w.ConstI32(1)
 			counts := make([]int32, ts.Groups)
 			ts.ReduceAddI32(ones, counts)

@@ -23,7 +23,7 @@ func TestGroupLoopVisitsEveryPositionOnce(t *testing.T) {
 	orderOK := d.AllocI32("orderOK", 1)
 	orderOK.Data()[0] = 1
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 8, int32(len(lens)), func(ts *Tasks) {
+		ForEach(w, Schedule{K: 8}, int32(len(lens)), func(ts *Tasks) {
 			start := make([]int32, ts.Groups)
 			ln := make([]int32, ts.Groups)
 			end := make([]int32, ts.Groups)
@@ -63,7 +63,7 @@ func TestGroupLoopEmptyRanges(t *testing.T) {
 	d := testDevice(t)
 	touched := d.AllocI32("touched", 1)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 4, 8, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 4}, 8, func(ts *Tasks) {
 			start := make([]int32, ts.Groups)
 			end := make([]int32, ts.Groups) // all empty
 			ts.GroupLoop(start, end, func(pos []int32) {

@@ -56,12 +56,12 @@ func (t *Tasks) Defer(q *OutlierQueue, pred func(g int) bool) {
 // k per task (typically k = the full warp width, maximizing parallelism on
 // the heavy tasks). numDeferred is read host-side via Len() after the main
 // pass. The task ids are fetched through the queue indirection, then body
-// runs exactly as in ForEachStatic.
+// runs exactly as under ForEach's stride schedule.
 func ForEachDeferred(w *simt.WarpCtx, k int, q *OutlierQueue, numDeferred int32, body func(t *Tasks)) {
 	if numDeferred < 0 {
 		panic(fmt.Sprintf("vwarp: negative deferred count %d", numDeferred))
 	}
-	ForEachStatic(w, k, numDeferred, func(t *Tasks) {
+	ForEach(w, Schedule{K: k}, numDeferred, func(t *Tasks) {
 		// t.Task currently holds queue slots; replace with the deferred ids.
 		t.LoadI32Grouped(q.Items, t.Task, t.Task)
 		body(t)

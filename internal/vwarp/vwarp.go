@@ -17,14 +17,16 @@
 // mapping (maximum ALU use, maximum imbalance), K=W is full warp-per-task
 // (minimum imbalance, most replication waste).
 //
-// The package also provides the paper's two auxiliary techniques: dynamic
-// workload distribution via a global task counter (ForEachDynamic) and
-// deferring outliers to a global queue (OutlierQueue) for a follow-up pass
-// at maximum parallelism.
+// ForEach deals the tasks to virtual warps under a Schedule: K plus a
+// stride, blocked or dynamic dealing mode, the last being the paper's
+// dynamic workload distribution via a global task counter. The package also
+// provides the paper's other auxiliary technique, deferring outliers to a
+// global queue (OutlierQueue) for a follow-up pass at maximum parallelism.
 package vwarp
 
 import (
 	"fmt"
+	"math"
 
 	"maxwarp/internal/simt"
 )
@@ -35,7 +37,7 @@ import (
 //
 // A Tasks is cached on its warp context (simt.WarpCtx.KernelScratch) and
 // reused across rounds, kernel invocations and launches, so the helpers
-// below — and the ForEach drivers that call them every round — allocate
+// below — and ForEach, which calls them every round — allocate
 // nothing in steady state. The cost of that reuse is a non-reentrancy rule:
 // a helper must not be re-invoked from inside its own callback (no
 // SIMDRange inside its own body, no SISD inside an SISD function). Distinct
@@ -91,6 +93,9 @@ type Tasks struct {
 	repF32Idx []int32
 	repF32Val []float32
 	repF32Fn  func(g int)
+
+	rowIdx, rowNext []int32
+	rowFn           func(g int)
 
 	leaderUser func(g int) bool // nil = all groups
 	leaderFn   func(lane int) bool
@@ -156,6 +161,7 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 		oneV:      make([]int32, width),
 		repF32Idx: make([]int32, width),
 		repF32Val: make([]float32, width),
+		rowNext:   make([]int32, groups),
 		fcChunkV:  make([]int32, width),
 		fcOld:     make([]int32, width),
 		deferSlot: make([]int32, width),
@@ -206,6 +212,7 @@ func (t *Tasks) buildClosures() {
 			t.laneF32[lane] = v
 		}
 	}
+	t.rowFn = func(g int) { t.rowNext[g] = t.rowIdx[g] + 1 }
 	t.leaderFn = func(lane int) bool {
 		g := t.Group(lane)
 		return t.leaders[lane] && t.Valid(g) && (t.leaderUser == nil || t.leaderUser(g))
@@ -274,6 +281,16 @@ func (t *Tasks) LoadI32Grouped(buf *simt.BufI32, idx, dst []int32) {
 			dst[g] = t.laneVal[lane]
 		}
 	}
+}
+
+// Row loads each active group's CSR row range: start[g] = rowPtr[idx[g]]
+// and end[g] = rowPtr[idx[g]+1], two replicated loads around one SISD
+// increment — the SISD phase every adjacency kernel opens with.
+func (t *Tasks) Row(rowPtr *simt.BufI32, idx, start, end []int32) {
+	t.LoadI32Grouped(rowPtr, idx, start)
+	t.rowIdx = idx
+	t.SISD(1, t.rowFn)
+	t.LoadI32Grouped(rowPtr, t.rowNext, end)
 }
 
 // StoreI32Grouped performs the replicated-phase store buf[idx[g]] = val[g]
@@ -432,116 +449,80 @@ func (t *Tasks) leaderLanes() []bool {
 	return leaders
 }
 
-// ForEachStatic distributes tasks [0, numTasks) over all virtual warps of
-// the grid with a strided (round-robin) static schedule and invokes body
-// once per round with the warp's task assignment.
-func ForEachStatic(w *simt.WarpCtx, k int, numTasks int32, body func(t *Tasks)) {
-	t := newTasks(w, k)
-	t.runUser = body
-	groups := int32(t.Groups)
-	gridWarps := int32(w.GridThreads() / w.Width())
-	totalVW := gridWarps * groups
-	baseVW := int32(w.GlobalWarpID()) * groups
-	for round := int32(0); ; round++ {
-		first := baseVW + round*totalVW
-		if first >= numTasks {
-			break
-		}
-		any := false
-		for g := int32(0); g < groups; g++ {
-			id := first + g
-			if id < numTasks {
-				t.Task[g] = id
-				any = true
-			} else {
-				t.Task[g] = -1
-			}
-		}
-		if !any {
-			break
-		}
-		w.IfGrouped(t.K, t.validFn, t.runFn, nil)
-	}
+// Schedule is how ForEach deals tasks to the grid's virtual warps: the
+// virtual warp width K and one dealing mode. The default mode is stride:
+// round r hands virtual warp i task i + r*(virtual warps in the grid).
+// Blocked hands each virtual warp one contiguous range of ceil(n/virtual
+// warps) tasks — the paper-era static partitioning that stride improves on,
+// kept as the baseline for the dynamic-distribution comparison (E7): when
+// hot vertices cluster in id space, it concentrates them in few virtual
+// warps. A non-nil Counter selects the paper's dynamic workload
+// distribution: physical warps claim Chunk tasks at a time from Counter[0],
+// which must be zero when the launch starts.
+type Schedule struct {
+	K       int
+	Blocked bool
+	Counter *simt.BufI32
+	Chunk   int32
 }
 
-// ForEachStaticBlocked distributes tasks in contiguous blocks: virtual warp
-// i owns tasks [i*ceil(n/totalVW), (i+1)*ceil(n/totalVW)) — the paper-era
-// static partitioning that ForEachStatic's stride schedule improves on.
-// Kept as the baseline for the dynamic-distribution comparison (E7): when
-// hot vertices cluster in id space, blocked assignment concentrates them in
-// few virtual warps.
-func ForEachStaticBlocked(w *simt.WarpCtx, k int, numTasks int32, body func(t *Tasks)) {
-	t := newTasks(w, k)
+// ForEach distributes tasks [0, numTasks) over the grid's virtual warps
+// under schedule s and invokes body once per round with the warp's task
+// assignment. Under dynamic distribution one lane of the physical warp
+// atomically advances the counter by Chunk and broadcasts the claimed base
+// index to the warp; the claimed tasks are dealt to the warp's virtual warps
+// round-robin.
+func ForEach(w *simt.WarpCtx, s Schedule, numTasks int32, body func(t *Tasks)) {
+	dynamic := s.Counter != nil
+	if dynamic && s.Chunk < 1 {
+		panic(fmt.Sprintf("vwarp: chunk size %d must be >= 1", s.Chunk))
+	}
+	t := newTasks(w, s.K)
 	t.runUser = body
 	groups := int32(t.Groups)
-	gridWarps := int32(w.GridThreads() / w.Width())
-	totalVW := gridWarps * groups
-	if totalVW == 0 {
-		return
-	}
-	per := (numTasks + totalVW - 1) / totalVW
-	baseVW := int32(w.GlobalWarpID()) * groups
-	for off := int32(0); off < per; off++ {
-		any := false
-		for g := int32(0); g < groups; g++ {
-			id := (baseVW+g)*per + off
-			if id < numTasks {
-				t.Task[g] = id
-				any = true
-			} else {
-				t.Task[g] = -1
-			}
+	totalVW := int32(w.GridThreads()/w.Width()) * groups
+	// Round r hands group g task first + g*gap + r*step while that is below
+	// limit, for at most rounds rounds.
+	first, gap, step, rounds, limit := int32(w.GlobalWarpID())*groups, int32(1), totalVW, int32(math.MaxInt32), numTasks
+	switch {
+	case dynamic:
+		t.fcCounter = s.Counter
+		for i := range t.fcChunkV {
+			t.fcChunkV[i] = s.Chunk
 		}
-		if !any {
-			// Later offsets cannot become valid: ids only grow with off.
-			break
+		step = groups
+	case s.Blocked:
+		if totalVW == 0 {
+			return
 		}
-		w.IfGrouped(t.K, t.validFn, t.runFn, nil)
+		rounds = (numTasks + totalVW - 1) / totalVW
+		first, gap, step = first*rounds, rounds, 1
 	}
-}
-
-// ForEachDynamic distributes tasks [0, numTasks) over physical warps in
-// chunks claimed from the global counter buffer (counter[0] must be zeroed
-// by the host before launch) — the paper's dynamic workload distribution
-// primitive. One lane of the physical warp atomically advances the counter
-// by chunk and broadcasts the claimed base index to the warp; within a
-// claimed chunk, tasks are dealt to the warp's virtual warps round-robin.
-func ForEachDynamic(w *simt.WarpCtx, k int, numTasks int32, counter *simt.BufI32, chunk int32, body func(t *Tasks)) {
-	if chunk < 1 {
-		panic(fmt.Sprintf("vwarp: chunk size %d must be >= 1", chunk))
-	}
-	t := newTasks(w, k)
-	t.runUser = body
-	t.fcCounter = counter
-	for i := range t.fcChunkV {
-		t.fcChunkV[i] = chunk
-	}
-	groups := int32(t.Groups)
 	for {
-		w.If(t.fcLane0Fn, t.fcFn, nil)
-		base := w.BroadcastI32(t.fcOld, 0)
-		if base >= numTasks {
-			break
+		if dynamic {
+			w.If(t.fcLane0Fn, t.fcFn, nil)
+			first = w.BroadcastI32(t.fcOld, 0)
+			if first >= numTasks {
+				return
+			}
+			limit = min(first+s.Chunk, numTasks)
 		}
-		limit := base + chunk
-		if limit > numTasks {
-			limit = numTasks
-		}
-		for off := base; off < limit; off += groups {
+		for r := int32(0); r < rounds; r++ {
 			any := false
 			for g := int32(0); g < groups; g++ {
-				id := off + g
-				if id < limit {
-					t.Task[g] = id
-					any = true
+				if id := first + r*step + g*gap; id < limit {
+					t.Task[g], any = id, true
 				} else {
 					t.Task[g] = -1
 				}
 			}
 			if !any {
-				break
+				break // task ids only grow with r
 			}
 			w.IfGrouped(t.K, t.validFn, t.runFn, nil)
+		}
+		if !dynamic {
+			return
 		}
 	}
 }

@@ -19,15 +19,18 @@ func testDevice(t *testing.T) *simt.Device {
 	return d
 }
 
-// TestForEachStaticCoversAllTasksOnce checks every task is visited exactly
-// once for a range of K, grid shapes, and task counts (including tails).
-func TestForEachStaticCoversAllTasksOnce(t *testing.T) {
+// checkCoversAllTasksOnce launches ForEach under the schedule sched builds
+// for each K and task count, empty sets and tails included, and checks that
+// every task is visited exactly once and no task id >= n is dealt.
+func checkCoversAllTasksOnce(t *testing.T, sched func(d *simt.Device, k int) Schedule) {
+	t.Helper()
 	for _, k := range []int{1, 2, 4, 8, 16, 32} {
-		for _, numTasks := range []int32{0, 1, 31, 32, 33, 100, 1000} {
+		for _, numTasks := range []int32{0, 1, 31, 32, 33, 100, 500, 1000} {
 			d := testDevice(t)
 			seen := d.AllocI32("seen", int(numTasks)+1)
+			s := sched(d, k)
 			kernel := func(w *simt.WarpCtx) {
-				ForEachStatic(w, k, numTasks, func(ts *Tasks) {
+				ForEach(w, s, numTasks, func(ts *Tasks) {
 					one := make([]int32, ts.Groups)
 					for g := range one {
 						one[g] = 1
@@ -38,8 +41,12 @@ func TestForEachStaticCoversAllTasksOnce(t *testing.T) {
 			if _, err := d.Launch(simt.Grid1D(256, 64), kernel); err != nil {
 				t.Fatalf("k=%d n=%d: %v", k, numTasks, err)
 			}
-			for i := int32(0); i < numTasks; i++ {
-				if got := seen.Data()[i]; got != 1 {
+			for i := int32(0); i <= numTasks; i++ {
+				want := int32(1)
+				if i == numTasks {
+					want = 0 // the guard cell past the last task
+				}
+				if got := seen.Data()[i]; got != want {
 					t.Fatalf("k=%d n=%d: task %d visited %d times", k, numTasks, i, got)
 				}
 			}
@@ -47,31 +54,28 @@ func TestForEachStaticCoversAllTasksOnce(t *testing.T) {
 	}
 }
 
+// TestForEachStaticCoversAllTasksOnce checks the default stride schedule.
+func TestForEachStaticCoversAllTasksOnce(t *testing.T) {
+	checkCoversAllTasksOnce(t, func(_ *simt.Device, k int) Schedule {
+		return Schedule{K: k}
+	})
+}
+
+// TestForEachStaticBlockedCoversAllTasksOnce checks the blocked schedule.
+func TestForEachStaticBlockedCoversAllTasksOnce(t *testing.T) {
+	checkCoversAllTasksOnce(t, func(_ *simt.Device, k int) Schedule {
+		return Schedule{K: k, Blocked: true}
+	})
+}
+
+// TestForEachDynamicCoversAllTasksOnce checks the dynamic schedule, which
+// claims chunks of tasks from a counter, at several chunk sizes.
 func TestForEachDynamicCoversAllTasksOnce(t *testing.T) {
-	for _, k := range []int{1, 4, 32} {
-		for _, chunk := range []int32{1, 3, 8, 64} {
-			const numTasks = 500
-			d := testDevice(t)
-			seen := d.AllocI32("seen", numTasks)
-			counter := d.AllocI32("counter", 1)
-			kernel := func(w *simt.WarpCtx) {
-				ForEachDynamic(w, k, numTasks, counter, chunk, func(ts *Tasks) {
-					one := make([]int32, ts.Groups)
-					for g := range one {
-						one[g] = 1
-					}
-					ts.AtomicAddGrouped(seen, ts.Task, one, nil, nil)
-				})
-			}
-			if _, err := d.Launch(simt.Grid1D(128, 64), kernel); err != nil {
-				t.Fatalf("k=%d chunk=%d: %v", k, chunk, err)
-			}
-			for i := 0; i < numTasks; i++ {
-				if got := seen.Data()[i]; got != 1 {
-					t.Fatalf("k=%d chunk=%d: task %d visited %d times", k, chunk, i, got)
-				}
-			}
-		}
+	for _, chunk := range []int32{1, 3, 8, 64} {
+		t.Logf("chunk=%d", chunk)
+		checkCoversAllTasksOnce(t, func(d *simt.Device, k int) Schedule {
+			return Schedule{K: k, Counter: d.AllocI32("counter", 1), Chunk: chunk}
+		})
 	}
 }
 
@@ -80,7 +84,7 @@ func TestSISDRunsOncePerGroup(t *testing.T) {
 	const numTasks = 64
 	out := d.AllocI32("out", numTasks)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 8, numTasks, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 8}, numTasks, func(ts *Tasks) {
 			vals := make([]int32, ts.Groups)
 			ts.SISD(1, func(g int) { vals[g] = ts.Task[g] * 10 })
 			ts.StoreI32Grouped(out, ts.Task, vals, nil)
@@ -97,26 +101,38 @@ func TestSISDRunsOncePerGroup(t *testing.T) {
 }
 
 func TestLoadI32Grouped(t *testing.T) {
+	// src doubles as a CSR row-pointer array: row i spans [i*i, (i+1)*(i+1)).
 	d := testDevice(t)
 	const numTasks = 48
-	src := d.AllocI32("src", numTasks)
+	src := d.AllocI32("src", numTasks+1)
 	for i := range src.Data() {
-		src.Data()[i] = int32(i * 7)
+		src.Data()[i] = int32(i * i)
 	}
 	out := d.AllocI32("out", numTasks)
+	rowLen := d.AllocI32("rowLen", numTasks)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 4, numTasks, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 4}, numTasks, func(ts *Tasks) {
 			got := make([]int32, ts.Groups)
 			ts.LoadI32Grouped(src, ts.Task, got)
 			ts.StoreI32Grouped(out, ts.Task, got, nil)
+			start := make([]int32, ts.Groups)
+			end := make([]int32, ts.Groups)
+			ts.Row(src, ts.Task, start, end)
+			ts.SISD(1, func(g int) { got[g] = end[g] - start[g] })
+			ts.StoreI32Grouped(rowLen, ts.Task, got, nil)
 		})
 	}
 	if _, err := d.Launch(simt.Grid1D(numTasks, 32), kernel); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out.Data() {
-		if v != int32(i*7) {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*7)
+		if v != int32(i*i) {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+	for i, v := range rowLen.Data() {
+		if v != int32(2*i+1) {
+			t.Fatalf("Row length of %d = %d, want %d", i, v, 2*i+1)
 		}
 	}
 }
@@ -136,7 +152,7 @@ func TestSIMDRangeStridesAllElements(t *testing.T) {
 	lenBuf := d.UploadI32("lens", segLens)
 	touched := d.AllocI32("touched", int(total))
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 8, int32(len(segLens)), func(ts *Tasks) {
+		ForEach(w, Schedule{K: 8}, int32(len(segLens)), func(ts *Tasks) {
 			start := make([]int32, ts.Groups)
 			ln := make([]int32, ts.Groups)
 			end := make([]int32, ts.Groups)
@@ -165,7 +181,7 @@ func TestStoreI32GroupedPredicate(t *testing.T) {
 	out := d.AllocI32("out", numTasks)
 	out.Fill(-1)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 4, numTasks, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 4}, numTasks, func(ts *Tasks) {
 			vals := make([]int32, ts.Groups)
 			ts.SISD(1, func(g int) { vals[g] = 99 })
 			ts.StoreI32Grouped(out, ts.Task, vals, func(g int) bool { return ts.Task[g]%2 == 0 })
@@ -191,7 +207,7 @@ func TestAtomicAddGroupedOldValues(t *testing.T) {
 	slots := d.AllocI32("slots", 64)
 	slots.Fill(-1)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 8, 64, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 8}, 64, func(ts *Tasks) {
 			zero := make([]int32, ts.Groups)
 			one := make([]int32, ts.Groups)
 			old := make([]int32, ts.Groups)
@@ -233,7 +249,7 @@ func TestDeferAndProcessDeferred(t *testing.T) {
 	processed := d.AllocI32("processed", numTasks)
 
 	mainPass := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 4, numTasks, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 4}, numTasks, func(ts *Tasks) {
 			amt := make([]int32, ts.Groups)
 			ts.LoadI32Grouped(work, ts.Task, amt)
 			heavy := func(g int) bool { return amt[g] > 50 }
@@ -290,7 +306,7 @@ func TestSmallerKHasHigherUsefulUtilizationOnUniformWork(t *testing.T) {
 		lenBuf := d.UploadI32("lens", lens)
 		_ = d.AllocI32("sink", len(lens))
 		kernel := func(w *simt.WarpCtx) {
-			ForEachStatic(w, k, int32(len(lens)), func(ts *Tasks) {
+			ForEach(w, Schedule{K: k}, int32(len(lens)), func(ts *Tasks) {
 				ln := make([]int32, ts.Groups)
 				ts.LoadI32Grouped(lenBuf, ts.Task, ln)
 				start := make([]int32, ts.Groups)
@@ -315,15 +331,14 @@ func TestSmallerKHasHigherUsefulUtilizationOnUniformWork(t *testing.T) {
 func TestInvalidKPanicsAsLaunchError(t *testing.T) {
 	d := testDevice(t)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 3, 10, func(ts *Tasks) {}) // 3 does not divide 32
+		ForEach(w, Schedule{K: 3}, 10, func(ts *Tasks) {}) // 3 does not divide 32
 	}
 	if _, err := d.Launch(simt.Grid1D(32, 32), kernel); err == nil {
 		t.Fatal("invalid K accepted")
 	}
+	counter := d.AllocI32("counter", 1)
 	kernel2 := func(w *simt.WarpCtx) {
-		counter := 0
-		_ = counter
-		ForEachDynamic(w, 4, 10, nil, 0, func(ts *Tasks) {})
+		ForEach(w, Schedule{K: 4, Counter: counter}, 10, func(ts *Tasks) {})
 	}
 	if _, err := d.Launch(simt.Grid1D(32, 32), kernel2); err == nil {
 		t.Fatal("zero chunk accepted")
@@ -333,7 +348,7 @@ func TestInvalidKPanicsAsLaunchError(t *testing.T) {
 func TestGroupHelpers(t *testing.T) {
 	d := testDevice(t)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 8, 4, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 8}, 4, func(ts *Tasks) {
 			if ts.Group(9) != 1 || ts.LaneInGroup(9) != 1 {
 				panic("group math wrong")
 			}
@@ -352,7 +367,7 @@ func TestOutlierQueueSaturation(t *testing.T) {
 	d := testDevice(t)
 	q := NewOutlierQueue(d, "q", 2)
 	kernel := func(w *simt.WarpCtx) {
-		ForEachStatic(w, 4, 5, func(ts *Tasks) {
+		ForEach(w, Schedule{K: 4}, 5, func(ts *Tasks) {
 			ts.Defer(q, func(g int) bool { return true })
 		})
 	}
@@ -361,31 +376,5 @@ func TestOutlierQueueSaturation(t *testing.T) {
 	}
 	if q.Len() != 2 {
 		t.Fatalf("saturated queue Len = %d, want 2", q.Len())
-	}
-}
-
-func TestForEachStaticBlockedCoversAllTasksOnce(t *testing.T) {
-	for _, k := range []int{1, 4, 32} {
-		for _, numTasks := range []int32{0, 1, 33, 500, 1000} {
-			d := testDevice(t)
-			seen := d.AllocI32("seen", int(numTasks)+1)
-			kernel := func(w *simt.WarpCtx) {
-				ForEachStaticBlocked(w, k, numTasks, func(ts *Tasks) {
-					one := make([]int32, ts.Groups)
-					for g := range one {
-						one[g] = 1
-					}
-					ts.AtomicAddGrouped(seen, ts.Task, one, nil, nil)
-				})
-			}
-			if _, err := d.Launch(simt.Grid1D(256, 64), kernel); err != nil {
-				t.Fatalf("k=%d n=%d: %v", k, numTasks, err)
-			}
-			for i := int32(0); i < numTasks; i++ {
-				if got := seen.Data()[i]; got != 1 {
-					t.Fatalf("k=%d n=%d: task %d visited %d times", k, numTasks, i, got)
-				}
-			}
-		}
 	}
 }
