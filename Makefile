@@ -55,17 +55,24 @@ race:
 	$(GO) test -race ./...
 
 # The scheduler's cross-goroutine tests, ten times under the race detector.
-# A warp's run-ahead queue is written by its own goroutine and drained by
-# whichever goroutine holds the token next; only the token handoff orders
-# the two, and one pass may not interleave them badly enough to show a race.
+# A warp's run-ahead queue and segment log are written by its own goroutine
+# and drained by whichever goroutine holds the token next; only the token
+# handoff orders the two, and one pass may not interleave them badly enough
+# to show a race. ReadOnly selects the frozen-buffer tests: loads that run
+# ahead, and writes that fault in every host mode.
 racesched:
-	$(GO) test -race -count=10 -run 'Parallel|Abort|Handoff|FastPath|Vec' ./internal/simt
+	$(GO) test -race -count=10 -run 'Parallel|Abort|Handoff|FastPath|Vec|ReadOnly' ./internal/simt
 
-# Benchmark-regression gate, two halves:
+# Benchmark-regression gate, three parts:
 #   - E4 BFS warp-width sweep cycles must stay within ±10% of the committed
 #     baseline (internal/bench/testdata/e4_baseline.json). Regenerate after an
 #     intentional performance-model change with
 #       go test ./internal/bench -run TestE4CyclesRegression -update-e4-baseline
+#   - Token handoffs per algorithm run (BFS, PageRank, CC and SSSP at K=32 on
+#     the wiki and road families, BFS K=1 on LiveJournal-like, each at
+#     ParallelSMs 1 and 2) must stay under the inline ceilings of
+#     internal/bench/handoff_gate_test.go. The count is deterministic per
+#     host mode; ceilings may only tighten.
 #   - Hot-path allocs/op must stay within 25% (+64) of
 #     internal/bench/testdata/alloc_gate.json (allocations are
 #     near-deterministic where wall-clock on shared runners is not); the
@@ -73,7 +80,7 @@ racesched:
 #     Regenerate after an intentional change with
 #       go test ./internal/bench -run TestHotPathAllocGate -update-alloc-gate
 benchgate:
-	$(GO) test ./internal/bench -run 'TestE4CyclesRegression|TestHotPathAllocGate' -count=1
+	$(GO) test ./internal/bench -run 'TestE4CyclesRegression|TestHotPathAllocGate|TestHandoffGate' -count=1
 
 # End-to-end service smoke: start `maxwarp serve` with injected device
 # faults, drive a saturating loadtest with tight deadlines, assert the

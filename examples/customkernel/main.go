@@ -36,7 +36,9 @@ func main() {
 		log.Fatal(err)
 	}
 	n := g.NumVertices()
-	rowPtr := dev.UploadI32("rowptr", g.RowPtr)
+	// The kernel only reads the row pointers: frozen, their loads let a warp
+	// run on without yielding to the scheduler, and a stray store faults.
+	rowPtr := dev.UploadI32("rowptr", g.RowPtr).Freeze()
 	hist := dev.AllocI32("hist", bins)
 
 	const threadsPerBlock = 256

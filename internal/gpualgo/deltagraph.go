@@ -38,28 +38,29 @@ type DeviceDeltaGraph struct {
 	Epoch int64
 }
 
-// uploadDeltaView packs one direction of dl into device memory.
+// uploadDeltaView packs one direction of dl into device memory, every
+// array frozen: kernels only read a delta view.
 func uploadDeltaView(d *simt.Device, dl *graph.Delta, base *graph.CSR, baseW []int32, del []int32, ext *graph.CSR, extW []int32, prefix string) *DeviceDeltaGraph {
 	dg := &DeviceGraph{
-		RowPtr:      d.UploadI32(prefix+".rowptr", base.RowPtr),
-		Col:         d.UploadI32(prefix+".col", base.Col),
+		RowPtr:      d.UploadI32(prefix+".rowptr", base.RowPtr).Freeze(),
+		Col:         d.UploadI32(prefix+".col", base.Col).Freeze(),
 		NumVertices: base.NumVertices(),
 		NumEdges:    base.NumEdges(),
 	}
 	if baseW != nil {
-		dg.Weights = d.UploadI32(prefix+".weights", baseW)
+		dg.Weights = d.UploadI32(prefix+".weights", baseW).Freeze()
 	}
 	ddg := &DeviceDeltaGraph{
 		Base:        dg,
-		Del:         d.UploadI32(prefix+".del", del),
-		ExtRowPtr:   d.UploadI32(prefix+".ext.rowptr", ext.RowPtr),
-		ExtCol:      d.UploadI32(prefix+".ext.col", ext.Col),
+		Del:         d.UploadI32(prefix+".del", del).Freeze(),
+		ExtRowPtr:   d.UploadI32(prefix+".ext.rowptr", ext.RowPtr).Freeze(),
+		ExtCol:      d.UploadI32(prefix+".ext.col", ext.Col).Freeze(),
 		NumVertices: dl.NumVertices(),
 		LiveEdges:   dl.NumEdges(),
 		Epoch:       dl.Epoch(),
 	}
 	if extW != nil && dl.Weighted() {
-		ddg.ExtWeights = d.UploadI32(prefix+".ext.weights", extW)
+		ddg.ExtWeights = d.UploadI32(prefix+".ext.weights", extW).Freeze()
 	}
 	return ddg
 }

@@ -25,13 +25,14 @@ type DeviceGraph struct {
 	NumEdges    int
 }
 
-// Upload copies g into device memory. It trusts the caller to hand it a
-// well-formed CSR (internal call sites construct graphs through validated
-// constructors); boundary code should prefer UploadChecked.
+// Upload copies g into device memory, frozen: no kernel writes a graph, so
+// its loads run ahead (see simt.BufI32.Freeze). It trusts the caller to hand
+// it a well-formed CSR (internal call sites construct graphs through
+// validated constructors); boundary code should prefer UploadChecked.
 func Upload(d *simt.Device, g *graph.CSR) *DeviceGraph {
 	return &DeviceGraph{
-		RowPtr:      d.UploadI32("graph.rowptr", g.RowPtr),
-		Col:         d.UploadI32("graph.col", g.Col),
+		RowPtr:      d.UploadI32("graph.rowptr", g.RowPtr).Freeze(),
+		Col:         d.UploadI32("graph.col", g.Col).Freeze(),
 		NumVertices: g.NumVertices(),
 		NumEdges:    g.NumEdges(),
 	}
@@ -47,13 +48,14 @@ func UploadChecked(d *simt.Device, g *graph.CSR) (*DeviceGraph, error) {
 	return Upload(d, g), nil
 }
 
-// UploadWeighted copies g and its edge weights into device memory.
+// UploadWeighted copies g and its edge weights into device memory, frozen
+// like Upload's.
 func UploadWeighted(d *simt.Device, g *graph.CSR, weights []int32) (*DeviceGraph, error) {
 	if len(weights) != g.NumEdges() {
 		return nil, fmt.Errorf("gpualgo: %d weights for %d edges", len(weights), g.NumEdges())
 	}
 	dg := Upload(d, g)
-	dg.Weights = d.UploadI32("graph.weights", weights)
+	dg.Weights = d.UploadI32("graph.weights", weights).Freeze()
 	return dg, nil
 }
 

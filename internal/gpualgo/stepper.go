@@ -150,16 +150,17 @@ func (r *Run[R]) f32(name string, n int) *simt.BufF32 {
 	return b
 }
 
-// uploadI32 uploads data as a run buffer.
+// uploadI32 uploads data as a frozen run buffer: every run uploads only
+// inputs its kernels read.
 func (r *Run[R]) uploadI32(name string, data []int32) *simt.BufI32 {
-	b := r.d.UploadI32(name, data)
+	b := r.d.UploadI32(name, data).Freeze()
 	r.keep(b)
 	return b
 }
 
-// uploadF32 uploads data as a run buffer.
+// uploadF32 uploads data as a frozen run buffer, like uploadI32.
 func (r *Run[R]) uploadF32(name string, data []float32) *simt.BufF32 {
-	b := r.d.UploadF32(name, data)
+	b := r.d.UploadF32(name, data).Freeze()
 	r.state.F32 = append(r.state.F32, b)
 	return b
 }

@@ -145,6 +145,18 @@ func abortScenarios() []abortRecord {
 		})
 	})
 	recs = append(recs, recordLaunch("maxcycles/alu-spin", d, stats, err))
+
+	// readOnlyKernel: loads from never-written buffers between ALU runs,
+	// stores and atomics, stopped by an injected abort and by a cycle budget.
+	for _, seed := range []uint64{3, 5} {
+		d, ro, data, hist, rof, acc := readOnlyDevice(1)
+		d.SetFaultPlan(&FaultPlan{Seed: seed, AbortEvery: 1})
+		stats, err := d.Launch(readOnlyGrid, readOnlyKernel(ro, data, hist, rof, acc))
+		recs = append(recs, recordLaunch(fmt.Sprintf("readonly/inject/seed%d", seed), d, stats, err))
+	}
+	d, ro, data, hist, rof, acc := readOnlyDevice(1)
+	stats, err = d.LaunchWith(readOnlyGrid, LaunchOpts{MaxCycles: 12_000}, readOnlyKernel(ro, data, hist, rof, acc))
+	recs = append(recs, recordLaunch("readonly/maxcycles/12000", d, stats, err))
 	return recs
 }
 

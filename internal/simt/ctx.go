@@ -68,10 +68,9 @@ type WarpCtx struct {
 	regF32     [][]float32
 	regF32Next int
 
-	// scratch buffers reused across ops to keep the simulator allocation-free
+	// addrScratch is reused across ops to keep the simulator allocation-free
 	// in steady state.
 	addrScratch []uint64
-	segScratch  []uint64
 
 	// scratch is the KernelScratch registry: per-context values kernel
 	// libraries cache across invocations (it survives reset, riding the
@@ -95,7 +94,6 @@ func newWarpCtx(width int) *WarpCtx {
 		laneSlab:    make([]int32, 2*width),
 		boolSlab:    make([]bool, 2*width),
 		addrScratch: make([]uint64, 0, width),
-		segScratch:  make([]uint64, 0, width),
 	}
 	c.lanes = c.laneSlab[:width:width]
 	c.gtids = c.laneSlab[width:]
@@ -215,14 +213,15 @@ func (c *WarpCtx) sanShared(kind AccessKind, s *SharedI32, idx []int32, val []in
 }
 
 // charge reports an instruction whose Go code has run. The warp queues the
-// request and runs ahead while it is ALU-class and the queue has room;
-// anything else yields to the scheduler, which applies the queue in
-// one-step order and returns once this warp is picked with its queue empty
-// (see the protocol comment in sched.go).
+// request and runs ahead while the request is marked ahead (ALU-class, or a
+// load from a frozen buffer) and the queue has room; anything else yields
+// to the scheduler, which applies the queue in one-step order and returns
+// once this warp is picked with its queue empty (see the protocol comment
+// in sched.go).
 func (c *WarpCtx) charge(r request) {
 	w := c.w
 	w.push(r)
-	if r.class == opALU && w.qLen < c.l.depth {
+	if r.ahead && w.qLen < c.l.depth {
 		return
 	}
 	c.l.yield(w)
@@ -231,7 +230,7 @@ func (c *WarpCtx) charge(r request) {
 // chargeALU charges instrs ALU instructions over active lanes, useful of
 // them doing useful work.
 func (c *WarpCtx) chargeALU(instrs, active, useful int64) {
-	c.charge(request{class: opALU, issue: instrs, active: int32(active), useful: int32(useful)})
+	c.charge(request{class: opALU, ahead: true, issue: instrs, active: int32(active), useful: int32(useful)})
 }
 
 // --- identity / geometry -------------------------------------------------
@@ -461,7 +460,7 @@ func (c *WarpCtx) ifImpl(groupWidth int, pred func(lane int) bool, thenFn, elseF
 	if groupWidth > 0 {
 		useful = c.activeGroupCount(groupWidth)
 	}
-	c.charge(request{class: opALU, issue: 1, active: int32(active), useful: int32(useful),
+	c.charge(request{class: opALU, ahead: true, issue: 1, active: int32(active), useful: int32(useful),
 		divergent: thenAny && elseAny && elseFn != nil})
 	if thenAny && thenFn != nil {
 		copy(c.mask, thenMask)
@@ -686,20 +685,66 @@ func (c *WarpCtx) gatherAddrsBuf(base uint64, n int, name string, idx []int32) (
 }
 
 // chargeMem charges a global-memory instruction of class opLoad, opStore or
-// opAtomic over addrs, with serial same-address atomic serialization steps.
-// It coalesces the addresses into segScratch; apply does the cache and DRAM
-// accounting when the scheduler reaches the request.
-func (c *WarpCtx) chargeMem(class opClass, addrs []uint64, active, useful, serial int64) {
+// opAtomic over addrs, with serial same-address atomic serialization steps;
+// ahead marks a load from a frozen buffer. It coalesces the addresses into
+// the warp's segment log; apply does the cache and DRAM accounting when the
+// scheduler reaches the request.
+func (c *WarpCtx) chargeMem(class opClass, addrs []uint64, active, useful, serial int64, ahead bool) {
 	if active == 0 {
 		return
 	}
-	c.segScratch = coalesceSegments(addrs, uint64(c.l.cfg.SegmentBytes), c.segScratch[:0])
-	c.charge(request{class: class, active: int32(active), useful: int32(useful), extra: serial})
+	w := c.w
+	c.reserveSegs(len(addrs))
+	off := len(w.segs)
+	n := len(coalesceSegments(addrs, uint64(c.l.cfg.SegmentBytes), w.segs[off:off]))
+	w.segs = w.segs[:off+n]
+	c.charge(request{class: class, ahead: ahead, active: int32(active), useful: int32(useful), extra: serial,
+		segOff: uint32(off), segN: uint8(n)})
 }
 
-// readI32 is the plain-load data phase: the frozen launch-entry value
-// overridden by this SM's own stores (and its own atomics, which mirror into
-// the SM shadow). Other SMs' same-launch writes are never visible — see the
+// reserveSegs makes room for n segments in the warp's segment log, which
+// holds the coalesced segments of its queued memory requests. The log
+// restarts when the queue is empty and compacts when it is full; while the
+// queued requests' segments still leave too little room, the warp yields,
+// like a full queue, until enough of them have applied.
+func (c *WarpCtx) reserveSegs(n int) {
+	w := c.w
+	for {
+		if w.qLen == 0 {
+			w.segs = w.segs[:0]
+			return
+		}
+		if cap(w.segs)-len(w.segs) >= n {
+			return
+		}
+		w.compactSegs()
+		if cap(w.segs)-len(w.segs) >= n {
+			return
+		}
+		c.l.yield(w)
+	}
+}
+
+// checkWritable panics with a typed read-only *KernelFault, naming the
+// lowest active lane, when a store or atomic targets a frozen buffer. Like
+// an out-of-bounds access it fires before the instruction is charged; an
+// instruction with no active lane writes nothing and does not fault.
+func (c *WarpCtx) checkWritable(frozen bool, name, op string, idx []int32) {
+	if !frozen {
+		return
+	}
+	for lane := 0; lane < c.width; lane++ {
+		if c.mask[lane] {
+			f := newFaultReadOnly(name, int64(idx[lane]), op)
+			f.Lane = lane
+			panic(f)
+		}
+	}
+}
+
+// readI32 is the plain-load data phase: the launch-entry value overridden
+// by this SM's own stores (and its own atomics, which mirror into the SM
+// shadow). Other SMs' same-launch writes are never visible — see the
 // memory-model comment in mem.go.
 func (c *WarpCtx) readI32(b *BufI32, i int32) int32 {
 	if sh := b.sh[c.w.sm.id]; sh != nil {
@@ -721,7 +766,7 @@ func (c *WarpCtx) readF32(b *BufF32, i int32) float32 {
 func (c *WarpCtx) LoadI32(b *BufI32, idx []int32, dst []int32) {
 	c.sanGlobal(AccessLoad, b, nil, idx, nil, nil)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	c.chargeMem(opLoad, addrs, active, active, 0)
+	c.chargeMem(opLoad, addrs, active, active, 0, b.frozen)
 	c.loadI32Data(b, idx, dst)
 }
 
@@ -759,7 +804,7 @@ func (c *WarpCtx) LoadI32Replicated(groupWidth int, b *BufI32, idx []int32, dst 
 	c.sanGlobal(AccessLoad, b, nil, idx, nil, nil)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
 	useful := c.activeGroupCount(groupWidth)
-	c.chargeMem(opLoad, addrs, active, useful, 0)
+	c.chargeMem(opLoad, addrs, active, useful, 0, b.frozen)
 	c.loadI32Data(b, idx, dst)
 }
 
@@ -768,8 +813,9 @@ func (c *WarpCtx) LoadI32Replicated(groupWidth int, b *BufI32, idx []int32, dst 
 // (here deterministically the highest lane).
 func (c *WarpCtx) StoreI32(b *BufI32, idx []int32, src []int32) {
 	c.sanGlobal(AccessStore, b, nil, idx, src, nil)
+	c.checkWritable(b.frozen, b.name, "store", idx)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	c.chargeMem(opStore, addrs, active, active, 0)
+	c.chargeMem(opStore, addrs, active, active, 0, false)
 	sh := b.shadowFor(c.w.sm.id)
 	if c.fullMask() {
 		sh.storeAll(idx[:c.width], src[:c.width])
@@ -782,7 +828,7 @@ func (c *WarpCtx) StoreI32(b *BufI32, idx []int32, src []int32) {
 func (c *WarpCtx) LoadF32(b *BufF32, idx []int32, dst []float32) {
 	c.sanGlobal(AccessLoad, nil, b, idx, nil, nil)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	c.chargeMem(opLoad, addrs, active, active, 0)
+	c.chargeMem(opLoad, addrs, active, active, 0, b.frozen)
 	sh := b.sh[c.w.sm.id]
 	switch {
 	case sh == nil && c.fullMask():
@@ -807,8 +853,9 @@ func (c *WarpCtx) LoadF32(b *BufF32, idx []int32, dst []float32) {
 // StoreF32 scatters float32 values; see StoreI32.
 func (c *WarpCtx) StoreF32(b *BufF32, idx []int32, src []float32) {
 	c.sanGlobal(AccessStore, nil, b, idx, nil, src)
+	c.checkWritable(b.frozen, b.name, "store", idx)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
-	c.chargeMem(opStore, addrs, active, active, 0)
+	c.chargeMem(opStore, addrs, active, active, 0, false)
 	sh := b.shadowFor(c.w.sm.id)
 	if c.fullMask() {
 		sh.storeAll(idx[:c.width], src[:c.width])
@@ -852,6 +899,7 @@ func (c *WarpCtx) atomStoreF32(b *BufF32, i int32, v float32) {
 
 func (c *WarpCtx) atomicI32(b *BufI32, idx []int32, apply func(lane int)) {
 	c.sanGlobal(AccessAtomic, b, nil, idx, nil, nil)
+	c.checkWritable(b.frozen, b.name, "atomic", idx)
 	c.atomic(b.base, len(b.data), b.name, idx, apply)
 }
 
@@ -862,7 +910,7 @@ func (c *WarpCtx) atomic(base uint64, n int, name string, idx []int32, apply fun
 	if active == 0 {
 		return
 	}
-	c.chargeMem(opAtomic, addrs, active, active, int64(conflictGroups(addrs)-1))
+	c.chargeMem(opAtomic, addrs, active, active, int64(conflictGroups(addrs)-1), false)
 	if !c.l.gateEnter(c.w.sm) {
 		panic(errAborted) // aborted while waiting; runWarp unwinds the warp
 	}
@@ -939,6 +987,7 @@ func (c *WarpCtx) AtomicOrI32(b *BufI32, idx []int32, val []int32, old []int32) 
 // AtomicAddF32 is the float32 atomic add.
 func (c *WarpCtx) AtomicAddF32(b *BufF32, idx []int32, delta []float32, old []float32) {
 	c.sanGlobal(AccessAtomic, nil, b, idx, nil, nil)
+	c.checkWritable(b.frozen, b.name, "atomic", idx)
 	c.atomic(b.base, len(b.data), b.name, idx, func(lane int) {
 		i := idx[lane]
 		cur := c.atomLoadF32(b, i)

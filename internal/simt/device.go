@@ -116,6 +116,13 @@ func (d *Device) Totals() LaunchStats {
 // LaunchCount returns how many launches the device has executed.
 func (d *Device) LaunchCount() int64 { return d.launches }
 
+// Handoffs returns how many times the execution token passed between host
+// goroutines (loop to warp, warp to warp, warp to loop) since the device
+// was created: the simulator's host cost per step. Within one host mode it
+// is deterministic, but it differs between modes, so it is not a
+// LaunchStats field.
+func (d *Device) Handoffs() int64 { return d.handoffs }
+
 // noteLaunch folds one launch's stats into the device-lifetime totals.
 func (d *Device) noteLaunch(stats *LaunchStats) {
 	d.launches++

@@ -12,9 +12,10 @@ import (
 //
 // The model mirrors a real CUDA driver's contract:
 //
-//   - out-of-range device accesses and kernel panics map to a *KernelFault
-//     carrying the faulting buffer, index, block/warp/lane, and cycle
-//     (cudaErrorIllegalAddress with the extra context a simulator can give);
+//   - out-of-range device accesses, stores and atomics to frozen (read-only)
+//     buffers, and kernel panics map to a *KernelFault carrying the faulting
+//     buffer, index, block/warp/lane, and cycle (cudaErrorIllegalAddress
+//     with the extra context a simulator can give);
 //   - injected memory bit-flips and mid-launch aborts are *KernelFault too,
 //     with transient kinds (an ECC double-bit error or a preempted kernel);
 //   - exceeding the cycle deadline wraps ErrLaunchTimeout;
@@ -41,6 +42,9 @@ const (
 	FaultAbort
 	// FaultCancelled is a launch cancelled by LaunchOpts.OnProgress.
 	FaultCancelled
+	// FaultReadOnly is a store or atomic to a buffer the host froze (see
+	// BufI32.Freeze): a kernel bug, never retried.
+	FaultReadOnly
 )
 
 // String names the kind for logs and error text.
@@ -56,6 +60,8 @@ func (k FaultKind) String() string {
 		return "kernel-abort"
 	case FaultCancelled:
 		return "cancelled"
+	case FaultReadOnly:
+		return "read-only-write"
 	default:
 		return "unknown"
 	}
@@ -72,7 +78,10 @@ func (k FaultKind) Transient() bool {
 // Fields that are unknown for a given fault are -1 (locations) or zero
 // values (names).
 type KernelFault struct {
-	// Kind classifies the failure.
+	// Kind classifies the failure. FaultOOB, FaultReadOnly (a store or
+	// atomic to a frozen buffer) and FaultPanic are kernel bugs;
+	// FaultBitFlip and FaultAbort are injected and transient;
+	// FaultCancelled is an OnProgress cancellation.
 	Kind FaultKind
 	// Buffer names the device buffer involved, if any ("shared:<key>" for
 	// block-shared arrays).
@@ -135,8 +144,9 @@ var (
 
 // IsTransient reports whether err represents a transient launch failure — an
 // injected bit-flip or kernel abort — that a retry with restored buffers is
-// expected to survive. Permanent failures (out-of-bounds accesses, kernel
-// panics, timeouts, cancellations, a lost device) return false.
+// expected to survive. Permanent failures (out-of-bounds accesses, writes to
+// frozen buffers, kernel panics, timeouts, cancellations, a lost device)
+// return false.
 func IsTransient(err error) bool {
 	var kf *KernelFault
 	if errors.As(err, &kf) {
@@ -155,5 +165,17 @@ func newFaultOOB(buffer string, index int64, n int) *KernelFault {
 		Index:  index,
 		Block:  -1, Warp: -1, Lane: -1,
 		Detail: fmt.Sprintf("index %d out of range [0,%d)", index, n),
+	}
+}
+
+// newFaultReadOnly builds the typed fault of a store or atomic (op) to a
+// frozen buffer, panicked and recovered like newFaultOOB's.
+func newFaultReadOnly(buffer string, index int64, op string) *KernelFault {
+	return &KernelFault{
+		Kind:   FaultReadOnly,
+		Buffer: buffer,
+		Index:  index,
+		Block:  -1, Warp: -1, Lane: -1,
+		Detail: op + " to a frozen (read-only) buffer",
 	}
 }

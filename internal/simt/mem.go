@@ -28,8 +28,8 @@ func (m *memory) reserve(bytes int) uint64 {
 	return base
 }
 
-// Launch-time memory model. While a launch is in flight the base data of
-// every buffer is frozen: plain loads read it directly, plain stores land in
+// Launch-time memory model. While a launch is in flight no kernel writes the
+// base data of any buffer: plain loads read it directly, plain stores land in
 // a per-SM write shadow (visible to later loads from the same SM), and
 // atomics read-modify-write a single globally-ordered overlay. At launch end
 // everything folds back into the base array: per-SM shadows in ascending SM
@@ -272,6 +272,9 @@ type BufI32 struct {
 	// kernel-written are reads of CUDA-uninitialized memory.
 	hostInit bool
 
+	// frozen marks a buffer no kernel may write; see Freeze.
+	frozen bool
+
 	// Launch-scoped write shadows: sh[smID] is that SM's private store
 	// shadow, ov the globally-ordered atomic overlay. Created lazily during
 	// a launch (launch.initShadows sizes sh) and folded back into data by
@@ -325,6 +328,18 @@ func (b *BufI32) Fill(v int32) {
 // predate any kernel write.
 func (b *BufI32) HostInitialized() bool { return b.hostInit }
 
+// Freeze marks b read-only for kernels and returns it, the analogue of
+// passing an array as const __restrict__. A store or atomic to a frozen
+// buffer fails the launch with a FaultReadOnly *KernelFault. A load from it
+// cannot depend on the order in which warps' Go code runs, so the warp
+// keeps running its kernel past it as past an ALU instruction (see the
+// protocol comment in sched.go). The host may still rewrite the contents
+// between launches through Data or Fill.
+func (b *BufI32) Freeze() *BufI32 {
+	b.frozen = true
+	return b
+}
+
 // BufF32 is a device-resident buffer of float32 elements.
 type BufF32 struct {
 	name string
@@ -333,6 +348,8 @@ type BufF32 struct {
 
 	// hostInit mirrors BufI32.hostInit; see there.
 	hostInit bool
+	// frozen marks a buffer no kernel may write; see Freeze.
+	frozen bool
 
 	// Launch-scoped write shadows; see BufI32.
 	sh []*bufShadow[float32]
@@ -380,6 +397,12 @@ func (b *BufF32) Fill(v float32) {
 // HostInitialized reports whether the host ever uploaded, filled, or aliased
 // (via Data) this buffer; see BufI32.HostInitialized.
 func (b *BufF32) HostInitialized() bool { return b.hostInit }
+
+// Freeze marks b read-only for kernels and returns it; see BufI32.Freeze.
+func (b *BufF32) Freeze() *BufF32 {
+	b.frozen = true
+	return b
+}
 
 // coalesceSegments appends the distinct SegmentBytes-sized segments covered
 // by the given byte addresses to dst — one entry per global-memory

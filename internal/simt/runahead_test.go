@@ -86,7 +86,94 @@ func runAheadKernel(data, hist *BufI32, acc *BufF32) Kernel {
 	}
 }
 
-// runAheadRecord is runAheadKernel's observable outcome.
+// readOnlyKernel loads never-written buffers (ro, rof) in runs of
+// runAheadRuns ALU instructions between loads, stores and atomics to
+// mutable buffers: scattered gathers back to back (one segment per lane),
+// coalesced, replicated and float gathers, and a gather under a divergent
+// mask. Every loaded value feeds a store, so a load that read at the wrong
+// moment would show in memory.
+func readOnlyKernel(ro, data, hist *BufI32, rof, acc *BufF32) Kernel {
+	return func(w *WarpCtx) {
+		k := runAheadRuns[w.GlobalWarpID()%len(runAheadRuns)]
+		gtid := w.GlobalThreadIDs()
+		n, m := int32(data.Len()), int32(ro.Len())
+		idx, sc, v, r := w.VecI32(), w.VecI32(), w.VecI32(), w.VecI32()
+		bucket := w.VecI32()
+		f := w.VecF32()
+		alu := func() {
+			for i := 0; i < k; i++ {
+				switch i % 4 {
+				case 0:
+					w.Apply(1, func(l int) { v[l] = v[l]*5 + r[l]&15 })
+				case 1:
+					w.If(func(l int) bool { return r[l]%3 == 0 }, func() {}, func() {})
+				case 2:
+					w.Apply(1, func(l int) { sc[l] = (sc[l] + 33) % m })
+				case 3:
+					w.AddConstI32(v, 3)
+				}
+			}
+		}
+		w.Apply(1, func(l int) { idx[l] = (gtid[l] * 7) % n; sc[l] = (gtid[l] * 37) % m })
+		for round := 0; round < 3; round++ {
+			w.LoadI32(ro, sc, r)
+			w.Apply(1, func(l int) { sc[l] = (sc[l] + r[l]*41 + 1) % m })
+			w.LoadI32(ro, sc, r)
+			w.LoadF32(rof, sc, f)
+			alu()
+			w.LoadI32(data, idx, v)
+			w.Apply(1, func(l int) { v[l] += r[l] + int32(f[l]) })
+			w.StoreI32(data, idx, v)
+			w.LoadI32Replicated(4, ro, idx, r)
+			w.Apply(1, func(l int) { bucket[l] = (v[l] + r[l]) & 15 })
+			w.AtomicAddI32(hist, bucket, r, nil)
+			alu()
+			w.LoadI32(ro, idx, r)
+			w.AtomicAddF32(acc, bucket, f, nil)
+			w.If(func(l int) bool { return r[l]%2 == 0 }, func() {
+				w.LoadI32(ro, sc, r)
+				alu()
+				w.StoreI32(data, idx, r)
+			}, nil)
+			w.Apply(1, func(l int) { idx[l] = (idx[l] + r[l]&63 + 1) % n })
+		}
+		alu()
+	}
+}
+
+// readOnlyDevice returns a device with a read-only cache and the buffers
+// readOnlyKernel runs on, ro and rof frozen.
+func readOnlyDevice(parallelSMs int) (d *Device, ro, data, hist *BufI32, rof, acc *BufF32) {
+	cfg := testConfig()
+	cfg.ParallelSMs = parallelSMs
+	cfg.CacheLines = 16
+	cfg.CacheWays = 2
+	d = MustNewDevice(cfg)
+	initRO := make([]int32, 4096)
+	initF := make([]float32, len(initRO))
+	for i := range initRO {
+		initRO[i] = int32(i*2654435761) % 4093
+		if initRO[i] < 0 {
+			initRO[i] += 4093
+		}
+		initF[i] = float32(initRO[i]%16) * 0.5
+	}
+	initData := make([]int32, 1024)
+	for i := range initData {
+		initData[i] = int32(i*40503) % 127
+	}
+	ro = d.UploadI32("ro", initRO).Freeze()
+	rof = d.UploadF32("rof", initF).Freeze()
+	data = d.UploadI32("data", initData)
+	hist = d.AllocI32("hist", 16)
+	acc = d.AllocF32("acc", 16)
+	return d, ro, data, hist, rof, acc
+}
+
+// readOnlyGrid is readOnlyKernel's launch shape.
+var readOnlyGrid = LaunchConfig{Blocks: 20, ThreadsPerBlock: 64}
+
+// runAheadRecord is a golden kernel's observable outcome.
 type runAheadRecord struct {
 	Stats *LaunchStats
 	Data  []int32
@@ -113,6 +200,20 @@ func runRunAhead(t *testing.T, parallelSMs int) runAheadRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newRunAheadRecord(stats, data, hist, acc)
+}
+
+func runReadOnly(t *testing.T, parallelSMs int) runAheadRecord {
+	t.Helper()
+	d, ro, data, hist, rof, acc := readOnlyDevice(parallelSMs)
+	stats, err := d.LaunchWith(readOnlyGrid, LaunchOpts{Profile: true}, readOnlyKernel(ro, data, hist, rof, acc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newRunAheadRecord(stats, data, hist, acc)
+}
+
+func newRunAheadRecord(stats *LaunchStats, data, hist *BufI32, acc *BufF32) runAheadRecord {
 	// The recorded host mode is the one legitimate difference between modes.
 	stats.ParallelSMs = 1
 	return runAheadRecord{
@@ -124,16 +225,20 @@ func runRunAhead(t *testing.T, parallelSMs int) runAheadRecord {
 }
 
 // TestRunAheadParallelGolden pins ALU runs that fit, fill and overflow the
-// run-ahead queue: LaunchStats (profile included) and memory must equal the
-// values the one-step-per-instruction scheduler produced, in both host
-// modes.
+// run-ahead queue, one golden line per kernel: runAheadKernel's, then
+// readOnlyKernel's. LaunchStats (profile included) and memory must equal
+// the values the one-step-per-instruction scheduler produced (for
+// readOnlyKernel, with ro and rof plain uploads), in every host mode.
 func TestRunAheadParallelGolden(t *testing.T) {
 	for _, mode := range []int{1, 2, 8} {
-		got, err := json.Marshal(runRunAhead(t, mode))
-		if err != nil {
-			t.Fatal(err)
+		var got []byte
+		for _, run := range []func(*testing.T, int) runAheadRecord{runRunAhead, runReadOnly} {
+			line, err := json.Marshal(run(t, mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(append(got, line...), '\n')
 		}
-		got = append(got, '\n')
 		if *updateAbortGolden {
 			if err := os.WriteFile(runAheadGoldenPath, got, 0o644); err != nil {
 				t.Fatal(err)
@@ -145,8 +250,14 @@ func TestRunAheadParallelGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read golden (regenerate with -update-abort-golden): %v", err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("ParallelSMs=%d differs from the golden:\n got: %s\nwant: %s", mode, got, want)
+		gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		if len(gotLines) != len(wantLines) {
+			t.Fatalf("ParallelSMs=%d: %d golden lines, run produced %d", mode, len(wantLines), len(gotLines))
+		}
+		for i := range gotLines {
+			if !bytes.Equal(gotLines[i], wantLines[i]) {
+				t.Errorf("ParallelSMs=%d line %d differs from the golden:\n got: %s\nwant: %s", mode, i+1, gotLines[i], wantLines[i])
+			}
 		}
 	}
 }

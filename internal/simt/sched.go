@@ -10,37 +10,48 @@ import (
 )
 
 // The simulation protocol: every warp runs its kernel on a dedicated
-// goroutine. A scheduling domain is the set of SMs one execution token
-// serves, and within a domain exactly one goroutine holds the token and
-// executes at any moment. The holder is the domain's loop before the first
-// pick, then a warp goroutine.
+// goroutine, spawned by the warp's first handoff, so it starts out holding
+// the token instead of parking until its first pick. A scheduling domain is
+// the set of SMs one execution token serves, and within a domain exactly
+// one goroutine holds the token and executes at any moment. The holder is
+// the domain's loop before the first pick, then a warp goroutine.
 //
 // Each warp primitive runs its Go code, then reports the instruction as a
-// request (see charge). An ALU-class request — Apply, If/While conditions,
-// Ballot, shuffles, reductions, the vector primitives — touches only the
-// warp's own registers, so the warp queues it and keeps running its kernel
-// while its queue has room (queueDepth). Any other request (a load, store,
-// atomic, shared access or barrier), or one that fills the queue, makes the
-// warp yield: its goroutine runs the domain's scheduler, which repeats
-// apply (account and time the picked warp's queue head), supervise, pick.
+// request (see charge). Two kinds of request are marked ahead. An ALU-class
+// request — Apply, If/While conditions, Ballot, shuffles, reductions, the
+// vector primitives — touches only the warp's own registers. A load from a
+// frozen buffer (BufI32.Freeze) reads memory that no store or atomic can
+// reach during the launch, and bit-flips land before the launch starts, so
+// its value cannot depend on when its Go code runs: its data phase runs at
+// once. The warp queues an ahead request and keeps running its kernel while
+// its queue has room (queueDepth). Any other request (a load from a
+// mutable buffer, a store, atomic, shared access or barrier), or one that
+// fills the queue, makes the warp yield: its goroutine runs the domain's
+// scheduler, which repeats apply (account and time the picked warp's queue
+// head), supervise, pick. A queued memory request keeps its coalesced
+// segments in the warp's segment log, so its cache lookup, DRAM
+// transactions and latency are still accounted in apply, in one-step order.
 // While a pick lands on a warp with requests queued, the token holder
 // applies the next one inline. A pick on a warp with an empty queue
 // switches goroutines, because that warp's next step is Go code it has not
-// run yet: its first instruction, a load's data phase, a store, an atomic,
-// a shared access or a barrier. A pick on the yielding warp itself with
-// only ALU requests queued returns to its kernel, which runs ahead again
-// (it is the current pick, and its queue head stays next). So requests
-// apply, and the simulated machine moves, in exactly the order of one step
-// per instruction; only the Go code between two primitives runs early. The
-// token returns to the loop only when the domain runs dry. Sanitized
-// launches queue nothing (the sanitizer's hooks run in kernel code), which
-// is one step per instruction.
+// run yet: its first instruction, a mutable load's data phase, a store, an
+// atomic, a shared access or a barrier. A pick on the yielding warp itself
+// with only ahead requests queued returns to its kernel, which runs ahead
+// again (it is the current pick, and its queue head stays next). So
+// requests apply, and the simulated machine moves, in exactly the order of
+// one step per instruction; only Go code whose outcome cannot depend on
+// other warps runs early. The token returns to the loop only when the
+// domain runs dry. Sanitized launches queue nothing (the sanitizer's hooks
+// run in kernel code), which is one step per instruction.
 //
 // With Config.ParallelSMs == 1 one domain spans every SM and its loop runs
 // on the launching goroutine; each pick takes the SM with the smallest clock
-// (lowest id on ties). With ParallelSMs > 1 every SM is its own domain on
-// its own host goroutine and the SMs advance concurrently. Determinism is
-// preserved by construction:
+// (lowest id on ties), the top of a min-heap of the domain's SMs (see
+// domain.heap). The heap replaced a scan of every SM behind a cached
+// runner-up, which fell through to the scan on 85–99.7% of picks. With
+// ParallelSMs > 1 every SM is its own domain (a heap of one) on its own
+// host goroutine and the SMs advance concurrently. Determinism is preserved
+// by construction:
 //
 //   - Plain global-memory stores go to a per-SM write shadow and plain loads
 //     read base-overridden-by-own-shadow (see mem.go), so no plain access
@@ -77,13 +88,22 @@ const (
 )
 
 // request is a warp's report of an instruction whose Go code has run: what
-// apply needs to account for it and time it.
+// apply needs to account for it and time it. The segment fields sit in what
+// would be padding, so a request stays 40 bytes.
 type request struct {
 	class opClass
 	// divergent marks an If condition both of whose sides run.
 	divergent bool
+	// ahead marks a request the warp may keep running its kernel past while
+	// it waits in the queue: an ALU-class instruction or a load from a
+	// frozen buffer.
+	ahead bool
+	// segN and segOff locate a global-memory request's coalesced segments
+	// in its warp's segment log (warpRT.segs).
+	segN uint8
 	// active and useful count the instruction's active and useful lanes.
 	active, useful int32
+	segOff         uint32
 	// issue is the instruction count (ALU) or issue slots (shared).
 	issue int64
 	// extra is the bank-conflict slots of a shared access, or the
@@ -94,7 +114,8 @@ type request struct {
 }
 
 // queueDepth is the length of a warp's request queue: how far a warp may
-// run ahead of the scheduler through ALU-class instructions.
+// run ahead of the scheduler through ALU-class instructions and frozen
+// loads.
 const queueDepth = 16
 
 // errAborted is the sentinel panic used to unwind warp goroutines when a
@@ -122,12 +143,18 @@ type warpRT struct {
 	done      bool
 	inBarrier bool
 	arrivedAt int64
+	// spawned marks that handOff has started the warp's goroutine.
+	spawned bool
 
 	// q is a ring of the qLen requests, oldest at qHead, whose Go code has
 	// run but which the scheduler has not applied yet. Only the holder of
 	// the domain's token touches it.
 	q           [queueDepth]request
 	qHead, qLen int
+	// segs is the segment log: the coalesced segments of the queued memory
+	// requests, in queue order, each request's at its segOff. Its capacity
+	// is twice the warp width (see reserveSegs).
+	segs []uint64
 
 	// resume hands this warp its domain's execution token.
 	resume chan struct{}
@@ -193,27 +220,31 @@ type smRT struct {
 // the token holder touches it, and the channel operations that pass the
 // token order those accesses, so it needs no lock.
 type domain struct {
-	// sms holds the domain's SMs that may still have work, in ascending id.
-	// An SM whose has-work check fails is dropped permanently: its resident
-	// warps are all done (liveWarps is monotone down to 0 between
-	// admissions), and either no blocks remain (nextBlock is monotone) or it
-	// cannot admit — and an SM with zero resident blocks that cannot admit
-	// never can. The stable in-place filter preserves ascending-id order, so
-	// the smallest-clock / lowest-id tie-break matches a full scan exactly.
-	sms []*smRT
-	// secondClock/secondID cache the best (clock, id) among live SMs other
-	// than the one the last full scan picked. Other SMs' clocks and work
-	// sets are frozen while the token stays on one SM (only its own warps
-	// execute and only a full scan drops SMs), so as long as that SM still
-	// lexicographically precedes the runner-up, the scan would pick it again
-	// and pick skips it. A one-SM domain's runner-up is +inf.
-	secondClock int64
-	secondID    int
+	// heap holds the domain's SMs that may still have work as a binary
+	// min-heap on (clock, id), so its top is the SM a full scan for the
+	// smallest clock (lowest id on ties) would pick. Only the SM just
+	// stepped changes its clock between picks, and clocks only rise, so pick
+	// restores the order by sifting the top down. An SM whose has-work check
+	// fails on top is dropped permanently: its resident warps are all done
+	// (liveWarps is monotone down to 0 between admissions), and either no
+	// blocks remain (nextBlock is monotone) or it cannot admit — and an SM
+	// with zero resident blocks that cannot admit never can. An SM that
+	// lost its work below the top is never picked before it surfaces.
+	heap []smKey
 	// wake hands the token back to the domain's loop.
 	wake chan struct{}
 	// handoffs counts token transfers between goroutines: loop→warp,
 	// warp→warp and warp→loop.
 	handoffs int64
+}
+
+// smKey is a heap entry: an SM and its (clock, id) pick key, kept inline so
+// a sift compares contiguous entries instead of chasing SM pointers. Every
+// key but the top's equals its SM's clock.
+type smKey struct {
+	clock int64
+	id    int
+	sm    *smRT
 }
 
 type launch struct {
@@ -483,12 +514,13 @@ func (l *launch) releaseSlot(sm *smRT) {
 	l.slots <- struct{}{}
 }
 
-// init makes d the scheduling domain of sms. The domain keeps its own copy,
-// which pick filters in place.
+// init makes d the scheduling domain of sms, given in ascending id. Every
+// clock is 0, so the id order is already a heap.
 func (d *domain) init(sms []*smRT) {
-	d.sms = append([]*smRT(nil), sms...)
+	d.heap = make([]smKey, len(sms))
 	d.wake = make(chan struct{})
-	for _, sm := range sms {
+	for i, sm := range sms {
+		d.heap[i] = smKey{sm.clock, sm.id, sm}
 		sm.dom = d
 	}
 }
@@ -498,7 +530,7 @@ func (d *domain) init(sms []*smRT) {
 // nothing left to run (or has unwound after an abort).
 func (l *launch) loop(d *domain) {
 	for {
-		w := l.drain(l.pick(d, nil), nil)
+		w := l.drain(l.pick(d), nil)
 		if w == nil {
 			return
 		}
@@ -508,7 +540,8 @@ func (l *launch) loop(d *domain) {
 }
 
 // yield is run by w's goroutine, the current pick, when w must stop
-// running ahead: its queue is full, or its newest request is not ALU-class.
+// running ahead: its queue is full, its newest request is not ahead, or its
+// segment log has no room for the next memory request's segments.
 // It applies w's queue head and runs the domain's scheduler (drain), then
 // returns once a pick lands on w and w may run on — at once when w picks
 // itself, else after handing the token over and parking. A warp that
@@ -517,7 +550,7 @@ func (l *launch) yield(w *warpRT) {
 	sm := w.sm
 	l.apply(sm, w, w.pop())
 	l.supervise(sm)
-	next := l.drain(l.pick(sm.dom, sm), w)
+	next := l.drain(l.pick(sm.dom), w)
 	if next == nil {
 		// Unreachable: this warp is live (and a barrier arrival that empties
 		// the ready set releases its own barrier), so the pick set cannot be
@@ -537,33 +570,33 @@ func (l *launch) yield(w *warpRT) {
 // goroutine, or nil — after a pick landed on w. While the pick has requests
 // queued it applies the head, supervises and picks again, with no goroutine
 // switch. It returns the first pick whose goroutine must run next: a warp
-// with an empty queue, or self while self has only ALU requests queued (it
-// is the current pick and may run ahead again; its head stays queued); nil
-// when the domain has nothing left to run. Only a queue's newest request
-// can be non-ALU (queueing one makes the warp yield until its queue is
-// empty), so the newest request's class tells the cases apart. After an
-// abort nothing more is applied: a picked warp's queue is discarded, and a
-// warp whose goroutine has exited (its queue ends in opDone) is marked done
-// on the spot.
+// with an empty queue, or self while all of self's queued requests are
+// ahead (it is the current pick and may run ahead again; its head stays
+// queued); nil when the domain has nothing left to run. Only a queue's
+// newest request can be non-ahead (queueing one makes the warp yield until
+// its queue is empty), so the newest request's ahead bit tells the cases
+// apart. After an abort nothing more is applied: a picked warp's queue is
+// discarded, and a warp whose goroutine has exited (its queue ends in
+// opDone) is marked done on the spot.
 func (l *launch) drain(w, self *warpRT) *warpRT {
 	for w != nil && w.qLen > 0 {
 		sm := w.sm
-		last := w.q[(w.qHead+w.qLen-1)%queueDepth].class
+		last := &w.q[(w.qHead+w.qLen-1)%queueDepth]
 		switch {
 		case l.aborted.Load():
 			w.qHead, w.qLen = 0, 0
-			if last != opDone {
+			if last.class != opDone {
 				return w
 			}
 			l.unwind(w)
-		case w == self && last == opALU:
+		case w == self && last.ahead:
 			return w
 		default:
 			l.apply(sm, w, w.pop())
 			l.supervise(sm)
 		}
 		// w may be recycled by the pick's admission; touch only sm from here on.
-		w = l.pick(sm.dom, sm)
+		w = l.pick(sm.dom)
 	}
 	return w
 }
@@ -582,6 +615,25 @@ func (w *warpRT) pop() request {
 	return r
 }
 
+// compactSegs drops the segments of applied requests from w's segment log.
+// The queued requests' segments are a suffix of the log, starting at the
+// oldest queued memory request's, and move to its front.
+func (w *warpRT) compactSegs() {
+	lo := uint32(len(w.segs))
+	for i := 0; i < w.qLen; i++ {
+		if r := &w.q[(w.qHead+i)%queueDepth]; r.segN > 0 {
+			lo = r.segOff
+			break
+		}
+	}
+	w.segs = w.segs[:copy(w.segs, w.segs[lo:])]
+	for i := 0; i < w.qLen; i++ {
+		if r := &w.q[(w.qHead+i)%queueDepth]; r.segN > 0 {
+			r.segOff -= lo
+		}
+	}
+}
+
 // finish retires a warp whose kernel returned, faulted or unwound, then
 // passes the token on and lets the goroutine exit. A returned or faulted
 // warp queues its opDone behind any requests it still has queued; whoever
@@ -592,7 +644,7 @@ func (l *launch) finish(w *warpRT, err *KernelFault, unwound bool) {
 	next := w
 	if unwound {
 		l.unwind(w)
-		next = l.pick(sm.dom, sm)
+		next = l.pick(sm.dom)
 	} else {
 		w.push(request{class: opDone, err: err})
 	}
@@ -607,65 +659,87 @@ func (l *launch) unwind(w *warpRT) {
 	w.block.liveWarps--
 }
 
-// handOff passes d's token to w, or back to d's loop when w is nil.
+// handOff passes d's token to w, or back to d's loop when w is nil. The
+// first handoff to a warp starts its goroutine.
 func (l *launch) handOff(d *domain, w *warpRT) {
 	d.handoffs++
-	if w == nil {
+	switch {
+	case w == nil:
 		d.wake <- struct{}{}
-		return
+	case !w.spawned:
+		w.spawned = true
+		go l.runWarp(w)
+	default:
+		w.resume <- struct{}{}
 	}
-	w.resume <- struct{}{}
 }
 
 // pick chooses d's next runner: the SM with the smallest (clock, id) among
 // those with work, then on that SM publish the horizon, admit at most one
-// block, pick a warp by the scheduler policy and run the preamble. cur is
-// the SM the caller just stepped; while it still precedes the cached
-// runner-up the scan would pick it again, so the scan is skipped. After an
-// abort it admits nothing and returns the next resident warp that has not
-// unwound. Nil means the domain has nothing left to run.
-func (l *launch) pick(d *domain, cur *smRT) *warpRT {
-	if cur != nil && !l.aborted.Load() &&
-		(cur.clock < d.secondClock || (cur.clock == d.secondClock && cur.id < d.secondID)) {
-		if w := l.pickOn(cur); w != nil {
-			return w
-		}
-	}
+// block, pick a warp by the scheduler policy and run the preamble. The SM
+// the last pick chose, the heap's top, is the only one whose clock may have
+// risen since, so sifting it down restores the heap. After an abort it
+// admits nothing and returns the next resident warp that has not unwound.
+// Nil means the domain has nothing left to run.
+func (l *launch) pick(d *domain) *warpRT {
+	d.siftTop()
 	for {
 		if l.aborted.Load() {
 			return d.unwindNext()
 		}
-		var sm *smRT
-		secondClock := int64(math.MaxInt64)
-		secondID := math.MaxInt32
-		n := 0
-		for _, s := range d.sms {
-			if !l.smHasWork(s) {
-				continue
-			}
-			d.sms[n] = s
-			n++
-			switch {
-			case sm == nil:
-				sm = s
-			case s.clock < sm.clock:
-				// The scan runs in ascending SM id, so the displaced best is
-				// the lexicographic runner-up so far.
-				secondClock, secondID = sm.clock, sm.id
-				sm = s
-			case s.clock < secondClock:
-				secondClock, secondID = s.clock, s.id
-			}
-		}
-		d.sms = d.sms[:n]
-		if sm == nil {
+		if len(d.heap) == 0 {
 			return nil
 		}
-		d.secondClock, d.secondID = secondClock, secondID
+		sm := d.heap[0].sm
+		if !l.smHasWork(sm) {
+			d.popTop()
+			continue
+		}
 		if w := l.pickOn(sm); w != nil {
 			return w
 		}
 	}
+}
+
+// before reports whether a precedes b in pick order: smaller clock, then
+// lower id.
+func (a *smKey) before(b *smKey) bool {
+	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
+}
+
+// siftTop moves the heap's top down to its place after its clock rose.
+func (d *domain) siftTop() {
+	h := d.heap
+	if len(h) == 0 {
+		return
+	}
+	top := h[0]
+	top.clock = top.sm.clock
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&top) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = top
+}
+
+// popTop drops the heap's top.
+func (d *domain) popTop() {
+	n := len(d.heap) - 1
+	d.heap[0] = d.heap[n]
+	d.heap[n] = smKey{}
+	d.heap = d.heap[:n]
+	d.siftTop()
 }
 
 // pickOn is pick's per-SM half. It returns nil when sm has no runnable warp
@@ -701,10 +775,10 @@ func (l *launch) pickOn(sm *smRT) *warpRT {
 }
 
 // unwindNext returns d's next resident warp that has not unwound, or nil
-// once every one has.
+// once every one has. Every SM with a live warp is still in the heap.
 func (d *domain) unwindNext() *warpRT {
-	for _, sm := range d.sms {
-		for _, w := range sm.warps {
+	for _, k := range d.heap {
+		for _, w := range k.sm.warps {
 			if !w.done {
 				return w
 			}
@@ -796,8 +870,8 @@ func (l *launch) admitBlocks(sm *smRT) {
 			w.block = b
 			w.sm = sm
 			w.ctx.reset(l, w)
+			w.spawned = false
 			b.warps = append(b.warps, w)
-			go l.runWarp(w)
 		}
 		b.liveWarps = len(b.warps)
 		sm.blocks = append(sm.blocks, b)
@@ -834,6 +908,7 @@ func (l *launch) takeWarp(sm *smRT) *warpRT {
 	}
 	return &warpRT{
 		resume: make(chan struct{}),
+		segs:   make([]uint64, 0, 2*l.cfg.WarpWidth),
 		ctx:    newWarpCtx(l.cfg.WarpWidth),
 	}
 }
@@ -865,8 +940,8 @@ func (l *launch) reclaimWarps() {
 // including the typed *KernelFault panics raised by buffer bounds checks —
 // is recovered here, located (block/warp; the cycle when its opDone
 // applies), and reported through finish so Launch returns it as a typed
-// error. Every wake-up is a token handoff, so the goroutine holds its
-// domain's token when it finishes.
+// error. The goroutine starts holding its domain's token and every wake-up
+// is a token handoff, so it holds the token when it finishes.
 func (l *launch) runWarp(w *warpRT) {
 	defer func() {
 		var err *KernelFault
@@ -886,7 +961,6 @@ func (l *launch) runWarp(w *warpRT) {
 		}
 		l.finish(w, err, unwound)
 	}()
-	<-w.resume
 	if l.aborted.Load() {
 		panic(errAborted)
 	}
@@ -1047,13 +1121,12 @@ func (l *launch) apply(sm *smRT, w *warpRT, r request) {
 }
 
 // memAccess accounts for a global-memory request over the segments w's
-// primitive coalesced into its segScratch (untouched while the request is
-// queued: a memory request always makes its warp yield), looks them up in or
-// invalidates them from the SM's read-only cache, and returns the DRAM
-// transactions and latency.
+// primitive coalesced into its segment log, looks them up in or invalidates
+// them from the SM's read-only cache, and returns the DRAM transactions and
+// latency.
 func (l *launch) memAccess(sm *smRT, w *warpRT, r request) (txns, latency int64) {
 	s := &sm.stats
-	segs := w.ctx.segScratch
+	segs := w.segs[r.segOff : r.segOff+uint32(r.segN)]
 	txns = int64(len(segs))
 	s.countInstr(1, txns, int64(r.active), int64(r.useful), int64(l.cfg.WarpWidth))
 	s.MemOps++
