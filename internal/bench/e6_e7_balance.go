@@ -3,15 +3,17 @@ package bench
 import (
 	"fmt"
 
+	"maxwarp/internal/gengraph"
 	"maxwarp/internal/gpualgo"
 	"maxwarp/internal/report"
 )
 
 // E6DeferOutliers reproduces the deferring-outliers figure: BFS cycles as
 // the deferral threshold sweeps from off to aggressive, on the skewed
-// workloads where outliers exist. Expected shape: deferral trims the
-// straggler tail on hub-heavy graphs (modest cycle reduction, imbalance CV
-// drop) and is a no-op on regular graphs.
+// workloads where outliers exist, and the same sweep for SSSP, CC and
+// PageRank, the kernels the paper generalizes to. Expected shape: deferral
+// trims the straggler tail on hub-heavy graphs (modest cycle reduction,
+// imbalance CV drop) and is a no-op on regular graphs.
 func E6DeferOutliers(cfg Config) ([]*report.Table, error) {
 	cfg = cfg.WithDefaults()
 	ws, err := buildWorkloads(cfg)
@@ -21,33 +23,40 @@ func E6DeferOutliers(cfg Config) ([]*report.Table, error) {
 	thresholds := []int32{0, 16, 32, 64, 128}
 	t := &report.Table{
 		ID:      "E6",
-		Title:   "Deferring outliers: BFS cost vs deferral threshold (K=4 main pass, full-warp deferred pass)",
-		Columns: []string{"graph", "threshold", "Mcycles", "speedup vs off", "deferred vertices", "imbalance CV"},
+		Title:   "Deferring outliers: cost vs deferral threshold (K=4 main pass, full-warp deferred pass)",
+		Columns: []string{"graph", "app", "threshold", "Mcycles", "speedup vs off", "deferred vertices", "imbalance CV"},
 		Notes:   []string{"threshold 0 disables deferral (the paper's base warp-centric kernel)"},
 	}
 	const mainK = 4
 	for _, w := range ws {
-		var off int64
-		for _, th := range thresholds {
-			d, err := newDevice(cfg)
+		for _, app := range []string{"bfs", "sssp", "cc", "pagerank"} {
+			a := gpualgo.Lookup(app)
+			g, err := a.Graph(w.g)
 			if err != nil {
 				return nil, err
 			}
-			dg := gpualgo.Upload(d, w.g)
-			res, err := gpualgo.BFS(d, dg, w.src, gpualgo.Options{K: mainK, DeferThreshold: th, BlockSize: cfg.BlockSize})
-			if err != nil {
-				return nil, err
+			in := gpualgo.Input{G: g, Weights: gengraph.EdgeWeights(g, 16, cfg.Seed), Src: w.src, Iterations: 5}
+			var off int64
+			for _, th := range thresholds {
+				d, err := newDevice(cfg)
+				if err != nil {
+					return nil, err
+				}
+				out, err := a.Run(d, in, gpualgo.Options{K: mainK, DeferThreshold: th, BlockSize: cfg.BlockSize})
+				if err != nil {
+					return nil, fmt.Errorf("%s/%s threshold %d: %w", w.name, app, th, err)
+				}
+				label := report.I(int64(th))
+				if th == 0 {
+					off = out.Stats.Cycles
+					label = "off"
+				}
+				t.AddRow(w.name, app, label,
+					report.F(float64(out.Stats.Cycles)/1e6, 2),
+					report.F(float64(off)/float64(out.Stats.Cycles), 2)+"x",
+					report.I(int64(out.Deferred)),
+					report.F(out.Stats.WarpImbalanceCV(), 3))
 			}
-			label := report.I(int64(th))
-			if th == 0 {
-				off = res.Stats.Cycles
-				label = "off"
-			}
-			t.AddRow(w.name, label,
-				report.F(float64(res.Stats.Cycles)/1e6, 2),
-				report.F(float64(off)/float64(res.Stats.Cycles), 2)+"x",
-				report.I(int64(res.Deferred)),
-				report.F(res.Stats.WarpImbalanceCV(), 3))
 		}
 	}
 	return []*report.Table{t}, nil

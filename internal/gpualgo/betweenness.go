@@ -30,7 +30,7 @@ func BetweennessCentrality(d *simt.Device, g *graph.CSR, sources []graph.VertexI
 // launches level by level, the backward sweep, then the accumulation.
 func newBCRun(d *simt.Device, g *graph.CSR, sources []graph.VertexID, opts Options) (*Run[*BCResult], error) {
 	res := &BCResult{}
-	r, err := newRun[*BCResult](d, &res.Result, &opts)
+	r, err := newRun[*BCResult](d, &res.Result, &opts, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +104,7 @@ func bcForwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma *simt.BufF32, d
 			ts.Mask(func(gi int) bool { return lvl[gi] == cur }, func() {
 				mySigma := make([]float32, g)
 				ts.LoadF32Grouped(sigma, ts.Task, mySigma)
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
-				nbr := w.VecI32()
+				ts.Row(dg.RowPtr, ts.Task)
 				old := w.VecI32()
 				sig := w.VecF32()
 				unvisited := w.ConstI32(Unvisited)
@@ -115,8 +112,7 @@ func bcForwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma *simt.BufF32, d
 				zero := w.ConstI32(0)
 				one := w.ConstI32(1)
 				w.Apply(1, func(lane int) { sig[lane] = mySigma[ts.Group(lane)] })
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					w.AtomicCASI32(levels, nbr, unvisited, next, old)
 					w.If(func(lane int) bool { return old[lane] == Unvisited }, func() {
 						w.AtomicAddI32(discovered, zero, one, nil)
@@ -147,17 +143,13 @@ func bcBackwardKernel(dg *DeviceGraph, levels *simt.BufI32, sigma, delta *simt.B
 			ts.Mask(func(gi int) bool { return lvl[gi] == dep }, func() {
 				mySigma := make([]float32, g)
 				ts.LoadF32Grouped(sigma, ts.Task, mySigma)
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
+				ts.Row(dg.RowPtr, ts.Task)
 				acc := w.VecF32()
 				w.Apply(1, func(lane int) { acc[lane] = 0 })
-				nbr := w.VecI32()
 				nl := w.VecI32()
 				nsig := w.VecF32()
 				ndel := w.VecF32()
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					w.LoadI32(levels, nbr, nl)
 					w.If(func(lane int) bool { return nl[lane] == dep+1 }, func() {
 						w.LoadF32(sigma, nbr, nsig)

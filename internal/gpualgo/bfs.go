@@ -20,19 +20,16 @@ type BFSResult struct {
 	Levels []int32
 	// Depth is the deepest level assigned.
 	Depth int32
-	// Deferred counts vertices routed through the outlier queue across all
-	// levels (0 unless Options.DeferThreshold > 0).
-	Deferred int
 }
 
 // NewBFSRun validates the inputs and allocates device state for a
 // level-synchronous BFS from src, without launching anything yet. Each Step
-// expands one frontier level (one kernel launch, plus one for deferred
-// outliers when enabled); the run is done when the frontier is exhausted or
+// expands one frontier level (one kernel launch, plus its deferred pass
+// when deferral is on); the run is done when the frontier is exhausted or
 // after |V|+1 levels.
 func NewBFSRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*Run[*BFSResult], error) {
 	res := &BFSResult{}
-	r, err := newRun[*BFSResult](d, &res.Result, &opts)
+	r, err := newRun[*BFSResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -45,30 +42,13 @@ func NewBFSRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options
 	levels.Fill(Unvisited)
 	levels.Data()[src] = 0
 	changed := r.i32("bfs.changed", 1)
-	var q *vwarp.OutlierQueue
-	if opts.DeferThreshold > 0 {
-		q = vwarp.NewOutlierQueue(d, "bfs.outliers", n)
-		r.keep(q.Items, q.Count)
-	}
 	lc := r.grid(n)
 	r.round = func() (bool, error) {
 		cur := int32(res.Iterations)
 		changed.Data()[0] = 0
-		if q != nil {
-			q.Reset()
-		}
-		if err := r.launch(lc, bfsLevelKernel(dg, levels, changed, q, cur, r.sched, opts), "BFS level %d", cur); err != nil {
+		if err := r.launch(lc, bfsLevelKernel(dg, levels, changed, cur, r.sched, opts), "BFS level %d", cur); err != nil {
 			return false, err
 		}
-		deferred := 0
-		if q != nil && q.Len() > 0 {
-			deferred = q.Len()
-			dk := bfsDeferredKernel(dg, levels, changed, q, int32(deferred), cur, opts)
-			if err := r.launch(r.grid(deferred*d.Config().WarpWidth/opts.K), dk, "BFS deferred pass level %d", cur); err != nil {
-				return false, err
-			}
-		}
-		res.Deferred += deferred
 		return changed.Data()[0] == 0 || int(cur)+1 >= n+1, nil
 	}
 	r.result = func() *BFSResult {
@@ -102,9 +82,9 @@ func BFS(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*BF
 const bfsScratchKey = "gpualgo.bfs"
 
 // bfsScratch holds the per-warp working vectors and closures of the BFS
-// kernels. It is cached on the warp context (KernelScratch) and survives
+// kernel. It is cached on the warp context (KernelScratch) and survives
 // kernel invocations and launches, so on the level-synchronous relaunch path
-// the kernels allocate nothing in steady state: bind rewrites the launch
+// the kernel allocates nothing in steady state: bind rewrites the launch
 // parameters each invocation, and every closure reads them through the
 // struct.
 type bfsScratch struct {
@@ -113,128 +93,89 @@ type bfsScratch struct {
 	// Per-invocation parameters, rewritten by bind.
 	dg                *DeviceGraph
 	levels, changed   *simt.BufI32
-	q                 *vwarp.OutlierQueue
 	cur               int32
-	deferThreshold    int32
 	cFrontier, cEdges *obs.Counter
 
-	ts *vwarp.Tasks // current round's task view (set by body)
+	ts  *vwarp.Tasks // current round's task view (set by body)
+	nbr []int32      // current Edges round's neighbors (set by edgeBody)
 
-	// Per-group vectors, sized for the widest possible grouping (K=1).
-	lvl, start, end []int32
+	// Per-group vector, sized for the widest possible grouping (K=1).
+	lvl []int32
 	// Per-lane vectors.
-	next, nbr, nl []int32
-	zero, one     []int32
+	next, nl  []int32
+	zero, one []int32
 
-	body, deferredBody func(ts *vwarp.Tasks)
-	maskPred           func(gi int) bool
-	maskBody           func()
-	heavy, light       func(gi int) bool
-	expand             func()
-	simdBody           func(j []int32)
-	unvisited          func(lane int) bool
-	discover           func()
+	body      func(ts *vwarp.Tasks)
+	maskPred  func(gi int) bool
+	maskBody  func()
+	edgeBody  func(j, nbr []int32)
+	unvisited func(lane int) bool
+	discover  func()
 }
 
 // bfsScratchFor returns the context's cached scratch, building it on first
-// use of this warp context by a BFS kernel.
+// use of this warp context by the BFS kernel.
 func bfsScratchFor(w *simt.WarpCtx) *bfsScratch {
 	if s, ok := w.KernelScratch(bfsScratchKey).(*bfsScratch); ok {
 		return s
 	}
 	width := w.Width()
 	s := &bfsScratch{
-		w:     w,
-		lvl:   make([]int32, width),
-		start: make([]int32, width),
-		end:   make([]int32, width),
-		next:  make([]int32, width),
-		nbr:   make([]int32, width),
-		nl:    make([]int32, width),
-		zero:  make([]int32, width),
-		one:   make([]int32, width),
+		w:    w,
+		lvl:  make([]int32, width),
+		next: make([]int32, width),
+		nl:   make([]int32, width),
+		zero: make([]int32, width),
+		one:  make([]int32, width),
 	}
 	for i := range s.one {
 		s.one[i] = 1
 	}
 	s.maskPred = func(gi int) bool { return s.lvl[gi] == s.cur }
-	s.heavy = func(gi int) bool { return s.end[gi]-s.start[gi] > s.deferThreshold }
-	s.light = func(gi int) bool { return !s.heavy(gi) }
 	s.unvisited = func(lane int) bool { return s.nl[lane] == Unvisited }
 	s.discover = func() {
 		s.w.StoreI32(s.levels, s.nbr, s.next)
 		s.w.StoreI32(s.changed, s.zero, s.one)
 	}
-	s.simdBody = func(j []int32) {
-		s.w.LoadI32(s.dg.Col, j, s.nbr)
-		s.w.LoadI32(s.levels, s.nbr, s.nl)
+	s.edgeBody = func(j, nbr []int32) {
+		s.nbr = nbr
+		s.w.LoadI32(s.levels, nbr, s.nl)
 		s.w.If(s.unvisited, s.discover, nil)
 	}
-	s.expand = func() { s.ts.SIMDRange(s.start, s.end, s.simdBody) }
 	s.maskBody = func() {
 		ts := s.ts
-		ts.Row(s.dg.RowPtr, ts.Task, s.start, s.end)
-		if s.cEdges != nil {
-			// Heavy vertices are deferred below; their edges are counted by
-			// the deferred pass.
-			var eg int64
-			for gi := 0; gi < ts.Groups; gi++ {
-				if ts.Valid(gi) && s.lvl[gi] == s.cur &&
-					(s.q == nil || s.end[gi]-s.start[gi] <= s.deferThreshold) {
-					eg += int64(s.end[gi] - s.start[gi])
-				}
-			}
-			if eg > 0 {
-				s.cEdges.Add(s.w.SMID(), eg)
-			}
-		}
-		if s.q != nil {
-			ts.Defer(s.q, s.heavy)
-			ts.Mask(s.light, s.expand)
-		} else {
-			s.expand()
-		}
-	}
-	s.body = func(ts *vwarp.Tasks) {
-		s.ts = ts
-		ts.LoadI32Grouped(s.levels, ts.Task, s.lvl)
+		ts.Row(s.dg.RowPtr, ts.Task)
 		if s.cFrontier != nil {
-			var fr int64
+			// Counted after Row, so a deferred vertex counts once, in its
+			// deferred pass.
+			var fr, eg int64
 			for gi := 0; gi < ts.Groups; gi++ {
 				if ts.Valid(gi) && s.lvl[gi] == s.cur {
 					fr++
+					eg += int64(ts.End[gi] - ts.Start[gi])
 				}
 			}
 			if fr > 0 {
 				s.cFrontier.Add(s.w.SMID(), fr)
 			}
-		}
-		ts.Mask(s.maskPred, s.maskBody)
-	}
-	s.deferredBody = func(ts *vwarp.Tasks) {
-		s.ts = ts
-		ts.Row(s.dg.RowPtr, ts.Task, s.start, s.end)
-		if s.cEdges != nil {
-			var eg int64
-			for gi := 0; gi < ts.Groups; gi++ {
-				if ts.Valid(gi) {
-					eg += int64(s.end[gi] - s.start[gi])
-				}
-			}
 			if eg > 0 {
 				s.cEdges.Add(s.w.SMID(), eg)
 			}
 		}
-		s.expand()
+		ts.Edges(s.dg.Col, s.edgeBody)
+	}
+	s.body = func(ts *vwarp.Tasks) {
+		s.ts = ts
+		ts.LoadI32Grouped(s.levels, ts.Task, s.lvl)
+		ts.Mask(s.maskPred, s.maskBody)
 	}
 	w.SetKernelScratch(bfsScratchKey, s)
 	return s
 }
 
 // bind rewrites the scratch's launch parameters for one kernel invocation.
-func (s *bfsScratch) bind(dg *DeviceGraph, levels, changed *simt.BufI32, q *vwarp.OutlierQueue, cur, deferThreshold int32, cFrontier, cEdges *obs.Counter) {
-	s.dg, s.levels, s.changed, s.q = dg, levels, changed, q
-	s.cur, s.deferThreshold = cur, deferThreshold
+func (s *bfsScratch) bind(dg *DeviceGraph, levels, changed *simt.BufI32, cur int32, cFrontier, cEdges *obs.Counter) {
+	s.dg, s.levels, s.changed, s.cur = dg, levels, changed, cur
 	s.cFrontier, s.cEdges = cFrontier, cEdges
 	for i := range s.next {
 		s.next[i] = cur + 1
@@ -244,7 +185,7 @@ func (s *bfsScratch) bind(dg *DeviceGraph, levels, changed *simt.BufI32, q *vwar
 // bfsLevelKernel expands the frontier at level cur. Discovery writes are
 // plain stores (a benign race, as in the paper: any winner writes the same
 // level value).
-func bfsLevelKernel(dg *DeviceGraph, levels, changed *simt.BufI32, q *vwarp.OutlierQueue, cur int32, sched vwarp.Schedule, opts Options) simt.Kernel {
+func bfsLevelKernel(dg *DeviceGraph, levels, changed *simt.BufI32, cur int32, sched vwarp.Schedule, opts Options) simt.Kernel {
 	var cFrontier, cEdges *obs.Counter
 	if m := opts.Metrics; m != nil {
 		cFrontier = m.Counter(MetricBFSFrontier, "BFS frontier vertices expanded.")
@@ -252,21 +193,7 @@ func bfsLevelKernel(dg *DeviceGraph, levels, changed *simt.BufI32, q *vwarp.Outl
 	}
 	return func(w *simt.WarpCtx) {
 		s := bfsScratchFor(w)
-		s.bind(dg, levels, changed, q, cur, opts.DeferThreshold, cFrontier, cEdges)
+		s.bind(dg, levels, changed, cur, cFrontier, cEdges)
 		vwarp.ForEach(w, sched, int32(dg.NumVertices), s.body)
-	}
-}
-
-// bfsDeferredKernel processes outlier vertices with one full physical warp
-// per vertex, the paper's maximum-parallelism follow-up pass.
-func bfsDeferredKernel(dg *DeviceGraph, levels, changed *simt.BufI32, q *vwarp.OutlierQueue, numDeferred, cur int32, opts Options) simt.Kernel {
-	var cEdges *obs.Counter
-	if m := opts.Metrics; m != nil {
-		cEdges = m.Counter(MetricBFSEdges, "BFS adjacency entries scanned.")
-	}
-	return func(w *simt.WarpCtx) {
-		s := bfsScratchFor(w)
-		s.bind(dg, levels, changed, nil, cur, 0, nil, cEdges)
-		vwarp.ForEachDeferred(w, w.Width(), q, numDeferred, s.deferredBody)
 	}
 }

@@ -56,7 +56,7 @@ func BFSDirectionOpt(d *simt.Device, g *graph.CSR, src graph.VertexID, opts DirO
 // it stops when a level discovers nothing or after |V|+1 levels.
 func newBFSDirRun(d *simt.Device, g *graph.CSR, src graph.VertexID, opts DirOptions) (*Run[*BFSDirResult], error) {
 	res := &BFSDirResult{}
-	r, err := newRun[*BFSDirResult](d, &res.Result, &opts.Options)
+	r, err := newRun[*BFSDirResult](d, &res.Result, &opts.Options, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -122,17 +122,13 @@ func bfsPushCountKernel(dg *DeviceGraph, levels, discovered *simt.BufI32, cur in
 			lvl := make([]int32, g)
 			ts.LoadI32Grouped(levels, ts.Task, lvl)
 			ts.Mask(func(gi int) bool { return lvl[gi] == cur }, func() {
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
-				nbr := w.VecI32()
+				ts.Row(dg.RowPtr, ts.Task)
 				old := w.VecI32()
 				unvisited := w.ConstI32(Unvisited)
 				next := w.ConstI32(cur + 1)
 				zero := w.ConstI32(0)
 				one := w.ConstI32(1)
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					w.AtomicCASI32(levels, nbr, unvisited, next, old)
 					w.If(func(lane int) bool { return old[lane] == Unvisited }, func() {
 						w.AtomicAddI32(discovered, zero, one, nil)
@@ -153,14 +149,12 @@ func bfsPullKernel(dgRev *DeviceGraph, levels, discovered *simt.BufI32, cur int3
 			lvl := make([]int32, g)
 			ts.LoadI32Grouped(levels, ts.Task, lvl)
 			ts.Mask(func(gi int) bool { return lvl[gi] == Unvisited }, func() {
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dgRev.RowPtr, ts.Task, start, end)
+				ts.Row(dgRev.RowPtr, ts.Task)
 
 				done := make([]bool, g)
 				j := w.VecI32()
 				w.Apply(1, func(lane int) {
-					j[lane] = start[ts.Group(lane)] + int32(ts.LaneInGroup(lane))
+					j[lane] = ts.Start[ts.Group(lane)] + int32(ts.LaneInGroup(lane))
 				})
 				nbr := w.VecI32()
 				nl := w.VecI32()
@@ -169,7 +163,7 @@ func bfsPullKernel(dgRev *DeviceGraph, levels, discovered *simt.BufI32, cur int3
 				anyFound := w.VecI32()
 				w.While(func(lane int) bool {
 					gi := ts.Group(lane)
-					return !done[gi] && j[lane] < end[gi]
+					return ts.Valid(gi) && !done[gi] && j[lane] < ts.End[gi]
 				}, func() {
 					w.LoadI32(dgRev.Col, j, nbr)
 					w.LoadI32(levels, nbr, nl)

@@ -26,7 +26,7 @@ func BFSFrontier(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Optio
 // when the frontier empties or after |V|+1 levels.
 func newBFSFrontierRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*Run[*BFSResult], error) {
 	res := &BFSResult{}
-	r, err := newRun[*BFSResult](d, &res.Result, &opts)
+	r, err := newRun[*BFSResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -69,21 +69,16 @@ func newBFSFrontierRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts
 func bfsFrontierKernel(dg *DeviceGraph, levels, frontier, next, nextCount *simt.BufI32, frontierLen, cur int32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
 		vwarp.ForEach(w, sched, frontierLen, func(ts *vwarp.Tasks) {
-			g := ts.Groups
 			// Indirect through the frontier: the task id is a queue slot.
 			ts.LoadI32Grouped(frontier, ts.Task, ts.Task)
-			start := make([]int32, g)
-			end := make([]int32, g)
-			ts.Row(dg.RowPtr, ts.Task, start, end)
-			nbr := w.VecI32()
+			ts.Row(dg.RowPtr, ts.Task)
 			seen := w.VecI32()
 			slot := w.VecI32()
 			unvisited := w.ConstI32(Unvisited)
 			lvlNext := w.ConstI32(cur + 1)
 			zero := w.ConstI32(0)
 			one := w.ConstI32(1)
-			ts.SIMDRange(start, end, func(j []int32) {
-				w.LoadI32(dg.Col, j, nbr)
+			ts.Edges(dg.Col, func(_, nbr []int32) {
 				// Winner-takes-ownership discovery.
 				w.AtomicCASI32(levels, nbr, unvisited, lvlNext, seen)
 				w.If(func(lane int) bool { return seen[lane] == Unvisited }, func() {

@@ -19,7 +19,7 @@ type CCResult struct {
 // after |V|+1 rounds.
 func NewCCRun(d *simt.Device, dg *DeviceGraph, opts Options) (*Run[*CCResult], error) {
 	res := &CCResult{}
-	r, err := newRun[*CCResult](d, &res.Result, &opts)
+	r, err := newRun[*CCResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -56,20 +56,15 @@ func ConnectedComponents(d *simt.Device, dg *DeviceGraph, opts Options) (*CCResu
 func ccPropagateKernel(dg *DeviceGraph, labels, changed *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
 		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
-			g := ts.Groups
-			lbl := make([]int32, g)
+			lbl := make([]int32, ts.Groups)
 			ts.LoadI32Grouped(labels, ts.Task, lbl)
-			start := make([]int32, g)
-			end := make([]int32, g)
-			ts.Row(dg.RowPtr, ts.Task, start, end)
-			nbr := w.VecI32()
+			ts.Row(dg.RowPtr, ts.Task)
 			mine := w.VecI32()
 			old := w.VecI32()
 			zero := w.ConstI32(0)
 			one := w.ConstI32(1)
 			w.Apply(1, func(lane int) { mine[lane] = lbl[ts.Group(lane)] })
-			ts.SIMDRange(start, end, func(j []int32) {
-				w.LoadI32(dg.Col, j, nbr)
+			ts.Edges(dg.Col, func(_, nbr []int32) {
 				w.AtomicMinI32(labels, nbr, mine, old)
 				w.If(func(lane int) bool { return mine[lane] < old[lane] }, func() {
 					w.StoreI32(changed, zero, one)

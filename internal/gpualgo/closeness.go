@@ -34,7 +34,8 @@ func ClosenessCentrality(d *simt.Device, g *graph.CSR, samples int, seed uint64,
 // each runs one MS-BFS to completion under the run's Launch.
 func newClosenessRun(d *simt.Device, g *graph.CSR, samples int, seed uint64, opts Options) (*Run[*ClosenessResult], error) {
 	res := &ClosenessResult{}
-	r, err := newRun[*ClosenessResult](d, &res.Result, &opts)
+	// The batches' MS-BFS runs defer; this run launches nothing itself.
+	r, err := newRun[*ClosenessResult](d, &res.Result, &opts, 0)
 	if err != nil {
 		return nil, err
 	}

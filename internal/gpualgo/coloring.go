@@ -37,7 +37,7 @@ func GraphColoring(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (
 // fails if a vertex is still uncolored then.
 func newColoringRun(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*Run[*ColoringResult], error) {
 	res := &ColoringResult{}
-	r, err := newRun[*ColoringResult](d, &res.Result, &opts)
+	r, err := newRun[*ColoringResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -85,18 +85,14 @@ func coloringRoundKernel(dg *DeviceGraph, prio, colors, changed *simt.BufI32, sc
 			ts.Mask(func(gi int) bool { return myColor[gi] < 0 }, func() {
 				myPrio := make([]int32, g)
 				ts.LoadI32Grouped(prio, ts.Task, myPrio)
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
+				ts.Row(dg.RowPtr, ts.Task)
 
 				// Phase 1: eligibility — no uncolored neighbor dominates.
 				blocked := w.VecI32()
 				w.Apply(1, func(lane int) { blocked[lane] = 0 })
-				nbr := w.VecI32()
 				ncol := w.VecI32()
 				nprio := w.VecI32()
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					w.LoadI32(colors, nbr, ncol)
 					w.LoadI32(prio, nbr, nprio)
 					w.Apply(2, func(lane int) {
@@ -141,8 +137,7 @@ func coloringRoundKernel(dg *DeviceGraph, prio, colors, changed *simt.BufI32, sc
 						}
 						ts.Mask(func(gi int) bool { return !done[gi] }, func() {
 							w.Apply(1, func(lane int) { used[lane] = 0 })
-							ts.SIMDRange(start, end, func(j []int32) {
-								w.LoadI32(dg.Col, j, nbr)
+							ts.Edges(dg.Col, func(_, nbr []int32) {
 								w.LoadI32(colors, nbr, ncol)
 								w.Apply(2, func(lane int) {
 									gi := ts.Group(lane)

@@ -34,7 +34,7 @@ func DeltaStepping(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Del
 // that re-filters the far pile. It fails after 64*(|V|+2) phases.
 func newDeltaSteppingRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts DeltaSteppingOptions) (*Run[*SSSPResult], error) {
 	res := &SSSPResult{}
-	r, err := newRun[*SSSPResult](d, &res.Result, &opts.Options)
+	r, err := newRun[*SSSPResult](d, &res.Result, &opts.Options, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -129,10 +129,7 @@ func dsRelaxKernel(dg *DeviceGraph, dist, near, nearNext, far, counts *simt.BufI
 			dv := make([]int32, g)
 			ts.LoadI32Grouped(dist, ts.Task, dv)
 			ts.Mask(func(gi int) bool { return dv[gi] < threshold }, func() {
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
-				nbr := w.VecI32()
+				ts.Row(dg.RowPtr, ts.Task)
 				wt := w.VecI32()
 				cand := w.VecI32()
 				old := w.VecI32()
@@ -140,8 +137,7 @@ func dsRelaxKernel(dg *DeviceGraph, dist, near, nearNext, far, counts *simt.BufI
 				zero := w.ConstI32(0)
 				oneIdx := w.ConstI32(1)
 				one := w.ConstI32(1)
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(j, nbr []int32) {
 					w.LoadI32(dg.Weights, j, wt)
 					w.Apply(1, func(lane int) { cand[lane] = dv[ts.Group(lane)] + wt[lane] })
 					w.AtomicMinI32(dist, nbr, cand, old)

@@ -119,8 +119,12 @@ func diffGraphs(t testing.TB) []struct {
 // attached and cross-mode counter totals required to match bit-for-bit. A
 // dynamic variant must also issue more atomics than the same options
 // without Dynamic: the difference is its chunk claims, so an entry that
-// ignored the schedule would fail. -short trims to the quick variant
-// subset, one graph, and the parallel mode.
+// ignored the schedule would fail. A deferring variant must defer some task
+// on the skewed graphs, except in kcore and triangles, which run without
+// deferral and must defer none, and it must count the BFS and PageRank
+// metrics exactly as the same options without deferral do: a deferred
+// task's rerun counts it once. -short trims to the quick variant subset,
+// one graph, and the parallel mode.
 func TestDifferentialKernelVariants(t *testing.T) {
 	graphs := diffGraphs(t)
 	variants := diffVariants()
@@ -152,6 +156,7 @@ func TestDifferentialKernelVariants(t *testing.T) {
 					}
 					perMode := make(map[int]map[string]int64)
 					var atomicOps int64
+					var deferred int
 					for _, mode := range modes {
 						label := fmt.Sprintf("%s/%s/%s/ParallelSMs=%d", a.Name, gr.name, v.name, mode)
 						d := parallelDevice(t, mode)
@@ -168,6 +173,10 @@ func TestDifferentialKernelVariants(t *testing.T) {
 						checkNoFallback(t, label, mode, got.Stats.SequentialFallback)
 						perMode[mode] = m.Values()
 						atomicOps = got.Stats.AtomicOps
+						deferred = got.Deferred
+					}
+					if v.opts.DeferThreshold > 0 {
+						checkDeferral(t, a.Name, gr.name, v, in, deferred, perMode[modes[0]], modes[0])
 					}
 					if v.opts.Dynamic {
 						plain := v.opts
@@ -190,6 +199,35 @@ func TestDifferentialKernelVariants(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkDeferral holds one deferring run of entry name to the deferral
+// contract: deferred is the run's deferral count and metrics its counter
+// totals at ParallelSMs=mode.
+func checkDeferral(t *testing.T, name, graphName string, v diffVariant, in Input, deferred int, metrics map[string]int64, mode int) {
+	t.Helper()
+	label := fmt.Sprintf("%s/%s/%s", name, graphName, v.name)
+	switch {
+	case name == "kcore" || name == "triangles":
+		if deferred != 0 {
+			t.Errorf("%s: deferred %d tasks, want none", label, deferred)
+		}
+	case graphName != "mesh" && deferred == 0:
+		t.Errorf("%s: no task was deferred", label)
+	}
+	d := parallelDevice(t, mode)
+	plain := v.opts
+	plain.DeferThreshold = 0
+	plain.Metrics = obs.NewMetrics(d.Config().NumSMs)
+	if _, err := Lookup(name).Run(d, in, plain); err != nil {
+		t.Fatalf("%s without deferral: %v", label, err)
+	}
+	want := plain.Metrics.Values()
+	for _, metric := range []string{MetricBFSFrontier, MetricBFSEdges, MetricPREdges} {
+		if metrics[metric] != want[metric] {
+			t.Errorf("%s: %s = %d, want %d as without deferral", label, metric, metrics[metric], want[metric])
+		}
 	}
 }
 

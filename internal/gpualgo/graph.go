@@ -76,8 +76,9 @@ type Options struct {
 	// Chunk is the dynamic fetch size in tasks (default: 4 * warp width / K).
 	Chunk int32
 	// DeferThreshold, when > 0, defers vertices with degree above it to a
-	// global outlier queue processed by full warps in a follow-up pass.
-	// Supported by BFS; the other kernels ignore it.
+	// global outlier queue processed by full warps in a follow-up pass of
+	// the same kernel. Every table entry honours it except kcore and
+	// triangles, which run without deferral.
 	DeferThreshold int32
 	// BlockSize is threads per block (default 128).
 	BlockSize int
@@ -161,9 +162,12 @@ func (o Options) grid(d *simt.Device, numTasks int) simt.LaunchConfig {
 type Result struct {
 	// Stats accumulates simulator counters over every launch of the run.
 	Stats simt.LaunchStats
-	// Launches is the number of kernel launches (BFS: ~2 per level when
-	// deferring).
+	// Launches is the number of kernel launches, each deferred pass
+	// counted as one more.
 	Launches int
+	// Deferred counts the tasks routed through the outlier queue (0 unless
+	// Options.DeferThreshold > 0).
+	Deferred int
 	// Iterations is the number of algorithm-level iterations (BFS levels,
 	// Bellman-Ford rounds, PageRank iterations).
 	Iterations int

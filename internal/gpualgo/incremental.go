@@ -461,7 +461,7 @@ func repairRelaxKernel(ddg *DeviceDeltaGraph, val, frontier, next, nextCount, cl
 // its current epoch (nil uploads one).
 func IncrementalBFS(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src graph.VertexID, prevLevels []int32, applied []graph.AppliedMutation, opts Options) (*BFSResult, RepairInfo, error) {
 	res := &BFSResult{}
-	r, err := newRun[*BFSResult](d, &res.Result, &opts)
+	r, err := newRun[*BFSResult](d, &res.Result, &opts, 0)
 	if err != nil {
 		return nil, RepairInfo{}, err
 	}
@@ -521,7 +521,7 @@ func IncrementalBFS(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src 
 // uploads one).
 func IncrementalSSSP(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src graph.VertexID, prevDist []int32, applied []graph.AppliedMutation, opts Options) (*SSSPResult, RepairInfo, error) {
 	res := &SSSPResult{}
-	r, err := newRun[*SSSPResult](d, &res.Result, &opts)
+	r, err := newRun[*SSSPResult](d, &res.Result, &opts, 0)
 	if err != nil {
 		return nil, RepairInfo{}, err
 	}
@@ -574,7 +574,7 @@ func IncrementalSSSP(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, src
 // uploads one).
 func IncrementalCC(d *simt.Device, dl *graph.Delta, ddg *DeviceDeltaGraph, prevLabels []int32, applied []graph.AppliedMutation, opts Options) (*CCResult, RepairInfo, error) {
 	res := &CCResult{}
-	r, err := newRun[*CCResult](d, &res.Result, &opts)
+	r, err := newRun[*CCResult](d, &res.Result, &opts, 0)
 	if err != nil {
 		return nil, RepairInfo{}, err
 	}
@@ -667,7 +667,7 @@ func ccRepairKernel(ddg *DeviceDeltaGraph, labels, frontier, next, nextCount, cl
 // non-overlay pull kernel.
 func DeltaPageRank(d *simt.Device, dl *graph.Delta, rddg *DeviceDeltaGraph, prev []float32, opts PageRankOptions) (*PageRankResult, RepairInfo, error) {
 	res := &PageRankResult{}
-	r, err := newRun[*PageRankResult](d, &res.Result, &opts.Options)
+	r, err := newRun[*PageRankResult](d, &res.Result, &opts.Options, 0)
 	if err != nil {
 		return nil, RepairInfo{}, err
 	}

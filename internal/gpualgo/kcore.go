@@ -29,7 +29,10 @@ func KCore(d *simt.Device, dg *DeviceGraph, k int32, opts Options) (*KCoreResult
 // when a round removes nothing or after |V|+1 rounds.
 func newKCoreRun(d *simt.Device, dg *DeviceGraph, k int32, opts Options) (*Run[*KCoreResult], error) {
 	res := &KCoreResult{}
-	r, err := newRun[*KCoreResult](d, &res.Result, &opts)
+	// The peel kernel stores alive = 0 before it loads its row, so a
+	// deferred vertex's rerun would skip it: k-core runs without deferral.
+	opts.DeferThreshold = 0
+	r, err := newRun[*KCoreResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -80,13 +83,9 @@ func kcorePeelKernel(dg *DeviceGraph, deg, alive, changed *simt.BufI32, k int32,
 				ts.StoreI32Grouped(alive, ts.Task, zeros, nil)
 				one := ts.W.ConstI32(1)
 				ts.W.StoreI32(changed, ts.W.ConstI32(0), one)
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
-				nbr := ts.W.VecI32()
+				ts.Row(dg.RowPtr, ts.Task)
 				minusOne := ts.W.ConstI32(-1)
-				ts.SIMDRange(start, end, func(j []int32) {
-					ts.W.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					ts.W.AtomicAddI32(deg, nbr, minusOne, nil)
 				})
 			})

@@ -39,7 +39,7 @@ func MIS(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*MISResult
 // round decides nothing or after |V|+1 rounds.
 func newMISRun(d *simt.Device, dg *DeviceGraph, seed uint64, opts Options) (*Run[*MISResult], error) {
 	res := &MISResult{}
-	r, err := newRun[*MISResult](d, &res.Result, &opts)
+	r, err := newRun[*MISResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -84,18 +84,14 @@ func misRoundKernel(dg *DeviceGraph, prio, status, changed *simt.BufI32, sched v
 			ts.Mask(func(gi int) bool { return st[gi] == misUndecided }, func() {
 				myPrio := make([]int32, g)
 				ts.LoadI32Grouped(prio, ts.Task, myPrio)
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
+				ts.Row(dg.RowPtr, ts.Task)
 
 				// blocked[lane] = 1 if some undecided neighbor dominates.
 				blocked := w.VecI32()
 				w.Apply(1, func(lane int) { blocked[lane] = 0 })
-				nbr := w.VecI32()
 				nst := w.VecI32()
 				nprio := w.VecI32()
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					w.LoadI32(status, nbr, nst)
 					w.LoadI32(prio, nbr, nprio)
 					w.Apply(2, func(lane int) {
@@ -119,10 +115,7 @@ func misRoundKernel(dg *DeviceGraph, prio, status, changed *simt.BufI32, sched v
 					one := w.ConstI32(1)
 					w.StoreI32(changed, w.ConstI32(0), one)
 					outVal := w.ConstI32(misOut)
-					ts.SIMDRange(start, end, func(j []int32) {
-						w.LoadI32(dg.Col, j, nbr)
-						w.StoreI32(status, nbr, outVal)
-					})
+					ts.Edges(dg.Col, func(_, nbr []int32) { w.StoreI32(status, nbr, outVal) })
 				})
 			})
 		})

@@ -35,7 +35,7 @@ func MSBFS(d *simt.Device, dg *DeviceGraph, sources []graph.VertexID, opts Optio
 // when a level discovers nothing or after |V|+1 levels.
 func newMSBFSRun(d *simt.Device, dg *DeviceGraph, sources []graph.VertexID, opts Options) (*Run[*MSBFSResult], error) {
 	res := &MSBFSResult{}
-	r, err := newRun[*MSBFSResult](d, &res.Result, &opts)
+	r, err := newRun[*MSBFSResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -102,17 +102,13 @@ func msbfsExpandKernel(dg *DeviceGraph, frontier, visited, next, changed *simt.B
 			fbits := make([]int32, g)
 			ts.LoadI32Grouped(frontier, ts.Task, fbits)
 			ts.Mask(func(gi int) bool { return fbits[gi] != 0 }, func() {
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
-				nbr := w.VecI32()
+				ts.Row(dg.RowPtr, ts.Task)
 				nvis := w.VecI32()
 				push := w.VecI32()
 				old := w.VecI32()
 				zero := w.ConstI32(0)
 				one := w.ConstI32(1)
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					w.LoadI32(visited, nbr, nvis)
 					w.Apply(1, func(lane int) {
 						push[lane] = fbits[ts.Group(lane)] &^ nvis[lane]

@@ -27,7 +27,7 @@ func NeighborSum(d *simt.Device, dg *DeviceGraph, values []int32, opts Options) 
 // newNeighborSumRun builds a one-round run: a single launch.
 func newNeighborSumRun(d *simt.Device, dg *DeviceGraph, values []int32, opts Options) (*Run[*NeighborSumResult], error) {
 	res := &NeighborSumResult{}
-	r, err := newRun[*NeighborSumResult](d, &res.Result, &opts)
+	r, err := newRun[*NeighborSumResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -52,20 +52,15 @@ func newNeighborSumRun(d *simt.Device, dg *DeviceGraph, values []int32, opts Opt
 func nbrsumKernel(dg *DeviceGraph, dVals, out *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
 		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
-			g := ts.Groups
-			start := make([]int32, g)
-			end := make([]int32, g)
-			ts.Row(dg.RowPtr, ts.Task, start, end)
+			ts.Row(dg.RowPtr, ts.Task)
 			acc := w.VecI32()
 			w.FillI32(acc, 0)
-			nbr := w.VecI32()
 			val := w.VecI32()
-			ts.SIMDRange(start, end, func(j []int32) {
-				w.LoadI32(dg.Col, j, nbr)
+			ts.Edges(dg.Col, func(_, nbr []int32) {
 				w.LoadI32(dVals, nbr, val)
 				w.AddI32(acc, acc, val)
 			})
-			sums := make([]int32, g)
+			sums := make([]int32, ts.Groups)
 			ts.ReduceAddI32(acc, sums)
 			ts.StoreI32Grouped(out, ts.Task, sums, nil)
 		})

@@ -37,7 +37,7 @@ type PageRankOptions struct {
 // swap happens only after both launches succeed.
 func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*Run[*PageRankResult], error) {
 	res := &PageRankResult{}
-	r, err := newRun[*PageRankResult](d, &res.Result, &opts.Options)
+	r, err := newRun[*PageRankResult](d, &res.Result, &opts.Options, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -152,14 +152,12 @@ func prPullKernel(dgRev *DeviceGraph, contrib, next *simt.BufF32, base float32, 
 	return func(w *simt.WarpCtx) {
 		vwarp.ForEach(w, sched, int32(dgRev.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
-			start := make([]int32, g)
-			end := make([]int32, g)
-			ts.Row(dgRev.RowPtr, ts.Task, start, end)
+			ts.Row(dgRev.RowPtr, ts.Task)
 			if cEdges != nil {
 				var eg int64
 				for gi := 0; gi < g; gi++ {
 					if ts.Valid(gi) {
-						eg += int64(end[gi] - start[gi])
+						eg += int64(ts.End[gi] - ts.Start[gi])
 					}
 				}
 				if eg > 0 {
@@ -168,10 +166,8 @@ func prPullKernel(dgRev *DeviceGraph, contrib, next *simt.BufF32, base float32, 
 			}
 			acc := w.VecF32()
 			w.FillF32(acc, 0)
-			nbr := w.VecI32()
 			c := w.VecF32()
-			ts.SIMDRange(start, end, func(j []int32) {
-				w.LoadI32(dgRev.Col, j, nbr)
+			ts.Edges(dgRev.Col, func(_, nbr []int32) {
 				w.LoadF32(contrib, nbr, c)
 				w.AddF32(acc, acc, c)
 			})

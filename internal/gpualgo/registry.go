@@ -62,6 +62,9 @@ type Output struct {
 	// Rounds counts the run's iterations: the device's, or the oracle's
 	// where the oracle iterates (PageRank).
 	Rounds int
+	// Deferred counts the tasks the device run deferred to its outlier
+	// queue (see Options.DeferThreshold).
+	Deferred int
 	// Note is the one-line summary `maxwarp algo` prints after a device
 	// run.
 	Note string
@@ -197,7 +200,7 @@ func (a *Algorithm) NewRun(d *simt.Device, dg *DeviceGraph, in Input, opts Optio
 
 // output packs a finished device run.
 func (r *Result) output(res, value any, note string) Output {
-	return Output{Stats: r.Stats, Rounds: r.Iterations, Note: note, Value: value, Result: res}
+	return Output{Stats: r.Stats, Rounds: r.Iterations, Deferred: r.Deferred, Note: note, Value: value, Result: res}
 }
 
 // oracle wraps a CPU answer.

@@ -42,7 +42,7 @@ func SCC(d *simt.Device, g *graph.CSR, opts Options) (*SCCResult, error) {
 // regions.
 func newSCCRun(d *simt.Device, g *graph.CSR, opts Options) (*Run[*SCCResult], error) {
 	res := &SCCResult{}
-	r, err := newRun[*SCCResult](d, &res.Result, &opts)
+	r, err := newRun[*SCCResult](d, &res.Result, &opts, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -182,15 +182,11 @@ func sccScanKernel(dg *DeviceGraph, region, flag *simt.BufI32, r int32, sched vw
 			reg := make([]int32, g)
 			ts.LoadI32Grouped(region, ts.Task, reg)
 			ts.Mask(func(gi int) bool { return reg[gi] == r }, func() {
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
+				ts.Row(dg.RowPtr, ts.Task)
 				found := w.VecI32()
 				w.Apply(1, func(lane int) { found[lane] = 0 })
-				nbr := w.VecI32()
 				nreg := w.VecI32()
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					w.LoadI32(region, nbr, nreg)
 					w.Apply(1, func(lane int) {
 						if nreg[lane] == r {
@@ -270,16 +266,12 @@ func sccClosureKernel(dg *DeviceGraph, region, mask, changed *simt.BufI32, r int
 			ts.LoadI32Grouped(region, ts.Task, reg)
 			ts.LoadI32Grouped(mask, ts.Task, mk)
 			ts.Mask(func(gi int) bool { return reg[gi] == r && mk[gi] == 1 }, func() {
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
-				nbr := w.VecI32()
+				ts.Row(dg.RowPtr, ts.Task)
 				nreg := w.VecI32()
 				nmk := w.VecI32()
 				one := w.ConstI32(1)
 				zero := w.ConstI32(0)
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(_, nbr []int32) {
 					w.LoadI32(region, nbr, nreg)
 					w.LoadI32(mask, nbr, nmk)
 					w.If(func(lane int) bool {

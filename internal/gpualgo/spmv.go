@@ -29,7 +29,7 @@ func SpMV(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, opts Opt
 // newSpMVRun builds a one-round run: a single launch.
 func newSpMVRun(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, opts Options) (*Run[*SpMVResult], error) {
 	res := &SpMVResult{}
-	r, err := newRun[*SpMVResult](d, &res.Result, &opts)
+	r, err := newRun[*SpMVResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -59,22 +59,17 @@ func newSpMVRun(d *simt.Device, dg *DeviceGraph, vals []float32, x []float32, op
 func spmvKernel(dg *DeviceGraph, dVals, dX, dY *simt.BufF32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
 		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
-			g := ts.Groups
-			start := make([]int32, g)
-			end := make([]int32, g)
-			ts.Row(dg.RowPtr, ts.Task, start, end)
+			ts.Row(dg.RowPtr, ts.Task)
 			acc := w.VecF32()
 			w.FillF32(acc, 0)
-			col := w.VecI32()
 			av := w.VecF32()
 			xv := w.VecF32()
-			ts.SIMDRange(start, end, func(j []int32) {
-				w.LoadI32(dg.Col, j, col)
+			ts.Edges(dg.Col, func(j, col []int32) {
 				w.LoadF32(dVals, j, av)
 				w.LoadF32(dX, col, xv)
 				w.MulAddF32(acc, av, xv)
 			})
-			sums := make([]float32, g)
+			sums := make([]float32, ts.Groups)
 			ts.ReduceAddF32(acc, sums)
 			ts.StoreF32Grouped(dY, ts.Task, sums, nil)
 		})

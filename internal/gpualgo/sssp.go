@@ -24,7 +24,7 @@ type SSSPResult struct {
 // or after |V|+1 rounds.
 func NewSSSPRun(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*Run[*SSSPResult], error) {
 	res := &SSSPResult{}
-	r, err := newRun[*SSSPResult](d, &res.Result, &opts)
+	r, err := newRun[*SSSPResult](d, &res.Result, &opts, dg.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -75,28 +75,24 @@ func ssspRelaxKernel(dg *DeviceGraph, dist, changed *simt.BufI32, sched vwarp.Sc
 			dv := make([]int32, g)
 			ts.LoadI32Grouped(dist, ts.Task, dv)
 			ts.Mask(func(gi int) bool { return dv[gi] < cpualgo.InfDist }, func() {
-				start := make([]int32, g)
-				end := make([]int32, g)
-				ts.Row(dg.RowPtr, ts.Task, start, end)
+				ts.Row(dg.RowPtr, ts.Task)
 				if cEdges != nil {
 					var eg int64
 					for gi := 0; gi < g; gi++ {
 						if ts.Valid(gi) && dv[gi] < cpualgo.InfDist {
-							eg += int64(end[gi] - start[gi])
+							eg += int64(ts.End[gi] - ts.Start[gi])
 						}
 					}
 					if eg > 0 {
 						cEdges.Add(w.SMID(), eg)
 					}
 				}
-				nbr := w.VecI32()
 				wt := w.VecI32()
 				cand := w.VecI32()
 				old := w.VecI32()
 				zero := w.ConstI32(0)
 				one := w.ConstI32(1)
-				ts.SIMDRange(start, end, func(j []int32) {
-					w.LoadI32(dg.Col, j, nbr)
+				ts.Edges(dg.Col, func(j, nbr []int32) {
 					w.LoadI32(dg.Weights, j, wt)
 					w.Apply(1, func(lane int) { cand[lane] = dv[ts.Group(lane)] + wt[lane] })
 					w.AtomicMinI32(dist, nbr, cand, old)

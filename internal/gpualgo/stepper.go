@@ -31,10 +31,10 @@ type Stepper interface {
 // supplies one round — a BFS level, a Bellman-Ford round, a PageRank
 // iteration, an SCC region, a BC source, a single launch — and each Step
 // runs one round. A round moves host-side progress only after its last
-// launch returns, and Step commits the round's stats, its launch count and
-// one iteration only when every launch in it succeeded, so a supervisor can
-// restore State after a failed step and call Step again to retry the same
-// round.
+// launch returns, and Step commits the round's stats, its launch and
+// deferral counts and one iteration only when every launch in it
+// succeeded, so a supervisor can restore State after a failed step and
+// call Step again to retry the same round.
 type Run[R any] struct {
 	// Launch supervises every kernel launch of the run (deadline, progress
 	// callback). Zero value means unsupervised.
@@ -51,16 +51,19 @@ type Run[R any] struct {
 	round func() (bool, error)
 	// result packs the answer from the device buffers.
 	result func() R
-	// pending holds the current round's launch stats until it commits.
-	pending  []*simt.LaunchStats
-	launches int
-	done     bool
+	// pending holds the current round's launch stats until it commits,
+	// launches and deferred its launch and deferred-task counts.
+	pending            []*simt.LaunchStats
+	launches, deferred int
+	done               bool
 }
 
 // newRun starts a run that records into res: it applies the option
 // defaults to *opts, validates them, sets the warp width and resolves the
-// run's schedule, allocating its claim counter when opts.Dynamic is set.
-func newRun[R any](d *simt.Device, res *Result, opts *Options) (*Run[R], error) {
+// run's schedule, allocating its claim counter when opts.Dynamic is set and
+// an outlier queue of n slots, one per vertex, when opts.DeferThreshold is
+// set and n > 0. A run whose kernels never call Row passes n = 0.
+func newRun[R any](d *simt.Device, res *Result, opts *Options, n int) (*Run[R], error) {
 	*opts = opts.withDefaults(d)
 	if err := opts.validate(d); err != nil {
 		return nil, err
@@ -69,6 +72,11 @@ func newRun[R any](d *simt.Device, res *Result, opts *Options) (*Run[R], error) 
 	r := &Run[R]{d: d, opts: *opts, res: res, sched: vwarp.Schedule{K: opts.K, Blocked: opts.Blocked}}
 	if opts.Dynamic {
 		r.sched.Counter, r.sched.Chunk = r.i32("sched.counter", 1), opts.Chunk
+	}
+	if opts.DeferThreshold > 0 && n > 0 {
+		q := vwarp.NewOutlierQueue(d, "sched.outliers", n, opts.DeferThreshold)
+		r.keep(q.Items, q.Count)
+		r.sched.Outliers = q
 	}
 	return r, nil
 }
@@ -80,7 +88,7 @@ func (r *Run[R]) Step() (bool, error) {
 	if r.done {
 		return true, nil
 	}
-	r.pending, r.launches = r.pending[:0], 0
+	r.pending, r.launches, r.deferred = r.pending[:0], 0, 0
 	done, err := r.round()
 	if err != nil {
 		return false, err
@@ -89,6 +97,7 @@ func (r *Run[R]) Step() (bool, error) {
 		r.res.Stats.Add(s)
 	}
 	r.res.Launches += r.launches
+	r.res.Deferred += r.deferred
 	r.res.Iterations++
 	r.done = done
 	return done, nil
@@ -108,12 +117,34 @@ func (r *Run[R]) setLaunch(lo simt.LaunchOpts) { r.Launch = lo }
 
 // launch runs kernel as part of the current round and adds its stats to
 // the round's pending total. It zeroes the schedule's claim counter first,
-// so every launch deals its tasks from the start. It wraps a failure as
+// so every launch deals its tasks from the start. When the kernel deferred
+// tasks to the schedule's outlier queue, launch runs it again as the rerun
+// pass over them, one warp each. It wraps a failure as
 // "gpualgo: <what>: <err>", formatting what with args.
 func (r *Run[R]) launch(lc simt.LaunchConfig, kernel simt.Kernel, what string, args ...any) error {
 	if c := r.sched.Counter; c != nil {
 		c.Data()[0] = 0
 	}
+	q := r.sched.Outliers
+	if q != nil {
+		q.Reset()
+	}
+	if err := r.launchOnce(lc, kernel, what, args); err != nil {
+		return err
+	}
+	if q == nil || q.Len() == 0 {
+		return nil
+	}
+	n := q.Len()
+	q.Rerun(true)
+	err := r.launchOnce(r.grid(n*r.d.Config().WarpWidth/r.opts.K), kernel, what+" deferred pass", args)
+	q.Rerun(false)
+	r.deferred += n
+	return err
+}
+
+// launchOnce runs one launch of the current round.
+func (r *Run[R]) launchOnce(lc simt.LaunchConfig, kernel simt.Kernel, what string, args []any) error {
 	stats, err := r.d.LaunchWith(lc, r.Launch, kernel)
 	if err != nil {
 		return fmt.Errorf("gpualgo: %s: %w", fmt.Sprintf(what, args...), err)
@@ -128,6 +159,7 @@ func (r *Run[R]) launch(lc simt.LaunchConfig, kernel simt.Kernel, what string, a
 func (r *Run[R]) absorb(res *Result) {
 	r.pending = append(r.pending, &res.Stats)
 	r.launches += res.Launches
+	r.deferred += res.Deferred
 }
 
 // grid is the run's launch shape for numTasks tasks.

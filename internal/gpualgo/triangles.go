@@ -37,7 +37,10 @@ func TriangleCount(d *simt.Device, g *graph.CSR, opts Options) (*TriangleResult,
 // uploads g once the preconditions hold): a single launch.
 func newTriangleRun(d *simt.Device, g *graph.CSR, dg *DeviceGraph, opts Options) (*Run[*TriangleResult], error) {
 	res := &TriangleResult{}
-	r, err := newRun[*TriangleResult](d, &res.Result, &opts)
+	// The kernel calls Row on each neighbor's row, not only on its task's,
+	// so triangle counting runs without deferral.
+	opts.DeferThreshold = 0
+	r, err := newRun[*TriangleResult](d, &res.Result, &opts, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -70,22 +73,21 @@ func triangleKernel(dg *DeviceGraph, out *simt.BufI32, sched vwarp.Schedule) sim
 	return func(w *simt.WarpCtx) {
 		vwarp.ForEach(w, sched, int32(n), func(ts *vwarp.Tasks) {
 			gn := ts.Groups
-			startU := make([]int32, gn)
-			endU := make([]int32, gn)
-			ts.Row(dg.RowPtr, ts.Task, startU, endU)
+			ts.Row(dg.RowPtr, ts.Task)
+			// The neighbors' Row calls below overwrite ts.Start and ts.End.
+			startU := append([]int32(nil), ts.Start...)
+			endU := append([]int32(nil), ts.End...)
 
 			count := w.VecI32()
 			w.Apply(1, func(lane int) { count[lane] = 0 })
 
 			v := make([]int32, gn)
-			startV := make([]int32, gn)
-			endV := make([]int32, gn)
 			ts.GroupLoop(startU, endU, func(pos []int32) {
 				ts.LoadI32Grouped(dg.Col, pos, v)
 				ts.Mask(func(gi int) bool { return v[gi] > ts.Task[gi] }, func() {
-					ts.Row(dg.RowPtr, v, startV, endV)
+					ts.Row(dg.RowPtr, v)
 					wv := w.VecI32()
-					ts.SIMDRange(startV, endV, func(j []int32) {
+					ts.SIMDRange(ts.Start, ts.End, func(j []int32) {
 						w.LoadI32(dg.Col, j, wv)
 						w.If(func(lane int) bool { return wv[lane] > v[ts.Group(lane)] }, func() {
 							found := binarySearchLanes(ts, dg.Col, startU, endU, wv)

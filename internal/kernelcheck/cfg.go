@@ -6,8 +6,8 @@
 //
 //   - plain Go control flow (if/for/range/switch/return/break/continue), and
 //   - the simulator's structured warp constructs — WarpCtx.If/IfGrouped/
-//     While, vwarp's Tasks.Mask/SIMDRange/GroupLoop and the ForEach* drivers
-//     — whose "branch targets" are function values.
+//     While, vwarp's Tasks.Mask/SIMDRange/Edges/GroupLoop and the ForEach
+//     driver — whose "branch targets" are function values.
 //
 // Because this repo's kernels follow the set-then-call closure-caching idiom
 // (closures built once, stored in scratch structs, invoked by field name),
@@ -47,10 +47,10 @@ const (
 	// GuardWarpWhile is WarpCtx.While: lanes drop out as their condition
 	// fails — the paper's intra-warp workload-imbalance mechanism.
 	GuardWarpWhile
-	// GuardSIMDRange is Tasks.SIMDRange/GroupLoop: a masked lane-strided
-	// loop over per-group [start, end) bounds.
+	// GuardSIMDRange is Tasks.SIMDRange/Edges/GroupLoop: a masked
+	// lane-strided loop over per-group [start, end) bounds.
 	GuardSIMDRange
-	// GuardDriver is a vwarp ForEach* round loop: warps run different round
+	// GuardDriver is the vwarp ForEach round loop: warps run different round
 	// counts (task availability varies per warp), so code under it is
 	// never block-uniform even though no user predicate is involved.
 	GuardDriver
@@ -95,6 +95,9 @@ type Guard struct {
 	Cond ast.Node
 	// Bounds are the trip-count expressions of a SIMDRange/GroupLoop.
 	Bounds []ast.Expr
+	// Rows marks an Edges loop, whose trip count is the row length Row
+	// loaded: per-task data by construction.
+	Rows bool
 	// Loop marks constructs whose body may execute more than once.
 	Loop bool
 	// Class is the condition's taint classification, filled by the taint
@@ -180,6 +183,9 @@ type construct struct {
 	bodies []int
 	// bounds are the indices of trip-count vector args (SIMDRange).
 	bounds []int
+	// rows marks Edges: the bounds are the receiver's row range, and each
+	// round loads the neighbor col[j] before the body runs.
+	rows bool
 	// kind/loop describe the guard to create; guarded=false means the
 	// bodies are inlined straight-line (Apply, SISD, ...).
 	kind    GuardKind
@@ -197,6 +203,7 @@ var constructs = map[string]construct{
 	"Mask":      {pred: 0, bodies: []int{1}, kind: GuardWarpIf, guarded: true},
 	"SIMDRange": {pred: -1, bodies: []int{2}, bounds: []int{0, 1}, kind: GuardSIMDRange, loop: true, guarded: true},
 	"GroupLoop": {pred: -1, bodies: []int{2}, bounds: []int{0, 1}, kind: GuardSIMDRange, loop: true, guarded: true},
+	"Edges":     {pred: -1, bodies: []int{1}, rows: true, kind: GuardSIMDRange, loop: true, guarded: true},
 
 	// Straight-line per-lane/per-group executors: bodies run under the
 	// current mask, no new guard.
@@ -205,11 +212,10 @@ var constructs = map[string]construct{
 	"SISD":            {pred: -1, bodies: []int{1}},
 	"Ballot":          {pred: -1, bodies: []int{0}},
 
-	// vwarp drivers: body runs in a round loop whose trip count varies per
-	// warp. The guard is "intrinsic": the divergence analyzer does not
+	// The vwarp driver: body runs in a round loop whose trip count varies
+	// per warp. The guard is "intrinsic": the divergence analyzer does not
 	// blame the kernel for it, but barriers under it are real hazards.
-	"ForEach":         {pred: -1, bodies: []int{3}, kind: GuardDriver, loop: true, guarded: true},
-	"ForEachDeferred": {pred: -1, bodies: []int{4}, kind: GuardDriver, loop: true, guarded: true},
+	"ForEach": {pred: -1, bodies: []int{3}, kind: GuardDriver, loop: true, guarded: true},
 }
 
 // memOps maps memory-primitive names to their event shape. idx is the
@@ -242,7 +248,6 @@ var memOps = map[string]memOp{
 	"AtomicAddF32":       {kind: EvAtomic, idx: 1},
 	"AtomicAddGrouped":   {kind: EvAtomic, idx: 1, grouped: true},
 	"AtomicAddSharedI32": {kind: EvAtomic, idx: 1, shared: true},
-	"Defer":              {kind: EvAtomic, idx: 0, grouped: true}, // leaders bump the queue's one count cell
 }
 
 // bindings is the file-wide closure-binding table: "s.body" (and fallback
@@ -730,7 +735,7 @@ func (b *cfgBuilder) walkConstruct(call *ast.CallExpr, name, recv string, c cons
 
 	g := &Guard{
 		Kind: c.kind, Pos: call.Pos(), Desc: recvDot(recv, name),
-		Cond: cond, Loop: c.loop,
+		Cond: cond, Loop: c.loop, Rows: c.rows,
 	}
 	for _, i := range c.bounds {
 		if i < len(call.Args) {
@@ -755,6 +760,15 @@ func (b *cfgBuilder) walkConstruct(call *ast.CallExpr, name, recv string, c cons
 		entry := b.newBlock()
 		b.edge(branch, entry)
 		b.cur = entry
+		if c.rows {
+			// Edges loads the neighbor col[j] before the body; j is the
+			// body's first parameter.
+			var j ast.Expr
+			if ps := fl.Type.Params.List; len(ps) > 0 && len(ps[0].Names) > 0 {
+				j = ps[0].Names[0]
+			}
+			entry.Events = append(entry.Events, Event{Kind: EvLoad, Call: call, Name: name, Recv: recv, Idx: j})
+		}
 		b.inline(fl)
 		if c.loop {
 			b.edge(b.cur, entry) // back edge: body may repeat

@@ -8,11 +8,11 @@
 //   - Stride: uniform < unit < strided < irregular. Uniform values are
 //     identical on every lane (host scalars, ConstI32, Ballot results).
 //     Unit values are affine in the lane id with step 1 (LaneIDs,
-//     GlobalThreadIDs, a SIMDRange position vector): consecutive lanes
-//     touch consecutive addresses — the coalesced case. Strided values are
-//     lane-derived with a non-unit step (lane*K, lane+lane). Irregular
-//     values came from memory (per-lane loads, atomics' old values,
-//     reductions): the paper's uncoalesced/divergent case.
+//     GlobalThreadIDs, a SIMDRange or Edges position vector): consecutive
+//     lanes touch consecutive addresses — the coalesced case. Strided
+//     values are lane-derived with a non-unit step (lane*K, lane+lane).
+//     Irregular values came from memory (per-lane loads, atomics' old
+//     values, reductions): the paper's uncoalesced/divergent case.
 //   - Data: whether the value was derived from loaded data (as opposed to
 //     pure lane-id arithmetic). A branch on a lane-id-only value is the
 //     bounded structural divergence of a leader idiom; a branch on data is
@@ -100,14 +100,16 @@ var dataCalls = map[string]bool{
 	"CopyI32": true,
 }
 
-// outParam describes a primitive that writes a result through an argument.
+// outParam describes a primitive that writes a result through an argument
+// or into fields of its receiver.
 type outParam struct {
 	// idx is the index-vector argument governing the result's class, -1
 	// when the output is unconditionally irregular data.
 	idx int
-	// out is the output argument position; out2 is a second one (Row's
-	// end), 0 when there is none.
-	out, out2 int
+	// out is the output argument position, -1 when there is none.
+	out int
+	// fields are receiver fields the primitive writes (Row's Start, End).
+	fields []string
 }
 
 var outParams = map[string]outParam{
@@ -115,7 +117,7 @@ var outParams = map[string]outParam{
 	"LoadF32":           {idx: 1, out: 2},
 	"LoadI32Replicated": {idx: 2, out: 3},
 	"LoadI32Grouped":    {idx: 1, out: 2},
-	"Row":               {idx: 1, out: 2, out2: 3},
+	"Row":               {idx: 1, out: -1, fields: []string{"Start", "End"}},
 	"LoadF32Grouped":    {idx: 1, out: 2},
 	"LoadSharedI32":     {idx: 1, out: 2},
 
@@ -140,9 +142,8 @@ var outParams = map[string]outParam{
 var laneClosureMethods = map[string]bool{
 	"If": true, "IfGrouped": true, "While": true, "Ballot": true,
 	"Apply": true, "ApplyReplicated": true,
-	"Mask": true, "SISD": true, "SIMDRange": true, "GroupLoop": true,
+	"Mask": true, "SISD": true, "SIMDRange": true, "Edges": true, "GroupLoop": true,
 	"StoreI32Grouped": true, "StoreF32Grouped": true, "AtomicAddGrouped": true,
-	"Defer": true,
 }
 
 // Taint is the fixpoint result for one file.
@@ -206,7 +207,8 @@ func (t *Taint) raise(k string, cls class) bool {
 	return false
 }
 
-// seed marks lane-closure parameters and Tasks fields.
+// seed marks lane-closure parameters and Tasks fields. An Edges body's
+// second parameter is the loaded neighbor vector: irregular data.
 func (t *Taint) seed(file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -222,6 +224,7 @@ func (t *Taint) seed(file *ast.File) {
 			if !ok || fl.Type.Params == nil {
 				continue
 			}
+			pos := 0
 			for _, f := range fl.Type.Params.List {
 				for _, nm := range f.Names {
 					switch tp := f.Type.(type) {
@@ -230,10 +233,16 @@ func (t *Taint) seed(file *ast.File) {
 							t.raise(nm.Name, clsLane)
 						}
 					case *ast.ArrayType:
-						// SIMDRange/GroupLoop position vectors.
-						t.raise(nm.Name, clsLane)
+						// SIMDRange/Edges/GroupLoop position vectors, and
+						// Edges' neighbors.
+						cls := clsLane
+						if name == "Edges" && pos == 1 {
+							cls = clsIrregular
+						}
+						t.raise(nm.Name, cls)
 						_ = tp
 					}
+					pos++
 				}
 			}
 		}
@@ -273,7 +282,7 @@ func (t *Taint) sweep(file *ast.File) bool {
 				changed = true
 			}
 		case *ast.CallExpr:
-			name, _ := calleeName(n)
+			name, recv := calleeName(n)
 			op, ok := outParams[name]
 			if !ok || op.out >= len(n.Args) {
 				return true
@@ -286,11 +295,13 @@ func (t *Taint) sweep(file *ast.File) bool {
 					outCls = clsUniform
 				}
 			}
-			if t.raise(taintKey(n.Args[op.out]), outCls) {
+			if op.out >= 0 && t.raise(taintKey(n.Args[op.out]), outCls) {
 				changed = true
 			}
-			if op.out2 > 0 && op.out2 < len(n.Args) && t.raise(taintKey(n.Args[op.out2]), outCls) {
-				changed = true
+			for _, f := range op.fields {
+				if t.raise(recv+"."+f, outCls) {
+					changed = true
+				}
 			}
 		}
 		return true
@@ -429,9 +440,9 @@ func (t *Taint) ClassifyPred(cond ast.Node) PredClass {
 // ClassifyGuard resolves a guard's Class: predicate class for predicated
 // constructs, bound class for counted loops (a loop whose trip count is
 // lane/data-dependent runs different counts per lane — divergence), and
-// PredData for drivers.
+// PredData for drivers and Edges loops.
 func (t *Taint) ClassifyGuard(g *Guard) PredClass {
-	if g.Kind == GuardDriver {
+	if g.Kind == GuardDriver || g.Rows {
 		return PredData
 	}
 	cls := t.ClassifyPred(g.Cond)

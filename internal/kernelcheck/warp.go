@@ -242,7 +242,7 @@ func analyzeCFG(fset *token.FileSet, c *CFG, tt *Taint) *cfgReport {
 			if g.Class == PredData {
 				divData = true
 				add(g.Pos, "divergence",
-					"%s predicate depends on per-lane data: lanes diverge inside the warp; consider deferring outlier lanes (vwarp.ForEachDeferred / Options.DeferThreshold) or regrouping the work", g.Desc)
+					"%s predicate depends on per-lane data: lanes diverge inside the warp; consider deferring outlier tasks (Options.DeferThreshold) or regrouping the work", g.Desc)
 			} else if g.Class == PredLaneID {
 				divLane = true
 			}

@@ -25,12 +25,15 @@ import (
 //     run allocates, so a buffer missing from its State keeps its flipped
 //     bit and changes the answer.
 //
-// Entries with fewer launches than a plan's period see no fault under it;
-// each plan must still fault some entry. Execute without a graph must
-// return an error, not panic.
+// Every plan runs twice: without deferral, and with DeferThreshold 16,
+// where a fault in a deferred pass must retry its whole round, the queue's
+// buffers must be in State and the deferred count must match too. Entries
+// with fewer launches than a plan's period see no fault under it; each plan
+// must still fault some entry under both options, and some entry must
+// defer. Execute without a graph must return an error, not panic.
 func TestEveryEntrySurvivesInjectedFaults(t *testing.T) {
 	g := testGraph(t)
-	opts := gpualgo.Options{K: 8}
+	optSets := []gpualgo.Options{{K: 8}, {K: 8, DeferThreshold: 16}}
 	pol := Policy{MaxRetries: 8, NoFallback: true, Sleep: func(time.Duration) {}}
 	type plan struct {
 		name string
@@ -47,6 +50,7 @@ func TestEveryEntrySurvivesInjectedFaults(t *testing.T) {
 		plans = append(plans, plan{fmt.Sprintf("first-launch-bit-flip-seed-%d", seed), simt.FaultPlan{Seed: seed, BitFlipEvery: 1, MaxFaults: 1}})
 	}
 	retries := make(map[string]int)
+	deferred := 0
 	for _, a := range gpualgo.Algorithms() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
@@ -59,40 +63,50 @@ func TestEveryEntrySurvivesInjectedFaults(t *testing.T) {
 				BCSources: []graph.VertexID{0, 1}, MSBFSSources: []graph.VertexID{0, 1},
 				Iterations: 5, CoreK: 2, Seed: 42, Samples: 2,
 			}
-			if _, _, err := Execute(newTestDevice(t), &a, gpualgo.Input{}, opts, pol); err == nil {
+			if _, _, err := Execute(newTestDevice(t), &a, gpualgo.Input{}, optSets[0], pol); err == nil {
 				t.Fatal("Execute ran without a graph")
 			}
-			want, err := a.Run(newTestDevice(t), in, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range plans {
-				d := newTestDevice(t)
-				plan := p.plan
-				d.SetFaultPlan(&plan)
-				got, out, err := Execute(d, &a, in, opts, pol)
+			for _, opts := range optSets {
+				want, err := a.Run(newTestDevice(t), in, opts)
 				if err != nil {
-					t.Fatalf("%s: %v", p.name, err)
+					t.Fatal(err)
 				}
-				retries[p.name] += out.Retries
-				if p.plan.MaxFaults == 1 && out.Retries != 1 {
-					t.Errorf("%s: %d retries, want 1", p.name, out.Retries)
-				}
-				if !reflect.DeepEqual(got.Value, want.Value) {
-					t.Errorf("%s: answer differs from the fault-free run", p.name)
-				}
-				if !reflect.DeepEqual(got.Stats, want.Stats) {
-					t.Errorf("%s: stats differ from the fault-free run: %d cycles, want %d", p.name, got.Stats.Cycles, want.Stats.Cycles)
-				}
-				if got.Rounds != want.Rounds || got.Note != want.Note {
-					t.Errorf("%s: %d rounds [%s], want %d [%s]", p.name, got.Rounds, got.Note, want.Rounds, want.Note)
+				deferred += want.Deferred
+				for _, p := range plans {
+					name := fmt.Sprintf("%s/defer=%d", p.name, opts.DeferThreshold)
+					d := newTestDevice(t)
+					plan := p.plan
+					d.SetFaultPlan(&plan)
+					got, out, err := Execute(d, &a, in, opts, pol)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					retries[name] += out.Retries
+					if p.plan.MaxFaults == 1 && out.Retries != 1 {
+						t.Errorf("%s: %d retries, want 1", name, out.Retries)
+					}
+					if !reflect.DeepEqual(got.Value, want.Value) {
+						t.Errorf("%s: answer differs from the fault-free run", name)
+					}
+					if !reflect.DeepEqual(got.Stats, want.Stats) {
+						t.Errorf("%s: stats differ from the fault-free run: %d cycles, want %d", name, got.Stats.Cycles, want.Stats.Cycles)
+					}
+					if got.Rounds != want.Rounds || got.Note != want.Note || got.Deferred != want.Deferred {
+						t.Errorf("%s: %d rounds [%s] %d deferred, want %d [%s] %d", name, got.Rounds, got.Note, got.Deferred, want.Rounds, want.Note, want.Deferred)
+					}
 				}
 			}
 		})
 	}
-	for _, p := range plans {
-		if retries[p.name] == 0 {
-			t.Errorf("%s: no entry was faulted; the plan is vacuous", p.name)
+	for _, opts := range optSets {
+		for _, p := range plans {
+			name := fmt.Sprintf("%s/defer=%d", p.name, opts.DeferThreshold)
+			if retries[name] == 0 {
+				t.Errorf("%s: no entry was faulted; the plan is vacuous", name)
+			}
 		}
+	}
+	if deferred == 0 {
+		t.Error("no entry deferred a task under DeferThreshold 16")
 	}
 }

@@ -89,7 +89,7 @@ func TestReduceAddI32Grouped(t *testing.T) {
 
 func TestNewOutlierQueueMinimumCapacity(t *testing.T) {
 	d := testDevice(t)
-	q := NewOutlierQueue(d, "q", 0)
+	q := NewOutlierQueue(d, "q", 0, 1)
 	if q.Items.Len() != 1 {
 		t.Fatalf("zero-capacity queue should clamp to 1, got %d", q.Items.Len())
 	}

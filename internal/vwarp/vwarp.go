@@ -9,7 +9,8 @@
 //     executes the same scalar instruction stream (Tasks.SISD,
 //     Tasks.LoadI32Grouped), paying no divergence but wasting K-1 of every
 //     K lanes; and
-//   - a SIMD phase (Tasks.SIMDRange), where the K lanes cooperatively
+//   - a SIMD phase (Tasks.Edges over the row Tasks.Row loaded, or
+//     Tasks.SIMDRange over any range), where the K lanes cooperatively
 //     stride over the task's data (an adjacency list), so a heavy task is
 //     spread across lanes instead of serializing one lane.
 //
@@ -19,9 +20,10 @@
 //
 // ForEach deals the tasks to virtual warps under a Schedule: K plus a
 // stride, blocked or dynamic dealing mode, the last being the paper's
-// dynamic workload distribution via a global task counter. The package also
-// provides the paper's other auxiliary technique, deferring outliers to a
-// global queue (OutlierQueue) for a follow-up pass at maximum parallelism.
+// dynamic workload distribution via a global task counter. A Schedule may
+// also carry the paper's other auxiliary technique, deferring outliers to a
+// global queue (OutlierQueue): Row queues every task whose row is too long,
+// and a follow-up launch reruns them at maximum parallelism.
 package vwarp
 
 import (
@@ -53,6 +55,9 @@ type Tasks struct {
 	Groups int
 	// Task holds each group's current task id, -1 when idle.
 	Task []int32
+	// Start and End hold each group's row range [Start[g], End[g]) as the
+	// last Row call loaded it.
+	Start, End []int32
 
 	// Scratch vectors, allocated once when the Tasks is built (they must not
 	// come from the register file — that is reclaimed every invocation, but
@@ -66,6 +71,8 @@ type Tasks struct {
 	laneSumF []float32 // float reduction result vector
 	leaders  []bool    // per-lane group-leader marks
 	simdJ    []int32   // SIMDRange per-lane position vector
+	nbr      []int32   // Edges per-lane neighbor vector
+	dealt    []int32   // the ids ForEach dealt this round, for deferral
 	groupPos []int32   // GroupLoop per-group position vector
 	zeroV    []int32   // all-zero constant vector
 	oneV     []int32   // all-one constant vector
@@ -113,6 +120,10 @@ type Tasks struct {
 	simdCondFn         func(lane int) bool
 	simdBodyFn         func()
 
+	edgeCol  *simt.BufI32
+	edgeUser func(j, nbr []int32)
+	edgeFn   func()
+
 	glEnd    []int32
 	glUser   func(pos []int32)
 	glCondFn func(lane int) bool
@@ -123,8 +134,9 @@ type Tasks struct {
 	fcChunkV, fcOld     []int32
 	fcLane0Fn           func(lane int) bool
 	fcFn                func()
-	deferQ              *OutlierQueue
+	outliers            *OutlierQueue // the schedule's, nil when not deferring
 	deferSlot, deferIDs []int32
+	longFn              func(g int) bool
 	deferBodyFn         func()
 	deferFitFn          func(lane int) bool
 	deferStoreFn        func()
@@ -148,6 +160,8 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 		K:         k,
 		Groups:    groups,
 		Task:      make([]int32, groups),
+		Start:     make([]int32, groups),
+		End:       make([]int32, groups),
 		laneIdx:   make([]int32, width),
 		laneVal:   make([]int32, width),
 		laneF32:   make([]float32, width),
@@ -156,6 +170,8 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 		laneSumF:  make([]float32, width),
 		leaders:   make([]bool, width),
 		simdJ:     make([]int32, width),
+		nbr:       make([]int32, width),
+		dealt:     make([]int32, groups),
 		groupPos:  make([]int32, groups),
 		zeroV:     make([]int32, width),
 		oneV:      make([]int32, width),
@@ -179,7 +195,13 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 func (t *Tasks) buildClosures() {
 	w := t.W
 	t.validFn = func(lane int) bool { return t.Valid(t.Group(lane)) }
-	t.runFn = func() { t.runUser(t) }
+	t.runFn = func() {
+		if q := t.outliers; q != nil && q.rerun > 0 {
+			// Task holds queue slots; replace them with the queued ids.
+			t.LoadI32Grouped(q.Items, t.Task, t.Task)
+		}
+		t.runUser(t)
+	}
 	t.maskFn = func(lane int) bool {
 		g := t.Group(lane)
 		return t.Valid(g) && t.maskUser(g)
@@ -231,6 +253,11 @@ func (t *Tasks) buildClosures() {
 		t.simdUser(t.simdJ)
 		w.AddConstI32(t.simdJ, int32(t.K))
 	}
+	t.edgeFn = func() {
+		w.LoadI32(t.edgeCol, t.simdJ, t.nbr)
+		t.edgeUser(t.simdJ, t.nbr)
+		w.AddConstI32(t.simdJ, int32(t.K))
+	}
 	t.glCondFn = func(lane int) bool {
 		g := t.Group(lane)
 		return t.Valid(g) && t.groupPos[g] < t.glEnd[g]
@@ -242,11 +269,12 @@ func (t *Tasks) buildClosures() {
 	}
 	t.fcLane0Fn = func(lane int) bool { return lane == 0 }
 	t.fcFn = func() { w.AtomicAddI32(t.fcCounter, t.zeroV, t.fcChunkV, t.fcOld) }
-	t.deferIDFn = func(lane int) { t.deferIDs[lane] = t.Task[t.Group(lane)] }
-	t.deferFitFn = func(lane int) bool { return t.deferSlot[lane] < int32(t.deferQ.Items.Len()) }
-	t.deferStoreFn = func() { w.StoreI32(t.deferQ.Items, t.deferSlot, t.deferIDs) }
+	t.longFn = func(g int) bool { return t.End[g]-t.Start[g] > t.outliers.Threshold }
+	t.deferIDFn = func(lane int) { t.deferIDs[lane] = t.dealt[t.Group(lane)] }
+	t.deferFitFn = func(lane int) bool { return t.deferSlot[lane] < int32(t.outliers.Items.Len()) }
+	t.deferStoreFn = func() { w.StoreI32(t.outliers.Items, t.deferSlot, t.deferIDs) }
 	t.deferBodyFn = func() {
-		w.AtomicAddI32(t.deferQ.Count, t.zeroV, t.oneV, t.deferSlot)
+		w.AtomicAddI32(t.outliers.Count, t.zeroV, t.oneV, t.deferSlot)
 		w.Apply(1, t.deferIDFn)
 		w.If(t.deferFitFn, t.deferStoreFn, nil)
 	}
@@ -283,14 +311,52 @@ func (t *Tasks) LoadI32Grouped(buf *simt.BufI32, idx, dst []int32) {
 	}
 }
 
-// Row loads each active group's CSR row range: start[g] = rowPtr[idx[g]]
-// and end[g] = rowPtr[idx[g]+1], two replicated loads around one SISD
-// increment — the SISD phase every adjacency kernel opens with.
-func (t *Tasks) Row(rowPtr *simt.BufI32, idx, start, end []int32) {
-	t.LoadI32Grouped(rowPtr, idx, start)
+// Row loads each active group's CSR row range into Start and End:
+// Start[g] = rowPtr[idx[g]] and End[g] = rowPtr[idx[g]+1], two replicated
+// loads around one SISD increment — the SISD phase every adjacency kernel
+// opens with. Under a deferring schedule's main pass, Row then queues every
+// group whose row is longer than the queue's threshold (see OutlierQueue);
+// a queued group is idle (Task -1) for the rest of the body, while a group
+// that finds the queue full stays and runs inline.
+func (t *Tasks) Row(rowPtr *simt.BufI32, idx []int32) {
+	t.LoadI32Grouped(rowPtr, idx, t.Start)
 	t.rowIdx = idx
 	t.SISD(1, t.rowFn)
-	t.LoadI32Grouped(rowPtr, t.rowNext, end)
+	t.LoadI32Grouped(rowPtr, t.rowNext, t.End)
+	if q := t.outliers; q != nil && q.rerun == 0 {
+		t.deferLong()
+	}
+}
+
+// deferLong appends the id ForEach dealt each long-row group to the outlier
+// queue: the group's leader lane claims a slot with one atomic on the count
+// cell and stores the id if the slot fits.
+func (t *Tasks) deferLong() {
+	t.leaderLanes()
+	t.leaderUser = t.longFn
+	t.W.If(t.leaderFn, t.deferBodyFn, nil)
+	for lane, lead := range t.leaders {
+		if lead && t.leaderFn(lane) && t.deferFitFn(lane) {
+			t.Task[t.Group(lane)] = -1
+		}
+	}
+}
+
+// Edges is the SIMD phase over the rows the last Row call loaded: for each
+// active group, the K lanes stride over [Start[g], End[g]), and each round
+// loads the neighbors nbr[lane] = col[j[lane]] before it runs body. Work
+// between Row and Edges (a broadcast, an accumulator fill) keeps its place,
+// and a body may stride the same rows again with a second Edges. It issues
+// SIMDRange's instructions with the neighbor load first in each round and
+// shares SIMDRange's scratch, so neither may run inside the other's body.
+// It keeps its own stride loop because calling body through SIMDRange's
+// body would put one more frame on every warp goroutine's stack, and the
+// extra stack growth cost road CC half again its host time.
+func (t *Tasks) Edges(col *simt.BufI32, body func(j, nbr []int32)) {
+	t.simdStart, t.simdEnd = t.Start, t.End
+	t.edgeCol, t.edgeUser = col, body
+	t.W.Apply(1, t.simdInitFn)
+	t.W.While(t.simdCondFn, t.edgeFn)
 }
 
 // StoreI32Grouped performs the replicated-phase store buf[idx[g]] = val[g]
@@ -458,12 +524,14 @@ func (t *Tasks) leaderLanes() []bool {
 // hot vertices cluster in id space, it concentrates them in few virtual
 // warps. A non-nil Counter selects the paper's dynamic workload
 // distribution: physical warps claim Chunk tasks at a time from Counter[0],
-// which must be zero when the launch starts.
+// which must be zero when the launch starts. A non-nil Outliers defers
+// long rows to that queue (see OutlierQueue and Row).
 type Schedule struct {
-	K       int
-	Blocked bool
-	Counter *simt.BufI32
-	Chunk   int32
+	K        int
+	Blocked  bool
+	Counter  *simt.BufI32
+	Chunk    int32
+	Outliers *OutlierQueue
 }
 
 // ForEach distributes tasks [0, numTasks) over the grid's virtual warps
@@ -471,14 +539,18 @@ type Schedule struct {
 // assignment. Under dynamic distribution one lane of the physical warp
 // atomically advances the counter by Chunk and broadcasts the claimed base
 // index to the warp; the claimed tasks are dealt to the warp's virtual warps
-// round-robin.
+// round-robin. In the rerun pass of s.Outliers, ForEach instead deals the
+// queued tasks, one physical warp each under the stride schedule.
 func ForEach(w *simt.WarpCtx, s Schedule, numTasks int32, body func(t *Tasks)) {
+	if q := s.Outliers; q != nil && q.rerun > 0 {
+		s, numTasks = Schedule{K: w.Width(), Outliers: q}, q.rerun
+	}
 	dynamic := s.Counter != nil
 	if dynamic && s.Chunk < 1 {
 		panic(fmt.Sprintf("vwarp: chunk size %d must be >= 1", s.Chunk))
 	}
 	t := newTasks(w, s.K)
-	t.runUser = body
+	t.runUser, t.outliers = body, s.Outliers
 	groups := int32(t.Groups)
 	totalVW := int32(w.GridThreads()/w.Width()) * groups
 	// Round r hands group g task first + g*gap + r*step while that is below
@@ -518,6 +590,9 @@ func ForEach(w *simt.WarpCtx, s Schedule, numTasks int32, body func(t *Tasks)) {
 			}
 			if !any {
 				break // task ids only grow with r
+			}
+			if t.outliers != nil {
+				copy(t.dealt, t.Task)
 			}
 			w.IfGrouped(t.K, t.validFn, t.runFn, nil)
 		}

@@ -115,10 +115,8 @@ func TestLoadI32Grouped(t *testing.T) {
 			got := make([]int32, ts.Groups)
 			ts.LoadI32Grouped(src, ts.Task, got)
 			ts.StoreI32Grouped(out, ts.Task, got, nil)
-			start := make([]int32, ts.Groups)
-			end := make([]int32, ts.Groups)
-			ts.Row(src, ts.Task, start, end)
-			ts.SISD(1, func(g int) { got[g] = end[g] - start[g] })
+			ts.Row(src, ts.Task)
+			ts.SISD(1, func(g int) { got[g] = ts.End[g] - ts.Start[g] })
 			ts.StoreI32Grouped(rowLen, ts.Task, got, nil)
 		})
 	}
@@ -235,56 +233,66 @@ func TestAtomicAddGroupedOldValues(t *testing.T) {
 }
 
 func TestDeferAndProcessDeferred(t *testing.T) {
+	// Row i has length 1 except the three heavy outliers; col is the
+	// identity, so Edges' neighbor is the edge index itself.
 	d := testDevice(t)
 	const numTasks = 128
-	work := d.AllocI32("work", numTasks) // per-task work amount
-	for i := range work.Data() {
-		work.Data()[i] = 1
+	heavy := map[int]int32{5: 100, 77: 200, 99: 150}
+	rowPtr := make([]int32, numTasks+1)
+	for i := 0; i < numTasks; i++ {
+		ln, ok := heavy[i]
+		if !ok {
+			ln = 1
+		}
+		rowPtr[i+1] = rowPtr[i] + ln
 	}
-	// Heavy outliers.
-	work.Data()[5] = 100
-	work.Data()[77] = 200
-	work.Data()[99] = 150
-	q := NewOutlierQueue(d, "q", numTasks)
-	processed := d.AllocI32("processed", numTasks)
+	m := int(rowPtr[numTasks])
+	ident := make([]int32, m)
+	for i := range ident {
+		ident[i] = int32(i)
+	}
+	rows := d.UploadI32("rows", rowPtr)
+	col := d.UploadI32("col", ident)
+	q := NewOutlierQueue(d, "q", numTasks, 50)
+	width := d.AllocI32("width", numTasks) // the K each task ran at
+	touched := d.AllocI32("touched", m)
 
-	mainPass := func(w *simt.WarpCtx) {
-		ForEach(w, Schedule{K: 4}, numTasks, func(ts *Tasks) {
-			amt := make([]int32, ts.Groups)
-			ts.LoadI32Grouped(work, ts.Task, amt)
-			heavy := func(g int) bool { return amt[g] > 50 }
-			ts.Defer(q, heavy)
-			vals := make([]int32, ts.Groups)
-			ts.SISD(1, func(g int) { vals[g] = 1 })
-			ts.StoreI32Grouped(processed, ts.Task, vals, func(g int) bool { return !heavy(g) })
+	kernel := func(w *simt.WarpCtx) {
+		ForEach(w, Schedule{K: 4, Outliers: q}, numTasks, func(ts *Tasks) {
+			ts.Row(rows, ts.Task)
+			k := make([]int32, ts.Groups)
+			ts.SISD(1, func(g int) { k[g] = int32(ts.K) })
+			ts.StoreI32Grouped(width, ts.Task, k, nil)
+			one := w.ConstI32(1)
+			//kernelcheck:ignore divergence,atomicserial — long rows and per-edge counters are this test's point
+			ts.Edges(col, func(_, nbr []int32) { w.AtomicAddI32(touched, nbr, one, nil) })
 		})
 	}
-	if _, err := d.Launch(simt.Grid1D(numTasks, 64), mainPass); err != nil {
+	if _, err := d.Launch(simt.Grid1D(numTasks, 64), kernel); err != nil {
 		t.Fatal(err)
 	}
 	if q.Len() != 3 {
 		t.Fatalf("deferred %d tasks, want 3", q.Len())
 	}
-	// Read the queue length on the host: Data must not be touched while a
-	// launch is in flight.
-	numDeferred := int32(q.Len())
-	deferredPass := func(w *simt.WarpCtx) {
-		ForEachDeferred(w, w.Width(), q, numDeferred, func(ts *Tasks) {
-			vals := make([]int32, ts.Groups)
-			ts.SISD(1, func(g int) { vals[g] = 2 })
-			ts.StoreI32Grouped(processed, ts.Task, vals, nil)
-		})
-	}
-	if _, err := d.Launch(simt.Grid1D(q.Len()*32, 64), deferredPass); err != nil {
+	// The rerun pass launches the same kernel, one warp per queued task.
+	q.Rerun(true)
+	_, err := d.Launch(simt.Grid1D(q.Len()*32, 64), kernel)
+	q.Rerun(false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range processed.Data() {
-		want := int32(1)
-		if i == 5 || i == 77 || i == 99 {
-			want = 2
+	for i, v := range width.Data() {
+		want := int32(4)
+		if _, ok := heavy[i]; ok {
+			want = 32
 		}
 		if v != want {
-			t.Fatalf("processed[%d] = %d, want %d", i, v, want)
+			t.Fatalf("task %d ran at K=%d, want %d", i, v, want)
+		}
+	}
+	for j, v := range touched.Data() {
+		if v != 1 {
+			t.Fatalf("edge %d touched %d times, want 1", j, v)
 		}
 	}
 	q.Reset()
@@ -363,12 +371,26 @@ func TestGroupHelpers(t *testing.T) {
 }
 
 func TestOutlierQueueSaturation(t *testing.T) {
-	// Capacity 2, 5 outliers: Len clamps to capacity, no crash, no OOB.
+	// Capacity 2, 5 outliers: Len clamps to capacity, and the three tasks
+	// that find the queue full run inline, so every task runs exactly once.
 	d := testDevice(t)
-	q := NewOutlierQueue(d, "q", 2)
+	const numTasks = 5
+	rowPtr := make([]int32, numTasks+1)
+	for i := range rowPtr {
+		rowPtr[i] = int32(4 * i)
+	}
+	rows := d.UploadI32("rows", rowPtr)
+	q := NewOutlierQueue(d, "q", 2, 1)
+	width := d.AllocI32("width", numTasks)
+	runs := d.AllocI32("runs", numTasks)
 	kernel := func(w *simt.WarpCtx) {
-		ForEach(w, Schedule{K: 4}, 5, func(ts *Tasks) {
-			ts.Defer(q, func(g int) bool { return true })
+		ForEach(w, Schedule{K: 4, Outliers: q}, numTasks, func(ts *Tasks) {
+			ts.Row(rows, ts.Task)
+			k := make([]int32, ts.Groups)
+			ones := make([]int32, ts.Groups)
+			ts.SISD(1, func(g int) { k[g], ones[g] = int32(ts.K), 1 })
+			ts.StoreI32Grouped(width, ts.Task, k, nil)
+			ts.AtomicAddGrouped(runs, ts.Task, ones, nil, nil)
 		})
 	}
 	if _, err := d.Launch(simt.Grid1D(64, 64), kernel); err != nil {
@@ -376,5 +398,21 @@ func TestOutlierQueueSaturation(t *testing.T) {
 	}
 	if q.Len() != 2 {
 		t.Fatalf("saturated queue Len = %d, want 2", q.Len())
+	}
+	q.Rerun(true)
+	_, err := d.Launch(simt.Grid1D(q.Len()*32, 64), kernel)
+	q.Rerun(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byK := map[int32]int{}
+	for i, v := range runs.Data() {
+		if v != 1 {
+			t.Fatalf("task %d ran %d times, want 1", i, v)
+		}
+		byK[width.Data()[i]]++
+	}
+	if byK[32] != 2 || byK[4] != 3 {
+		t.Fatalf("tasks by K = %v, want 2 deferred (K=32) and 3 inline (K=4)", byK)
 	}
 }

@@ -13,9 +13,10 @@
 # and exits 1 if any command differs.
 #
 # The list covers every table entry on two presets and both host modes,
-# the dynamic schedule, -inject on the served entries and on `bfs`,
-# sanitize, verify, profile, the dynamic-graph stream and every experiment
-# except E3, whose CPU columns are host wall-clock.
+# the dynamic schedule, -inject on the served entries and on `bfs`, outlier
+# deferral on `bfs` in both host modes, sanitize, verify, profile, the
+# dynamic-graph stream and every experiment except E3, whose CPU columns are
+# host wall-clock.
 set -euo pipefail
 
 rev="${1:?usage: scripts/stdout_diff.sh REV}"
@@ -49,6 +50,9 @@ for s in abort=4,seed=3 bitflip=3,seed=5 loss=3000; do
     cmds+=("algo -name $n -scale 7 -inject $s")
   done
   cmds+=("bfs -scale 7 -inject $s")
+done
+for p in 1 2; do
+  cmds+=("bfs -preset LiveJournal-like -scale 9 -k 4 -defer 16 -parallel $p")
 done
 cmds+=("sanitize -scale 7" "verify -scale 8")
 cmds+=("profile -name bfs -scale 8" "profile -name pagerank -scale 8")
