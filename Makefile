@@ -55,13 +55,16 @@ race:
 	$(GO) test -race ./...
 
 # The scheduler's cross-goroutine tests, ten times under the race detector.
-# A warp's run-ahead queue and segment log are written by its own goroutine
-# and drained by whichever goroutine holds the token next; only the token
-# handoff orders the two, and one pass may not interleave them badly enough
-# to show a race. ReadOnly selects the frozen-buffer tests: loads that run
-# ahead, and writes that fault in every host mode.
+# A warp's run-ahead queue and segment log are written by its own coroutine
+# and drained by whichever warp holds the token next; only the coroutine
+# switches of the token handoff order the two, and one pass may not
+# interleave them badly enough to show a race. ReadOnly selects the
+# frozen-buffer tests: loads that run ahead, and writes that fault in every
+# host mode. Coro and Leak select the tests of the process-wide coroutine
+# pool: reuse across devices, and no coroutine or goroutine left behind by
+# a failed launch.
 racesched:
-	$(GO) test -race -count=10 -run 'Parallel|Abort|Handoff|FastPath|Vec|ReadOnly' ./internal/simt
+	$(GO) test -race -count=10 -run 'Parallel|Abort|Handoff|FastPath|Vec|ReadOnly|Coro|Leak' ./internal/simt
 
 # Benchmark-regression gate, three parts:
 #   - E4 BFS warp-width sweep cycles must stay within ±10% of the committed

@@ -69,7 +69,7 @@ func (c handoffGateCase) handoffs(parallelSMs int) (handoffs, instr int64, err e
 }
 
 // TestHandoffGate pins the simulator's host cost per algorithm: the token
-// handoffs between goroutines one run takes (simt.Device.Handoffs). The
+// handoffs between warp coroutines one run takes (simt.Device.Handoffs). The
 // count is deterministic within a host mode, so unlike wall-clock it can
 // gate. A scheduler change may lower a count, never raise it; when a change
 // lowers one, tighten its ceiling to the new count.

@@ -56,7 +56,7 @@ func ConnectedComponents(d *simt.Device, dg *DeviceGraph, opts Options) (*CCResu
 func ccPropagateKernel(dg *DeviceGraph, labels, changed *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
 		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
-			lbl := make([]int32, ts.Groups)
+			lbl := w.VecI32()[:ts.Groups]
 			ts.LoadI32Grouped(labels, ts.Task, lbl)
 			ts.Row(dg.RowPtr, ts.Task)
 			mine := w.VecI32()

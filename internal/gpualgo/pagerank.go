@@ -171,9 +171,9 @@ func prPullKernel(dgRev *DeviceGraph, contrib, next *simt.BufF32, base float32, 
 				w.LoadF32(contrib, nbr, c)
 				w.AddF32(acc, acc, c)
 			})
-			sums := make([]float32, g)
+			sums := w.VecF32()[:g]
 			ts.ReduceAddF32(acc, sums)
-			vals := make([]float32, g)
+			vals := w.VecF32()[:g]
 			ts.SISD(1, func(gi int) { vals[gi] = base + opts.Damping*sums[gi] })
 			ts.StoreF32Grouped(next, ts.Task, vals, nil)
 		})

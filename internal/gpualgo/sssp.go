@@ -72,7 +72,10 @@ func ssspRelaxKernel(dg *DeviceGraph, dist, changed *simt.BufI32, sched vwarp.Sc
 	return func(w *simt.WarpCtx) {
 		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
-			dv := make([]int32, g)
+			// Registers are not zeroed, and the edge counter below reads
+			// every valid group's slot, also one the load skips.
+			dv := w.VecI32()[:g]
+			clear(dv)
 			ts.LoadI32Grouped(dist, ts.Task, dv)
 			ts.Mask(func(gi int) bool { return dv[gi] < cpualgo.InfDist }, func() {
 				ts.Row(dg.RowPtr, ts.Task)

@@ -7,7 +7,7 @@
 // The determinism story is inherited from the scheduler: each simulated SM's
 // execution (its clock sequence, its instruction stream, its stats shard) is
 // bit-identical across host execution modes, and within one SM exactly one
-// goroutine runs at a time with channel handoffs providing happens-before.
+// warp runs at a time with coroutine switches providing happens-before.
 // So state sharded by SM id needs no synchronization, and any deterministic
 // merge of the shards — ascending SM id for counters, a stable sort for
 // trace events — yields output that is bit-identical across runs and across

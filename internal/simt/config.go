@@ -77,7 +77,7 @@ type Config struct {
 
 	// ParallelSMs selects the host execution mode. In both modes a warp
 	// queues its ALU-class instructions and runs ahead through them, and the
-	// goroutine holding an execution token applies queued instructions in
+	// warp holding an execution token applies queued instructions in
 	// one-step order, picks the successor and hands the token straight to
 	// it only when the successor must run Go code first — no supervisor
 	// round-trip per instruction. 1 runs one scheduling domain over every

@@ -40,16 +40,18 @@ type Device struct {
 	// fields plus Cycles; the per-warp vectors are per-launch only).
 	totals   LaunchStats
 	launches int64
-	// handoffs counts execution-token transfers between goroutines across
+	// handoffs counts changes of the warp holding an execution token across
 	// launches (see domain.handoffs): the simulator's host cost per step.
 	handoffs int64
 
-	// warpPool recycles warp runtimes (goroutine channels plus lane-state
-	// slabs and register files) across launches, so steady-state repeated
-	// launches — the level-synchronous traversal pattern — stop allocating
-	// per-warp state. Launches on a Device serialize (a Device is not safe
-	// for concurrent use), and mid-launch the pool is only touched under the
-	// admission gate, so no locking is needed.
+	// warpPool recycles warp runtimes (lane-state slabs, register files and
+	// segment logs) across launches, so steady-state repeated launches — the
+	// level-synchronous traversal pattern — stop allocating per-warp state.
+	// The coroutines that run warps are pooled process-wide instead (see
+	// coroPool), so a dropped Device strands none. Launches on a Device
+	// serialize (a Device is not safe for concurrent use), and mid-launch
+	// the pool is only touched under the admission gate, so no locking is
+	// needed.
 	warpPool []*warpRT
 }
 
@@ -116,11 +118,11 @@ func (d *Device) Totals() LaunchStats {
 // LaunchCount returns how many launches the device has executed.
 func (d *Device) LaunchCount() int64 { return d.launches }
 
-// Handoffs returns how many times the execution token passed between host
-// goroutines (loop to warp, warp to warp, warp to loop) since the device
-// was created: the simulator's host cost per step. Within one host mode it
-// is deterministic, but it differs between modes, so it is not a
-// LaunchStats field.
+// Handoffs returns how many times an execution token passed to another
+// holder (loop to warp, warp to warp, warp to loop) since the device was
+// created: each is a switch between warp coroutines, the simulator's host
+// cost per step. Within one host mode it is deterministic, but it differs
+// between modes, so it is not a LaunchStats field.
 func (d *Device) Handoffs() int64 { return d.handoffs }
 
 // noteLaunch folds one launch's stats into the device-lifetime totals.

@@ -157,7 +157,7 @@ func IsTransient(err error) bool {
 
 // newFaultOOB builds the typed out-of-bounds fault panicked from inside a
 // kernel and recovered at the launch boundary; location fields are filled in
-// by the recovering warp goroutine.
+// by runWarp when it recovers the panic.
 func newFaultOOB(buffer string, index int64, n int) *KernelFault {
 	return &KernelFault{
 		Kind:   FaultOOB,

@@ -261,7 +261,7 @@ func TestShortLaunchSurvivesUnderLossThreshold(t *testing.T) {
 
 func TestAbortUnwindsBarrierBlockedWarps(t *testing.T) {
 	// Multiple blocks of multiple warps parked at a barrier when the abort
-	// fires: every warp goroutine must unwind cleanly (no deadlock, no
+	// fires: every warp must unwind cleanly (no deadlock, no
 	// escaped panic) and Launch must return the injected error.
 	d := newTestDevice(t)
 	d.SetFaultPlan(&FaultPlan{Seed: 5, AbortEvery: 1})

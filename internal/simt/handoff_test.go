@@ -6,7 +6,7 @@ import (
 )
 
 // TestHandoffsDoNotRise pins the simulator's host cost per step: the number
-// of execution-token transfers between goroutines (loop→warp, warp→warp,
+// of execution-token transfers between coroutines (loop→warp, warp→warp,
 // warp→loop) on successful launches. The ceilings are the counts of the
 // scheduler whose warps run ahead through ALU-class instructions and loads
 // from frozen buffers; one step per instruction cost 2011–2048 on the mixed

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // mixedKernel is a deterministic workload that exercises every cross-SM
@@ -204,7 +202,7 @@ func TestWatchdogClampsTimeoutCycles(t *testing.T) {
 // TestParallelAbortDrainsWarps: a kernel fault under parallel execution must
 // return a typed error and leave no warp or SM goroutines behind.
 func TestParallelAbortDrainsWarps(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutinesNetOfPool()
 	cfg := testConfig()
 	cfg.ParallelSMs = 4
 	d := MustNewDevice(cfg)
@@ -223,13 +221,11 @@ func TestParallelAbortDrainsWarps(t *testing.T) {
 	if !errors.As(err, &kf) {
 		t.Fatalf("err = %v, want *KernelFault", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+	if after := settle(goroutinesNetOfPool, before); after > before {
+		t.Fatalf("goroutines leaked: before=%d after=%d, net of pooled coroutines", before, after)
 	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
+	if n := strandedCoros(); n != 0 {
+		t.Fatalf("%d coroutines stranded outside the pool", n)
 	}
 }
 

@@ -9,12 +9,20 @@ import (
 	"sync/atomic"
 )
 
-// The simulation protocol: every warp runs its kernel on a dedicated
-// goroutine, spawned by the warp's first handoff, so it starts out holding
-// the token instead of parking until its first pick. A scheduling domain is
-// the set of SMs one execution token serves, and within a domain exactly
-// one goroutine holds the token and executes at any moment. The holder is
-// the domain's loop before the first pick, then a warp goroutine.
+// The simulation protocol: a scheduling domain is the set of SMs one
+// execution token serves, and within a domain exactly one warp, or the
+// domain's loop, holds the token and executes at any moment. Every warp
+// runs its kernel on a runtime coroutine (coro.go) that only the domain's
+// loop resumes. A handoff records the successor in domain.next and the
+// holder suspends (or, when its kernel has returned, its coroutine goes
+// free); the loop then resumes the successor. A warp→warp handoff is
+// therefore two direct coroutine switches on one thread, through no run
+// queue, and a sequential launch runs on one OS thread. A coroutine is
+// bound to a warp at the warp's first resume, so the warp starts out
+// holding the token, and goes back to its domain's free list when the
+// kernel returns. At launch end the free lists spill into a process-wide
+// pool shared by every Device, so a warp of a later launch, or of a later
+// device, reuses a parked coroutine whose stack has already grown.
 //
 // Each warp primitive runs its Go code, then reports the instruction as a
 // request (see charge). Two kinds of request are marked ahead. An ALU-class
@@ -26,32 +34,34 @@ import (
 // once. The warp queues an ahead request and keeps running its kernel while
 // its queue has room (queueDepth). Any other request (a load from a
 // mutable buffer, a store, atomic, shared access or barrier), or one that
-// fills the queue, makes the warp yield: its goroutine runs the domain's
-// scheduler, which repeats apply (account and time the picked warp's queue
+// fills the queue, makes the warp yield: it runs the domain's scheduler
+// itself, which repeats apply (account and time the picked warp's queue
 // head), supervise, pick. A queued memory request keeps its coalesced
 // segments in the warp's segment log, so its cache lookup, DRAM
 // transactions and latency are still accounted in apply, in one-step order.
 // While a pick lands on a warp with requests queued, the token holder
 // applies the next one inline. A pick on a warp with an empty queue
-// switches goroutines, because that warp's next step is Go code it has not
+// switches coroutines, because that warp's next step is Go code it has not
 // run yet: its first instruction, a mutable load's data phase, a store, an
 // atomic, a shared access or a barrier. A pick on the yielding warp itself
 // with only ahead requests queued returns to its kernel, which runs ahead
 // again (it is the current pick, and its queue head stays next). So
 // requests apply, and the simulated machine moves, in exactly the order of
 // one step per instruction; only Go code whose outcome cannot depend on
-// other warps runs early. The token returns to the loop only when the
-// domain runs dry. Sanitized launches queue nothing (the sanitizer's hooks
-// run in kernel code), which is one step per instruction.
+// other warps runs early. Besides relaying handoffs, the loop holds the
+// token again only when the domain runs dry. Sanitized launches queue
+// nothing (the sanitizer's hooks run in kernel code), which is one step per
+// instruction.
 //
 // With Config.ParallelSMs == 1 one domain spans every SM and its loop runs
 // on the launching goroutine; each pick takes the SM with the smallest clock
 // (lowest id on ties), the top of a min-heap of the domain's SMs (see
 // domain.heap). The heap replaced a scan of every SM behind a cached
 // runner-up, which fell through to the scan on 85–99.7% of picks. With
-// ParallelSMs > 1 every SM is its own domain (a heap of one) on its own
-// host goroutine and the SMs advance concurrently. Determinism is preserved
-// by construction:
+// ParallelSMs > 1 every SM is its own domain (a heap of one) whose loop
+// runs on its own host goroutine, and the SMs advance concurrently; a warp
+// waiting in the gate below blocks its coroutine, and so only its own
+// domain. Determinism is preserved by construction:
 //
 //   - Plain global-memory stores go to a per-SM write shadow and plain loads
 //     read base-overridden-by-own-shadow (see mem.go), so no plain access
@@ -118,7 +128,7 @@ type request struct {
 // loads.
 const queueDepth = 16
 
-// errAborted is the sentinel panic used to unwind warp goroutines when a
+// errAborted is the sentinel panic used to unwind warps' kernels when a
 // launch is cancelled; it never escapes the package.
 var errAborted = errors.New("simt: launch aborted")
 
@@ -143,8 +153,6 @@ type warpRT struct {
 	done      bool
 	inBarrier bool
 	arrivedAt int64
-	// spawned marks that handOff has started the warp's goroutine.
-	spawned bool
 
 	// q is a ring of the qLen requests, oldest at qHead, whose Go code has
 	// run but which the scheduler has not applied yet. Only the holder of
@@ -156,11 +164,12 @@ type warpRT struct {
 	// is twice the warp width (see reserveSegs).
 	segs []uint64
 
-	// resume hands this warp its domain's execution token.
-	resume chan struct{}
-	ctx    *WarpCtx
-	block  *blockRT
-	sm     *smRT
+	// co is the coroutine running the warp's kernel, bound at its first
+	// resume and unbound once the kernel has returned (see domain.resume).
+	co    *coro
+	ctx   *WarpCtx
+	block *blockRT
+	sm    *smRT
 }
 
 type blockRT struct {
@@ -195,14 +204,14 @@ type smRT struct {
 	// scheduling step.
 	liveWarps int
 
-	// warpFree recycles warp runtimes (channels + lane-state slabs) retired
-	// by this SM; admission reuses them before touching the device-level
-	// pool. Only the goroutine holding this SM's token touches it.
+	// warpFree recycles warp runtimes (lane-state slabs, register files and
+	// segment logs) retired by this SM; admission reuses them before
+	// touching the device-level pool. Only this SM's token holder touches it.
 	warpFree []*warpRT
 
 	// slotHeld marks that this SM currently holds one of the launch's host
-	// worker slots (parallel mode). It is accessed only by the goroutine
-	// holding this SM's token, so it needs no synchronization.
+	// worker slots (parallel mode). It is accessed only by this SM's token
+	// holder, so it needs no synchronization.
 	slotHeld bool
 
 	// dom is the scheduling domain this SM belongs to.
@@ -217,7 +226,7 @@ type smRT struct {
 }
 
 // domain is a scheduling domain: the SMs one execution token serves. Only
-// the token holder touches it, and the channel operations that pass the
+// the token holder touches it, and the coroutine switches that pass the
 // token order those accesses, so it needs no lock.
 type domain struct {
 	// heap holds the domain's SMs that may still have work as a binary
@@ -231,10 +240,14 @@ type domain struct {
 	// with zero resident blocks that cannot admit never can. An SM that
 	// lost its work below the top is never picked before it surfaces.
 	heap []smKey
-	// wake hands the token back to the domain's loop.
-	wake chan struct{}
-	// handoffs counts token transfers between goroutines: loop→warp,
-	// warp→warp and warp→loop.
+	// next is the warp the loop resumes next, set by every handoff; nil
+	// hands the token back to the loop.
+	next *warpRT
+	// free holds the domain's idle coroutines. The loop touches it only
+	// between resumes, while none of the domain's coroutines runs.
+	free []*coro
+	// handoffs counts changes of the running warp: loop→warp, warp→warp and
+	// warp→loop.
 	handoffs int64
 }
 
@@ -435,6 +448,7 @@ func (l *launch) run() (*LaunchStats, error) {
 	}
 	l.mergeMemory()
 	l.reclaimWarps()
+	l.spillCoros()
 	for _, sm := range l.sms {
 		l.stats.addCounters(&sm.stats)
 	}
@@ -518,34 +532,32 @@ func (l *launch) releaseSlot(sm *smRT) {
 // clock is 0, so the id order is already a heap.
 func (d *domain) init(sms []*smRT) {
 	d.heap = make([]smKey, len(sms))
-	d.wake = make(chan struct{})
 	for i, sm := range sms {
 		d.heap[i] = smKey{sm.clock, sm.id, sm}
 		sm.dom = d
 	}
 }
 
-// loop drives one domain: it picks the first runner, hands it the token and
-// parks until the token comes back, which happens only once the domain has
-// nothing left to run (or has unwound after an abort).
+// loop drives one domain: it picks the first runner and hands it the
+// token, then resumes each warp a handoff names until a handoff returns the
+// token, which happens only once the domain has nothing left to run (or has
+// unwound after an abort).
 func (l *launch) loop(d *domain) {
-	for {
-		w := l.drain(l.pick(d), nil)
-		if w == nil {
-			return
-		}
+	if w := l.drain(l.pick(d), nil); w != nil {
 		l.handOff(d, w)
-		<-d.wake
+	}
+	for d.next != nil {
+		d.resume(d.next)
 	}
 }
 
-// yield is run by w's goroutine, the current pick, when w must stop
-// running ahead: its queue is full, its newest request is not ahead, or its
-// segment log has no room for the next memory request's segments.
-// It applies w's queue head and runs the domain's scheduler (drain), then
-// returns once a pick lands on w and w may run on — at once when w picks
-// itself, else after handing the token over and parking. A warp that
-// resumes after an abort unwinds.
+// yield is run by w, the current pick, when w must stop running ahead: its
+// queue is full, its newest request is not ahead, or its segment log has no
+// room for the next memory request's segments. It applies w's queue head
+// and runs the domain's scheduler (drain), then returns once a pick lands
+// on w and w may run on — at once when w picks itself, else after handing
+// the token over and suspending its coroutine until the loop resumes it. A
+// warp that resumes after an abort unwinds.
 func (l *launch) yield(w *warpRT) {
 	sm := w.sm
 	l.apply(sm, w, w.pop())
@@ -559,24 +571,24 @@ func (l *launch) yield(w *warpRT) {
 	}
 	if next != w {
 		l.handOff(sm.dom, next)
-		<-w.resume
+		w.co.suspend()
 	}
 	if l.aborted.Load() {
 		panic(errAborted)
 	}
 }
 
-// drain is the domain's scheduler, run by the token holder — self, a warp
-// goroutine, or nil — after a pick landed on w. While the pick has requests
-// queued it applies the head, supervises and picks again, with no goroutine
-// switch. It returns the first pick whose goroutine must run next: a warp
+// drain is the domain's scheduler, run by the token holder — self, another
+// warp, or nil for the loop — after a pick landed on w. While the pick has
+// requests queued it applies the head, supervises and picks again, with no
+// coroutine switch. It returns the first pick whose kernel must run next: a warp
 // with an empty queue, or self while all of self's queued requests are
 // ahead (it is the current pick and may run ahead again; its head stays
 // queued); nil when the domain has nothing left to run. Only a queue's
 // newest request can be non-ahead (queueing one makes the warp yield until
 // its queue is empty), so the newest request's ahead bit tells the cases
 // apart. After an abort nothing more is applied: a picked warp's queue is
-// discarded, and a warp whose goroutine has exited (its queue ends in
+// discarded, and a warp whose kernel has returned (its queue ends in
 // opDone) is marked done on the spot.
 func (l *launch) drain(w, self *warpRT) *warpRT {
 	for w != nil && w.qLen > 0 {
@@ -635,7 +647,7 @@ func (w *warpRT) compactSegs() {
 }
 
 // finish retires a warp whose kernel returned, faulted or unwound, then
-// passes the token on and lets the goroutine exit. A returned or faulted
+// passes the token on and lets the coroutine go free. A returned or faulted
 // warp queues its opDone behind any requests it still has queued; whoever
 // picks the warp applies them. An unwound warp only marks itself done:
 // nothing an aborted launch reports moves after the abort.
@@ -659,19 +671,11 @@ func (l *launch) unwind(w *warpRT) {
 	w.block.liveWarps--
 }
 
-// handOff passes d's token to w, or back to d's loop when w is nil. The
-// first handoff to a warp starts its goroutine.
+// handOff passes d's token to w, or back to d's loop when w is nil: the
+// loop resumes d.next once the holder has suspended or its kernel returned.
 func (l *launch) handOff(d *domain, w *warpRT) {
 	d.handoffs++
-	switch {
-	case w == nil:
-		d.wake <- struct{}{}
-	case !w.spawned:
-		w.spawned = true
-		go l.runWarp(w)
-	default:
-		w.resume <- struct{}{}
-	}
+	d.next = w
 }
 
 // pick chooses d's next runner: the SM with the smallest (clock, id) among
@@ -870,7 +874,6 @@ func (l *launch) admitBlocks(sm *smRT) {
 			w.block = b
 			w.sm = sm
 			w.ctx.reset(l, w)
-			w.spawned = false
 			b.warps = append(b.warps, w)
 		}
 		b.liveWarps = len(b.warps)
@@ -893,8 +896,8 @@ func (l *launch) admitBlocks(sm *smRT) {
 // takeWarp returns a warp runtime for admission: this SM's own retired warps
 // first, then the device-level pool (accessed only under the admission gate,
 // which is mutually exclusive across SMs), then a fresh allocation. A
-// recycled warp's goroutine has passed the token on for the last time, so
-// its channel is quiescent and safe to reuse.
+// recycled warp's kernel has returned, so its lane state is free to reuse;
+// its next resume binds it a coroutine afresh.
 func (l *launch) takeWarp(sm *smRT) *warpRT {
 	if n := len(sm.warpFree); n > 0 {
 		w := sm.warpFree[n-1]
@@ -907,9 +910,8 @@ func (l *launch) takeWarp(sm *smRT) *warpRT {
 		return w
 	}
 	return &warpRT{
-		resume: make(chan struct{}),
-		segs:   make([]uint64, 0, 2*l.cfg.WarpWidth),
-		ctx:    newWarpCtx(l.cfg.WarpWidth),
+		segs: make([]uint64, 0, 2*l.cfg.WarpWidth),
+		ctx:  newWarpCtx(l.cfg.WarpWidth),
 	}
 }
 
@@ -936,12 +938,12 @@ func (l *launch) reclaimWarps() {
 	}
 }
 
-// runWarp is the warp goroutine body. Any panic escaping the kernel —
+// runWarp runs w's kernel on its coroutine. Any panic escaping the kernel —
 // including the typed *KernelFault panics raised by buffer bounds checks —
 // is recovered here, located (block/warp; the cycle when its opDone
 // applies), and reported through finish so Launch returns it as a typed
-// error. The goroutine starts holding its domain's token and every wake-up
-// is a token handoff, so it holds the token when it finishes.
+// error. The warp starts holding its domain's token and every resume is a
+// token handoff, so it holds the token when it finishes.
 func (l *launch) runWarp(w *warpRT) {
 	defer func() {
 		var err *KernelFault
@@ -1196,8 +1198,8 @@ func (l *launch) retireBlock(sm *smRT, b *blockRT) {
 	sm.warps = live
 	sm.readyKey = keys
 	sm.warpSlotsUsed -= l.warpsPerBlock
-	// Every warp of the block is done and has passed the token on for the
-	// last time, so the runtimes can serve the next admission.
+	// Every warp of the block is done and its kernel has returned, so the
+	// runtimes can serve the next admission.
 	sm.warpFree = append(sm.warpFree, b.warps...)
 }
 

@@ -1,7 +1,6 @@
 package simt
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -500,7 +499,7 @@ func TestKernelPanicBecomesLaunchError(t *testing.T) {
 }
 
 func TestNoGoroutineLeakAfterError(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutinesNetOfPool()
 	d := newTestDevice(t)
 	k := func(w *WarpCtx) {
 		if w.BlockID() == 3 {
@@ -512,13 +511,11 @@ func TestNoGoroutineLeakAfterError(t *testing.T) {
 	if _, err := d.Launch(LaunchConfig{Blocks: 16, ThreadsPerBlock: 64}, k); err == nil {
 		t.Fatal("panic not reported")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+	if after := settle(goroutinesNetOfPool, before); after > before {
+		t.Fatalf("goroutines leaked: before=%d after=%d, net of pooled coroutines", before, after)
 	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
+	if n := strandedCoros(); n != 0 {
+		t.Fatalf("%d coroutines stranded outside the pool", n)
 	}
 }
 

@@ -350,8 +350,8 @@ func (t *Tasks) deferLong() {
 // SIMDRange's instructions with the neighbor load first in each round and
 // shares SIMDRange's scratch, so neither may run inside the other's body.
 // It keeps its own stride loop because calling body through SIMDRange's
-// body would put one more frame on every warp goroutine's stack, and the
-// extra stack growth cost road CC half again its host time.
+// body would put one more frame on every warp's stack, and the extra stack
+// growth cost road CC half again its host time.
 func (t *Tasks) Edges(col *simt.BufI32, body func(j, nbr []int32)) {
 	t.simdStart, t.simdEnd = t.Start, t.End
 	t.edgeCol, t.edgeUser = col, body
