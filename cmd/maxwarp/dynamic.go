@@ -182,7 +182,7 @@ func dynBFS(dev *simt.Device, g *graph.CSR, opts gpualgo.Options, seed uint64, b
 		if err != nil {
 			return nil, err
 		}
-		res, info, err := gpualgo.IncrementalBFS(dev, dl, nil, src, prev, applied, opts)
+		res, info, err := gpualgo.IncrementalBFS(dev, dl, src, prev, applied, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +225,7 @@ func dynSSSP(dev *simt.Device, g *graph.CSR, weights []int32, opts gpualgo.Optio
 		if err != nil {
 			return nil, err
 		}
-		res, info, err := gpualgo.IncrementalSSSP(dev, dl, nil, src, prev, applied, opts)
+		res, info, err := gpualgo.IncrementalSSSP(dev, dl, src, prev, applied, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +271,7 @@ func dynCC(dev *simt.Device, g *graph.CSR, opts gpualgo.Options, seed uint64, ba
 		if err != nil {
 			return nil, err
 		}
-		res, info, err := gpualgo.IncrementalCC(dev, dl, nil, prev, applied, opts)
+		res, info, err := gpualgo.IncrementalCC(dev, dl, prev, applied, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -298,8 +298,8 @@ func dynPageRank(dev *simt.Device, g *graph.CSR, opts gpualgo.Options, seed uint
 		return nil, err
 	}
 	propts := gpualgo.PageRankOptions{Options: opts, Iterations: 100, Tolerance: 1e-6}
-	// Cold start over the unmutated overlay establishes the warm-start state.
-	full, _, err := gpualgo.DeltaPageRank(dev, dl, nil, nil, propts)
+	// A cold start on the unmutated graph establishes the warm-start state.
+	full, _, err := gpualgo.DeltaPageRank(dev, dl, nil, propts)
 	if err != nil {
 		return nil, err
 	}
@@ -307,12 +307,10 @@ func dynPageRank(dev *simt.Device, g *graph.CSR, opts gpualgo.Options, seed uint
 	rng := rand.New(rand.NewSource(int64(seed) + 3))
 	rep := &dynReport{}
 	for b := 0; b < batches; b++ {
-		applied, _, err := dl.Apply(randomBatch(rng, dl, size, delFrac, false, false))
-		if err != nil {
+		if _, _, err := dl.Apply(randomBatch(rng, dl, size, delFrac, false, false)); err != nil {
 			return nil, err
 		}
-		_ = applied
-		res, info, err := gpualgo.DeltaPageRank(dev, dl, nil, prev, propts)
+		res, info, err := gpualgo.DeltaPageRank(dev, dl, prev, propts)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +325,7 @@ func dynPageRank(dev *simt.Device, g *graph.CSR, opts gpualgo.Options, seed uint
 		if err != nil {
 			return nil, err
 		}
-		fres, _, err := gpualgo.DeltaPageRank(dev, fdl, nil, nil, propts)
+		fres, _, err := gpualgo.DeltaPageRank(dev, fdl, nil, propts)
 		if err != nil {
 			return nil, err
 		}

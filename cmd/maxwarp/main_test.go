@@ -119,6 +119,20 @@ func TestVerifySubcommand(t *testing.T) {
 	}
 }
 
+// TestDynamicSubcommand streams mutation batches through all four repairs
+// on a small preset, half deletes and insert-only: dynamic fails unless
+// every batch's repaired result matches the CPU oracle on the compacted
+// graph.
+func TestDynamicSubcommand(t *testing.T) {
+	for _, delfrac := range []string{"0.5", "0"} {
+		args := []string{"dynamic", "-preset", "LiveJournal-like", "-scale", "7", "-k", "8",
+			"-batches", "3", "-size", "6", "-delfrac", delfrac}
+		if err := run(args); err != nil {
+			t.Errorf("dynamic -delfrac %s: %v", delfrac, err)
+		}
+	}
+}
+
 func TestGraph500Subcommand(t *testing.T) {
 	if err := run([]string{"graph500", "-scale", "8", "-nbfs", "3", "-k", "16"}); err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ func incDiffCases(src graph.VertexID) []incDiffCase {
 		{
 			name: "bfs",
 			run: func(t *testing.T, label string, d *simt.Device, dl *graph.Delta, prev []int32, applied []graph.AppliedMutation, opts Options) []int32 {
-				res, info, err := IncrementalBFS(d, dl, nil, src, prev, applied, opts)
+				res, info, err := IncrementalBFS(d, dl, src, prev, applied, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -93,7 +93,7 @@ func incDiffCases(src graph.VertexID) []incDiffCase {
 			name:     "sssp",
 			weighted: true,
 			run: func(t *testing.T, label string, d *simt.Device, dl *graph.Delta, prev []int32, applied []graph.AppliedMutation, opts Options) []int32 {
-				res, _, err := IncrementalSSSP(d, dl, nil, src, prev, applied, opts)
+				res, _, err := IncrementalSSSP(d, dl, src, prev, applied, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -107,7 +107,7 @@ func incDiffCases(src graph.VertexID) []incDiffCase {
 			name:      "cc",
 			symmetric: true,
 			run: func(t *testing.T, label string, d *simt.Device, dl *graph.Delta, prev []int32, applied []graph.AppliedMutation, opts Options) []int32 {
-				res, _, err := IncrementalCC(d, dl, nil, prev, applied, opts)
+				res, _, err := IncrementalCC(d, dl, prev, applied, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -250,7 +250,7 @@ func TestDifferentialDeltaPageRank(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Cold start on the unmutated delta = the initial full run.
-				res, _, err := DeltaPageRank(d, dl, nil, nil, popts)
+				res, _, err := DeltaPageRank(d, dl, nil, popts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,7 +263,7 @@ func TestDifferentialDeltaPageRank(t *testing.T) {
 					if _, _, err := dl.Apply(batch); err != nil {
 						t.Fatalf("%s: Apply: %v", label, err)
 					}
-					res, info, err := DeltaPageRank(d, dl, nil, prev, popts)
+					res, info, err := DeltaPageRank(d, dl, prev, popts)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -297,7 +297,7 @@ func TestDifferentialDeltaPageRank(t *testing.T) {
 
 // TestIncrementalSanitized runs one full mutate→repair cycle per algorithm
 // under the kernel sanitizer and requires zero Error-severity diagnostics
-// from the overlay-aware repair kernels.
+// from the repair kernels.
 func TestIncrementalSanitized(t *testing.T) {
 	rm, err := gengraph.RMAT(6, 8, gengraph.DefaultRMAT, 3)
 	if err != nil {
@@ -336,7 +336,7 @@ func TestIncrementalSanitized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := DeltaPageRank(d, dl, nil, nil, PageRankOptions{Options: opts, Iterations: 30})
+		res, _, err := DeltaPageRank(d, dl, nil, PageRankOptions{Options: opts, Iterations: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestIncrementalSanitized(t *testing.T) {
 		if _, _, err := dl.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DeltaPageRank(d, dl, nil, res.Ranks, PageRankOptions{Options: opts, Iterations: 30}); err != nil {
+		if _, _, err := DeltaPageRank(d, dl, res.Ranks, PageRankOptions{Options: opts, Iterations: 30}); err != nil {
 			t.Fatal(err)
 		}
 		if errs := s.Errors(); len(errs) != 0 {

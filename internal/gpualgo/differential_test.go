@@ -290,8 +290,8 @@ func TestSanitizerKernelSweep(t *testing.T) {
 		}})
 	}
 	algos = append(algos, []sweepRow{
-		// The PR 8 streaming kernels: one mutate→repair cycle per incremental
-		// algorithm, so the overlay-aware repair kernels stay in the sweep.
+		// The streaming kernels: one mutate→repair cycle per incremental
+		// algorithm, so the repair kernels stay in the sweep.
 		{"incbfs", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, src graph.VertexID) error {
 			dl, err := graph.NewDelta(g, nil)
 			if err != nil {
@@ -302,7 +302,7 @@ func TestSanitizerKernelSweep(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, _, err = IncrementalBFS(d, dl, nil, src, prev, applied, opts)
+			_, _, err = IncrementalBFS(d, dl, src, prev, applied, opts)
 			return err
 		}},
 		{"incsssp", func(t *testing.T, d *simt.Device, g *graph.CSR, weights []int32, src graph.VertexID) error {
@@ -315,7 +315,7 @@ func TestSanitizerKernelSweep(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, _, err = IncrementalSSSP(d, dl, nil, src, prev, applied, opts)
+			_, _, err = IncrementalSSSP(d, dl, src, prev, applied, opts)
 			return err
 		}},
 		{"inccc", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
@@ -332,7 +332,7 @@ func TestSanitizerKernelSweep(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, _, err = IncrementalCC(d, dl, nil, prev, applied, opts)
+			_, _, err = IncrementalCC(d, dl, prev, applied, opts)
 			return err
 		}},
 		{"deltapagerank", func(t *testing.T, d *simt.Device, g *graph.CSR, _ []int32, _ graph.VertexID) error {
@@ -341,14 +341,14 @@ func TestSanitizerKernelSweep(t *testing.T) {
 				return err
 			}
 			popts := PageRankOptions{Options: opts, Iterations: 30}
-			res, _, err := DeltaPageRank(d, dl, nil, nil, popts)
+			res, _, err := DeltaPageRank(d, dl, nil, popts)
 			if err != nil {
 				return err
 			}
 			if _, _, err := dl.Apply(randomMutationBatch(rand.New(rand.NewSource(7)), dl, 10, false)); err != nil {
 				return err
 			}
-			_, _, err = DeltaPageRank(d, dl, nil, res.Ranks, popts)
+			_, _, err = DeltaPageRank(d, dl, res.Ranks, popts)
 			return err
 		}},
 	}...)

@@ -62,7 +62,7 @@ func TestMetamorphicInsertThenDeleteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mid, _, err := IncrementalBFS(d, dl, nil, src, prev, applied1, Options{K: 8})
+			mid, _, err := IncrementalBFS(d, dl, src, prev, applied1, Options{K: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestMetamorphicInsertThenDeleteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, _, err := IncrementalBFS(d, dl, nil, src, mid.Levels, applied2, Options{K: 8})
+			back, _, err := IncrementalBFS(d, dl, src, mid.Levels, applied2, Options{K: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestMetamorphicCompactionTransparency(t *testing.T) {
 			// Repair on the overlay vs repair after Rebase: same result.
 			prev := cpualgo.BFSSequential(gr.g, src)
 			d := parallelDevice(t, 0)
-			resOverlay, _, err := IncrementalBFS(d, dlA, nil, src, prev, appliedA, Options{K: 8})
+			resOverlay, _, err := IncrementalBFS(d, dlA, src, prev, appliedA, Options{K: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestMetamorphicCompactionTransparency(t *testing.T) {
 			if dlA.Rebases() != 1 {
 				t.Errorf("Rebases = %d, want 1", dlA.Rebases())
 			}
-			resRebased, _, err := IncrementalBFS(d, dlA, nil, src, prev, appliedA, Options{K: 8})
+			resRebased, _, err := IncrementalBFS(d, dlA, src, prev, appliedA, Options{K: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,11 +229,11 @@ func TestMetamorphicIncrementalRelabelInvariance(t *testing.T) {
 					t.Fatalf("effective changes differ under relabeling: %d vs %d", len(applied), len(rapplied))
 				}
 				prev := cpualgo.BFSSequential(gr, src)
-				res, _, err := IncrementalBFS(d, dl, nil, src, prev, applied, opts)
+				res, _, err := IncrementalBFS(d, dl, src, prev, applied, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rres, _, err := IncrementalBFS(d, rdl, nil, p[src], permuteI32(prev, p), rapplied, opts)
+				rres, _, err := IncrementalBFS(d, rdl, p[src], permuteI32(prev, p), rapplied, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -277,11 +277,11 @@ func TestMetamorphicIncrementalRelabelInvariance(t *testing.T) {
 					t.Fatalf("effective changes differ under relabeling: %d vs %d", len(applied), len(rapplied))
 				}
 				prev := cpualgo.SSSPDijkstra(gr, w, src)
-				res, _, err := IncrementalSSSP(d, dl, nil, src, prev, applied, opts)
+				res, _, err := IncrementalSSSP(d, dl, src, prev, applied, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rres, _, err := IncrementalSSSP(d, rdl, nil, p[src], permuteI32(prev, p), rapplied, opts)
+				rres, _, err := IncrementalSSSP(d, rdl, p[src], permuteI32(prev, p), rapplied, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -308,11 +308,11 @@ func TestMetamorphicIncrementalRelabelInvariance(t *testing.T) {
 					t.Fatal(err)
 				}
 				prev := cpualgo.ConnectedComponents(sym)
-				res, _, err := IncrementalCC(d, dl, nil, prev, applied, opts)
+				res, _, err := IncrementalCC(d, dl, prev, applied, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rres, _, err := IncrementalCC(d, rdl, nil, permuteCCLabels(prev, p), rapplied, opts)
+				rres, _, err := IncrementalCC(d, rdl, permuteCCLabels(prev, p), rapplied, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

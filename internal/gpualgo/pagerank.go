@@ -36,6 +36,13 @@ type PageRankOptions struct {
 // one power iteration (contribution kernel then pull kernel); the rank/next
 // swap happens only after both launches succeed.
 func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*Run[*PageRankResult], error) {
+	return newPageRankRun(d, g, opts, nil, 0)
+}
+
+// newPageRankRun is NewPageRankRun started from the ranks init (nil starts
+// every rank at 1/n) and, when tol > 0, done as soon as an iteration moves
+// the ranks by less than tol in L1 norm.
+func newPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions, init []float32, tol float32) (*Run[*PageRankResult], error) {
 	res := &PageRankResult{}
 	r, err := newRun[*PageRankResult](d, &res.Result, &opts.Options, g.NumVertices())
 	if err != nil {
@@ -62,6 +69,9 @@ func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*Run[*P
 		r.done = true
 		return r, nil
 	}
+	if init != nil && len(init) != n {
+		return nil, fmt.Errorf("gpualgo: %d initial ranks for %d vertices", len(init), n)
+	}
 	dgRev := r.graph(Upload(d, g.Reverse()))
 	outDeg := make([]int32, n)
 	for v := 0; v < n; v++ {
@@ -71,7 +81,11 @@ func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*Run[*P
 	rank = r.f32("pr.rank", n)
 	contrib := r.f32("pr.contrib", n)
 	next := r.f32("pr.next", n)
-	rank.Fill(1 / float32(n))
+	if init != nil {
+		copy(rank.Data(), init)
+	} else {
+		rank.Fill(1 / float32(n))
+	}
 	lc := r.grid(n)
 	r.round = func() (bool, error) {
 		iter := res.Iterations
@@ -82,10 +96,24 @@ func NewPageRankRun(d *simt.Device, g *graph.CSR, opts PageRankOptions) (*Run[*P
 		if err := r.launch(lc, prPullKernel(dgRev, contrib, next, base, r.sched, opts), "PageRank pull iter %d", iter); err != nil {
 			return false, err
 		}
+		done := iter+1 >= opts.Iterations || tol > 0 && l1Dist(next.Data(), rank.Data()) < tol
 		rank, next = next, rank
-		return iter+1 >= opts.Iterations, nil
+		return done, nil
 	}
 	return r, nil
+}
+
+// l1Dist returns the L1 distance between a and b.
+func l1Dist(a, b []float32) float32 {
+	var sum float32
+	for i, x := range a {
+		if d := x - b[i]; d < 0 {
+			sum -= d
+		} else {
+			sum += d
+		}
+	}
+	return sum
 }
 
 // prBase is the rank every vertex starts an iteration's pull from: the

@@ -86,9 +86,7 @@ func triangleKernel(dg *DeviceGraph, out *simt.BufI32, sched vwarp.Schedule) sim
 				ts.LoadI32Grouped(dg.Col, pos, v)
 				ts.Mask(func(gi int) bool { return v[gi] > ts.Task[gi] }, func() {
 					ts.Row(dg.RowPtr, v)
-					wv := w.VecI32()
-					ts.SIMDRange(ts.Start, ts.End, func(j []int32) {
-						w.LoadI32(dg.Col, j, wv)
+					ts.Edges(dg.Col, func(_, wv []int32) {
 						w.If(func(lane int) bool { return wv[lane] > v[ts.Group(lane)] }, func() {
 							found := binarySearchLanes(ts, dg.Col, startU, endU, wv)
 							w.Apply(1, func(lane int) {

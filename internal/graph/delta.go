@@ -46,10 +46,9 @@ type extEdge struct {
 // Delta is a batched-mutation overlay over a frozen CSR: edge deletions are
 // marks over the base edge array, edge insertions live in per-vertex
 // extension adjacency lists, and Compact folds both back into a fresh
-// canonical CSR. The overlay keeps the base arrays immutable, so device
-// uploads of the base stay valid across batches and incremental algorithms
-// can iterate "live" neighbors as (base minus deletion marks) plus
-// extension.
+// canonical CSR. Incremental algorithms iterate "live" neighbors on the
+// host as (base minus deletion marks) plus extension, and run their device
+// kernels on the compacted graph.
 //
 // The delta maintains a simple directed graph view: inserting an edge that
 // is already live is a no-op, deleting an absent edge is a no-op, and
@@ -164,22 +163,8 @@ func (d *Delta) PendingOps() int { return d.delEdges + d.extEdges }
 // Base returns the frozen base CSR. Callers must not mutate it.
 func (d *Delta) Base() *CSR { return d.base }
 
-// BaseWeights returns the base per-edge weights (nil for unweighted).
-func (d *Delta) BaseWeights() []int32 { return d.baseW }
-
 // Weighted reports whether the delta carries edge weights.
 func (d *Delta) Weighted() bool { return d.baseW != nil }
-
-// DelMarks returns the deletion-mark array indexed like base.Col. Callers
-// must not mutate it.
-func (d *Delta) DelMarks() []bool { return d.del }
-
-// ReverseBase returns the transpose of the base. Callers must not mutate it.
-func (d *Delta) ReverseBase() *CSR { return d.revBase }
-
-// ReverseToForward maps each reverse-base edge position to its forward
-// position (for sharing deletion marks). Callers must not mutate it.
-func (d *Delta) ReverseToForward() []int32 { return d.rev2fwd }
 
 // basePos returns the base.Col position of live edge (u,v), or -1.
 func (d *Delta) basePos(u, v VertexID) int32 {
@@ -237,16 +222,6 @@ func (d *Delta) LiveOutDegree(v VertexID) int32 {
 	return d.base.Degree(v) - d.delByVertex[v] + int32(len(d.ext[v]))
 }
 
-// LiveOutDegrees materializes every vertex's live out-degree.
-func (d *Delta) LiveOutDegrees() []int32 {
-	n := d.NumVertices()
-	out := make([]int32, n)
-	for v := 0; v < n; v++ {
-		out[v] = d.LiveOutDegree(VertexID(v))
-	}
-	return out
-}
-
 // OutNeighborsLive calls f for every live out-neighbor of u (base order
 // first, then insertion order); returning false stops early. w is the edge
 // weight (1 for unweighted deltas).
@@ -291,37 +266,6 @@ func (d *Delta) InNeighborsLive(v VertexID, f func(u VertexID, w int32) bool) {
 			return
 		}
 	}
-}
-
-// ExtCSR materializes the forward extension adjacency as a CSR (plus
-// weights), for device upload. O(extension edges + V).
-func (d *Delta) ExtCSR() (*CSR, []int32) {
-	return packExt(d.ext)
-}
-
-// ReverseExtCSR materializes the reverse extension adjacency as a CSR (plus
-// weights), for pull-style device kernels.
-func (d *Delta) ReverseExtCSR() (*CSR, []int32) {
-	return packExt(d.revExt)
-}
-
-func packExt(ext [][]extEdge) (*CSR, []int32) {
-	n := len(ext)
-	rowPtr := make([]int32, n+1)
-	total := 0
-	for v := 0; v < n; v++ {
-		total += len(ext[v])
-		rowPtr[v+1] = int32(total)
-	}
-	col := make([]VertexID, 0, total)
-	w := make([]int32, 0, total)
-	for v := 0; v < n; v++ {
-		for _, e := range ext[v] {
-			col = append(col, e.dst)
-			w = append(w, e.w)
-		}
-	}
-	return &CSR{RowPtr: rowPtr, Col: col}, w
 }
 
 // Apply applies one mutation batch in order and bumps the epoch. Mutations

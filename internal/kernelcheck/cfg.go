@@ -6,8 +6,8 @@
 //
 //   - plain Go control flow (if/for/range/switch/return/break/continue), and
 //   - the simulator's structured warp constructs — WarpCtx.If/IfGrouped/
-//     While, vwarp's Tasks.Mask/SIMDRange/Edges/GroupLoop and the ForEach
-//     driver — whose "branch targets" are function values.
+//     While, vwarp's Tasks.Mask/Edges/GroupLoop and the ForEach driver —
+//     whose "branch targets" are function values.
 //
 // Because this repo's kernels follow the set-then-call closure-caching idiom
 // (closures built once, stored in scratch structs, invoked by field name),
@@ -47,9 +47,10 @@ const (
 	// GuardWarpWhile is WarpCtx.While: lanes drop out as their condition
 	// fails — the paper's intra-warp workload-imbalance mechanism.
 	GuardWarpWhile
-	// GuardSIMDRange is Tasks.SIMDRange/Edges/GroupLoop: a masked
-	// lane-strided loop over per-group [start, end) bounds.
-	GuardSIMDRange
+	// GuardRange is Tasks.Edges/GroupLoop: a masked loop over per-group
+	// [start, end) bounds, lane-strided (Edges) or one position per group
+	// (GroupLoop).
+	GuardRange
 	// GuardDriver is the vwarp ForEach round loop: warps run different round
 	// counts (task availability varies per warp), so code under it is
 	// never block-uniform even though no user predicate is involved.
@@ -88,12 +89,12 @@ type Guard struct {
 	Kind GuardKind
 	// Pos is the construct's source position (the call or the if/for token).
 	Pos token.Pos
-	// Desc names the construct for messages: "w.If", "ts.SIMDRange", "if"...
+	// Desc names the construct for messages: "w.If", "ts.Edges", "if"...
 	Desc string
 	// Cond is the predicate closure (warp constructs) or condition
 	// expression (Go constructs); nil for drivers and condition-less loops.
 	Cond ast.Node
-	// Bounds are the trip-count expressions of a SIMDRange/GroupLoop.
+	// Bounds are the trip-count expressions of a GroupLoop.
 	Bounds []ast.Expr
 	// Rows marks an Edges loop, whose trip count is the row length Row
 	// loaded: per-task data by construction.
@@ -181,7 +182,7 @@ type construct struct {
 	pred int
 	// bodies are the indices of body closure args.
 	bodies []int
-	// bounds are the indices of trip-count vector args (SIMDRange).
+	// bounds are the indices of trip-count vector args (GroupLoop).
 	bounds []int
 	// rows marks Edges: the bounds are the receiver's row range, and each
 	// round loads the neighbor col[j] before the body runs.
@@ -201,9 +202,8 @@ var constructs = map[string]construct{
 	"IfGrouped": {pred: 1, bodies: []int{2, 3}, kind: GuardWarpIf, guarded: true},
 	"While":     {pred: 0, bodies: []int{1}, kind: GuardWarpWhile, loop: true, guarded: true},
 	"Mask":      {pred: 0, bodies: []int{1}, kind: GuardWarpIf, guarded: true},
-	"SIMDRange": {pred: -1, bodies: []int{2}, bounds: []int{0, 1}, kind: GuardSIMDRange, loop: true, guarded: true},
-	"GroupLoop": {pred: -1, bodies: []int{2}, bounds: []int{0, 1}, kind: GuardSIMDRange, loop: true, guarded: true},
-	"Edges":     {pred: -1, bodies: []int{1}, rows: true, kind: GuardSIMDRange, loop: true, guarded: true},
+	"GroupLoop": {pred: -1, bodies: []int{2}, bounds: []int{0, 1}, kind: GuardRange, loop: true, guarded: true},
+	"Edges":     {pred: -1, bodies: []int{1}, rows: true, kind: GuardRange, loop: true, guarded: true},
 
 	// Straight-line per-lane/per-group executors: bodies run under the
 	// current mask, no new guard.
@@ -233,6 +233,7 @@ var memOps = map[string]memOp{
 	"StoreI32":          {kind: EvStore, idx: 1},
 	"StoreF32":          {kind: EvStore, idx: 1},
 	"LoadI32Replicated": {kind: EvLoad, idx: 2, grouped: true},
+	"LoadF32Replicated": {kind: EvLoad, idx: 2, grouped: true},
 	"LoadI32Grouped":    {kind: EvLoad, idx: 1, grouped: true},
 	"Row":               {kind: EvLoad, idx: 1, grouped: true},
 	"LoadF32Grouped":    {kind: EvLoad, idx: 1, grouped: true},

@@ -8,7 +8,7 @@
 //   - Stride: uniform < unit < strided < irregular. Uniform values are
 //     identical on every lane (host scalars, ConstI32, Ballot results).
 //     Unit values are affine in the lane id with step 1 (LaneIDs,
-//     GlobalThreadIDs, a SIMDRange or Edges position vector): consecutive
+//     GlobalThreadIDs, an Edges position vector): consecutive
 //     lanes touch consecutive addresses — the coalesced case. Strided
 //     values are lane-derived with a non-unit step (lane*K, lane+lane).
 //     Irregular values came from memory (per-lane loads, atomics' old
@@ -116,6 +116,7 @@ var outParams = map[string]outParam{
 	"LoadI32":           {idx: 1, out: 2},
 	"LoadF32":           {idx: 1, out: 2},
 	"LoadI32Replicated": {idx: 2, out: 3},
+	"LoadF32Replicated": {idx: 2, out: 3},
 	"LoadI32Grouped":    {idx: 1, out: 2},
 	"Row":               {idx: 1, out: -1, fields: []string{"Start", "End"}},
 	"LoadF32Grouped":    {idx: 1, out: 2},
@@ -142,7 +143,7 @@ var outParams = map[string]outParam{
 var laneClosureMethods = map[string]bool{
 	"If": true, "IfGrouped": true, "While": true, "Ballot": true,
 	"Apply": true, "ApplyReplicated": true,
-	"Mask": true, "SISD": true, "SIMDRange": true, "Edges": true, "GroupLoop": true,
+	"Mask": true, "SISD": true, "Edges": true, "GroupLoop": true,
 	"StoreI32Grouped": true, "StoreF32Grouped": true, "AtomicAddGrouped": true,
 }
 
@@ -233,7 +234,7 @@ func (t *Taint) seed(file *ast.File) {
 							t.raise(nm.Name, clsLane)
 						}
 					case *ast.ArrayType:
-						// SIMDRange/Edges/GroupLoop position vectors, and
+						// Edges/GroupLoop position vectors, and
 						// Edges' neighbors.
 						cls := clsLane
 						if name == "Edges" && pos == 1 {

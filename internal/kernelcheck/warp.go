@@ -254,7 +254,7 @@ func analyzeCFG(fset *token.FileSet, c *CFG, tt *Taint) *cfgReport {
 			} else if g.Class == PredLaneID {
 				divLane = true
 			}
-		case GuardSIMDRange:
+		case GuardRange:
 			if g.Class == PredData {
 				divData, loopsImb = true, true
 				add(g.Pos, "divergence",
@@ -372,7 +372,7 @@ func divergentController(b *Block, deps [][]*Block) *Guard {
 			continue
 		}
 		switch g.Kind {
-		case GuardWarpIf, GuardWarpWhile, GuardSIMDRange:
+		case GuardWarpIf, GuardWarpWhile, GuardRange:
 			if g.Class != PredUniform {
 				return g
 			}

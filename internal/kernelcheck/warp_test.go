@@ -101,24 +101,21 @@ func kern(w *WarpCtx, deg *BufI32) {
 }
 
 func TestDivergenceSIMDRangeDegreeBounds(t *testing.T) {
-	// The canonical neighbor-expansion shape: SIMDRange over per-task row
-	// bounds loaded from the CSR — the paper's workload-imbalance case.
+	// The canonical neighbor-expansion shape: Edges over the per-task row
+	// bounds Row loaded from the CSR — the paper's workload-imbalance case.
 	diags := checkWarp(t, `package k
 
-func kern(w *WarpCtx, rowPtr *BufI32) func(ts *Tasks) {
+func kern(w *WarpCtx, rowPtr, col *BufI32) func(ts *Tasks) {
 	return func(ts *Tasks) {
-		start := make([]int32, 4)
-		end := make([]int32, 4)
-		ts.LoadI32Grouped(rowPtr, ts.Task, start)
-		ts.LoadI32Grouped(rowPtr, ts.Task, end)
-		ts.SIMDRange(start, end, func(j []int32) {
-			_ = j
+		ts.Row(rowPtr, ts.Task)
+		ts.Edges(col, func(j, nbr []int32) {
+			_ = nbr
 		})
 	}
 }
 `)
 	if countRule(diags, "divergence") != 1 {
-		t.Errorf("want 1 divergence finding for degree-bounded SIMDRange, got %v", diags)
+		t.Errorf("want 1 divergence finding for degree-bounded Edges, got %v", diags)
 	}
 }
 

@@ -829,6 +829,22 @@ func (c *WarpCtx) LoadF32(b *BufF32, idx []int32, dst []float32) {
 	c.sanGlobal(AccessLoad, nil, b, idx, nil, nil)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
 	c.chargeMem(opLoad, addrs, active, active, 0, b.frozen)
+	c.loadF32Data(b, idx, dst)
+}
+
+// LoadF32Replicated is LoadF32 for replicated addresses; see
+// LoadI32Replicated.
+func (c *WarpCtx) LoadF32Replicated(groupWidth int, b *BufF32, idx []int32, dst []float32) {
+	c.checkGroupWidth(groupWidth)
+	c.sanGlobal(AccessLoad, nil, b, idx, nil, nil)
+	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
+	useful := c.activeGroupCount(groupWidth)
+	c.chargeMem(opLoad, addrs, active, useful, 0, b.frozen)
+	c.loadF32Data(b, idx, dst)
+}
+
+// loadF32Data is loadI32Data for float32 buffers.
+func (c *WarpCtx) loadF32Data(b *BufF32, idx []int32, dst []float32) {
 	sh := b.sh[c.w.sm.id]
 	switch {
 	case sh == nil && c.fullMask():

@@ -9,10 +9,9 @@
 //     executes the same scalar instruction stream (Tasks.SISD,
 //     Tasks.LoadI32Grouped), paying no divergence but wasting K-1 of every
 //     K lanes; and
-//   - a SIMD phase (Tasks.Edges over the row Tasks.Row loaded, or
-//     Tasks.SIMDRange over any range), where the K lanes cooperatively
-//     stride over the task's data (an adjacency list), so a heavy task is
-//     spread across lanes instead of serializing one lane.
+//   - a SIMD phase (Tasks.Edges over the row Tasks.Row loaded), where the
+//     K lanes cooperatively stride over the task's adjacency list, so a
+//     heavy task is spread across lanes instead of serializing one lane.
 //
 // K is the trade-off knob: K=1 degenerates to the classic thread-per-task
 // mapping (maximum ALU use, maximum imbalance), K=W is full warp-per-task
@@ -41,10 +40,10 @@ import (
 // reused across rounds, kernel invocations and launches, so the helpers
 // below — and ForEach, which calls them every round — allocate
 // nothing in steady state. The cost of that reuse is a non-reentrancy rule:
-// a helper must not be re-invoked from inside its own callback (no
-// SIMDRange inside its own body, no SISD inside an SISD function). Distinct
-// helpers nest freely (Mask inside Mask, SIMDRange inside GroupLoop, ...):
-// every predicate is fully consumed before its body runs.
+// a helper must not be re-invoked from inside its own callback (no Edges
+// inside an Edges body, no SISD inside an SISD function). Distinct helpers
+// nest freely (Mask inside Mask, Edges inside GroupLoop, ...): every
+// predicate is fully consumed before its body runs.
 type Tasks struct {
 	// W is the underlying physical-warp context; kernels may use it directly
 	// for per-lane (SIMD-phase) operations.
@@ -70,7 +69,7 @@ type Tasks struct {
 	laneSum  []int32   // int reduction result vector
 	laneSumF []float32 // float reduction result vector
 	leaders  []bool    // per-lane group-leader marks
-	simdJ    []int32   // SIMDRange per-lane position vector
+	edgeJ    []int32   // Edges per-lane position vector
 	nbr      []int32   // Edges per-lane neighbor vector
 	dealt    []int32   // the ids ForEach dealt this round, for deferral
 	groupPos []int32   // GroupLoop per-group position vector
@@ -114,15 +113,11 @@ type Tasks struct {
 	atomBuf     *simt.BufI32
 	atomFn      func()
 
-	simdStart, simdEnd []int32
-	simdUser           func(j []int32)
-	simdInitFn         func(lane int)
-	simdCondFn         func(lane int) bool
-	simdBodyFn         func()
-
-	edgeCol  *simt.BufI32
-	edgeUser func(j, nbr []int32)
-	edgeFn   func()
+	edgeCol    *simt.BufI32
+	edgeUser   func(j, nbr []int32)
+	edgeInitFn func(lane int)
+	edgeCondFn func(lane int) bool
+	edgeFn     func()
 
 	glEnd    []int32
 	glUser   func(pos []int32)
@@ -169,7 +164,7 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 		laneSum:   make([]int32, width),
 		laneSumF:  make([]float32, width),
 		leaders:   make([]bool, width),
-		simdJ:     make([]int32, width),
+		edgeJ:     make([]int32, width),
 		nbr:       make([]int32, width),
 		dealt:     make([]int32, groups),
 		groupPos:  make([]int32, groups),
@@ -242,21 +237,17 @@ func (t *Tasks) buildClosures() {
 	t.storeI32Fn = func() { w.StoreI32(t.storeI32Buf, t.laneIdx, t.laneVal) }
 	t.storeF32Fn = func() { w.StoreF32(t.storeF32Buf, t.laneIdx, t.laneF32) }
 	t.atomFn = func() { w.AtomicAddI32(t.atomBuf, t.laneIdx, t.laneVal, t.laneOld) }
-	t.simdInitFn = func(lane int) {
-		t.simdJ[lane] = t.simdStart[t.Group(lane)] + int32(t.LaneInGroup(lane))
+	t.edgeInitFn = func(lane int) {
+		t.edgeJ[lane] = t.Start[t.Group(lane)] + int32(t.LaneInGroup(lane))
 	}
-	t.simdCondFn = func(lane int) bool {
+	t.edgeCondFn = func(lane int) bool {
 		g := t.Group(lane)
-		return t.Valid(g) && t.simdJ[lane] < t.simdEnd[g]
-	}
-	t.simdBodyFn = func() {
-		t.simdUser(t.simdJ)
-		w.AddConstI32(t.simdJ, int32(t.K))
+		return t.Valid(g) && t.edgeJ[lane] < t.End[g]
 	}
 	t.edgeFn = func() {
-		w.LoadI32(t.edgeCol, t.simdJ, t.nbr)
-		t.edgeUser(t.simdJ, t.nbr)
-		w.AddConstI32(t.simdJ, int32(t.K))
+		w.LoadI32(t.edgeCol, t.edgeJ, t.nbr)
+		t.edgeUser(t.edgeJ, t.nbr)
+		w.AddConstI32(t.edgeJ, int32(t.K))
 	}
 	t.glCondFn = func(lane int) bool {
 		g := t.Group(lane)
@@ -344,19 +335,16 @@ func (t *Tasks) deferLong() {
 
 // Edges is the SIMD phase over the rows the last Row call loaded: for each
 // active group, the K lanes stride over [Start[g], End[g]), and each round
-// loads the neighbors nbr[lane] = col[j[lane]] before it runs body. Work
-// between Row and Edges (a broadcast, an accumulator fill) keeps its place,
-// and a body may stride the same rows again with a second Edges. It issues
-// SIMDRange's instructions with the neighbor load first in each round and
-// shares SIMDRange's scratch, so neither may run inside the other's body.
-// It keeps its own stride loop because calling body through SIMDRange's
-// body would put one more frame on every warp's stack, and the extra stack
-// growth cost road CC half again its host time.
+// loads the neighbors nbr[lane] = col[j[lane]] before it runs body. Lanes
+// whose position has run past their group's end are masked off, so
+// trip-count differences between groups cost idle lanes — the residual
+// intra-warp imbalance the paper tunes with K. Work between Row and Edges
+// (a broadcast, an accumulator fill, a reload) keeps its place, and a
+// second Edges may stride the same rows again.
 func (t *Tasks) Edges(col *simt.BufI32, body func(j, nbr []int32)) {
-	t.simdStart, t.simdEnd = t.Start, t.End
 	t.edgeCol, t.edgeUser = col, body
-	t.W.Apply(1, t.simdInitFn)
-	t.W.While(t.simdCondFn, t.edgeFn)
+	t.W.Apply(1, t.edgeInitFn)
+	t.W.While(t.edgeCondFn, t.edgeFn)
 }
 
 // StoreI32Grouped performs the replicated-phase store buf[idx[g]] = val[g]
@@ -402,7 +390,7 @@ func (t *Tasks) Mask(pred func(g int) bool, body func()) {
 func (t *Tasks) LoadF32Grouped(buf *simt.BufF32, idx []int32, dst []float32) {
 	w := t.W
 	t.replicateI32(idx, t.laneIdx)
-	w.LoadF32(buf, t.laneIdx, t.laneF32)
+	w.LoadF32Replicated(t.K, buf, t.laneIdx, t.laneF32)
 	for g := 0; g < t.Groups; g++ {
 		if lane := t.firstActiveLane(g); lane >= 0 {
 			dst[g] = t.laneF32[lane]
@@ -446,18 +434,6 @@ func (t *Tasks) ReduceAddI32(src []int32, dst []int32) {
 			dst[g] = laneSum[lane]
 		}
 	}
-}
-
-// SIMDRange is the SIMD phase: for each active group, the K lanes stride
-// over [start[g], end[g]). body receives the per-lane position vector j;
-// lanes whose position has run past their group's end are masked off, so
-// trip-count differences between groups cost idle lanes — the residual
-// intra-warp imbalance the paper tunes with K.
-func (t *Tasks) SIMDRange(start, end []int32, body func(j []int32)) {
-	t.simdStart, t.simdEnd = start, end
-	t.simdUser = body
-	t.W.Apply(1, t.simdInitFn)
-	t.W.While(t.simdCondFn, t.simdBodyFn)
 }
 
 // replicateI32 broadcasts per-group values to every lane of the group,

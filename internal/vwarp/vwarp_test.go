@@ -136,30 +136,33 @@ func TestLoadI32Grouped(t *testing.T) {
 }
 
 func TestSIMDRangeStridesAllElements(t *testing.T) {
-	// Tasks own variable-length segments of a data array; the SIMD phase must
-	// touch each element exactly once (verified with atomic increments).
+	// Tasks own variable-length rows; Edges must stride each row's positions
+	// exactly once and hand the body col[j] as the neighbor (both verified
+	// with atomic increments; col reverses the positions, so nbr != j).
 	d := testDevice(t)
 	segLens := []int32{0, 1, 5, 16, 33, 7, 64, 2}
-	starts := make([]int32, len(segLens))
-	total := int32(0)
+	rowPtr := make([]int32, len(segLens)+1)
 	for i, ln := range segLens {
-		starts[i] = total
-		total += ln
+		rowPtr[i+1] = rowPtr[i] + ln
 	}
-	startBuf := d.UploadI32("starts", starts)
-	lenBuf := d.UploadI32("lens", segLens)
-	touched := d.AllocI32("touched", int(total))
+	total := int(rowPtr[len(segLens)])
+	rev := make([]int32, total)
+	for j := range rev {
+		rev[j] = int32(total - 1 - j)
+	}
+	rows := d.UploadI32("rows", rowPtr)
+	col := d.UploadI32("col", rev)
+	touched := d.AllocI32("touched", total)
+	named := d.AllocI32("named", total)
 	kernel := func(w *simt.WarpCtx) {
 		ForEach(w, Schedule{K: 8}, int32(len(segLens)), func(ts *Tasks) {
-			start := make([]int32, ts.Groups)
-			ln := make([]int32, ts.Groups)
-			end := make([]int32, ts.Groups)
-			ts.LoadI32Grouped(startBuf, ts.Task, start)
-			ts.LoadI32Grouped(lenBuf, ts.Task, ln)
-			ts.SISD(1, func(g int) { end[g] = start[g] + ln[g] })
-			ts.SIMDRange(start, end, func(j []int32) {
-				one := ts.W.ConstI32(1)
+			ts.Row(rows, ts.Task)
+			one := ts.W.ConstI32(1)
+			//kernelcheck:ignore divergence — variable row lengths are this test's point
+			ts.Edges(col, func(j, nbr []int32) {
 				ts.W.AtomicAddI32(touched, j, one, nil)
+				//kernelcheck:ignore atomicserial — col is a permutation, so no two lanes collide
+				ts.W.AtomicAddI32(named, nbr, one, nil)
 			})
 		})
 	}
@@ -170,6 +173,46 @@ func TestSIMDRangeStridesAllElements(t *testing.T) {
 		if v != 1 {
 			t.Fatalf("element %d touched %d times", i, v)
 		}
+	}
+	for i, v := range named.Data() {
+		if v != 1 {
+			t.Fatalf("neighbor %d named %d times", i, v)
+		}
+	}
+}
+
+// TestGroupedLoadsChargeAlike requires the float32 grouped load to charge
+// exactly what the int32 one does for the same indices: a replicated load
+// counts one useful lane per active group, whatever the element type.
+func TestGroupedLoadsChargeAlike(t *testing.T) {
+	const numTasks = 64
+	// run allocates the loaded buffer on a fresh device, so both element
+	// types sit at the same address, and launches one grouped load per task.
+	run := func(body func(d *simt.Device) func(ts *Tasks)) *simt.LaunchStats {
+		t.Helper()
+		d := testDevice(t)
+		load := body(d)
+		kernel := func(w *simt.WarpCtx) { ForEach(w, Schedule{K: 8}, numTasks, load) }
+		stats, err := d.Launch(simt.Grid1D(numTasks*8, 64), kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	i32 := run(func(d *simt.Device) func(ts *Tasks) {
+		buf := d.AllocI32("buf", numTasks)
+		return func(ts *Tasks) { ts.LoadI32Grouped(buf, ts.Task, make([]int32, ts.Groups)) }
+	})
+	f32 := run(func(d *simt.Device) func(ts *Tasks) {
+		buf := d.AllocF32("buf", numTasks)
+		return func(ts *Tasks) { ts.LoadF32Grouped(buf, ts.Task, make([]float32, ts.Groups)) }
+	})
+	type counters struct{ instr, active, useful, memOps, memTxns, cycles int64 }
+	of := func(s *simt.LaunchStats) counters {
+		return counters{s.Instructions, s.ActiveLaneOps, s.UsefulLaneOps, s.MemOps, s.MemTxns, s.Cycles}
+	}
+	if of(i32) != of(f32) {
+		t.Fatalf("grouped loads charge differently: int32 %+v, float32 %+v", of(i32), of(f32))
 	}
 }
 
@@ -311,15 +354,17 @@ func TestSmallerKHasHigherUsefulUtilizationOnUniformWork(t *testing.T) {
 	var prev float64 = -1
 	for _, k := range []int{2, 8, 32} {
 		d := testDevice(t)
-		lenBuf := d.UploadI32("lens", lens)
-		_ = d.AllocI32("sink", len(lens))
+		rowPtr := make([]int32, len(lens)+1)
+		for i, ln := range lens {
+			rowPtr[i+1] = rowPtr[i] + ln
+		}
+		rows := d.UploadI32("rows", rowPtr)
+		col := d.AllocI32("col", int(rowPtr[len(lens)]))
 		kernel := func(w *simt.WarpCtx) {
 			ForEach(w, Schedule{K: k}, int32(len(lens)), func(ts *Tasks) {
-				ln := make([]int32, ts.Groups)
-				ts.LoadI32Grouped(lenBuf, ts.Task, ln)
-				start := make([]int32, ts.Groups)
-				ts.SISD(1, func(g int) { start[g] = 0 })
-				ts.SIMDRange(start, ln, func(j []int32) {
+				ts.Row(rows, ts.Task)
+				//kernelcheck:ignore divergence — the rows are uniform; the analyzer cannot know it
+				ts.Edges(col, func(_, nbr []int32) {
 					ts.W.Apply(1, func(lane int) {})
 				})
 			})

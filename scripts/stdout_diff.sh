@@ -15,8 +15,8 @@
 # The list covers every table entry on two presets and both host modes,
 # the dynamic schedule, -inject on the served entries and on `bfs`, outlier
 # deferral on `bfs` in both host modes, sanitize, verify, profile, the
-# dynamic-graph stream and every experiment except E3, whose CPU columns are
-# host wall-clock.
+# dynamic-graph stream in both host modes plus its insert-only CC stream, and
+# every experiment except E3, whose CPU columns are host wall-clock.
 set -euo pipefail
 
 rev="${1:?usage: scripts/stdout_diff.sh REV}"
@@ -56,7 +56,10 @@ for p in 1 2; do
 done
 cmds+=("sanitize -scale 7" "verify -scale 8")
 cmds+=("profile -name bfs -scale 8" "profile -name pagerank -scale 8")
-cmds+=("dynamic -preset LiveJournal-like -scale 9 -parallel 1")
+for p in 1 2; do
+  cmds+=("dynamic -preset LiveJournal-like -scale 9 -parallel $p")
+done
+cmds+=("dynamic -preset LiveJournal-like -scale 9 -delfrac 0 -algo cc -parallel 1")
 for e in $exps; do
   cmds+=("run -exp $e -scale 7")
 done
