@@ -58,11 +58,13 @@ race:
 # A warp's run-ahead queue and segment log are written by its own coroutine
 # and drained by whichever warp holds the token next; only the coroutine
 # switches of the token handoff order the two, and one pass may not
-# interleave them badly enough to show a race. ReadOnly selects the
-# frozen-buffer tests: loads that run ahead, and writes that fault in every
-# host mode. Coro and Leak select the tests of the process-wide coroutine
-# pool: reuse across devices, and no coroutine or goroutine left behind by
-# a failed launch.
+# interleave them badly enough to show a race. Parallel includes
+# TestParallelGateManySMs: the gate at the default 16 SMs on 2 and 16 host
+# slots, where a publish that fails to wake a waiter hangs the run.
+# ReadOnly selects the frozen-buffer tests: loads that run ahead, and
+# writes that fault in every host mode. Coro and Leak select the tests of
+# the process-wide coroutine pool: reuse across devices, and no coroutine
+# or goroutine left behind by a failed launch.
 racesched:
 	$(GO) test -race -count=10 -run 'Parallel|Abort|Handoff|FastPath|Vec|ReadOnly|Coro|Leak' ./internal/simt
 

@@ -209,7 +209,9 @@ func (t *Taint) raise(k string, cls class) bool {
 }
 
 // seed marks lane-closure parameters and Tasks fields. An Edges body's
-// second parameter is the loaded neighbor vector: irregular data.
+// second parameter is the loaded neighbor vector: irregular data. A blank
+// parameter is skipped, as taintKey skips it: every "_" shares one name, so
+// marking it would taint every other closure's "_" in the file.
 func (t *Taint) seed(file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -231,7 +233,7 @@ func (t *Taint) seed(file *ast.File) {
 					switch tp := f.Type.(type) {
 					case *ast.Ident:
 						if tp.Name == "int" {
-							t.raise(nm.Name, clsLane)
+							t.raise(taintKey(nm), clsLane)
 						}
 					case *ast.ArrayType:
 						// Edges/GroupLoop position vectors, and
@@ -240,7 +242,7 @@ func (t *Taint) seed(file *ast.File) {
 						if name == "Edges" && pos == 1 {
 							cls = clsIrregular
 						}
-						t.raise(nm.Name, cls)
+						t.raise(taintKey(nm), cls)
 						_ = tp
 					}
 					pos++

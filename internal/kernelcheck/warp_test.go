@@ -188,6 +188,37 @@ func kern(w *WarpCtx, tbl, out *BufI32) {
 	}
 }
 
+func TestCoalesceBlankEdgesParamsUntainted(t *testing.T) {
+	// A blank Edges position parameter is not an index anyone can taint:
+	// one body that also blanks the neighbor vector must not make every
+	// other Edges position "_" in the file irregular.
+	one := `package k
+
+func kern(w *WarpCtx, rowPtr, col, dist *BufI32) func(ts *Tasks) {
+	return func(ts *Tasks) {
+		ts.Row(rowPtr, ts.Task)
+		ts.Edges(col, func(_, nbr []int32) {
+			d := w.VecI32()
+			w.LoadI32(dist, nbr, d)
+		})
+	}
+}
+`
+	two := one + `
+func visit(rowPtr, col *BufI32) func(ts *Tasks) {
+	return func(ts *Tasks) {
+		ts.Row(rowPtr, ts.Task)
+		ts.Edges(col, func(_, _ []int32) {})
+	}
+}
+`
+	for _, src := range []string{one, two} {
+		if diags := checkWarp(t, src); countRule(diags, "coalesce") != 1 {
+			t.Errorf("want only the nbr gather's coalesce finding, got %v", diags)
+		}
+	}
+}
+
 func TestCoalesceIgnoreDirective(t *testing.T) {
 	diags := checkWarp(t, `package k
 

@@ -1,6 +1,9 @@
 package simt
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Simulator meta-benchmarks: how many simulated warp instructions the
 // engine executes per host second. Useful when sizing experiment scales.
@@ -15,14 +18,32 @@ func benchKernelALU(iters int) Kernel {
 }
 
 func BenchmarkSimulatorALUThroughput(b *testing.B) {
+	benchALUThroughput(b, 1, LaunchConfig{Blocks: 128, ThreadsPerBlock: 32})
+}
+
+// BenchmarkSimulatorALUFullResidency is BenchmarkSimulatorALUThroughput with
+// 128-thread blocks: 512 warps fill the default device's 16 SMs to
+// MaxWarpsPerSM (32), so every pick chooses among a full SM's warps, in both
+// host modes.
+func BenchmarkSimulatorALUFullResidency(b *testing.B) {
+	for _, par := range []int{1, 2} {
+		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
+			benchALUThroughput(b, par, LaunchConfig{Blocks: 128, ThreadsPerBlock: 128})
+		})
+	}
+}
+
+// benchALUThroughput launches a 64-instruction ALU kernel over lc on a fresh
+// default device with the given ParallelSMs per iteration.
+func benchALUThroughput(b *testing.B, parallelSMs int, lc LaunchConfig) {
 	cfg := DefaultConfig()
+	cfg.ParallelSMs = parallelSMs
 	const iters = 64
-	const warps = 128
 	b.ResetTimer()
 	var instr int64
 	for i := 0; i < b.N; i++ {
 		d := MustNewDevice(cfg)
-		stats, err := d.Launch(LaunchConfig{Blocks: warps, ThreadsPerBlock: 32}, benchKernelALU(iters))
+		stats, err := d.Launch(lc, benchKernelALU(iters))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -110,6 +110,63 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 	}
 }
 
+// TestParallelGateManySMs runs the gate at the default device's shape: 16
+// SMs whose domains share 2 host worker slots, then 16, so slots migrate
+// through gate waits. Every lane of every warp adds to one contended cell,
+// then to cells scattered over a table, and the grid holds more blocks than
+// fit resident, so admission waits in the gate too. The atomics' old values
+// record the order they ran in; they, the rest of memory and LaunchStats
+// must equal the sequential run's. A wakeup the gate loses hangs the test.
+func TestParallelGateManySMs(t *testing.T) {
+	const blocks, threads, iters = 320, 64, 2 // 16 SMs hold 128 such blocks
+	run := func(parallelSMs int) (*LaunchStats, [][]int32) {
+		cfg := DefaultConfig()
+		cfg.ParallelSMs = parallelSMs
+		d := MustNewDevice(cfg)
+		hot := d.AllocI32("hot", 1)
+		table := d.AllocI32("table", 997)
+		olds := d.AllocI32("olds", 2*iters*blocks*threads)
+		k := func(w *WarpCtx) {
+			gtid := w.GlobalThreadIDs()
+			n := int32(w.GridThreads())
+			cell := w.ConstI32(0)
+			one := w.ConstI32(1)
+			idx := w.VecI32()
+			slot := w.VecI32()
+			old := w.VecI32()
+			for it := int32(0); it < iters; it++ {
+				w.AtomicAddI32(hot, cell, one, old)
+				w.Apply(1, func(l int) { slot[l] = 2*it*n + gtid[l] })
+				w.StoreI32(olds, slot, old)
+				w.Apply(1, func(l int) { idx[l] = (gtid[l]*7919 + it*31) % int32(table.Len()) })
+				w.AtomicAddI32(table, idx, gtid, old)
+				w.Apply(1, func(l int) { slot[l] = (2*it+1)*n + gtid[l] })
+				w.StoreI32(olds, slot, old)
+			}
+		}
+		stats, err := d.Launch(LaunchConfig{Blocks: blocks, ThreadsPerBlock: threads}, k)
+		if err != nil {
+			t.Fatalf("ParallelSMs=%d: %v", parallelSMs, err)
+		}
+		return stats, [][]int32{hot.Data(), table.Data(), olds.Data()}
+	}
+	refStats, refMem := run(1)
+	for _, mode := range []int{2, 16} {
+		stats, mem := run(mode)
+		if stats.ParallelSMs != mode {
+			t.Fatalf("ParallelSMs=%d run recorded mode %d", mode, stats.ParallelSMs)
+		}
+		norm := *stats
+		norm.ParallelSMs = refStats.ParallelSMs
+		if !reflect.DeepEqual(&norm, refStats) {
+			t.Errorf("ParallelSMs=%d stats differ from sequential:\n seq: %+v\n par: %+v", mode, refStats, stats)
+		}
+		if !reflect.DeepEqual(mem, refMem) {
+			t.Errorf("ParallelSMs=%d memory differs from sequential", mode)
+		}
+	}
+}
+
 // TestParallelRunToRunDeterminism re-runs the parallel mode against itself:
 // goroutine scheduling must not leak into results.
 func TestParallelRunToRunDeterminism(t *testing.T) {

@@ -53,12 +53,12 @@ import (
 // nothing (the sanitizer's hooks run in kernel code), which is one step per
 // instruction.
 //
-// With Config.ParallelSMs == 1 one domain spans every SM and its loop runs
-// on the launching goroutine; each pick takes the SM with the smallest clock
-// (lowest id on ties), the top of a min-heap of the domain's SMs (see
-// domain.heap). The heap replaced a scan of every SM behind a cached
-// runner-up, which fell through to the scan on 85–99.7% of picks. With
-// ParallelSMs > 1 every SM is its own domain (a heap of one) whose loop
+// Both levels of a pick are the top of a winner tree (winnerTree): the
+// domain's SMs keyed by (clock, id), then that SM's resident warps keyed by
+// (ready time, global id). A pick replays the one leaf-to-root path whose
+// key moved instead of scanning every slot. With Config.ParallelSMs == 1 one
+// domain spans every SM and its loop runs on the launching goroutine. With
+// ParallelSMs > 1 every SM is its own domain (a tree of one) whose loop
 // runs on its own host goroutine, and the SMs advance concurrently; a warp
 // waiting in the gate below blocks its coroutine, and so only its own
 // domain. Determinism is preserved by construction:
@@ -71,7 +71,9 @@ import (
 //     lexicographic (step clock, SM id). Each SM publishes its current step
 //     clock as a "horizon"; a gated op at key (k, i) waits until every other
 //     SM j has horizon > k (or == k with j > i), which proves no effect
-//     ordered before it can still be produced.
+//     ordered before it can still be produced. A publish wakes the waiters
+//     only when it moves a horizon from at or below the least pending key
+//     to at or above it (see publishHorizon).
 //   - Stats accumulate in per-SM shards and merge in ascending SM id at
 //     launch end; Cycles = max over SMFinish.
 //
@@ -143,8 +145,8 @@ type warpRT struct {
 	blockID     int
 	warpInBlock int
 
-	// smIdx is this warp's index in its SM's warps/readyKey slices, kept in
-	// sync by admission and block retirement.
+	// smIdx is this warp's index in its SM's warps slice and its slot in the
+	// SM's ready tree, kept in sync by admission and block retirement.
 	smIdx int
 
 	readyAt   int64
@@ -192,12 +194,14 @@ type smRT struct {
 	cache         *smCache
 	rrCursor      int
 
-	// readyKey[i] is the GTO scheduling key of warps[i]: its readyAt when
-	// issuable, neverReady while done or barrier-blocked. Keeping the keys in
-	// a contiguous slab lets the per-instruction scheduler scan touch a few
-	// cache lines instead of chasing every warpRT pointer. Every site that
-	// mutates readyAt/done/inBarrier updates the key.
-	readyKey []int64
+	// ready holds the GTO scheduling key of warps[i] in slot i: its readyAt
+	// when issuable, neverReady while done or barrier-blocked or when no
+	// warp is resident there. Every site that mutates readyAt/done/inBarrier
+	// sets the key. Its top is the warp a scan for the smallest key would
+	// pick: warps stays sorted by ascending global id (blocks are admitted in
+	// increasing id order and retirement compacts stably), so the lowest
+	// slot on ties is the lowest global id.
+	ready winnerTree
 
 	// liveWarps counts resident warps that have not reported done, so the
 	// has-work check is O(1) instead of a scan over every resident warp per
@@ -229,17 +233,18 @@ type smRT struct {
 // the token holder touches it, and the coroutine switches that pass the
 // token order those accesses, so it needs no lock.
 type domain struct {
-	// heap holds the domain's SMs that may still have work as a binary
-	// min-heap on (clock, id), so its top is the SM a full scan for the
-	// smallest clock (lowest id on ties) would pick. Only the SM just
-	// stepped changes its clock between picks, and clocks only rise, so pick
-	// restores the order by sifting the top down. An SM whose has-work check
-	// fails on top is dropped permanently: its resident warps are all done
-	// (liveWarps is monotone down to 0 between admissions), and either no
-	// blocks remain (nextBlock is monotone) or it cannot admit — and an SM
-	// with zero resident blocks that cannot admit never can. An SM that
-	// lost its work below the top is never picked before it surfaces.
-	heap []smKey
+	// sms are the domain's SMs in ascending id, and order keys sms[i] by its
+	// clock in slot i, so its top is the SM a scan for the smallest clock
+	// (lowest id on ties) would pick. Only the SM just stepped changes its
+	// clock between picks, so pick refreshes that one key. An SM whose
+	// has-work check fails on top is dropped permanently (its key becomes
+	// neverReady): its resident warps are all done (liveWarps is monotone
+	// down to 0 between admissions), and either no blocks remain (nextBlock
+	// is monotone) or it cannot admit — and an SM with zero resident blocks
+	// that cannot admit never can. An SM that lost its work below the top is
+	// never picked before it surfaces.
+	sms   []*smRT
+	order winnerTree
 	// next is the warp the loop resumes next, set by every handoff; nil
 	// hands the token back to the loop.
 	next *warpRT
@@ -251,13 +256,62 @@ type domain struct {
 	handoffs int64
 }
 
-// smKey is a heap entry: an SM and its (clock, id) pick key, kept inline so
-// a sift compares contiguous entries instead of chasing SM pointers. Every
-// key but the top's equals its SM's clock.
-type smKey struct {
-	clock int64
-	id    int
-	sm    *smRT
+// winnerTree is a tournament over a fixed number of slots, each holding an
+// int64 key: top is the slot with the smallest key, the lowest slot on ties.
+// keys has a power-of-two length, its slots past the caller's count pinned
+// at neverReady; win[n] is the winning slot of node n, with the root at 1
+// and slot i's leaf at len(keys)+i. Node n's children are 2n and 2n+1, and
+// every slot under 2n is lower than every slot under 2n+1, so a tie keeps
+// the left winner. set replays one leaf-to-root path: log2(len(keys))
+// matches, whether the key rose or fell.
+type winnerTree struct {
+	keys []int64
+	win  []int32
+}
+
+// newWinnerTree returns a tree of n slots, every key neverReady.
+func newWinnerTree(n int) winnerTree {
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	t := winnerTree{keys: make([]int64, size), win: make([]int32, 2*size)}
+	for i := range t.keys {
+		t.keys[i] = neverReady
+		t.win[size+i] = int32(i)
+	}
+	t.rebuild()
+	return t
+}
+
+// top returns the winning slot and its key.
+func (t *winnerTree) top() (int, int64) {
+	s := t.win[1]
+	return int(s), t.keys[s]
+}
+
+// set gives slot i the key k.
+func (t *winnerTree) set(i int, k int64) {
+	t.keys[i] = k
+	for n := (len(t.keys) + i) >> 1; n > 0; n >>= 1 {
+		t.match(n)
+	}
+}
+
+// rebuild replays every match, after the caller rewrote keys in place.
+func (t *winnerTree) rebuild() {
+	for n := len(t.keys) - 1; n > 0; n-- {
+		t.match(n)
+	}
+}
+
+// match settles node n from its children's winners.
+func (t *winnerTree) match(n int) {
+	a, b := t.win[2*n], t.win[2*n+1]
+	if t.keys[b] < t.keys[a] {
+		a = b
+	}
+	t.win[n] = a
 }
 
 type launch struct {
@@ -289,6 +343,9 @@ type launch struct {
 	// parallel selects one domain per SM on its own host goroutine; when
 	// false the gate calls below are no-ops and one domain spans every SM.
 	parallel bool
+	// lrr selects the loose round-robin warp scheduler (SchedulerPolicy
+	// "lrr") over greedy-then-oldest.
+	lrr bool
 
 	// slots is the host worker-slot pool (parallel mode): ParallelSMs tokens
 	// shared by all domain goroutines. An SM must hold a slot to execute and
@@ -310,7 +367,7 @@ type launch struct {
 	// could be unblocked. gateMu is held for the duration of every gated
 	// operation, making them mutually exclusive; the (horizon, id) ordering
 	// rule makes them execute in the sequential loop's exact order.
-	horizons []atomic.Int64
+	horizons []horizon
 	pending  []int64
 	gateCond *sync.Cond
 	// Every gated operation writes gateMu and minPending. The pad keeps them
@@ -319,6 +376,13 @@ type launch struct {
 	_          [64]byte
 	gateMu     sync.Mutex
 	minPending atomic.Int64
+}
+
+// horizon is one SM's published step key, alone on its cache line: each SM
+// writes its own at every step while the gate's waiters read them all.
+type horizon struct {
+	atomic.Int64
+	_ [56]byte
 }
 
 func newLaunch(d *Device, lc LaunchConfig, kernel Kernel) *launch {
@@ -330,6 +394,7 @@ func newLaunch(d *Device, lc LaunchConfig, kernel Kernel) *launch {
 		kernel:        kernel,
 		warpsPerBlock: warpsPerBlock,
 		totalBlocks:   lc.Blocks,
+		lrr:           d.cfg.SchedulerPolicy == "lrr",
 		stats: &LaunchStats{
 			WarpWidth: d.cfg.WarpWidth,
 			WarpBusy:  make([]int64, lc.Blocks*warpsPerBlock),
@@ -337,14 +402,14 @@ func newLaunch(d *Device, lc LaunchConfig, kernel Kernel) *launch {
 	}
 	l.sms = make([]*smRT, d.cfg.NumSMs)
 	for i := range l.sms {
-		sm := &smRT{id: i}
+		sm := &smRT{id: i, ready: newWinnerTree(d.cfg.MaxWarpsPerSM)}
 		if d.cfg.CacheLines > 0 {
 			sm.cache = newSMCache(d.cfg.CacheLines, d.cfg.CacheWays)
 		}
 		l.sms[i] = sm
 	}
 	l.gateCond = sync.NewCond(&l.gateMu)
-	l.horizons = make([]atomic.Int64, d.cfg.NumSMs)
+	l.horizons = make([]horizon, d.cfg.NumSMs)
 	l.pending = make([]int64, d.cfg.NumSMs)
 	for i := range l.pending {
 		l.pending[i] = gateIdle
@@ -528,12 +593,12 @@ func (l *launch) releaseSlot(sm *smRT) {
 	l.slots <- struct{}{}
 }
 
-// init makes d the scheduling domain of sms, given in ascending id. Every
-// clock is 0, so the id order is already a heap.
+// init makes d the scheduling domain of sms, given in ascending id.
 func (d *domain) init(sms []*smRT) {
-	d.heap = make([]smKey, len(sms))
+	d.sms = sms
+	d.order = newWinnerTree(len(sms))
 	for i, sm := range sms {
-		d.heap[i] = smKey{sm.clock, sm.id, sm}
+		d.order.set(i, sm.clock)
 		sm.dom = d
 	}
 }
@@ -666,7 +731,7 @@ func (l *launch) finish(w *warpRT, err *KernelFault, unwound bool) {
 // unwind marks w done without accounting for it (aborted launches).
 func (l *launch) unwind(w *warpRT) {
 	w.done = true
-	w.sm.readyKey[w.smIdx] = neverReady
+	w.sm.ready.set(w.smIdx, neverReady)
 	w.sm.liveWarps--
 	w.block.liveWarps--
 }
@@ -681,69 +746,31 @@ func (l *launch) handOff(d *domain, w *warpRT) {
 // pick chooses d's next runner: the SM with the smallest (clock, id) among
 // those with work, then on that SM publish the horizon, admit at most one
 // block, pick a warp by the scheduler policy and run the preamble. The SM
-// the last pick chose, the heap's top, is the only one whose clock may have
-// risen since, so sifting it down restores the heap. After an abort it
+// the last pick chose, the tree's top, is the only one whose clock may have
+// risen since, so refreshing its key restores the order. After an abort it
 // admits nothing and returns the next resident warp that has not unwound.
 // Nil means the domain has nothing left to run.
 func (l *launch) pick(d *domain) *warpRT {
-	d.siftTop()
+	if s, k := d.order.top(); k != neverReady {
+		d.order.set(s, d.sms[s].clock)
+	}
 	for {
 		if l.aborted.Load() {
 			return d.unwindNext()
 		}
-		if len(d.heap) == 0 {
+		s, k := d.order.top()
+		if k == neverReady {
 			return nil
 		}
-		sm := d.heap[0].sm
+		sm := d.sms[s]
 		if !l.smHasWork(sm) {
-			d.popTop()
+			d.order.set(s, neverReady)
 			continue
 		}
 		if w := l.pickOn(sm); w != nil {
 			return w
 		}
 	}
-}
-
-// before reports whether a precedes b in pick order: smaller clock, then
-// lower id.
-func (a *smKey) before(b *smKey) bool {
-	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
-}
-
-// siftTop moves the heap's top down to its place after its clock rose.
-func (d *domain) siftTop() {
-	h := d.heap
-	if len(h) == 0 {
-		return
-	}
-	top := h[0]
-	top.clock = top.sm.clock
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].before(&h[c]) {
-			c++
-		}
-		if !h[c].before(&top) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = top
-}
-
-// popTop drops the heap's top.
-func (d *domain) popTop() {
-	n := len(d.heap) - 1
-	d.heap[0] = d.heap[n]
-	d.heap[n] = smKey{}
-	d.heap = d.heap[:n]
-	d.siftTop()
 }
 
 // pickOn is pick's per-SM half. It returns nil when sm has no runnable warp
@@ -779,10 +806,13 @@ func (l *launch) pickOn(sm *smRT) *warpRT {
 }
 
 // unwindNext returns d's next resident warp that has not unwound, or nil
-// once every one has. Every SM with a live warp is still in the heap.
+// once every one has. Every SM with a live warp still has a finite key.
 func (d *domain) unwindNext() *warpRT {
-	for _, k := range d.heap {
-		for _, w := range k.sm.warps {
+	for i, sm := range d.sms {
+		if d.order.keys[i] == neverReady {
+			continue
+		}
+		for _, w := range sm.warps {
 			if !w.done {
 				return w
 			}
@@ -878,10 +908,10 @@ func (l *launch) admitBlocks(sm *smRT) {
 		}
 		b.liveWarps = len(b.warps)
 		sm.blocks = append(sm.blocks, b)
-		sm.warps = append(sm.warps, b.warps...)
 		for _, w := range b.warps {
-			w.smIdx = len(sm.readyKey)
-			sm.readyKey = append(sm.readyKey, w.readyAt)
+			w.smIdx = len(sm.warps)
+			sm.warps = append(sm.warps, w)
+			sm.ready.set(w.smIdx, w.readyAt)
 		}
 		sm.liveWarps += len(b.warps)
 		sm.warpSlotsUsed += l.warpsPerBlock
@@ -984,27 +1014,16 @@ func (l *launch) panicFault(w *warpRT, r interface{}) *KernelFault {
 // done and barrier-blocked warps.
 //
 // "gto" (default) issues the warp with the smallest ready time (FIFO by
-// global id on ties) — greedy-then-oldest. "lrr" rotates a cursor through
-// the warps already ready at the current clock, falling back to the soonest
-// ready warp when none is.
+// global id on ties) — greedy-then-oldest: the top of sm.ready. "lrr"
+// rotates a cursor through the warps already ready at the current clock,
+// falling back to the soonest ready warp when none is.
 func (l *launch) nextWarp(sm *smRT) *warpRT {
-	// sm.warps stays sorted by ascending globalID (blocks are admitted in
-	// increasing id order and retirement filters stably), so keeping the
-	// first-encountered warp on readyAt ties IS the lowest-global-id
-	// tie-break. Done and barrier-blocked warps carry neverReady keys and
-	// lose every comparison.
-	bestIdx := -1
-	bestKey := int64(neverReady)
-	for i, k := range sm.readyKey {
-		if k < bestKey {
-			bestKey, bestIdx = k, i
-		}
-	}
-	if bestIdx < 0 {
+	i, k := sm.ready.top()
+	if k == neverReady {
 		return nil
 	}
-	best := sm.warps[bestIdx]
-	if l.cfg.SchedulerPolicy != "lrr" {
+	best := sm.warps[i]
+	if !l.lrr {
 		return best
 	}
 	n := len(sm.warps)
@@ -1059,7 +1078,7 @@ func (l *launch) apply(sm *smRT, w *warpRT, r request) {
 	case opALU, opShared:
 		sm.clock += r.issue
 		w.readyAt = sm.clock + latency
-		sm.readyKey[w.smIdx] = w.readyAt
+		sm.ready.set(w.smIdx, w.readyAt)
 		w.busy += r.issue + latency
 	case opLoad, opStore, opAtomic:
 		// One compute-pipe slot to issue, then the memory pipe carries the
@@ -1071,14 +1090,14 @@ func (l *launch) apply(sm *smRT, w *warpRT, r request) {
 		}
 		sm.memPipeFree = start + txns*l.cfg.MemPipeCyclesPerTxn
 		w.readyAt = sm.memPipeFree + latency
-		sm.readyKey[w.smIdx] = w.readyAt
+		sm.ready.set(w.smIdx, w.readyAt)
 		w.busy += (sm.memPipeFree - sm.clock + 1) + latency
 	case opBarrier:
 		b := w.block
 		w.inBarrier = true
 		w.arrivedAt = sm.clock
 		w.readyAt = neverReady
-		sm.readyKey[w.smIdx] = neverReady
+		sm.ready.set(w.smIdx, neverReady)
 		b.inBarrier++
 		if sm.clock > b.barrierLatest {
 			b.barrierLatest = sm.clock
@@ -1087,7 +1106,7 @@ func (l *launch) apply(sm *smRT, w *warpRT, r request) {
 	case opDone:
 		w.done = true
 		w.readyAt = neverReady
-		sm.readyKey[w.smIdx] = neverReady
+		sm.ready.set(w.smIdx, neverReady)
 		sm.liveWarps--
 		if l.san != nil && r.err == nil {
 			l.san.WarpDone(w.blockID, w.globalID, w.ctx.barriers)
@@ -1170,7 +1189,7 @@ func (l *launch) maybeReleaseBarrier(sm *smRT, b *blockRT) {
 		if w.inBarrier {
 			w.inBarrier = false
 			w.readyAt = b.barrierLatest + 1
-			sm.readyKey[w.smIdx] = w.readyAt
+			sm.ready.set(w.smIdx, w.readyAt)
 		}
 	}
 	l.trace(TraceEvent{Kind: TraceBarrierRelease, Cycle: b.barrierLatest, SM: sm.id, Block: b.id, Warp: -1})
@@ -1186,17 +1205,20 @@ func (l *launch) retireBlock(sm *smRT, b *blockRT) {
 			break
 		}
 	}
+	keys := sm.ready.keys
 	live := sm.warps[:0]
-	keys := sm.readyKey[:0]
 	for i, w := range sm.warps {
 		if w.block != b {
 			w.smIdx = len(live)
+			keys[len(live)] = keys[i]
 			live = append(live, w)
-			keys = append(keys, sm.readyKey[i])
 		}
 	}
+	for i := len(live); i < len(sm.warps); i++ {
+		keys[i] = neverReady
+	}
+	sm.ready.rebuild()
 	sm.warps = live
-	sm.readyKey = keys
 	sm.warpSlotsUsed -= l.warpsPerBlock
 	// Every warp of the block is done and its kernel has returned, so the
 	// runtimes can serve the next admission.
@@ -1232,14 +1254,30 @@ func (l *launch) fail(err error) {
 // the happens-before edges that publish overlay data between SMs.
 
 // publishHorizon announces that every effect sm will produce from now on has
-// ordering key >= key. Waiters are only woken when the new horizon could
-// actually clear someone.
+// ordering key >= key. It wakes the gate's waiters only when the publish
+// crosses the least pending key m: old <= m <= key.
+//
+// That is enough. A waiting SM's horizon equals its own pending key: it
+// published that key at the pick whose step key it waits with, and it
+// publishes nothing more until its gated op is done. So the least (key, id)
+// waiter's SM blocks every other waiter, and a publish can clear only the
+// least waiter, by moving a horizon from at or below m to at or above it.
+// minPending runs above m only inside gateEnter, before that waiter reads
+// any horizon, and below it only inside gateExit, while the exiting op's
+// SM, whose horizon still equals the stale value, blocks every waiter; that
+// SM's next publish, or the gateIdle of its exit, crosses the refreshed
+// value. No wakeup is lost: the publisher swaps its horizon before it loads
+// minPending, and a waiter stores minPending before it loads the horizons,
+// all sequentially consistent atomics, so either the waiter sees the new
+// horizon or the publisher sees the waiter's key and broadcasts under
+// gateMu, which the waiter holds until it waits. fail broadcasts
+// unconditionally.
 func (l *launch) publishHorizon(smID int, key int64) {
 	if !l.parallel {
 		return
 	}
-	l.horizons[smID].Store(key)
-	if key >= l.minPending.Load() {
+	old := l.horizons[smID].Swap(key)
+	if m := l.minPending.Load(); old <= m && key >= m {
 		l.gateMu.Lock()
 		l.gateCond.Broadcast()
 		l.gateMu.Unlock()

@@ -46,6 +46,21 @@ func TestSchedulerPolicies(t *testing.T) {
 	if ratio < 0.5 || ratio > 2 {
 		t.Fatalf("policy cycle ratio %.2f out of plausible range", ratio)
 	}
+	// Each policy's issue order, pinned exactly: a scheduler change that
+	// moves either one's picks moves these.
+	for _, c := range []struct {
+		policy                            string
+		s                                 *LaunchStats
+		cycles, stallCycles, instructions int64
+	}{
+		{"gto", gto, 14607, 55856, 2560},
+		{"lrr", lrr, 14651, 56032, 2560},
+	} {
+		if c.s.Cycles != c.cycles || c.s.StallCycles != c.stallCycles || c.s.Instructions != c.instructions {
+			t.Errorf("%s: Cycles %d, StallCycles %d, Instructions %d; want %d, %d, %d", c.policy,
+				c.s.Cycles, c.s.StallCycles, c.s.Instructions, c.cycles, c.stallCycles, c.instructions)
+		}
+	}
 }
 
 func TestSchedulerPolicyDeterministic(t *testing.T) {
