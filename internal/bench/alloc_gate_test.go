@@ -67,11 +67,15 @@ func gateApply(cfg simt.Config) (int64, error) {
 	return res.AllocsPerOp(), launchErr
 }
 
+// gateGraph is the end-to-end probes' small skewed graph.
+func gateGraph() (*graph.CSR, error) { return gengraph.ChungLu(1<<11, 16, 2.2, 42) }
+
 // gateBFSSmall is the end-to-end probe: a fresh device plus one BFS on a
-// small skewed graph per op, covering upload, launch scaffolding, kernel
-// scratch, and host-side frontier management.
+// small skewed graph per op, covering upload, launch scaffolding, the
+// per-warp vwarp Tasks a fresh device builds, any kernel closure that
+// escapes to the heap, and host-side frontier management.
 func gateBFSSmall() (int64, error) {
-	g, err := gengraph.ChungLu(1<<11, 16, 2.2, 42)
+	g, err := gateGraph()
 	if err != nil {
 		return 0, err
 	}
@@ -90,8 +94,33 @@ func gateBFSSmall() (int64, error) {
 	return res.AllocsPerOp(), bfsErr
 }
 
+// gateCCSmall is gateBFSSmall for connected components on the symmetrized
+// graph: a vwarp kernel whose closures sit inline in its ForEach body, so a
+// helper that makes a caller's closure escape shows up here per round.
+func gateCCSmall() (int64, error) {
+	g, err := gateGraph()
+	if err != nil {
+		return 0, err
+	}
+	if g, err = g.Symmetrize(); err != nil {
+		return 0, err
+	}
+	var ccErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d := simt.MustNewDevice(simt.DefaultConfig())
+			if _, err := gpualgo.ConnectedComponents(d, gpualgo.Upload(d, g), gpualgo.Options{K: 32}); err != nil {
+				ccErr = err
+				b.FailNow()
+			}
+		}
+	})
+	return res.AllocsPerOp(), ccErr
+}
+
 // TestHotPathAllocGate is the allocation-regression gate: allocs/op of the
-// three hot-path probes must stay within 25% (plus a small absolute slack
+// four hot-path probes must stay within 25% (plus a small absolute slack
 // for map-growth jitter) of the committed testdata/alloc_gate.json numbers.
 // Regenerate after an intentional change with:
 //
@@ -115,6 +144,11 @@ func TestHotPathAllocGate(t *testing.T) {
 		t.Fatal(err)
 	} else {
 		measured["bfs_small"] = got
+	}
+	if got, err := gateCCSmall(); err != nil {
+		t.Fatal(err)
+	} else {
+		measured["cc_small"] = got
 	}
 
 	if *updateAllocGate {

@@ -78,110 +78,6 @@ func BFS(d *simt.Device, dg *DeviceGraph, src graph.VertexID, opts Options) (*BF
 	return complete(NewBFSRun(d, dg, src, opts))
 }
 
-// bfsScratchKey is the bfsScratch cache slot on a WarpCtx's KernelScratch.
-const bfsScratchKey = "gpualgo.bfs"
-
-// bfsScratch holds the per-warp working vectors and closures of the BFS
-// kernel. It is cached on the warp context (KernelScratch) and survives
-// kernel invocations and launches, so on the level-synchronous relaunch path
-// the kernel allocates nothing in steady state: bind rewrites the launch
-// parameters each invocation, and every closure reads them through the
-// struct.
-type bfsScratch struct {
-	w *simt.WarpCtx
-
-	// Per-invocation parameters, rewritten by bind.
-	dg                *DeviceGraph
-	levels, changed   *simt.BufI32
-	cur               int32
-	cFrontier, cEdges *obs.Counter
-
-	ts  *vwarp.Tasks // current round's task view (set by body)
-	nbr []int32      // current Edges round's neighbors (set by edgeBody)
-
-	// Per-group vector, sized for the widest possible grouping (K=1).
-	lvl []int32
-	// Per-lane vectors.
-	next, nl  []int32
-	zero, one []int32
-
-	body      func(ts *vwarp.Tasks)
-	maskPred  func(gi int) bool
-	maskBody  func()
-	edgeBody  func(j, nbr []int32)
-	unvisited func(lane int) bool
-	discover  func()
-}
-
-// bfsScratchFor returns the context's cached scratch, building it on first
-// use of this warp context by the BFS kernel.
-func bfsScratchFor(w *simt.WarpCtx) *bfsScratch {
-	if s, ok := w.KernelScratch(bfsScratchKey).(*bfsScratch); ok {
-		return s
-	}
-	width := w.Width()
-	s := &bfsScratch{
-		w:    w,
-		lvl:  make([]int32, width),
-		next: make([]int32, width),
-		nl:   make([]int32, width),
-		zero: make([]int32, width),
-		one:  make([]int32, width),
-	}
-	for i := range s.one {
-		s.one[i] = 1
-	}
-	s.maskPred = func(gi int) bool { return s.lvl[gi] == s.cur }
-	s.unvisited = func(lane int) bool { return s.nl[lane] == Unvisited }
-	s.discover = func() {
-		s.w.StoreI32(s.levels, s.nbr, s.next)
-		s.w.StoreI32(s.changed, s.zero, s.one)
-	}
-	s.edgeBody = func(j, nbr []int32) {
-		s.nbr = nbr
-		s.w.LoadI32(s.levels, nbr, s.nl)
-		s.w.If(s.unvisited, s.discover, nil)
-	}
-	s.maskBody = func() {
-		ts := s.ts
-		ts.Row(s.dg.RowPtr, ts.Task)
-		if s.cFrontier != nil {
-			// Counted after Row, so a deferred vertex counts once, in its
-			// deferred pass.
-			var fr, eg int64
-			for gi := 0; gi < ts.Groups; gi++ {
-				if ts.Valid(gi) && s.lvl[gi] == s.cur {
-					fr++
-					eg += int64(ts.End[gi] - ts.Start[gi])
-				}
-			}
-			if fr > 0 {
-				s.cFrontier.Add(s.w.SMID(), fr)
-			}
-			if eg > 0 {
-				s.cEdges.Add(s.w.SMID(), eg)
-			}
-		}
-		ts.Edges(s.dg.Col, s.edgeBody)
-	}
-	s.body = func(ts *vwarp.Tasks) {
-		s.ts = ts
-		ts.LoadI32Grouped(s.levels, ts.Task, s.lvl)
-		ts.Mask(s.maskPred, s.maskBody)
-	}
-	w.SetKernelScratch(bfsScratchKey, s)
-	return s
-}
-
-// bind rewrites the scratch's launch parameters for one kernel invocation.
-func (s *bfsScratch) bind(dg *DeviceGraph, levels, changed *simt.BufI32, cur int32, cFrontier, cEdges *obs.Counter) {
-	s.dg, s.levels, s.changed, s.cur = dg, levels, changed, cur
-	s.cFrontier, s.cEdges = cFrontier, cEdges
-	for i := range s.next {
-		s.next[i] = cur + 1
-	}
-}
-
 // bfsLevelKernel expands the frontier at level cur. Discovery writes are
 // plain stores (a benign race, as in the paper: any winner writes the same
 // level value).
@@ -192,8 +88,42 @@ func bfsLevelKernel(dg *DeviceGraph, levels, changed *simt.BufI32, cur int32, sc
 		cEdges = m.Counter(MetricBFSEdges, "BFS adjacency entries scanned.")
 	}
 	return func(w *simt.WarpCtx) {
-		s := bfsScratchFor(w)
-		s.bind(dg, levels, changed, cur, cFrontier, cEdges)
-		vwarp.ForEach(w, sched, int32(dg.NumVertices), s.body)
+		// Registers are taken once per invocation, not per round: the
+		// register file is reclaimed only when the invocation returns.
+		lvl := w.VecI32()
+		nl := w.VecI32()
+		next := w.ConstI32(cur + 1)
+		zero := w.ConstI32(0)
+		one := w.ConstI32(1)
+		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
+			ts.LoadI32Grouped(levels, ts.Task, lvl)
+			ts.Mask(func(gi int) bool { return lvl[gi] == cur }, func() {
+				ts.Row(dg.RowPtr, ts.Task)
+				if cFrontier != nil {
+					// Counted after Row, so a deferred vertex counts once, in
+					// its deferred pass.
+					var fr, eg int64
+					for gi := 0; gi < ts.Groups; gi++ {
+						if ts.Valid(gi) && lvl[gi] == cur {
+							fr++
+							eg += int64(ts.End[gi] - ts.Start[gi])
+						}
+					}
+					if fr > 0 {
+						cFrontier.Add(w.SMID(), fr)
+					}
+					if eg > 0 {
+						cEdges.Add(w.SMID(), eg)
+					}
+				}
+				ts.Edges(dg.Col, func(_, nbr []int32) {
+					w.LoadI32(levels, nbr, nl)
+					w.If(func(lane int) bool { return nl[lane] == Unvisited }, func() {
+						w.StoreI32(levels, nbr, next)
+						w.StoreI32(changed, zero, one)
+					}, nil)
+				})
+			})
+		})
 	}
 }

@@ -3,6 +3,7 @@ package gpualgo
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"maxwarp/internal/cpualgo"
@@ -370,5 +371,23 @@ func TestOptionsDefaultsAndGrid(t *testing.T) {
 	lc = big.grid(d, 1<<20)
 	if lc.Blocks > big.GridBlocksCap {
 		t.Fatalf("grid cap not applied: %+v", lc)
+	}
+}
+
+// TestBlockSizeMustFillWarps checks that a block size that leaves a partial
+// warp is rejected: ForEach deals tasks to the partial warp's dead lanes,
+// which never run them, so the run would return wrong answers silently.
+func TestBlockSizeMustFillWarps(t *testing.T) {
+	g := testGraphs(t)["rmat"]
+	for _, bs := range []int{16, 48, 100} {
+		d := testDevice(t)
+		_, err := NewBFSRun(d, Upload(d, g), 0, Options{K: 1, BlockSize: bs})
+		if err == nil || !strings.Contains(err.Error(), "multiple of the warp width 32") {
+			t.Errorf("BlockSize %d: err = %v, want a warp-width error", bs, err)
+		}
+	}
+	d := testDevice(t)
+	if _, err := NewBFSRun(d, Upload(d, g), 0, Options{K: 1, BlockSize: 96}); err != nil {
+		t.Errorf("BlockSize 96: %v", err)
 	}
 }

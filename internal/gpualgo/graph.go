@@ -80,7 +80,8 @@ type Options struct {
 	// the same kernel. Every table entry honours it except kcore and
 	// triangles, which run without deferral.
 	DeferThreshold int32
-	// BlockSize is threads per block (default 128).
+	// BlockSize is threads per block (default 128), a multiple of the
+	// device's warp width.
 	BlockSize int
 	// GridBlocksCap bounds the launched grid; work beyond it is covered by
 	// the run's schedule (default: enough blocks to fill the machine 4x).
@@ -135,8 +136,10 @@ func (o Options) validate(d *simt.Device) error {
 	if o.Chunk < 1 {
 		return fmt.Errorf("gpualgo: chunk %d must be >= 1", o.Chunk)
 	}
-	if o.BlockSize < 1 {
-		return fmt.Errorf("gpualgo: block size %d must be >= 1", o.BlockSize)
+	if o.BlockSize < 1 || o.BlockSize%w != 0 {
+		// ForEach deals tasks to whole warps only: a partial warp's dead
+		// lanes would hold tasks that are dealt but never run.
+		return fmt.Errorf("gpualgo: block size %d must be a positive multiple of the warp width %d", o.BlockSize, w)
 	}
 	if o.Dynamic && o.Blocked {
 		return fmt.Errorf("gpualgo: Dynamic and Blocked schedules are mutually exclusive")

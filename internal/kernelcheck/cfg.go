@@ -9,15 +9,13 @@
 //     While, vwarp's Tasks.Mask/Edges/GroupLoop and the ForEach driver —
 //     whose "branch targets" are function values.
 //
-// Because this repo's kernels follow the set-then-call closure-caching idiom
-// (closures built once, stored in scratch structs, invoked by field name),
-// the builder resolves function-valued arguments through a file-wide binding
-// table: `s.body = func(...){...}` binds "s.body" (and the bare field name as
-// a fallback), and a later `ts.Mask(s.maskPred, s.maskBody)` inlines the
-// bound literals into the caller's CFG. Same-file top-level kernel-context
-// functions (functions taking a *WarpCtx) are inlined at call sites the same
-// way, so a kernel like bfsLevelKernel — whose actual lane work lives in
-// closures built by bfsScratchFor — still gets a complete CFG.
+// Kernels pass their closures to the constructs as literals, so most
+// branch targets are the call's own arguments. A closure bound to a local
+// name first (`relax := func(...){...}` or `var relax = func...`) is
+// resolved through a file-wide binding table and inlined where the name is
+// passed or called, and a same-file top-level kernel-context function (one
+// taking a *WarpCtx, such as incremental.go's enqueue) is inlined at its
+// call sites the same way.
 //
 // Everything is syntactic (stdlib go/ast only, no go/types): resolution is
 // by name, recursion is cut by an inlining guard, and unresolvable calls are
@@ -251,8 +249,8 @@ var memOps = map[string]memOp{
 	"AtomicAddSharedI32": {kind: EvAtomic, idx: 1, shared: true},
 }
 
-// bindings is the file-wide closure-binding table: "s.body" (and fallback
-// "#body") or "name" -> bound function literal. Last binding wins.
+// bindings is the file-wide closure-binding table: local name -> bound
+// function literal. Last binding wins.
 type bindings struct {
 	byKey map[string]*ast.FuncLit
 	// decls maps top-level function names to their declarations.
@@ -275,29 +273,16 @@ func collectBindings(file *ast.File) *bindings {
 				if i >= len(n.Rhs) {
 					break
 				}
-				fl, ok := n.Rhs[i].(*ast.FuncLit)
-				if !ok {
-					continue
-				}
-				switch l := lhs.(type) {
-				case *ast.Ident:
-					b.byKey[l.Name] = fl
-				case *ast.SelectorExpr:
-					b.byKey[exprText(l)] = fl
-					b.byKey["#"+l.Sel.Name] = fl
+				if fl, ok := n.Rhs[i].(*ast.FuncLit); ok {
+					if id, ok := lhs.(*ast.Ident); ok {
+						b.byKey[id.Name] = fl
+					}
 				}
 			}
 		case *ast.ValueSpec:
 			for i, v := range n.Values {
 				if fl, ok := v.(*ast.FuncLit); ok && i < len(n.Names) {
 					b.byKey[n.Names[i].Name] = fl
-				}
-			}
-		case *ast.KeyValueExpr:
-			// struct literal fields: Field: func(...){...}
-			if fl, ok := n.Value.(*ast.FuncLit); ok {
-				if id, ok := n.Key.(*ast.Ident); ok {
-					b.byKey["#"+id.Name] = fl
 				}
 			}
 		}
@@ -307,8 +292,8 @@ func collectBindings(file *ast.File) *bindings {
 }
 
 // resolveFn maps a function-valued argument to a literal: a FuncLit
-// directly, or an Ident/Selector through the binding table. Returns nil for
-// nil literals ("nil" else branches) and unresolvable expressions.
+// directly, or an Ident through the binding table. Returns nil for nil
+// literals ("nil" else branches) and unresolvable expressions.
 func (b *bindings) resolveFn(e ast.Expr) *ast.FuncLit {
 	switch e := e.(type) {
 	case *ast.FuncLit:
@@ -318,11 +303,6 @@ func (b *bindings) resolveFn(e ast.Expr) *ast.FuncLit {
 			return nil
 		}
 		return b.byKey[e.Name]
-	case *ast.SelectorExpr:
-		if fl, ok := b.byKey[exprText(e)]; ok {
-			return fl
-		}
-		return b.byKey["#"+e.Sel.Name]
 	}
 	return nil
 }
@@ -659,12 +639,12 @@ func (b *cfgBuilder) walkCall(call *ast.CallExpr) {
 		b.walkExpr(a)
 	}
 
-	// Direct call of a bound closure: s.expand(), relax(...)?
+	// Direct call of a bound closure: relax(...)?
 	if fl := b.binds.resolveFn(call.Fun); fl != nil {
 		b.inline(fl)
 		return
 	}
-	// Same-file top-level kernel-context function: bfsScratchFor(w).
+	// Same-file top-level kernel-context function: enqueue(w, ...).
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if fd, ok := b.binds.decls[id.Name]; ok && isKernelishFuncType(fd.Type) {
 			b.inlineDecl(fd)

@@ -386,41 +386,6 @@ func kern(w *WarpCtx, dist *BufI32) {
 	}
 }
 
-// --- closure-binding resolution (the set-then-call idiom) -------------------
-
-func TestSetThenCallBindingResolved(t *testing.T) {
-	// The gpualgo scratch idiom: closures bound to struct fields in a
-	// factory, invoked by field through a construct in the kernel proper.
-	diags := checkWarp(t, `package k
-
-type scratch struct {
-	pred func(lane int) bool
-	body func()
-}
-
-func scratchFor(w *WarpCtx, dist *BufI32) *scratch {
-	s := &scratch{}
-	mine := w.VecI32()
-	w.LoadI32(dist, w.LaneIDs(), mine)
-	s.pred = func(lane int) bool { return mine[lane] > 0 }
-	s.body = func() {
-		w.StoreI32(dist, w.LaneIDs(), mine)
-	}
-	return s
-}
-
-func kern(dist *BufI32) func(w *WarpCtx) {
-	return func(w *WarpCtx) {
-		s := scratchFor(w, dist)
-		w.If(s.pred, s.body, nil)
-	}
-}
-`)
-	if countRule(diags, "divergence") != 1 {
-		t.Errorf("want 1 divergence finding through the bound predicate, got %v", diags)
-	}
-}
-
 // --- verdicts ---------------------------------------------------------------
 
 func TestFileVerdicts(t *testing.T) {

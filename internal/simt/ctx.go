@@ -154,12 +154,13 @@ type scratchEntry struct {
 
 // KernelScratch returns the value cached under key, or nil. The cache
 // persists for the lifetime of the (pooled) warp context — across kernel
-// invocations and launches — so kernel libraries can keep per-warp scratch
-// state (closures, work vectors) allocation-free in steady state. Keys
-// should be package-qualified ("vwarp.tasks"). Cached values must not hold
-// register-file vectors (VecI32 etc.): those are reclaimed and re-issued
-// every invocation. Anything cached must be re-validated against the
-// current invocation's parameters by the caller.
+// invocations and launches — so kernel libraries can keep per-warp work
+// vectors allocation-free in steady state (vwarp keeps its Tasks here).
+// Closures need no cache: one passed straight to a primitive stays on the
+// warp's stack. Keys should be package-qualified ("vwarp.tasks"). Cached
+// values must not hold register-file vectors (VecI32 etc.): those are
+// reclaimed and re-issued every invocation. Anything cached must be
+// re-validated against the current invocation's parameters by the caller.
 func (c *WarpCtx) KernelScratch(key string) any {
 	for i := range c.scratch {
 		if c.scratch[i].key == key {

@@ -23,6 +23,13 @@
 // also carry the paper's other auxiliary technique, deferring outliers to a
 // global queue (OutlierQueue): Row queues every task whose row is too long,
 // and a follow-up launch reruns them at maximum parallelism.
+//
+// Kernels write both phases as closures, and the helpers call the closures
+// they are given in place, so every closure in a kernel body stays on the
+// running warp's stack and a round allocates nothing. The helpers share a
+// Tasks's working vectors, which leaves one rule: Edges and GroupLoop must
+// not be re-entered from their own callback, and a predicate must not call
+// a helper.
 package vwarp
 
 import (
@@ -37,13 +44,14 @@ import (
 // round). All per-group slices have length Groups.
 //
 // A Tasks is cached on its warp context (simt.WarpCtx.KernelScratch) and
-// reused across rounds, kernel invocations and launches, so the helpers
-// below — and ForEach, which calls them every round — allocate
-// nothing in steady state. The cost of that reuse is a non-reentrancy rule:
-// a helper must not be re-invoked from inside its own callback (no Edges
-// inside an Edges body, no SISD inside an SISD function). Distinct helpers
-// nest freely (Mask inside Mask, Edges inside GroupLoop, ...): every
-// predicate is fully consumed before its body runs.
+// reused across rounds, kernel invocations and launches, so its working
+// vectors are allocated once per warp context. The helpers below call the
+// closures they are given, and every closure they build is handed straight
+// to a simt primitive, so none of them allocates. The cost of sharing the
+// working vectors is a narrow non-reentrancy rule: Edges and GroupLoop must
+// not be re-entered from their own callback (no Edges inside an Edges body),
+// and a predicate must not call a helper. Everything else nests freely
+// (Mask inside Mask, Edges inside GroupLoop, SISD inside SISD, ...).
 type Tasks struct {
 	// W is the underlying physical-warp context; kernels may use it directly
 	// for per-lane (SIMD-phase) operations.
@@ -62,80 +70,26 @@ type Tasks struct {
 	// come from the register file — that is reclaimed every invocation, but
 	// this struct outlives invocations). Each is private to a single helper
 	// call; none carries state between calls.
-	laneIdx  []int32   // per-lane replicated index vector
-	laneVal  []int32   // per-lane value vector
-	laneF32  []float32 // per-lane float value vector
-	laneOld  []int32   // atomic old-value landing pad
-	laneSum  []int32   // int reduction result vector
-	laneSumF []float32 // float reduction result vector
-	leaders  []bool    // per-lane group-leader marks
-	edgeJ    []int32   // Edges per-lane position vector
-	nbr      []int32   // Edges per-lane neighbor vector
-	dealt    []int32   // the ids ForEach dealt this round, for deferral
-	groupPos []int32   // GroupLoop per-group position vector
-	zeroV    []int32   // all-zero constant vector
-	oneV     []int32   // all-one constant vector
+	laneIdx   []int32   // per-lane replicated index vector
+	laneVal   []int32   // per-lane value vector
+	laneF32   []float32 // per-lane float value vector
+	laneOld   []int32   // atomic old-value landing pad
+	laneSum   []int32   // int reduction result vector
+	laneSumF  []float32 // float reduction result vector
+	leaders   []bool    // per-lane group-leader marks
+	edgeJ     []int32   // Edges per-lane position vector
+	nbr       []int32   // Edges per-lane neighbor vector
+	dealt     []int32   // the ids ForEach dealt this round, for deferral
+	groupPos  []int32   // GroupLoop per-group position vector
+	rowNext   []int32   // Row per-group idx+1 vector
+	zeroV     []int32   // all-zero constant vector
+	oneV      []int32   // all-one constant vector
+	fcChunkV  []int32   // dynamic claim: the chunk size in every lane
+	fcOld     []int32   // dynamic claim: the counter's old value
+	deferSlot []int32   // deferral: each leader's queue slot
+	deferIDs  []int32   // deferral: each leader's dealt id
 
-	// Cached closures. Each helper stashes its per-call arguments in the
-	// fields below and invokes a closure built once in newTasks, so calling
-	// a helper every round costs no allocation. The set-then-call pattern is
-	// what the non-reentrancy rule above protects.
-	validFn func(lane int) bool // lane's group has a task
-
-	runUser func(t *Tasks) // current ForEach body
-	runFn   func()
-
-	maskUser func(g int) bool
-	maskFn   func(lane int) bool
-
-	sisdUser func(g int)
-	sisdFn   func(g int)
-
-	repSrc, repDst   []int32
-	repFn            func(g int)
-	repSrcB, repDstB []int32
-	repPairFn        func(g int)
-
-	repF32Idx []int32
-	repF32Val []float32
-	repF32Fn  func(g int)
-
-	rowIdx, rowNext []int32
-	rowFn           func(g int)
-
-	leaderUser func(g int) bool // nil = all groups
-	leaderFn   func(lane int) bool
-
-	storeI32Buf *simt.BufI32
-	storeI32Fn  func()
-	storeF32Buf *simt.BufF32
-	storeF32Fn  func()
-	atomBuf     *simt.BufI32
-	atomFn      func()
-
-	edgeCol    *simt.BufI32
-	edgeUser   func(j, nbr []int32)
-	edgeInitFn func(lane int)
-	edgeCondFn func(lane int) bool
-	edgeFn     func()
-
-	glEnd    []int32
-	glUser   func(pos []int32)
-	glCondFn func(lane int) bool
-	glStepFn func(g int)
-	glBodyFn func()
-
-	fcCounter           *simt.BufI32
-	fcChunkV, fcOld     []int32
-	fcLane0Fn           func(lane int) bool
-	fcFn                func()
-	outliers            *OutlierQueue // the schedule's, nil when not deferring
-	deferSlot, deferIDs []int32
-	longFn              func(g int) bool
-	deferBodyFn         func()
-	deferFitFn          func(lane int) bool
-	deferStoreFn        func()
-	deferIDFn           func(lane int)
+	outliers *OutlierQueue // the schedule's, nil when not deferring
 }
 
 // tasksScratchKey is the Tasks cache slot on a WarpCtx's KernelScratch.
@@ -168,11 +122,9 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 		nbr:       make([]int32, width),
 		dealt:     make([]int32, groups),
 		groupPos:  make([]int32, groups),
+		rowNext:   make([]int32, groups),
 		zeroV:     make([]int32, width),
 		oneV:      make([]int32, width),
-		repF32Idx: make([]int32, width),
-		repF32Val: make([]float32, width),
-		rowNext:   make([]int32, groups),
 		fcChunkV:  make([]int32, width),
 		fcOld:     make([]int32, width),
 		deferSlot: make([]int32, width),
@@ -181,94 +133,8 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 	for i := range t.oneV {
 		t.oneV[i] = 1
 	}
-	t.buildClosures()
 	w.SetKernelScratch(tasksScratchKey, t)
 	return t
-}
-
-// buildClosures constructs the helper closures exactly once per Tasks.
-func (t *Tasks) buildClosures() {
-	w := t.W
-	t.validFn = func(lane int) bool { return t.Valid(t.Group(lane)) }
-	t.runFn = func() {
-		if q := t.outliers; q != nil && q.rerun > 0 {
-			// Task holds queue slots; replace them with the queued ids.
-			t.LoadI32Grouped(q.Items, t.Task, t.Task)
-		}
-		t.runUser(t)
-	}
-	t.maskFn = func(lane int) bool {
-		g := t.Group(lane)
-		return t.Valid(g) && t.maskUser(g)
-	}
-	t.sisdFn = func(g int) {
-		if t.Valid(g) {
-			t.sisdUser(g)
-		}
-	}
-	t.repFn = func(g int) {
-		base := g * t.K
-		v := t.repSrc[g]
-		for lane := base; lane < base+t.K; lane++ {
-			t.repDst[lane] = v
-		}
-	}
-	t.repPairFn = func(g int) {
-		base := g * t.K
-		a, b := t.repSrcB[g], t.repDstB[g]
-		for lane := base; lane < base+t.K; lane++ {
-			t.laneIdx[lane] = a
-			t.laneVal[lane] = b
-		}
-	}
-	t.repF32Fn = func(g int) {
-		base := g * t.K
-		idx, v := t.repF32Idx[g], t.repF32Val[g]
-		for lane := base; lane < base+t.K; lane++ {
-			t.laneIdx[lane] = idx
-			t.laneF32[lane] = v
-		}
-	}
-	t.rowFn = func(g int) { t.rowNext[g] = t.rowIdx[g] + 1 }
-	t.leaderFn = func(lane int) bool {
-		g := t.Group(lane)
-		return t.leaders[lane] && t.Valid(g) && (t.leaderUser == nil || t.leaderUser(g))
-	}
-	t.storeI32Fn = func() { w.StoreI32(t.storeI32Buf, t.laneIdx, t.laneVal) }
-	t.storeF32Fn = func() { w.StoreF32(t.storeF32Buf, t.laneIdx, t.laneF32) }
-	t.atomFn = func() { w.AtomicAddI32(t.atomBuf, t.laneIdx, t.laneVal, t.laneOld) }
-	t.edgeInitFn = func(lane int) {
-		t.edgeJ[lane] = t.Start[t.Group(lane)] + int32(t.LaneInGroup(lane))
-	}
-	t.edgeCondFn = func(lane int) bool {
-		g := t.Group(lane)
-		return t.Valid(g) && t.edgeJ[lane] < t.End[g]
-	}
-	t.edgeFn = func() {
-		w.LoadI32(t.edgeCol, t.edgeJ, t.nbr)
-		t.edgeUser(t.edgeJ, t.nbr)
-		w.AddConstI32(t.edgeJ, int32(t.K))
-	}
-	t.glCondFn = func(lane int) bool {
-		g := t.Group(lane)
-		return t.Valid(g) && t.groupPos[g] < t.glEnd[g]
-	}
-	t.glStepFn = func(g int) { t.groupPos[g]++ }
-	t.glBodyFn = func() {
-		t.glUser(t.groupPos)
-		t.SISD(1, t.glStepFn)
-	}
-	t.fcLane0Fn = func(lane int) bool { return lane == 0 }
-	t.fcFn = func() { w.AtomicAddI32(t.fcCounter, t.zeroV, t.fcChunkV, t.fcOld) }
-	t.longFn = func(g int) bool { return t.End[g]-t.Start[g] > t.outliers.Threshold }
-	t.deferIDFn = func(lane int) { t.deferIDs[lane] = t.dealt[t.Group(lane)] }
-	t.deferFitFn = func(lane int) bool { return t.deferSlot[lane] < int32(t.outliers.Items.Len()) }
-	t.deferStoreFn = func() { w.StoreI32(t.outliers.Items, t.deferSlot, t.deferIDs) }
-	t.deferBodyFn = func() {
-		w.AtomicAddI32(t.outliers.Count, t.zeroV, t.oneV, t.deferSlot)
-		w.Apply(1, t.deferIDFn)
-		w.If(t.deferFitFn, t.deferStoreFn, nil)
-	}
 }
 
 // Group returns the virtual-warp group a lane belongs to.
@@ -283,8 +149,11 @@ func (t *Tasks) Valid(g int) bool { return t.Task[g] >= 0 }
 // SISD runs f once per active virtual warp, charged as `instrs` replicated
 // warp instructions (every hardware lane busy, one useful result per group).
 func (t *Tasks) SISD(instrs int, f func(g int)) {
-	t.sisdUser = f
-	t.W.ApplyReplicated(instrs, t.K, t.sisdFn)
+	t.W.ApplyReplicated(instrs, t.K, func(g int) {
+		if t.Valid(g) {
+			f(g)
+		}
+	})
 }
 
 // LoadI32Grouped performs the replicated-phase load dst[g] = buf[idx[g]] for
@@ -311,23 +180,30 @@ func (t *Tasks) LoadI32Grouped(buf *simt.BufI32, idx, dst []int32) {
 // that finds the queue full stays and runs inline.
 func (t *Tasks) Row(rowPtr *simt.BufI32, idx []int32) {
 	t.LoadI32Grouped(rowPtr, idx, t.Start)
-	t.rowIdx = idx
-	t.SISD(1, t.rowFn)
-	t.LoadI32Grouped(rowPtr, t.rowNext, t.End)
+	next := t.rowNext
+	t.SISD(1, func(g int) { next[g] = idx[g] + 1 })
+	t.LoadI32Grouped(rowPtr, next, t.End)
 	if q := t.outliers; q != nil && q.rerun == 0 {
-		t.deferLong()
+		t.deferLong(q)
 	}
 }
 
-// deferLong appends the id ForEach dealt each long-row group to the outlier
-// queue: the group's leader lane claims a slot with one atomic on the count
-// cell and stores the id if the slot fits.
-func (t *Tasks) deferLong() {
+// deferLong appends the id ForEach dealt each long-row group to queue q:
+// the group's leader lane claims a slot with one atomic on the count cell
+// and stores the id if the slot fits.
+func (t *Tasks) deferLong(q *OutlierQueue) {
+	w := t.W
 	t.leaderLanes()
-	t.leaderUser = t.longFn
-	t.W.If(t.leaderFn, t.deferBodyFn, nil)
-	for lane, lead := range t.leaders {
-		if lead && t.leaderFn(lane) && t.deferFitFn(lane) {
+	long := func(g int) bool { return t.End[g]-t.Start[g] > q.Threshold }
+	lead := func(lane int) bool { return t.leads(lane, long) }
+	fits := func(lane int) bool { return t.deferSlot[lane] < int32(q.Items.Len()) }
+	w.If(lead, func() {
+		w.AtomicAddI32(q.Count, t.zeroV, t.oneV, t.deferSlot)
+		w.Apply(1, func(lane int) { t.deferIDs[lane] = t.dealt[t.Group(lane)] })
+		w.If(fits, func() { w.StoreI32(q.Items, t.deferSlot, t.deferIDs) }, nil)
+	}, nil)
+	for lane := range t.leaders {
+		if lead(lane) && fits(lane) {
 			t.Task[t.Group(lane)] = -1
 		}
 	}
@@ -342,9 +218,16 @@ func (t *Tasks) deferLong() {
 // (a broadcast, an accumulator fill, a reload) keeps its place, and a
 // second Edges may stride the same rows again.
 func (t *Tasks) Edges(col *simt.BufI32, body func(j, nbr []int32)) {
-	t.edgeCol, t.edgeUser = col, body
-	t.W.Apply(1, t.edgeInitFn)
-	t.W.While(t.edgeCondFn, t.edgeFn)
+	w, j, nbr := t.W, t.edgeJ, t.nbr
+	w.Apply(1, func(lane int) { j[lane] = t.Start[t.Group(lane)] + int32(t.LaneInGroup(lane)) })
+	w.While(func(lane int) bool {
+		g := t.Group(lane)
+		return t.Valid(g) && j[lane] < t.End[g]
+	}, func() {
+		w.LoadI32(col, j, nbr)
+		body(j, nbr)
+		w.AddConstI32(j, int32(t.K))
+	})
 }
 
 // StoreI32Grouped performs the replicated-phase store buf[idx[g]] = val[g]
@@ -353,9 +236,9 @@ func (t *Tasks) Edges(col *simt.BufI32, body func(j, nbr []int32)) {
 func (t *Tasks) StoreI32Grouped(buf *simt.BufI32, idx, val []int32, pred func(g int) bool) {
 	t.leaderLanes()
 	t.replicateI32Pair(idx, val)
-	t.leaderUser = pred
-	t.storeI32Buf = buf
-	t.W.If(t.leaderFn, t.storeI32Fn, nil)
+	t.W.If(func(lane int) bool { return t.leads(lane, pred) }, func() {
+		t.W.StoreI32(buf, t.laneIdx, t.laneVal)
+	}, nil)
 }
 
 // AtomicAddGrouped atomically adds delta[g] to buf[idx[g]] once per active
@@ -364,9 +247,9 @@ func (t *Tasks) StoreI32Grouped(buf *simt.BufI32, idx, val []int32, pred func(g 
 func (t *Tasks) AtomicAddGrouped(buf *simt.BufI32, idx, delta, old []int32, pred func(g int) bool) {
 	t.leaderLanes()
 	t.replicateI32Pair(idx, delta)
-	t.leaderUser = pred
-	t.atomBuf = buf
-	t.W.If(t.leaderFn, t.atomFn, nil)
+	t.W.If(func(lane int) bool { return t.leads(lane, pred) }, func() {
+		t.W.AtomicAddI32(buf, t.laneIdx, t.laneVal, t.laneOld)
+	}, nil)
 	if old != nil {
 		for g := 0; g < t.Groups; g++ {
 			if lane := t.firstActiveLane(g); lane >= 0 {
@@ -381,8 +264,10 @@ func (t *Tasks) AtomicAddGrouped(buf *simt.BufI32, idx, delta, old []int32, pred
 // kernel code. Groups failing pred sit idle (divergence cost applies when
 // some groups pass and some fail).
 func (t *Tasks) Mask(pred func(g int) bool, body func()) {
-	t.maskUser = pred
-	t.W.IfGrouped(t.K, t.maskFn, body, nil)
+	t.W.IfGrouped(t.K, func(lane int) bool {
+		g := t.Group(lane)
+		return t.Valid(g) && pred(g)
+	}, body, nil)
 }
 
 // LoadF32Grouped is the float32 variant of LoadI32Grouped: the replicated
@@ -402,12 +287,17 @@ func (t *Tasks) LoadF32Grouped(buf *simt.BufF32, idx []int32, dst []float32) {
 // leader writes buf[idx[g]] = val[g] for groups passing pred (nil = all).
 func (t *Tasks) StoreF32Grouped(buf *simt.BufF32, idx []int32, val []float32, pred func(g int) bool) {
 	t.leaderLanes()
-	copy(t.repF32Idx[:t.Groups], idx)
-	copy(t.repF32Val[:t.Groups], val)
-	t.W.ApplyReplicated(1, t.K, t.repF32Fn)
-	t.leaderUser = pred
-	t.storeF32Buf = buf
-	t.W.If(t.leaderFn, t.storeF32Fn, nil)
+	t.W.ApplyReplicated(1, t.K, func(g int) {
+		base := g * t.K
+		i, v := idx[g], val[g]
+		for lane := base; lane < base+t.K; lane++ {
+			t.laneIdx[lane] = i
+			t.laneF32[lane] = v
+		}
+	})
+	t.W.If(func(lane int) bool { return t.leads(lane, pred) }, func() {
+		t.W.StoreF32(buf, t.laneIdx, t.laneF32)
+	}, nil)
 }
 
 // ReduceAddF32 sums the per-lane values of src within each group (a
@@ -441,15 +331,26 @@ func (t *Tasks) ReduceAddI32(src []int32, dst []int32) {
 // SISD-phase address computation costs on hardware: all lanes busy, one
 // useful result per virtual warp).
 func (t *Tasks) replicateI32(src []int32, dst []int32) {
-	t.repSrc, t.repDst = src, dst
-	t.W.ApplyReplicated(1, t.K, t.repFn)
+	t.W.ApplyReplicated(1, t.K, func(g int) {
+		base := g * t.K
+		v := src[g]
+		for lane := base; lane < base+t.K; lane++ {
+			dst[lane] = v
+		}
+	})
 }
 
 // replicateI32Pair broadcasts two per-group vectors into laneIdx/laneVal in
 // one replicated instruction.
 func (t *Tasks) replicateI32Pair(srcA, srcB []int32) {
-	t.repSrcB, t.repDstB = srcA, srcB
-	t.W.ApplyReplicated(1, t.K, t.repPairFn)
+	t.W.ApplyReplicated(1, t.K, func(g int) {
+		base := g * t.K
+		a, b := srcA[g], srcB[g]
+		for lane := base; lane < base+t.K; lane++ {
+			t.laneIdx[lane] = a
+			t.laneVal[lane] = b
+		}
+	})
 }
 
 // GroupLoop iterates each group sequentially over [start[g], end[g]): every
@@ -458,10 +359,15 @@ func (t *Tasks) replicateI32Pair(srcA, srcB []int32) {
 // replicated-phase outer loops of nested-iteration kernels (e.g. "for each
 // neighbor v of u" in triangle counting, with a SIMD phase inside).
 func (t *Tasks) GroupLoop(start, end []int32, body func(pos []int32)) {
-	copy(t.groupPos, start[:t.Groups])
-	t.glEnd = end
-	t.glUser = body
-	t.W.While(t.glCondFn, t.glBodyFn)
+	pos := t.groupPos
+	copy(pos, start[:t.Groups])
+	t.W.While(func(lane int) bool {
+		g := t.Group(lane)
+		return t.Valid(g) && pos[g] < end[g]
+	}, func() {
+		body(pos)
+		t.SISD(1, func(g int) { pos[g]++ })
+	})
 }
 
 // firstActiveLane returns the lowest active lane of group g, or -1.
@@ -478,17 +384,21 @@ func (t *Tasks) firstActiveLane(g int) int {
 // leaderLanes marks the first active lane of each group in the reusable
 // leaders scratch (recomputed every call — leadership depends on the live
 // mask).
-func (t *Tasks) leaderLanes() []bool {
-	leaders := t.leaders
-	for lane := range leaders {
-		leaders[lane] = false
-	}
+func (t *Tasks) leaderLanes() {
+	clear(t.leaders)
 	for g := 0; g < t.Groups; g++ {
 		if lane := t.firstActiveLane(g); lane >= 0 {
-			leaders[lane] = true
+			t.leaders[lane] = true
 		}
 	}
-	return leaders
+}
+
+// leads reports whether lane writes for its group in a grouped store,
+// atomic or deferral: it is the group's leader as the last leaderLanes
+// call marked it, the group has a task, and pred (nil = all groups) holds.
+func (t *Tasks) leads(lane int, pred func(g int) bool) bool {
+	g := t.Group(lane)
+	return t.leaders[lane] && t.Valid(g) && (pred == nil || pred(g))
 }
 
 // Schedule is how ForEach deals tasks to the grid's virtual warps: the
@@ -526,7 +436,15 @@ func ForEach(w *simt.WarpCtx, s Schedule, numTasks int32, body func(t *Tasks)) {
 		panic(fmt.Sprintf("vwarp: chunk size %d must be >= 1", s.Chunk))
 	}
 	t := newTasks(w, s.K)
-	t.runUser, t.outliers = body, s.Outliers
+	t.outliers = s.Outliers
+	valid := func(lane int) bool { return t.Valid(t.Group(lane)) }
+	run := func() {
+		if q := t.outliers; q != nil && q.rerun > 0 {
+			// Task holds queue slots; replace them with the queued ids.
+			t.LoadI32Grouped(q.Items, t.Task, t.Task)
+		}
+		body(t)
+	}
 	groups := int32(t.Groups)
 	totalVW := int32(w.GridThreads()/w.Width()) * groups
 	// Round r hands group g task first + g*gap + r*step while that is below
@@ -534,7 +452,6 @@ func ForEach(w *simt.WarpCtx, s Schedule, numTasks int32, body func(t *Tasks)) {
 	first, gap, step, rounds, limit := int32(w.GlobalWarpID())*groups, int32(1), totalVW, int32(math.MaxInt32), numTasks
 	switch {
 	case dynamic:
-		t.fcCounter = s.Counter
 		for i := range t.fcChunkV {
 			t.fcChunkV[i] = s.Chunk
 		}
@@ -548,7 +465,9 @@ func ForEach(w *simt.WarpCtx, s Schedule, numTasks int32, body func(t *Tasks)) {
 	}
 	for {
 		if dynamic {
-			w.If(t.fcLane0Fn, t.fcFn, nil)
+			w.If(func(lane int) bool { return lane == 0 }, func() {
+				w.AtomicAddI32(s.Counter, t.zeroV, t.fcChunkV, t.fcOld)
+			}, nil)
 			first = w.BroadcastI32(t.fcOld, 0)
 			if first >= numTasks {
 				return
@@ -570,7 +489,7 @@ func ForEach(w *simt.WarpCtx, s Schedule, numTasks int32, body func(t *Tasks)) {
 			if t.outliers != nil {
 				copy(t.dealt, t.Task)
 			}
-			w.IfGrouped(t.K, t.validFn, t.runFn, nil)
+			w.IfGrouped(t.K, valid, run, nil)
 		}
 		if !dynamic {
 			return
