@@ -81,8 +81,8 @@ racesched:
 #   - Hot-path allocs/op must stay within 25% (+64) of
 #     internal/bench/testdata/alloc_gate.json (allocations are
 #     near-deterministic where wall-clock on shared runners is not); the
-#     probes cover sequential, ParallelSMs>1, and end-to-end BFS and CC
-#     paths.
+#     probes cover sequential, ParallelSMs>1, end-to-end BFS and CC, and
+#     one device alternating virtual-warp widths.
 #     Regenerate after an intentional change with
 #       go test ./internal/bench -run TestHotPathAllocGate -update-alloc-gate
 benchgate:

@@ -32,7 +32,6 @@ func cmdServe(args []string) error {
 	deadline := fs.Duration("deadline", 2*time.Second, "default per-request deadline")
 	maxDeadline := fs.Duration("max-deadline", 30*time.Second, "cap on client-requested deadlines")
 	cps := fs.Int64("cps", 25_000_000, "service clock: simulated cycles per wall second (deadline -> MaxCycles)")
-	k := fs.Int("k", 32, "default virtual-warp width K")
 	qps := fs.Float64("qps", 0, "per-tenant sustained quota in requests/s (0 = unlimited)")
 	burst := fs.Float64("burst", 0, "per-tenant quota burst (default: same as -qps)")
 	cache := fs.Int("cache", 256, "result cache entries (negative disables)")
@@ -79,7 +78,6 @@ func cmdServe(args []string) error {
 		DefaultDeadline:       *deadline,
 		MaxDeadline:           *maxDeadline,
 		CyclesPerSecond:       *cps,
-		DefaultK:              *k,
 		Quota:                 serve.QuotaConfig{Default: serve.TenantQuota{RatePerSec: *qps, Burst: *burst}},
 		CacheEntries:          *cache,
 		BreakerThreshold:      *breakerN,

@@ -119,8 +119,39 @@ func gateCCSmall() (int64, error) {
 	return res.AllocsPerOp(), ccErr
 }
 
+// gateWidthSwitch is the width-switch probe: one persistent device
+// alternating a K=32 BFS and a K=4 CC on cc_small's symmetrized graph, as a
+// served device alternates the widths tuned for different graphs. An op is
+// one BFS plus one CC, so two width switches; a device that rebuilt each
+// warp context's vwarp Tasks at every switch shows up here. The op count is
+// fixed: a persistent device keeps every run's buffers, and allocs/op
+// grows with the ops before it.
+func gateWidthSwitch() (int64, error) {
+	g, err := gateGraph()
+	if err != nil {
+		return 0, err
+	}
+	if g, err = g.Symmetrize(); err != nil {
+		return 0, err
+	}
+	src := graph.LargestOutComponentSeed(g)
+	d := simt.MustNewDevice(simt.DefaultConfig())
+	dg := gpualgo.Upload(d, g)
+	var opErr error
+	allocs := testing.AllocsPerRun(8, func() {
+		if opErr != nil {
+			return
+		}
+		if _, opErr = gpualgo.BFS(d, dg, src, gpualgo.Options{K: 32}); opErr != nil {
+			return
+		}
+		_, opErr = gpualgo.ConnectedComponents(d, dg, gpualgo.Options{K: 4})
+	})
+	return int64(allocs), opErr
+}
+
 // TestHotPathAllocGate is the allocation-regression gate: allocs/op of the
-// four hot-path probes must stay within 25% (plus a small absolute slack
+// five hot-path probes must stay within 25% (plus a small absolute slack
 // for map-growth jitter) of the committed testdata/alloc_gate.json numbers.
 // Regenerate after an intentional change with:
 //
@@ -149,6 +180,11 @@ func TestHotPathAllocGate(t *testing.T) {
 		t.Fatal(err)
 	} else {
 		measured["cc_small"] = got
+	}
+	if got, err := gateWidthSwitch(); err != nil {
+		t.Fatal(err)
+	} else {
+		measured["width_switch_small"] = got
 	}
 
 	if *updateAllocGate {

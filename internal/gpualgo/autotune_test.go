@@ -2,6 +2,7 @@ package gpualgo
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"maxwarp/internal/gengraph"
@@ -18,7 +19,7 @@ func tuneConfig() simt.Config {
 }
 
 func TestAutoTunePicksMin(t *testing.T) {
-	res, err := sweepK([]int{1, 2, 4}, func(k int) (int64, error) {
+	res, err := SweepK([]int{1, 2, 4}, func(k int, _ int64) (int64, error) {
 		return int64(100 / k), nil // monotone: 4 wins
 	})
 	if err != nil {
@@ -36,16 +37,16 @@ func TestAutoTunePicksMin(t *testing.T) {
 }
 
 func TestAutoTuneErrors(t *testing.T) {
-	if _, err := sweepK(nil, nil); err == nil {
+	if _, err := SweepK(nil, nil); err == nil {
 		t.Fatal("empty candidates accepted")
 	}
 	boom := errors.New("boom")
-	if _, err := sweepK([]int{1}, func(int) (int64, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, err := SweepK([]int{1}, func(int, int64) (int64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("measurement error lost: %v", err)
 	}
 	// Duplicates measured once.
 	calls := 0
-	if _, err := sweepK([]int{2, 2, 2}, func(int) (int64, error) {
+	if _, err := SweepK([]int{2, 2, 2}, func(int, int64) (int64, error) {
 		calls++
 		return 1, nil
 	}); err != nil {
@@ -53,6 +54,32 @@ func TestAutoTuneErrors(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("duplicate candidates measured %d times", calls)
+	}
+}
+
+// TestSweepKBoundsLaterCandidates checks the order and the bound: the
+// widest K is measured first with no bound, every later one with the fewest
+// cycles so far, a measurement that stops past its bound cannot win, and a
+// tie goes to the smaller K.
+func TestSweepKBoundsLaterCandidates(t *testing.T) {
+	full := map[int]int64{1: 900, 2: 300, 4: 100, 8: 100, 16: 200}
+	var order []int
+	var bounds []int64
+	res, err := SweepK([]int{1, 2, 4, 8, 16}, func(k int, bound int64) (int64, error) {
+		order, bounds = append(order, k), append(bounds, bound)
+		if bound > 0 && full[k] > bound {
+			return bound + 1, nil // stopped past its bound
+		}
+		return full[k], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(order, []int{16, 8, 4, 2, 1}) || !reflect.DeepEqual(bounds, []int64{0, 200, 100, 100, 100}) {
+		t.Fatalf("measured K %v with bounds %v", order, bounds)
+	}
+	if res.BestK != 4 || res.Cycles[4] != 100 || res.Cycles[1] != 101 {
+		t.Fatalf("BestK %d, cycles %v", res.BestK, res.Cycles)
 	}
 }
 

@@ -55,14 +55,16 @@ func ConnectedComponents(d *simt.Device, dg *DeviceGraph, opts Options) (*CCResu
 
 func ccPropagateKernel(dg *DeviceGraph, labels, changed *simt.BufI32, sched vwarp.Schedule) simt.Kernel {
 	return func(w *simt.WarpCtx) {
+		// Registers are taken once per invocation, not per round: the
+		// register file is reclaimed only when the invocation returns.
+		lbl := w.VecI32()
+		mine := w.VecI32()
+		old := w.VecI32()
+		zero := w.ConstI32(0)
+		one := w.ConstI32(1)
 		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
-			lbl := w.VecI32()[:ts.Groups]
 			ts.LoadI32Grouped(labels, ts.Task, lbl)
 			ts.Row(dg.RowPtr, ts.Task)
-			mine := w.VecI32()
-			old := w.VecI32()
-			zero := w.ConstI32(0)
-			one := w.ConstI32(1)
 			w.Apply(1, func(lane int) { mine[lane] = lbl[ts.Group(lane)] })
 			ts.Edges(dg.Col, func(_, nbr []int32) {
 				w.AtomicMinI32(labels, nbr, mine, old)

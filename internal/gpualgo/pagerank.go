@@ -178,6 +178,12 @@ func prPullKernel(dgRev *DeviceGraph, contrib, next *simt.BufF32, base float32, 
 		cEdges = m.Counter(MetricPREdges, "PageRank in-edges pulled.")
 	}
 	return func(w *simt.WarpCtx) {
+		// Registers are taken once per invocation, not per round: the
+		// register file is reclaimed only when the invocation returns.
+		acc := w.VecF32()
+		c := w.VecF32()
+		sums := w.VecF32()
+		vals := w.VecF32()
 		vwarp.ForEach(w, sched, int32(dgRev.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			ts.Row(dgRev.RowPtr, ts.Task)
@@ -192,16 +198,12 @@ func prPullKernel(dgRev *DeviceGraph, contrib, next *simt.BufF32, base float32, 
 					cEdges.Add(w.SMID(), eg)
 				}
 			}
-			acc := w.VecF32()
 			w.FillF32(acc, 0)
-			c := w.VecF32()
 			ts.Edges(dgRev.Col, func(_, nbr []int32) {
 				w.LoadF32(contrib, nbr, c)
 				w.AddF32(acc, acc, c)
 			})
-			sums := w.VecF32()[:g]
 			ts.ReduceAddF32(acc, sums)
-			vals := w.VecF32()[:g]
 			ts.SISD(1, func(gi int) { vals[gi] = base + opts.Damping*sums[gi] })
 			ts.StoreF32Grouped(next, ts.Task, vals, nil)
 		})

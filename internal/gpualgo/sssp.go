@@ -70,12 +70,19 @@ func ssspRelaxKernel(dg *DeviceGraph, dist, changed *simt.BufI32, sched vwarp.Sc
 		cEdges = m.Counter(MetricSSSPEdges, "SSSP edges relaxed.")
 	}
 	return func(w *simt.WarpCtx) {
+		// Registers are taken once per invocation, not per round: the
+		// register file is reclaimed only when the invocation returns.
+		dv := w.VecI32()
+		wt := w.VecI32()
+		cand := w.VecI32()
+		old := w.VecI32()
+		zero := w.ConstI32(0)
+		one := w.ConstI32(1)
 		vwarp.ForEach(w, sched, int32(dg.NumVertices), func(ts *vwarp.Tasks) {
 			g := ts.Groups
 			// Registers are not zeroed, and the edge counter below reads
 			// every valid group's slot, also one the load skips.
-			dv := w.VecI32()[:g]
-			clear(dv)
+			clear(dv[:g])
 			ts.LoadI32Grouped(dist, ts.Task, dv)
 			ts.Mask(func(gi int) bool { return dv[gi] < cpualgo.InfDist }, func() {
 				ts.Row(dg.RowPtr, ts.Task)
@@ -90,11 +97,6 @@ func ssspRelaxKernel(dg *DeviceGraph, dist, changed *simt.BufI32, sched vwarp.Sc
 						cEdges.Add(w.SMID(), eg)
 					}
 				}
-				wt := w.VecI32()
-				cand := w.VecI32()
-				old := w.VecI32()
-				zero := w.ConstI32(0)
-				one := w.ConstI32(1)
 				ts.Edges(dg.Col, func(j, nbr []int32) {
 					w.LoadI32(dg.Weights, j, wt)
 					w.Apply(1, func(lane int) { cand[lane] = dv[ts.Group(lane)] + wt[lane] })

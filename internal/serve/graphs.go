@@ -10,6 +10,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -118,9 +119,9 @@ func (s GraphSpec) build(epoch int64) (*NamedGraph, error) {
 	return &NamedGraph{Name: s.Name, Epoch: epoch, G: g, Weights: weights}, nil
 }
 
-// NamedGraph is one immutable loaded graph. Reload swaps the whole value,
-// so the lazily derived views (default source, symmetrized copy) are
-// computed at most once per epoch and never race.
+// NamedGraph is one immutable loaded graph. Reload and Mutate swap the
+// whole value, so the lazily derived views (default source, symmetrized
+// copy, tuned widths) are computed at most once per epoch and never race.
 type NamedGraph struct {
 	// Name is the registry handle.
 	Name string
@@ -138,6 +139,18 @@ type NamedGraph struct {
 	symOnce sync.Once
 	sym     *graph.CSR
 	symErr  error
+	// tuned holds one width sweep per algorithm (see tunedK); tuneMu
+	// guards the map, never a sweep.
+	tuneMu sync.Mutex
+	tuned  map[string]*tuning
+}
+
+// tuning is one width sweep of a (snapshot, algorithm): done closes when
+// the sweep ends, and k is its width when err is nil.
+type tuning struct {
+	done chan struct{}
+	k    int
+	err  error
 }
 
 // DefaultSource returns the query source used when the client does not pick
@@ -153,6 +166,63 @@ func (ng *NamedGraph) DefaultSource() graph.VertexID {
 func (ng *NamedGraph) Sym() (*graph.CSR, error) {
 	ng.symOnce.Do(func() { ng.sym, ng.symErr = ng.G.Symmetrize() })
 	return ng.sym, ng.symErr
+}
+
+// tunedK returns the virtual-warp width algo's queries run at on this
+// snapshot when they name none. The first caller runs sweep, which measures
+// it; callers that arrive during a sweep wait for it, or for ctx, and later
+// callers read the kept width. A failed sweep is its caller's error and is
+// not kept: a waiter, or the next caller, sweeps again.
+func (ng *NamedGraph) tunedK(ctx context.Context, algo string, sweep func() (int, error)) (int, error) {
+	for {
+		ng.tuneMu.Lock()
+		t := ng.tuned[algo]
+		if t == nil {
+			t = &tuning{done: make(chan struct{})}
+			if ng.tuned == nil {
+				ng.tuned = make(map[string]*tuning)
+			}
+			ng.tuned[algo] = t
+			ng.tuneMu.Unlock()
+			t.k, t.err = sweep()
+			if t.err != nil {
+				ng.tuneMu.Lock()
+				delete(ng.tuned, algo)
+				ng.tuneMu.Unlock()
+			}
+			close(t.done)
+			return t.k, t.err
+		}
+		ng.tuneMu.Unlock()
+		select {
+		case <-t.done:
+			if t.err == nil {
+				return t.k, nil
+			}
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+	}
+}
+
+// inheritWidths gives a mutated snapshot the widths its parent finished
+// tuning. A mutation batch is a small edit, which rarely moves a graph's
+// best width, while a fresh sweep per epoch would make a mutation stream
+// pay one on nearly every query. A width still being swept on the parent
+// is not inherited: the new snapshot sweeps it itself.
+func (ng *NamedGraph) inheritWidths(parent *NamedGraph) {
+	parent.tuneMu.Lock()
+	defer parent.tuneMu.Unlock()
+	for algo, t := range parent.tuned {
+		select {
+		case <-t.done:
+			if ng.tuned == nil {
+				ng.tuned = make(map[string]*tuning)
+			}
+			ng.tuned[algo] = t
+		default:
+		}
+	}
 }
 
 // Registry holds the server's named graphs.
@@ -292,6 +362,7 @@ func (r *Registry) Mutate(name string, batch []graph.EdgeMutation, rebaseThresho
 		rebased = true
 	}
 	ng := &NamedGraph{Name: name, Epoch: old.Epoch + 1, G: g, Weights: w}
+	ng.inheritWidths(old)
 	r.byName[name] = ng
 	return &MutateResult{
 		Graph:      ng,

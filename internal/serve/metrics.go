@@ -2,6 +2,7 @@ package serve
 
 import (
 	"maxwarp/internal/obs"
+	"maxwarp/internal/resilient"
 )
 
 // serverMetrics is every counter, gauge, and histogram the daemon exposes
@@ -93,4 +94,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 		return 0
 	})
 	return m
+}
+
+// outcome counts a device run's retries and faults (nil counts nothing).
+func (m *serverMetrics) outcome(out *resilient.Outcome) {
+	if out == nil {
+		return
+	}
+	m.retries.Add(int64(out.Retries))
+	for _, f := range out.Faults {
+		m.faults.With(faultClass(f.Err)).Inc()
+	}
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"maxwarp/internal/gpualgo"
+	"maxwarp/internal/graph"
 	"maxwarp/internal/resilient"
 	"maxwarp/internal/simt"
 )
@@ -144,12 +146,7 @@ func (w *deviceWorker) serveOne(rq *request) verdict {
 	t0 := w.s.cfg.now()
 	payload, out, err := w.execute(rq)
 	exec := w.s.cfg.now().Sub(t0)
-	if out != nil {
-		met.retries.Add(int64(out.Retries))
-		for _, f := range out.Faults {
-			met.faults.With(faultClass(f.Err)).Inc()
-		}
-	}
+	met.outcome(out)
 	w.served.Add(1)
 	if w.dev.Lost() {
 		w.lost.Store(true)
@@ -267,19 +264,27 @@ func (w *deviceWorker) deviceGraph(ng *NamedGraph, a *gpualgo.Algorithm, in gpua
 
 // execute runs the request's algorithm on this worker's device under the
 // resilient retry driver, with the request deadline propagated into every
-// launch.
+// launch. A request that names no width runs at the snapshot's tuned one,
+// which the first such request per algorithm measures (see tune).
 func (w *deviceWorker) execute(rq *request) (*ResultPayload, *resilient.Outcome, error) {
-	pol := w.s.cfg.Retry
-	pol.Launch = w.s.launchOpts(rq.ctx)
 	a, in, err := rq.input()
 	if err != nil {
 		return nil, nil, err
+	}
+	k := rq.k
+	if k == 0 {
+		k, err = rq.graph.tunedK(rq.ctx, a.Name, func() (int, error) { return w.tune(rq.graph, a) })
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	dg, err := w.deviceGraph(rq.graph, a, in)
 	if err != nil {
 		return nil, nil, err
 	}
-	run, result, err := a.NewRun(w.dev, dg, in, gpualgo.Options{K: rq.k}, pol.Launch)
+	pol := w.s.cfg.Retry
+	pol.Launch = w.s.launchOpts(rq.ctx)
+	run, result, err := a.NewRun(w.dev, dg, in, gpualgo.Options{K: k}, pol.Launch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -287,7 +292,100 @@ func (w *deviceWorker) execute(rq *request) (*ResultPayload, *resilient.Outcome,
 	if err != nil {
 		return nil, out, err
 	}
-	return newPayload(a, result(), rq.full), out, nil
+	return newPayload(a, result(), rq.full, k), out, nil
+}
+
+// tune measures a on ng at each of the device's candidate widths and
+// returns the one with the fewest simulated cycles. It runs on this
+// worker's device under the server's retry policy, over the snapshot's
+// default input (default source and PageRank parameters), and its limits
+// come from the server config, never from the request that triggered the
+// sweep: the width depends only on the snapshot, the algorithm and the
+// device config. SweepK runs the warp width first, under the cycles of the
+// longest deadline on the service clock; every later candidate stops once
+// it passes the fewest cycles so far, so a sweep costs at most about twice
+// the warp width's run per candidate. A server stop cancels the sweep.
+func (w *deviceWorker) tune(ng *NamedGraph, a *gpualgo.Algorithm) (int, error) {
+	in, err := ng.input(a, ng.DefaultSource(), defaultIterations, defaultDamping)
+	if err != nil {
+		return 0, err
+	}
+	dg, err := w.deviceGraph(ng, a, in)
+	if err != nil {
+		return 0, err
+	}
+	ks := gpualgo.CandidateKs(w.dev)
+	stopped := make(map[int]int64) // K -> the limit its run passed
+	t0 := w.s.cfg.now()
+	res, err := gpualgo.SweepK(ks, func(k int, bound int64) (int64, error) {
+		limit := bound
+		if limit == 0 {
+			limit = w.s.sweepBudget()
+		}
+		pol := w.s.cfg.Retry
+		pol.Launch = simt.LaunchOpts{MaxCycles: limit, OnProgress: func(int64) error { return w.s.stopping() }}
+		run, result, err := a.NewRun(w.dev, dg, in, gpualgo.Options{K: k}, pol.Launch)
+		if err != nil {
+			return 0, err
+		}
+		sr := &sweepRun{Stepper: run, s: w.s, dev: w.dev, limit: limit}
+		out, err := resilient.Drive(pol, sr)
+		if errors.Is(err, simt.ErrLaunchTimeout) {
+			// One launch passed limit: this width lost, which is no fault.
+			out.Faults = out.Faults[:len(out.Faults)-1]
+			sr.spent, err = limit+1, nil
+		}
+		w.s.met.outcome(out)
+		if err != nil {
+			return 0, err
+		}
+		if !sr.finished {
+			stopped[k] = limit
+			return sr.spent, nil
+		}
+		return result().Stats.Cycles, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	var cycles strings.Builder
+	for _, k := range ks {
+		if limit, ok := stopped[k]; ok {
+			fmt.Fprintf(&cycles, " K=%d:>%d", k, limit)
+		} else {
+			fmt.Fprintf(&cycles, " K=%d:%d", k, res.Cycles[k])
+		}
+	}
+	w.s.cfg.Logf("serve: device %d: tuned %s on %q (epoch %d) to K=%d in %v; cycles%s",
+		w.id, a.Name, ng.Name, ng.Epoch, res.BestK, w.s.cfg.now().Sub(t0).Round(time.Millisecond), cycles.String())
+	return res.BestK, nil
+}
+
+// sweepRun is one candidate run of a width sweep. It reports the run done
+// once the rounds it finished spent more than limit cycles, or fails it
+// when the server stops, so neither a losing width nor a drain waits for
+// the rest of its rounds.
+type sweepRun struct {
+	gpualgo.Stepper
+	s        *Server
+	dev      *simt.Device
+	limit    int64
+	spent    int64 // cycles of the rounds finished
+	finished bool  // the run itself reported done
+}
+
+func (r *sweepRun) Step() (bool, error) {
+	if err := r.s.stopping(); err != nil {
+		return false, err
+	}
+	before := r.dev.Totals().Cycles
+	done, err := r.Stepper.Step()
+	if err != nil {
+		return false, err
+	}
+	r.spent += r.dev.Totals().Cycles - before
+	r.finished = done
+	return done || r.spent > r.limit, nil
 }
 
 // degradeLoop is the oracle of last resort: while every device breaker is
@@ -352,35 +450,41 @@ func oracleExecute(rq *request) (*ResultPayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPayload(a, a.Oracle(in), rq.full), nil
+	return newPayload(a, a.Oracle(in), rq.full, 0), nil
 }
 
-// input resolves the request's table entry and its input: the symmetrized
-// graph for Symmetrized entries, the served weights, and the query's
-// source and PageRank parameters.
+// input resolves the request's table entry and its input.
 func (rq *request) input() (*gpualgo.Algorithm, gpualgo.Input, error) {
 	a := gpualgo.Lookup(rq.algo)
 	if a == nil {
 		return nil, gpualgo.Input{}, fmt.Errorf("serve: unknown algo %q", rq.algo)
 	}
-	in := gpualgo.Input{G: rq.graph.G, Weights: rq.graph.Weights, Src: rq.src, Iterations: rq.iters, Damping: rq.damping}
+	in, err := rq.graph.input(a, rq.src, rq.iters, rq.damping)
+	return a, in, err
+}
+
+// input is a's input on ng: the symmetrized graph for Symmetrized entries,
+// the served weights, and the given source and PageRank parameters.
+func (ng *NamedGraph) input(a *gpualgo.Algorithm, src graph.VertexID, iters int, damping float64) (gpualgo.Input, error) {
+	in := gpualgo.Input{G: ng.G, Weights: ng.Weights, Src: src, Iterations: iters, Damping: damping}
 	if a.Form == gpualgo.Symmetrized {
-		sym, err := rq.graph.Sym()
+		sym, err := ng.Sym()
 		if err != nil {
-			return nil, gpualgo.Input{}, err
+			return gpualgo.Input{}, err
 		}
 		in.G = sym
 	}
-	return a, in, nil
+	return in, nil
 }
 
-// newPayload renders an answer as the wire result: the entry's summary, plus
-// the answer vector when full.
-func newPayload(a *gpualgo.Algorithm, o gpualgo.Output, full bool) *ResultPayload {
+// newPayload renders an answer as the wire result: the entry's summary, the
+// width k it ran at (0 for oracle answers), plus the answer vector when
+// full.
+func newPayload(a *gpualgo.Algorithm, o gpualgo.Output, full bool, k int) *ResultPayload {
 	s := a.Summarize(o.Value)
 	p := &ResultPayload{
 		Iterations: o.Rounds, Depth: s.Depth, Reached: s.Reached, MaxFiniteDist: s.MaxFiniteDist,
-		Components: s.Components, RankSum: s.RankSum, TopVertex: s.TopVertex, SimCycles: o.Stats.Cycles,
+		Components: s.Components, RankSum: s.RankSum, TopVertex: s.TopVertex, SimCycles: o.Stats.Cycles, K: k,
 	}
 	if full {
 		p.Levels, p.Dist, p.Labels, p.Ranks = s.Levels, s.Dist, s.Labels, s.Ranks

@@ -57,9 +57,6 @@ type Config struct {
 	// "service clock" so second-scale deadlines map to meaningful cycle
 	// budgets on the simulator).
 	CyclesPerSecond int64
-	// DefaultK is the virtual-warp width used when a query does not pick
-	// one (default 32, the paper's sweet spot for skewed graphs).
-	DefaultK int
 
 	// MutateMaxBatch bounds one POST /v1/graphs/{name}/mutate batch
 	// (default 4096; negative removes the bound).
@@ -117,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CyclesPerSecond == 0 {
 		c.CyclesPerSecond = 25_000_000
-	}
-	if c.DefaultK == 0 {
-		c.DefaultK = 32
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
@@ -305,13 +299,20 @@ func (s *Server) healthyDevices() int {
 	return n
 }
 
+// PageRank's parameters when a query names none. Width sweeps always tune
+// on them.
+const (
+	defaultIterations = 20
+	defaultDamping    = 0.85
+)
+
 // request is one admitted query traveling from handler to worker.
 type request struct {
 	ctx      context.Context
 	algo     string
 	graph    *NamedGraph
 	src      graph.VertexID
-	k        int
+	k        int // 0 = the snapshot's tuned width
 	iters    int
 	damping  float64
 	full     bool
@@ -342,7 +343,7 @@ type QueryRequest struct {
 	// graph's largest out-component.
 	Source *int32 `json:"source,omitempty"`
 	// K is the virtual-warp width (power of two up to the warp width;
-	// omitted uses the server default).
+	// omitted runs at the graph snapshot's tuned width for the algorithm).
 	K int `json:"k,omitempty"`
 	// Iterations bounds PageRank power iteration (default 20).
 	Iterations int `json:"iterations,omitempty"`
@@ -396,6 +397,9 @@ type ResultPayload struct {
 	TopVertex int32   `json:"top_vertex,omitempty"`
 	// SimCycles totals simulated device cycles (0 for oracle answers).
 	SimCycles int64 `json:"sim_cycles,omitempty"`
+	// K is the virtual-warp width the device ran at: the query's own, or
+	// the snapshot's tuned width (0 for oracle answers).
+	K int `json:"k,omitempty"`
 
 	Levels []int32   `json:"levels,omitempty"`
 	Dist   []int32   `json:"dist,omitempty"`
@@ -556,7 +560,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, rq.algo, http.StatusTooManyRequests, ReasonQueueFull, 1, "admission queue full")
 		return
 	}
-	rep := <-rq.reply
+	// Answer no later than the deadline: the worker may still be busy with
+	// the request (a width sweep is not bound by it), and its own reply
+	// then lands in the buffered channel unread.
+	var rep *reply
+	select {
+	case rep = <-rq.reply:
+	case <-ctx.Done():
+		select {
+		case rep = <-rq.reply:
+		default:
+			rep = &reply{status: http.StatusTooManyRequests, reason: ReasonDeadline, retryAfter: 1}
+		}
+	}
 	s.finish(w, rq, t0, rep)
 }
 
@@ -582,20 +598,18 @@ func (s *Server) admit(q *QueryRequest) (*request, int, error) {
 	if rq.tenant == "" {
 		rq.tenant = "anon"
 	}
-	if rq.k == 0 {
-		rq.k = s.cfg.DefaultK
-	}
-	if rq.k < 1 || rq.k&(rq.k-1) != 0 || rq.k > s.cfg.DeviceConfig.WarpWidth {
+	// k 0 stays 0: the worker runs the snapshot's tuned width.
+	if rq.k != 0 && (rq.k < 1 || rq.k&(rq.k-1) != 0 || rq.k > s.cfg.DeviceConfig.WarpWidth) {
 		return nil, http.StatusBadRequest, fmt.Errorf("k=%d: want a power of two in [1,%d]", rq.k, s.cfg.DeviceConfig.WarpWidth)
 	}
 	if rq.iters == 0 {
-		rq.iters = 20
+		rq.iters = defaultIterations
 	}
 	if rq.iters < 1 || rq.iters > 1000 {
 		return nil, http.StatusBadRequest, fmt.Errorf("iterations=%d: want [1,1000]", rq.iters)
 	}
 	if rq.damping == 0 {
-		rq.damping = 0.85
+		rq.damping = defaultDamping
 	}
 	if rq.damping <= 0 || rq.damping >= 1 {
 		return nil, http.StatusBadRequest, fmt.Errorf("damping=%g: want (0,1)", rq.damping)
@@ -818,6 +832,26 @@ func (s *Server) launchOpts(ctx context.Context) simt.LaunchOpts {
 		lo.MaxCycles = mc
 	}
 	return lo
+}
+
+// sweepBudget is the cycle limit of a width sweep's first candidate: the
+// longest deadline on the service clock, which bounds every query's
+// launches too (see launchOpts).
+func (s *Server) sweepBudget() int64 {
+	return max(int64(float64(s.cfg.CyclesPerSecond)*s.cfg.MaxDeadline.Seconds()), 4096)
+}
+
+// errStopping cancels a width sweep when the server stops.
+var errStopping = fmt.Errorf("serve: server stopping: %w", simt.ErrLaunchCancelled)
+
+// stopping returns errStopping once Shutdown has stopped the workers.
+func (s *Server) stopping() error {
+	select {
+	case <-s.stop:
+		return errStopping
+	default:
+		return nil
+	}
 }
 
 // faultClass buckets a launch error for the faults_total metric.

@@ -98,3 +98,38 @@ func TestHelpersAllocateNothingPerRound(t *testing.T) {
 		})
 	}
 }
+
+// TestWidthChangeReusesTasks checks that a warp context keeps one Tasks
+// across virtual warp widths: a one-warp launch at K=4 followed by one at
+// K=32 allocates exactly as much as two launches at K=4, so a device that
+// alternates widths (a deferring run's rerun pass, or served queries tuned
+// to different graphs) does not rebuild the Tasks at every switch. It
+// averages over 20 pairs, so a stray allocation from another goroutine
+// truncates away, while a rebuild adds tens to every pair.
+func TestWidthChangeReusesTasks(t *testing.T) {
+	const tasks = 64
+	d := testDevice(t)
+	out := d.AllocI32("out", tasks)
+	kernel := func(k int) simt.Kernel {
+		return func(w *simt.WarpCtx) {
+			ForEach(w, Schedule{K: k}, tasks, func(ts *Tasks) {
+				ts.StoreI32Grouped(out, ts.Task, ts.Task, nil)
+			})
+		}
+	}
+	lc := simt.LaunchConfig{Blocks: 1, ThreadsPerBlock: d.Config().WarpWidth}
+	allocs := func(first, second int) float64 {
+		a, b := kernel(first), kernel(second)
+		return testing.AllocsPerRun(20, func() {
+			for _, kern := range []simt.Kernel{a, b} {
+				if _, err := d.Launch(lc, kern); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	same, switched := allocs(4, 4), allocs(4, 32)
+	if same != switched {
+		t.Errorf("allocs per launch pair: %v at K=4 then K=4, %v at K=4 then K=32", same, switched)
+	}
+}

@@ -44,8 +44,9 @@ import (
 // round). All per-group slices have length Groups.
 //
 // A Tasks is cached on its warp context (simt.WarpCtx.KernelScratch) and
-// reused across rounds, kernel invocations and launches, so its working
-// vectors are allocated once per warp context. The helpers below call the
+// reused across rounds, kernel invocations, launches and widths, so its
+// working vectors are allocated once per warp context (the per-group ones
+// grow with the most groups a width has needed). The helpers below call the
 // closures they are given, and every closure they build is handed straight
 // to a simt primitive, so none of them allocates. The cost of sharing the
 // working vectors is a narrow non-reentrancy rule: Edges and GroupLoop must
@@ -95,22 +96,45 @@ type Tasks struct {
 // tasksScratchKey is the Tasks cache slot on a WarpCtx's KernelScratch.
 const tasksScratchKey = "vwarp.tasks"
 
+// newTasks returns w's cached Tasks set to width k.
 func newTasks(w *simt.WarpCtx, k int) *Tasks {
 	width := w.Width()
 	if k < 1 || k > width || width%k != 0 {
 		panic(fmt.Sprintf("vwarp: virtual warp width %d invalid for physical width %d", k, width))
 	}
-	if t, ok := w.KernelScratch(tasksScratchKey).(*Tasks); ok && t.K == k {
-		return t
+	t, ok := w.KernelScratch(tasksScratchKey).(*Tasks)
+	if !ok {
+		t = allocTasks(w)
+		w.SetKernelScratch(tasksScratchKey, t)
 	}
-	groups := width / k
+	if t.K != k {
+		t.setWidth(k)
+	}
+	return t
+}
+
+// setWidth sets t to virtual warp width k by reslicing its per-group
+// slices. They keep the capacity of the most groups any earlier width
+// needed, so a warp context that alternates widths allocates only the
+// first time a width needs more groups, and one that only ever runs at
+// K = warp width keeps one-element slices.
+func (t *Tasks) setWidth(k int) {
+	groups := t.W.Width() / k
+	t.K, t.Groups = k, groups
+	for _, v := range []*[]int32{&t.Task, &t.Start, &t.End, &t.dealt, &t.groupPos, &t.rowNext} {
+		if cap(*v) < groups {
+			*v = make([]int32, groups)
+		}
+		*v = (*v)[:groups]
+	}
+}
+
+// allocTasks allocates a Tasks's per-lane vectors for w; setWidth sizes
+// the per-group ones.
+func allocTasks(w *simt.WarpCtx) *Tasks {
+	width := w.Width()
 	t := &Tasks{
 		W:         w,
-		K:         k,
-		Groups:    groups,
-		Task:      make([]int32, groups),
-		Start:     make([]int32, groups),
-		End:       make([]int32, groups),
 		laneIdx:   make([]int32, width),
 		laneVal:   make([]int32, width),
 		laneF32:   make([]float32, width),
@@ -120,9 +144,6 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 		leaders:   make([]bool, width),
 		edgeJ:     make([]int32, width),
 		nbr:       make([]int32, width),
-		dealt:     make([]int32, groups),
-		groupPos:  make([]int32, groups),
-		rowNext:   make([]int32, groups),
 		zeroV:     make([]int32, width),
 		oneV:      make([]int32, width),
 		fcChunkV:  make([]int32, width),
@@ -133,7 +154,6 @@ func newTasks(w *simt.WarpCtx, k int) *Tasks {
 	for i := range t.oneV {
 		t.oneV[i] = 1
 	}
-	w.SetKernelScratch(tasksScratchKey, t)
 	return t
 }
 
