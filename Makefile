@@ -64,9 +64,12 @@ race:
 # ReadOnly selects the frozen-buffer tests: loads that run ahead, and
 # writes that fault in every host mode. Coro and Leak select the tests of
 # the process-wide coroutine pool: reuse across devices, and no coroutine
-# or goroutine left behind by a failed launch.
+# or goroutine left behind by a failed launch. Recycled selects the test of
+# the device-owned SM runtimes and shadow pools: a device that recycles them
+# across launches, one of them aborted, matches fresh devices in every host
+# mode.
 racesched:
-	$(GO) test -race -count=10 -run 'Parallel|Abort|Handoff|FastPath|Vec|ReadOnly|Coro|Leak' ./internal/simt
+	$(GO) test -race -count=10 -run 'Parallel|Abort|Handoff|FastPath|Vec|ReadOnly|Coro|Leak|Recycled' ./internal/simt
 
 # Benchmark-regression gate, three parts:
 #   - E4 BFS warp-width sweep cycles must stay within ±10% of the committed

@@ -186,15 +186,11 @@ func dynBFS(dev *simt.Device, g *graph.CSR, opts gpualgo.Options, seed uint64, b
 		if err != nil {
 			return nil, err
 		}
-		cg, _, err := dl.Compact()
+		fres, err := gpualgo.BFSFrontier(dev, gpualgo.Upload(dev, info.Graph), src, opts)
 		if err != nil {
 			return nil, err
 		}
-		fres, err := gpualgo.BFSFrontier(dev, gpualgo.Upload(dev, cg), src, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := verifyI32("bfs", res.Levels, cpualgo.BFSSequential(cg, src)); err != nil {
+		if err := verifyI32("bfs", res.Levels, cpualgo.BFSSequential(info.Graph, src)); err != nil {
 			return nil, err
 		}
 		rep.add(res.Stats.Cycles, fres.Stats.Cycles, info)
@@ -229,11 +225,7 @@ func dynSSSP(dev *simt.Device, g *graph.CSR, weights []int32, opts gpualgo.Optio
 		if err != nil {
 			return nil, err
 		}
-		cg, cw, err := dl.Compact()
-		if err != nil {
-			return nil, err
-		}
-		fdg, err := gpualgo.UploadWeighted(dev, cg, cw)
+		fdg, err := gpualgo.UploadWeighted(dev, info.Graph, info.Weights)
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +233,7 @@ func dynSSSP(dev *simt.Device, g *graph.CSR, weights []int32, opts gpualgo.Optio
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyI32("sssp", res.Dist, cpualgo.SSSPDijkstra(cg, cw, src)); err != nil {
+		if err := verifyI32("sssp", res.Dist, cpualgo.SSSPDijkstra(info.Graph, info.Weights, src)); err != nil {
 			return nil, err
 		}
 		rep.add(res.Stats.Cycles, fres.Stats.Cycles, info)
@@ -275,15 +267,11 @@ func dynCC(dev *simt.Device, g *graph.CSR, opts gpualgo.Options, seed uint64, ba
 		if err != nil {
 			return nil, err
 		}
-		cg, _, err := dl.Compact()
+		fres, err := gpualgo.ConnectedComponents(dev, gpualgo.Upload(dev, info.Graph), opts)
 		if err != nil {
 			return nil, err
 		}
-		fres, err := gpualgo.ConnectedComponents(dev, gpualgo.Upload(dev, cg), opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := verifyI32("cc", res.Labels, cpualgo.ConnectedComponents(cg)); err != nil {
+		if err := verifyI32("cc", res.Labels, cpualgo.ConnectedComponents(info.Graph)); err != nil {
 			return nil, err
 		}
 		rep.add(res.Stats.Cycles, fres.Stats.Cycles, info)
@@ -314,22 +302,14 @@ func dynPageRank(dev *simt.Device, g *graph.CSR, opts gpualgo.Options, seed uint
 		if err != nil {
 			return nil, err
 		}
-		cg, _, err := dl.Compact()
-		if err != nil {
-			return nil, err
-		}
 		// Full recompute baseline: the same kernel and stopping rule, cold
-		// started on the compacted graph — the only difference is the warm
-		// start, so the cycle ratio isolates the incremental win.
-		fdl, err := graph.NewDelta(cg, nil)
+		// started on the same delta — the only difference is the warm start,
+		// so the cycle ratio isolates the incremental win.
+		fres, _, err := gpualgo.DeltaPageRank(dev, dl, nil, propts)
 		if err != nil {
 			return nil, err
 		}
-		fres, _, err := gpualgo.DeltaPageRank(dev, fdl, nil, propts)
-		if err != nil {
-			return nil, err
-		}
-		oracle, _ := cpualgo.PageRank(cg, cpualgo.PageRankOptions{MaxIters: 500, Tolerance: 1e-10})
+		oracle, _ := cpualgo.PageRank(info.Graph, cpualgo.PageRankOptions{MaxIters: 500, Tolerance: 1e-10})
 		for v := range oracle {
 			if d := math.Abs(float64(res.Ranks[v]) - oracle[v]); d > 1e-3*(oracle[v]+1e-9)+1e-4 {
 				return nil, fmt.Errorf("pagerank: vertex %d: incremental %g, oracle %g", v, res.Ranks[v], oracle[v])

@@ -123,9 +123,10 @@ func gateCCSmall() (int64, error) {
 // alternating a K=32 BFS and a K=4 CC on cc_small's symmetrized graph, as a
 // served device alternates the widths tuned for different graphs. An op is
 // one BFS plus one CC, so two width switches; a device that rebuilt each
-// warp context's vwarp Tasks at every switch shows up here. The op count is
-// fixed: a persistent device keeps every run's buffers, and allocs/op
-// grows with the ops before it.
+// warp context's vwarp Tasks at every switch shows up here. The device
+// keeps every run's buffers, but a launch arms shadows only for the buffers
+// it writes and reuses the SM runtimes and shadow storage of the launches
+// before it, so allocs/op does not grow with the ops before it.
 func gateWidthSwitch() (int64, error) {
 	g, err := gateGraph()
 	if err != nil {

@@ -22,6 +22,12 @@ type RepairInfo struct {
 	// Rounds is the number of device relaxation rounds (kernel launches for
 	// the frontier loop; PageRank: power iterations).
 	Rounds int
+	// Graph is the CSR the delta compacted to, the graph the run computed
+	// on, and Weights its edge weights (nil for an unweighted delta): a
+	// caller that recomputes or checks the result reuses them instead of
+	// compacting the delta again.
+	Graph   *graph.CSR
+	Weights []int32
 }
 
 // --- BFS / SSSP repair ------------------------------------------------------
@@ -163,8 +169,8 @@ func (r *Run[R]) drainFrontier(n int, seeds []int32, prefix, what string, kernel
 
 // repairGraph validates dl and uploads the graph it compacts to as r's
 // graph, with its weights when weighted is set: a repair runs on the same
-// CSR a recompute would.
-func (r *Run[R]) repairGraph(dl *graph.Delta, weighted bool) (*DeviceGraph, error) {
+// CSR a recompute would. info records the compacted graph and weights.
+func (r *Run[R]) repairGraph(dl *graph.Delta, weighted bool, info *RepairInfo) (*DeviceGraph, error) {
 	if err := dl.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,6 +178,7 @@ func (r *Run[R]) repairGraph(dl *graph.Delta, weighted bool) (*DeviceGraph, erro
 	if err != nil {
 		return nil, err
 	}
+	info.Graph, info.Weights = g, w
 	if !weighted {
 		return r.graph(Upload(r.d, g)), nil
 	}
@@ -247,7 +254,8 @@ func IncrementalBFS(d *simt.Device, dl *graph.Delta, src graph.VertexID, prevLev
 	if len(prevLevels) != n {
 		return nil, RepairInfo{}, fmt.Errorf("gpualgo: %d previous levels for %d vertices", len(prevLevels), n)
 	}
-	dg, err := r.repairGraph(dl, false)
+	var info RepairInfo
+	dg, err := r.repairGraph(dl, false, &info)
 	if err != nil {
 		return nil, RepairInfo{}, err
 	}
@@ -281,7 +289,8 @@ func IncrementalBFS(d *simt.Device, dl *graph.Delta, src graph.VertexID, prevLev
 			}
 		}
 	}
-	return res, RepairInfo{Invalidated: len(invalidated), Seeds: len(seeds), Rounds: res.Iterations}, nil
+	info.Invalidated, info.Seeds, info.Rounds = len(invalidated), len(seeds), res.Iterations
+	return res, info, nil
 }
 
 // IncrementalSSSP repairs prevDist (an SSSP result for the pre-batch graph
@@ -305,7 +314,8 @@ func IncrementalSSSP(d *simt.Device, dl *graph.Delta, src graph.VertexID, prevDi
 	if len(prevDist) != n {
 		return nil, RepairInfo{}, fmt.Errorf("gpualgo: %d previous distances for %d vertices", len(prevDist), n)
 	}
-	dg, err := r.repairGraph(dl, true)
+	var info RepairInfo
+	dg, err := r.repairGraph(dl, true, &info)
 	if err != nil {
 		return nil, RepairInfo{}, err
 	}
@@ -322,7 +332,8 @@ func IncrementalSSSP(d *simt.Device, dl *graph.Delta, src graph.VertexID, prevDi
 		return nil, RepairInfo{}, err
 	}
 	res.Dist = append([]int32(nil), dval.Data()...)
-	return res, RepairInfo{Invalidated: len(invalidated), Seeds: len(seeds), Rounds: res.Iterations}, nil
+	info.Invalidated, info.Seeds, info.Rounds = len(invalidated), len(seeds), res.Iterations
+	return res, info, nil
 }
 
 // --- Connected components repair -------------------------------------------
@@ -347,7 +358,8 @@ func IncrementalCC(d *simt.Device, dl *graph.Delta, prevLabels []int32, applied 
 	if len(prevLabels) != n {
 		return nil, RepairInfo{}, fmt.Errorf("gpualgo: %d previous labels for %d vertices", len(prevLabels), n)
 	}
-	dg, err := r.repairGraph(dl, false)
+	var info RepairInfo
+	dg, err := r.repairGraph(dl, false, &info)
 	if err != nil {
 		return nil, RepairInfo{}, err
 	}
@@ -396,7 +408,8 @@ func IncrementalCC(d *simt.Device, dl *graph.Delta, prevLabels []int32, applied 
 		return nil, RepairInfo{}, err
 	}
 	res.Labels = append([]int32(nil), dlabels.Data()...)
-	return res, RepairInfo{Invalidated: invalidated, Seeds: len(seeds), Rounds: res.Iterations}, nil
+	info.Invalidated, info.Seeds, info.Rounds = invalidated, len(seeds), res.Iterations
+	return res, info, nil
 }
 
 // ccRepairKernel processes one frontier: each vertex first PULLS the minimum
@@ -461,5 +474,5 @@ func DeltaPageRank(d *simt.Device, dl *graph.Delta, prev []float32, opts PageRan
 	if err != nil {
 		return nil, RepairInfo{}, err
 	}
-	return res, RepairInfo{Rounds: res.Iterations}, nil
+	return res, RepairInfo{Rounds: res.Iterations, Graph: g}, nil
 }

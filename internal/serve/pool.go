@@ -25,7 +25,7 @@ type dgKey struct {
 // admission queue whenever its breaker allows, executes them with the
 // resilient retry driver, and recreates the device after a loss or on the
 // periodic recycle schedule (the simulator's buffer registry is append-only,
-// so a long-lived daemon must swap devices to bound growth).
+// so a long-lived daemon must swap devices to bound its memory).
 type deviceWorker struct {
 	s     *Server
 	id    int

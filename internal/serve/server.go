@@ -79,8 +79,9 @@ type Config struct {
 	// half-open probing (default 250ms).
 	BreakerCooldown time.Duration
 	// RecycleEvery recreates a device after that many served requests,
-	// bounding simulator buffer-registry growth in a long-lived daemon
-	// (default 512; negative disables).
+	// bounding the memory of the simulator's append-only buffer registry
+	// in a long-lived daemon; a launch's time does not grow with the
+	// registry (default 512; negative disables).
 	RecycleEvery int64
 	// Retry is the per-request device retry policy (resilient defaults
 	// apply; Launch is overwritten per request with the deadline clamp).

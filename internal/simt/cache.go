@@ -78,3 +78,12 @@ func (c *smCache) invalidate(segment uint64) {
 		}
 	}
 }
+
+// reset empties the cache, as a new one is.
+func (c *smCache) reset() {
+	for i := range c.tags {
+		clear(c.tags[i])
+		clear(c.order[i])
+	}
+	c.tick = 0
+}

@@ -115,6 +115,7 @@ func (l *launch) spillCoros() {
 				corosStopped.Add(1)
 			}
 		}
-		l.doms[i].free = nil
+		clear(l.doms[i].free)
+		l.doms[i].free = l.doms[i].free[:0]
 	}
 }

@@ -24,8 +24,8 @@ var debugDisableFastPath bool
 // structure-of-arrays slabs owned by the warp, If/While mask save/restore
 // recycles through a per-warp free list, and the register helpers (VecI32,
 // ConstI32, ...) hand out slots of a per-warp register file that is reclaimed
-// wholesale when the context is recycled for the next launch (see the device
-// warp pool in sched.go).
+// wholesale when the context is recycled for the next admission (see the
+// SM's warp free list in sched.go).
 type WarpCtx struct {
 	l *launch
 	w *warpRT
@@ -74,8 +74,8 @@ type WarpCtx struct {
 
 	// scratch is the KernelScratch registry: per-context values kernel
 	// libraries cache across invocations (it survives reset, riding the
-	// warp pool). A handful of entries with static string keys, so a linear
-	// scan beats a map.
+	// SM's warp free list). A handful of entries with static string keys,
+	// so a linear scan beats a map.
 	scratch []scratchEntry
 
 	// sanitizer event scratch, reused per access (see Sanitizer).
@@ -817,7 +817,7 @@ func (c *WarpCtx) StoreI32(b *BufI32, idx []int32, src []int32) {
 	c.checkWritable(b.frozen, b.name, "store", idx)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
 	c.chargeMem(opStore, addrs, active, active, 0, false)
-	sh := b.shadowFor(c.w.sm.id)
+	sh := b.shadowFor(c.w.sm)
 	if c.fullMask() {
 		sh.storeAll(idx[:c.width], src[:c.width])
 	} else {
@@ -873,7 +873,7 @@ func (c *WarpCtx) StoreF32(b *BufF32, idx []int32, src []float32) {
 	c.checkWritable(b.frozen, b.name, "store", idx)
 	addrs, active := c.gatherAddrsBuf(b.base, len(b.data), b.name, idx)
 	c.chargeMem(opStore, addrs, active, active, 0, false)
-	sh := b.shadowFor(c.w.sm.id)
+	sh := b.shadowFor(c.w.sm)
 	if c.fullMask() {
 		sh.storeAll(idx[:c.width], src[:c.width])
 	} else {
@@ -898,8 +898,8 @@ func (c *WarpCtx) atomLoadI32(b *BufI32, i int32) int32 {
 // shadow so the SM's later plain loads observe its atomics, exactly as the
 // sequential machine would. The atomic gate must be held.
 func (c *WarpCtx) atomStoreI32(b *BufI32, i int32, v int32) {
-	b.overlay().store(i, v)
-	b.shadowFor(c.w.sm.id).store(i, v)
+	b.overlay(c.l.dev).store(i, v)
+	b.shadowFor(c.w.sm).store(i, v)
 }
 
 func (c *WarpCtx) atomLoadF32(b *BufF32, i int32) float32 {
@@ -910,8 +910,8 @@ func (c *WarpCtx) atomLoadF32(b *BufF32, i int32) float32 {
 }
 
 func (c *WarpCtx) atomStoreF32(b *BufF32, i int32, v float32) {
-	b.overlay().store(i, v)
-	b.shadowFor(c.w.sm.id).store(i, v)
+	b.overlay(c.l.dev).store(i, v)
+	b.shadowFor(c.w.sm).store(i, v)
 }
 
 func (c *WarpCtx) atomicI32(b *BufI32, idx []int32, apply func(lane int)) {
@@ -1021,7 +1021,11 @@ func (c *WarpCtx) AtomicAddF32(b *BufF32, idx []int32, delta []float32, old []fl
 // allocating it (zeroed) on first use by any warp of the block. Allocation
 // is free, mirroring CUDA's static shared declarations.
 func (c *WarpCtx) SharedI32(key string, n int) *SharedI32 {
-	return c.w.block.shared.getI32(key, n)
+	b := c.w.block
+	if b.shared == nil {
+		b.shared = newSharedArena()
+	}
+	return b.shared.getI32(key, n)
 }
 
 // LoadSharedI32 gathers from block-shared memory with bank-conflict cost.

@@ -22,7 +22,8 @@ type Device struct {
 	tracer Tracer
 	san    Sanitizer
 
-	// Allocation registry, so fault injection can target live buffers.
+	// Allocation registry, so bit-flip injection can pick its target among
+	// every buffer the device has allocated.
 	bufsI32 []*BufI32
 	bufsF32 []*BufF32
 
@@ -44,15 +45,19 @@ type Device struct {
 	// launches (see domain.handoffs): the simulator's host cost per step.
 	handoffs int64
 
-	// warpPool recycles warp runtimes (lane-state slabs, register files and
-	// segment logs) across launches, so steady-state repeated launches — the
-	// level-synchronous traversal pattern — stop allocating per-warp state.
-	// The coroutines that run warps are pooled process-wide instead (see
-	// coroPool), so a dropped Device strands none. Launches on a Device
-	// serialize (a Device is not safe for concurrent use), and mid-launch
-	// the pool is only touched under the admission gate, so no locking is
-	// needed.
-	warpPool []*warpRT
+	// sms are the device's SM runtimes and doms its scheduling domains, kept
+	// across launches and reset at each one, so a launch rebuilds no ready
+	// tree or cache and reuses the warp and block runtimes, coroutine free
+	// lists and store-shadow pools the SMs and domains keep. The coroutines
+	// that run warps are pooled process-wide instead (see coroPool), so a
+	// dropped Device strands none. Launches on a Device serialize (a Device
+	// is not safe for concurrent use), so no locking is needed.
+	sms  []*smRT
+	doms []domain
+	// ovI32 and ovF32 arm and recycle the atomic overlays. Only the holder
+	// of a launch's atomic gate touches them.
+	ovI32 shadowPool[int32]
+	ovF32 shadowPool[float32]
 }
 
 // warnSequentialFallback logs, once per reason per device, that a
@@ -75,7 +80,16 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Device{cfg: cfg, mem: newMemory(cfg.SegmentBytes)}, nil
+	d := &Device{
+		cfg:  cfg,
+		mem:  newMemory(cfg.SegmentBytes),
+		sms:  make([]*smRT, cfg.NumSMs),
+		doms: make([]domain, cfg.NumSMs),
+	}
+	for i := range d.sms {
+		d.sms[i] = newSM(i, cfg)
+	}
+	return d, nil
 }
 
 // MustNewDevice is NewDevice that panics on configuration errors; intended
@@ -140,7 +154,8 @@ func (d *Device) AllocI32(name string, n int) *BufI32 {
 	if n < 0 {
 		panic(fmt.Sprintf("simt: AllocI32(%q, %d): negative length", name, n))
 	}
-	b := &BufI32{name: name, base: d.mem.reserve(4 * n), data: make([]int32, n)}
+	b := &BufI32{name: name, base: d.mem.reserve(4 * n), data: make([]int32, n),
+		sh: make([]*bufShadow[int32], d.cfg.NumSMs)}
 	d.bufsI32 = append(d.bufsI32, b)
 	return b
 }
@@ -158,7 +173,8 @@ func (d *Device) AllocF32(name string, n int) *BufF32 {
 	if n < 0 {
 		panic(fmt.Sprintf("simt: AllocF32(%q, %d): negative length", name, n))
 	}
-	b := &BufF32{name: name, base: d.mem.reserve(4 * n), data: make([]float32, n)}
+	b := &BufF32{name: name, base: d.mem.reserve(4 * n), data: make([]float32, n),
+		sh: make([]*bufShadow[float32], d.cfg.NumSMs)}
 	d.bufsF32 = append(d.bufsF32, b)
 	return b
 }

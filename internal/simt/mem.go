@@ -37,6 +37,15 @@ func (m *memory) reserve(bytes int) uint64 {
 // crosses between SMs mid-launch except through the (deterministically
 // ordered) atomic overlay, the simulation computes bit-identical results and
 // stats whether the SMs run on one host goroutine or many.
+//
+// Shadows are armed per written buffer. Each buffer gets its per-SM slots
+// once, at Alloc; the first store from an SM takes a shadow from that SM's
+// shadowPool into its slot, and the first atomic takes the overlay from the
+// device's pool. The pools list what they armed, so the merge walks only
+// written buffers, and take the shadows back with their leaves, pages and
+// dirty bitmaps for the next launch: a launch allocates shadow memory only
+// past the most any earlier launch held at once, however many buffers the
+// device has allocated.
 
 const (
 	shadowPageShift = 8 // 256 elements (1 KiB) per shadow page
@@ -45,10 +54,9 @@ const (
 
 	// The page table is a flat two-level radix: a root slice of leaf
 	// pointers, each leaf covering shadowLeafSize consecutive pages. Leaves
-	// materialize on first store into their range, so creating a shadow
-	// costs one allocation proportional to len(base)/16K instead of the two
-	// len(base)/256-sized tables the flat layout needed — shadows are
-	// created per (buffer, SM) per launch, so this is per-launch overhead.
+	// materialize on first store into their range, so arming a shadow
+	// needs a root of only len(base)/16K entries instead of the two
+	// len(base)/256-sized tables the flat layout needed.
 	shadowLeafShift = 6 // 64 pages (16K elements) per leaf
 	shadowLeafSize  = 1 << shadowLeafShift
 	shadowLeafMask  = shadowLeafSize - 1
@@ -79,28 +87,75 @@ type shadowLeaf[T shadowElem] struct {
 // A shadow is only ever accessed by one goroutine at a time (per-SM shadows
 // by their SM's token holder, the overlay under the atomic gate), so the
 // cache mutation in load is safe. Only materialized pages enter the cache,
-// so a hit can never mask a page created later; shadows are launch-scoped,
-// so no cross-launch generation stamp is needed — fresh tags per shadow are
-// the generation.
+// so a hit can never mask a page created later; arming resets the tags, so
+// no cross-launch generation stamp is needed.
 type bufShadow[T shadowElem] struct {
 	base []T
 	root []*shadowLeaf[T]
+	// pool is the pool the shadow belongs to, which supplies its leaves and
+	// pages and takes them back at the merge.
+	pool *shadowPool[T]
 
 	cacheTag [shadowCacheWays]int32
 	cachePg  [shadowCacheWays][]T
 }
 
-func newBufShadow[T shadowElem](base []T) *bufShadow[T] {
+// shadowPool arms and recycles the shadows of one owner: an SM's store
+// shadows, touched only by that SM's token holder, or the device's atomic
+// overlays, touched only under the atomic gate.
+type shadowPool[T shadowElem] struct {
+	// armed holds the buffer slot of every shadow armed since the last
+	// merge, in arming order.
+	armed []**bufShadow[T]
+	// shadows, leaves, and pages with their dirty bitmaps (pages[i] goes
+	// with dirty[i]) are the merged shadows' storage, ready for reuse.
+	shadows []*bufShadow[T]
+	leaves  []*shadowLeaf[T]
+	pages   [][]T
+	dirty   [][]uint64
+}
+
+// arm returns the shadow in *slot, arming one over base first when the slot
+// is empty.
+func (p *shadowPool[T]) arm(slot **bufShadow[T], base []T) *bufShadow[T] {
+	if s := *slot; s != nil {
+		return s
+	}
+	return p.take(slot, base)
+}
+
+// take puts a shadow over base in *slot, recycled when the pool has one, and
+// lists the slot for the merge.
+func (p *shadowPool[T]) take(slot **bufShadow[T], base []T) *bufShadow[T] {
+	var s *bufShadow[T]
+	if n := len(p.shadows); n > 0 {
+		s, p.shadows = p.shadows[n-1], p.shadows[:n-1]
+	} else {
+		s = &bufShadow[T]{pool: p}
+	}
 	pages := (len(base) + shadowPageMask) >> shadowPageShift
 	leaves := (pages + shadowLeafMask) >> shadowLeafShift
-	s := &bufShadow[T]{
-		base: base,
-		root: make([]*shadowLeaf[T], leaves),
+	if cap(s.root) < leaves {
+		s.root = make([]*shadowLeaf[T], leaves)
 	}
+	s.root = s.root[:leaves]
+	s.base = base
 	for i := range s.cacheTag {
 		s.cacheTag[i] = -1
 	}
+	*slot = s
+	p.armed = append(p.armed, slot)
 	return s
+}
+
+// mergeAll merges every armed shadow into its base array in arming order and
+// empties its slot.
+func (p *shadowPool[T]) mergeAll() {
+	for _, slot := range p.armed {
+		(*slot).merge()
+		*slot = nil
+	}
+	p.armed = p.armed[:0]
 }
 
 // page returns the materialized page holding element i, or nil.
@@ -145,7 +200,7 @@ func (s *bufShadow[T]) materialize(p int32) ([]T, []uint64) {
 	li := p >> shadowLeafShift
 	leaf := s.root[li]
 	if leaf == nil {
-		leaf = &shadowLeaf[T]{}
+		leaf = s.pool.leaf()
 		s.root[li] = leaf
 	}
 	pi := p & shadowLeafMask
@@ -156,14 +211,35 @@ func (s *bufShadow[T]) materialize(p int32) ([]T, []uint64) {
 		if hi > len(s.base) {
 			hi = len(s.base)
 		}
-		pg = make([]T, shadowPageSize)
-		copy(pg, s.base[lo:hi])
+		pg, leaf.dirty[pi] = s.pool.page()
+		// A recycled page past the buffer's end reads as a fresh one.
+		clear(pg[copy(pg, s.base[lo:hi]):])
 		leaf.pages[pi] = pg
-		leaf.dirty[pi] = make([]uint64, shadowPageSize/64)
 	}
 	slot := p & shadowCacheMask
 	s.cacheTag[slot], s.cachePg[slot] = p, pg
 	return pg, leaf.dirty[pi]
+}
+
+// leaf returns an empty radix leaf, recycled when the pool has one.
+func (p *shadowPool[T]) leaf() *shadowLeaf[T] {
+	if n := len(p.leaves); n > 0 {
+		l := p.leaves[n-1]
+		p.leaves = p.leaves[:n-1]
+		return l
+	}
+	return &shadowLeaf[T]{}
+}
+
+// page returns a page and its cleared dirty bitmap, recycled when the pool
+// has one; the page's contents are the caller's to set.
+func (p *shadowPool[T]) page() ([]T, []uint64) {
+	if n := len(p.pages); n > 0 {
+		pg, dirty := p.pages[n-1], p.dirty[n-1]
+		p.pages, p.dirty = p.pages[:n-1], p.dirty[:n-1]
+		return pg, dirty
+	}
+	return make([]T, shadowPageSize), make([]uint64, shadowPageSize/64)
 }
 
 func (s *bufShadow[T]) store(i int32, v T) {
@@ -234,19 +310,21 @@ func (s *bufShadow[T]) storeMasked(idx []int32, src []T, mask []bool) {
 	}
 }
 
-// merge folds the dirty elements back into the base array.
+// merge folds the dirty elements back into the base array and gives the
+// shadow, its leaves, and its pages with their dirty bitmaps cleared back to
+// its pool.
 func (s *bufShadow[T]) merge() {
+	p := s.pool
 	for li, leaf := range s.root {
 		if leaf == nil {
 			continue
 		}
-		for pi := range leaf.pages {
-			words := leaf.dirty[pi]
-			if words == nil {
+		for pi, pg := range leaf.pages {
+			if pg == nil {
 				continue
 			}
+			words := leaf.dirty[pi]
 			elemBase := (li<<shadowLeafShift + pi) << shadowPageShift
-			pg := leaf.pages[pi]
 			for w, word := range words {
 				for word != 0 {
 					b := bits.TrailingZeros64(word)
@@ -255,8 +333,14 @@ func (s *bufShadow[T]) merge() {
 					s.base[elemBase+off] = pg[off]
 				}
 			}
+			clear(words)
+			p.pages, p.dirty = append(p.pages, pg), append(p.dirty, words)
+			leaf.pages[pi], leaf.dirty[pi] = nil, nil
 		}
+		p.leaves = append(p.leaves, leaf)
+		s.root[li] = nil
 	}
+	p.shadows = append(p.shadows, s)
 }
 
 // BufI32 is a device-resident buffer of int32 elements.
@@ -276,29 +360,24 @@ type BufI32 struct {
 	frozen bool
 
 	// Launch-scoped write shadows: sh[smID] is that SM's private store
-	// shadow, ov the globally-ordered atomic overlay. Created lazily during
-	// a launch (launch.initShadows sizes sh) and folded back into data by
-	// launch.mergeMemory; nil between launches.
+	// shadow, ov the globally-ordered atomic overlay. sh gets one slot per
+	// SM at Alloc; a slot is armed at its SM's first store this launch, ov
+	// at the first atomic, and launch.mergeMemory folds them back into data
+	// and empties them, so every slot is nil between launches.
 	sh []*bufShadow[int32]
 	ov *bufShadow[int32]
 }
 
-// shadowFor returns (creating on first use) the store shadow owned by smID.
-// Only the owning SM's goroutine may call it.
-func (b *BufI32) shadowFor(smID int) *bufShadow[int32] {
-	if b.sh[smID] == nil {
-		b.sh[smID] = newBufShadow(b.data)
-	}
-	return b.sh[smID]
+// shadowFor returns sm's store shadow of b, armed from sm's pool at the
+// first use. Only sm's token holder may call it.
+func (b *BufI32) shadowFor(sm *smRT) *bufShadow[int32] {
+	return sm.shI32.arm(&b.sh[sm.id], b.data)
 }
 
-// overlay returns (creating on first use) the atomic overlay. Callers must
-// hold the launch's atomic gate.
-func (b *BufI32) overlay() *bufShadow[int32] {
-	if b.ov == nil {
-		b.ov = newBufShadow(b.data)
-	}
-	return b.ov
+// overlay returns the atomic overlay of b, armed from d's pool at the first
+// use. Callers must hold the launch's atomic gate.
+func (b *BufI32) overlay(d *Device) *bufShadow[int32] {
+	return d.ovI32.arm(&b.ov, b.data)
 }
 
 // Name returns the buffer's debug name.
@@ -356,22 +435,14 @@ type BufF32 struct {
 	ov *bufShadow[float32]
 }
 
-// shadowFor returns (creating on first use) the store shadow owned by smID.
-// Only the owning SM's goroutine may call it.
-func (b *BufF32) shadowFor(smID int) *bufShadow[float32] {
-	if b.sh[smID] == nil {
-		b.sh[smID] = newBufShadow(b.data)
-	}
-	return b.sh[smID]
+// shadowFor returns sm's store shadow of b; see BufI32.shadowFor.
+func (b *BufF32) shadowFor(sm *smRT) *bufShadow[float32] {
+	return sm.shF32.arm(&b.sh[sm.id], b.data)
 }
 
-// overlay returns (creating on first use) the atomic overlay. Callers must
-// hold the launch's atomic gate.
-func (b *BufF32) overlay() *bufShadow[float32] {
-	if b.ov == nil {
-		b.ov = newBufShadow(b.data)
-	}
-	return b.ov
+// overlay returns the atomic overlay of b; see BufI32.overlay.
+func (b *BufF32) overlay(d *Device) *bufShadow[float32] {
+	return d.ovF32.arm(&b.ov, b.data)
 }
 
 // Name returns the buffer's debug name.

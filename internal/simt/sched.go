@@ -180,7 +180,8 @@ type blockRT struct {
 	liveWarps     int
 	inBarrier     int
 	barrierLatest int64
-	shared        *sharedArena
+	// shared is made at the block's first SharedI32 call.
+	shared *sharedArena
 }
 
 type smRT struct {
@@ -208,10 +209,18 @@ type smRT struct {
 	// scheduling step.
 	liveWarps int
 
-	// warpFree recycles warp runtimes (lane-state slabs, register files and
-	// segment logs) retired by this SM; admission reuses them before
-	// touching the device-level pool. Only this SM's token holder touches it.
-	warpFree []*warpRT
+	// warpFree and blockFree recycle the warp runtimes (lane-state slabs,
+	// register files and segment logs) and block runtimes this SM retired,
+	// across launches: an SM holds at most MaxWarpsPerSM warps and
+	// MaxBlocksPerSM blocks at once, so it never allocates more than that.
+	// Only this SM's token holder touches them.
+	warpFree  []*warpRT
+	blockFree []*blockRT
+
+	// shI32 and shF32 arm and recycle this SM's store shadows; only this
+	// SM's token holder touches them.
+	shI32 shadowPool[int32]
+	shF32 shadowPool[float32]
 
 	// slotHeld marks that this SM currently holds one of the launch's host
 	// worker slots (parallel mode). It is accessed only by this SM's token
@@ -271,17 +280,28 @@ type winnerTree struct {
 
 // newWinnerTree returns a tree of n slots, every key neverReady.
 func newWinnerTree(n int) winnerTree {
+	var t winnerTree
+	t.reset(n)
+	return t
+}
+
+// reset gives t n slots, every key neverReady, reusing its arrays when they
+// have the size n needs.
+func (t *winnerTree) reset(n int) {
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	t := winnerTree{keys: make([]int64, size), win: make([]int32, 2*size)}
+	if len(t.keys) != size {
+		t.keys, t.win = make([]int64, size), make([]int32, 2*size)
+		for i := range t.keys {
+			t.win[size+i] = int32(i)
+		}
+	}
 	for i := range t.keys {
 		t.keys[i] = neverReady
-		t.win[size+i] = int32(i)
 	}
 	t.rebuild()
-	return t
 }
 
 // top returns the winning slot and its key.
@@ -392,6 +412,7 @@ func newLaunch(d *Device, lc LaunchConfig, kernel Kernel) *launch {
 		cfg:           d.cfg,
 		lc:            lc,
 		kernel:        kernel,
+		sms:           d.sms,
 		warpsPerBlock: warpsPerBlock,
 		totalBlocks:   lc.Blocks,
 		lrr:           d.cfg.SchedulerPolicy == "lrr",
@@ -400,13 +421,8 @@ func newLaunch(d *Device, lc LaunchConfig, kernel Kernel) *launch {
 			WarpBusy:  make([]int64, lc.Blocks*warpsPerBlock),
 		},
 	}
-	l.sms = make([]*smRT, d.cfg.NumSMs)
-	for i := range l.sms {
-		sm := &smRT{id: i, ready: newWinnerTree(d.cfg.MaxWarpsPerSM)}
-		if d.cfg.CacheLines > 0 {
-			sm.cache = newSMCache(d.cfg.CacheLines, d.cfg.CacheWays)
-		}
-		l.sms[i] = sm
+	for _, sm := range l.sms {
+		sm.reset()
 	}
 	l.gateCond = sync.NewCond(&l.gateMu)
 	l.horizons = make([]horizon, d.cfg.NumSMs)
@@ -421,6 +437,33 @@ func newLaunch(d *Device, lc LaunchConfig, kernel Kernel) *launch {
 func (l *launch) trace(e TraceEvent) {
 	if t := l.dev.tracer; t != nil {
 		t.Event(e)
+	}
+}
+
+// newSM returns the runtime of SM id on a device configured by cfg.
+func newSM(id int, cfg Config) *smRT {
+	sm := &smRT{id: id, ready: newWinnerTree(cfg.MaxWarpsPerSM)}
+	if cfg.CacheLines > 0 {
+		sm.cache = newSMCache(cfg.CacheLines, cfg.CacheWays)
+	}
+	return sm
+}
+
+// reset readies sm for a new launch as if it were new, keeping its ready
+// tree, cache, free lists and shadow pools. The blocks and warps of a failed
+// launch, which never retired, are dropped.
+func (sm *smRT) reset() {
+	clear(sm.blocks)
+	clear(sm.warps)
+	sm.blocks, sm.warps = sm.blocks[:0], sm.warps[:0]
+	sm.clock, sm.memPipeFree, sm.stepKey = 0, 0, 0
+	sm.warpSlotsUsed, sm.liveWarps, sm.rrCursor = 0, 0, 0
+	sm.everUsed, sm.slotHeld = false, false
+	sm.dom = nil
+	sm.stats = LaunchStats{}
+	sm.ready.reset(len(sm.ready.keys))
+	if sm.cache != nil {
+		sm.cache.reset()
 	}
 }
 
@@ -485,7 +528,6 @@ func (l *launch) run() (*LaunchStats, error) {
 			sm.stats.Profile = &LaunchProfile{}
 		}
 	}
-	l.initShadows()
 	if l.san != nil {
 		l.san.LaunchBegin(l.lc)
 	}
@@ -496,7 +538,7 @@ func (l *launch) run() (*LaunchStats, error) {
 		// One domain over every SM, driven from this goroutine: the single
 		// global (clock, SM) order the tracer, the sanitizer, fault
 		// injection and OnProgress observe.
-		l.doms = make([]domain, 1)
+		l.doms = l.dev.doms[:1]
 		l.doms[0].init(l.sms)
 		l.loop(&l.doms[0])
 	}
@@ -512,7 +554,6 @@ func (l *launch) run() (*LaunchStats, error) {
 		l.fireInjection()
 	}
 	l.mergeMemory()
-	l.reclaimWarps()
 	l.spillCoros()
 	for _, sm := range l.sms {
 		l.stats.addCounters(&sm.stats)
@@ -554,7 +595,7 @@ func (l *launch) runParallel() {
 	for i := 0; i < mode; i++ {
 		l.slots <- struct{}{}
 	}
-	l.doms = make([]domain, len(l.sms))
+	l.doms = l.dev.doms[:len(l.sms)]
 	var wg sync.WaitGroup
 	for i, sm := range l.sms {
 		d := &l.doms[i]
@@ -593,10 +634,13 @@ func (l *launch) releaseSlot(sm *smRT) {
 	l.slots <- struct{}{}
 }
 
-// init makes d the scheduling domain of sms, given in ascending id.
+// init makes d the scheduling domain of sms, given in ascending id, for a
+// new launch.
 func (d *domain) init(sms []*smRT) {
 	d.sms = sms
-	d.order = newWinnerTree(len(sms))
+	d.next = nil
+	d.handoffs = 0
+	d.order.reset(len(sms))
 	for i, sm := range sms {
 		d.order.set(i, sm.clock)
 		sm.dom = d
@@ -886,10 +930,7 @@ func (l *launch) admitBlocks(sm *smRT) {
 	}
 	if l.nextBlock.Load() < int64(l.totalBlocks) && l.canAdmit(sm) {
 		blockID := int(l.nextBlock.Add(1) - 1)
-		b := &blockRT{
-			id:     blockID,
-			shared: newSharedArena(),
-		}
+		b := sm.takeBlock(blockID)
 		for wi := 0; wi < l.warpsPerBlock; wi++ {
 			w := l.takeWarp(sm)
 			w.globalID = blockID*l.warpsPerBlock + wi
@@ -923,48 +964,31 @@ func (l *launch) admitBlocks(sm *smRT) {
 	l.gateExit(sm)
 }
 
-// takeWarp returns a warp runtime for admission: this SM's own retired warps
-// first, then the device-level pool (accessed only under the admission gate,
-// which is mutually exclusive across SMs), then a fresh allocation. A
-// recycled warp's kernel has returned, so its lane state is free to reuse;
-// its next resume binds it a coroutine afresh.
+// takeBlock returns a block runtime for admission as block id: one this SM
+// retired, or a fresh one.
+func (sm *smRT) takeBlock(id int) *blockRT {
+	n := len(sm.blockFree)
+	if n == 0 {
+		return &blockRT{id: id}
+	}
+	b := sm.blockFree[n-1]
+	sm.blockFree = sm.blockFree[:n-1]
+	*b = blockRT{id: id, warps: b.warps[:0]}
+	return b
+}
+
+// takeWarp returns a warp runtime for admission: one this SM retired, or a
+// fresh one. A recycled warp's kernel has returned, so its lane state is
+// free to reuse; its next resume binds it a coroutine afresh.
 func (l *launch) takeWarp(sm *smRT) *warpRT {
 	if n := len(sm.warpFree); n > 0 {
 		w := sm.warpFree[n-1]
 		sm.warpFree = sm.warpFree[:n-1]
 		return w
 	}
-	if n := len(l.dev.warpPool); n > 0 {
-		w := l.dev.warpPool[n-1]
-		l.dev.warpPool = l.dev.warpPool[:n-1]
-		return w
-	}
 	return &warpRT{
 		segs: make([]uint64, 0, 2*l.cfg.WarpWidth),
 		ctx:  newWarpCtx(l.cfg.WarpWidth),
-	}
-}
-
-// warpPoolCap bounds the device-level warp pool so one huge launch doesn't
-// pin its whole grid's worth of warp runtimes forever.
-const warpPoolCap = 4096
-
-// reclaimWarps moves the per-SM free lists into the device pool at launch
-// end (single-threaded: every domain loop has joined). Warps of unretired blocks
-// (failed launches) are simply dropped to the GC.
-func (l *launch) reclaimWarps() {
-	for _, sm := range l.sms {
-		for _, w := range sm.warpFree {
-			if len(l.dev.warpPool) >= warpPoolCap {
-				break
-			}
-			w.block = nil
-			w.sm = nil
-			w.ctx.l = nil
-			w.ctx.w = nil
-			l.dev.warpPool = append(l.dev.warpPool, w)
-		}
-		sm.warpFree = nil
 	}
 }
 
@@ -1223,6 +1247,7 @@ func (l *launch) retireBlock(sm *smRT, b *blockRT) {
 	// Every warp of the block is done and its kernel has returned, so the
 	// runtimes can serve the next admission.
 	sm.warpFree = append(sm.warpFree, b.warps...)
+	sm.blockFree = append(sm.blockFree, b)
 }
 
 // fail cancels the launch; the first error wins. Each domain's token holder
@@ -1362,46 +1387,18 @@ func (l *launch) refreshMinPending() {
 
 // --- launch-scoped memory shadows ----------------------------------------
 
-// initShadows arms every device buffer's per-SM store shadows and atomic
-// overlay for this launch (see the memory-model comment in mem.go).
-func (l *launch) initShadows() {
-	n := l.cfg.NumSMs
-	for _, b := range l.dev.bufsI32 {
-		b.sh = make([]*bufShadow[int32], n)
-		b.ov = nil
-	}
-	for _, b := range l.dev.bufsF32 {
-		b.sh = make([]*bufShadow[float32], n)
-		b.ov = nil
-	}
-}
-
-// mergeMemory folds every buffer's launch-scoped shadows back into its base
-// array: per-SM store shadows in ascending SM id, then the atomic overlay
-// last so final atomic values beat any stale same-cell plain store. A cell
-// that mixes plain stores and atomics within one launch has no sequential
-// analogue; the overlay-last rule makes the outcome deterministic.
+// mergeMemory folds the launch's shadows back into their buffers' base
+// arrays (see the memory-model comment in mem.go): the per-SM store shadows
+// in ascending SM id, then the atomic overlays, so each buffer merges its
+// SMs' shadows in ascending id and its overlay last, and final atomic values
+// beat any stale same-cell plain store. A cell that mixes plain stores and
+// atomics within one launch has no sequential analogue; the overlay-last
+// rule makes the outcome deterministic.
 func (l *launch) mergeMemory() {
-	for _, b := range l.dev.bufsI32 {
-		for _, sh := range b.sh {
-			if sh != nil {
-				sh.merge()
-			}
-		}
-		if b.ov != nil {
-			b.ov.merge()
-		}
-		b.sh, b.ov = nil, nil
+	for _, sm := range l.sms {
+		sm.shI32.mergeAll()
+		sm.shF32.mergeAll()
 	}
-	for _, b := range l.dev.bufsF32 {
-		for _, sh := range b.sh {
-			if sh != nil {
-				sh.merge()
-			}
-		}
-		if b.ov != nil {
-			b.ov.merge()
-		}
-		b.sh, b.ov = nil, nil
-	}
+	l.dev.ovI32.mergeAll()
+	l.dev.ovF32.mergeAll()
 }
